@@ -9,9 +9,9 @@ and 4-vector components, so contractions are plain subscript sums.
 __version__ = "0.1.0"
 
 from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
-                    NATURAL_UNITS, PhysicalConstants, boost_x1, central,
-                    contract, differentiate, field_strength, four_displacement,
-                    four_vector)
+                    EventArray, NATURAL_UNITS, PhysicalConstants, boost_x1,
+                    central, contract, differentiate, field_strength,
+                    four_displacement, four_vector)
 from .dirac import (GammaSet, clifford_residual, dirac_residual,
                     dirac_to_kg_check, factorization_residual,
                     form_relation_matrix, gamma_dot, gamma_matrices,

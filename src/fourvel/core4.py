@@ -10,6 +10,11 @@ tensor, and timelike vectors contract to negative values.
 Derivatives are evaluated either from a field's analytic evaluators or by
 4th-order central differences; dlog means (d_mu f)/f and is always formed
 from the gradient, never through a complex logarithm (branch cuts).
+
+A field is evaluated at one Event or at a (K, 4) EventArray of points. The
+central-difference engine (grad4_numeric, laplace4_numeric) gathers every
+stencil point into one EventArray and calls the field once per derivative,
+so central-mode fields must evaluate a point array row by row.
 """
 from __future__ import annotations
 
@@ -82,17 +87,96 @@ class Event:
         return Event(*coords)
 
 
+class EventArray(np.ndarray):
+    """K events as one (K, 4) float array of (x1, x2, x3, t) rows.
+
+    It exposes Event's accessors (x1, x2, x3, t, spatial, r, as_array) row
+    by row, so a field written with numpy operations on those accessors
+    evaluates a whole batch in one call. Construction checks the shape and
+    finiteness once for the batch. Arithmetic on it gives plain arrays.
+    """
+
+    def __new__(cls, points):
+        arr = np.asarray(points, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 4:
+            raise ParameterError(
+                f"event array needs shape (K, 4), got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ParameterError("non-finite event coordinate in event array")
+        return arr.view(cls)
+
+    def __array_wrap__(self, arr, context=None, return_scalar=False):
+        arr = arr.view(np.ndarray)
+        return arr[()] if return_scalar else arr
+
+    @property
+    def x1(self) -> np.ndarray:
+        return self.as_array()[..., 0]
+
+    @property
+    def x2(self) -> np.ndarray:
+        return self.as_array()[..., 1]
+
+    @property
+    def x3(self) -> np.ndarray:
+        return self.as_array()[..., 2]
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.as_array()[..., 3]
+
+    @property
+    def spatial(self) -> np.ndarray:
+        return self.as_array()[..., :3]
+
+    @property
+    def r(self) -> np.ndarray:
+        return np.sqrt(self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2)
+
+    def as_array(self) -> np.ndarray:
+        return self.view(np.ndarray)
+
+    def event(self, k: int) -> Event:
+        return Event(*(float(v) for v in self.as_array()[k]))
+
+
+def _zeros(e, *shape, dtype=complex) -> np.ndarray:
+    """Zeros shaped like a field value at e: shape for one Event, (K, *shape)
+    for a (K, 4) batch."""
+    lead = () if isinstance(e, Event) else np.shape(e)[:-1]
+    return np.zeros(lead + shape, dtype=dtype)
+
+
+def _col(x, depth: int = 1) -> np.ndarray:
+    """x with depth trailing unit axes, so a per-point scalar broadcasts
+    against per-point vectors (depth 1) or matrices (depth 2)."""
+    return np.asarray(x)[(...,) + (None,) * depth]
+
+
+def _require_nonzero(values, e, eps_psi: float) -> None:
+    """Raise NearZeroWavefunctionError at the first point of e where
+    |values| <= eps_psi; values holds one entry per point."""
+    mags = abs(values)
+    if np.count_nonzero(mags <= eps_psi):
+        k = int(np.flatnonzero(mags <= eps_psi)[0])
+        where = e if isinstance(e, Event) else EventArray(e).event(k)
+        raise NearZeroWavefunctionError(where, float(np.ravel(mags)[k]),
+                                        eps_psi)
+
+
 def four_vector(a1, a2, a3, a4) -> np.ndarray:
     return np.array([a1, a2, a3, a4], dtype=complex)
 
 
-def contract(a, b) -> complex:
-    """Plain subscript sum a_mu b_mu. No metric, no conjugation."""
+def contract(a, b):
+    """Plain subscript sum a_mu b_mu over the last axis. No metric, no
+    conjugation. Two 4-vectors give a complex; stacks of them, an array."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != (4,) or b.shape != (4,):
+    if a.shape[-1:] != (4,) or b.shape[-1:] != (4,):
         raise ParameterError("contract expects two 4-vectors")
-    return complex(np.sum(a * b))
+    out = np.sum(a * b, axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
 def four_displacement(e_from: Event, e_to: Event, c: float = 1.0) -> np.ndarray:
@@ -150,79 +234,111 @@ def central(h: float = 1e-3, richardson: bool = False) -> DerivativeMethod:
     return DerivativeMethod("central", h, richardson)
 
 
-def _stencil_first(f, e: Event, axis: int, h: float) -> complex:
-    # (-f(+2h) + 8 f(+h) - 8 f(-h) + f(-2h)) / (12 h), error O(h^4)
-    return (
-        -f(e.shifted(axis, 2 * h))
-        + 8 * f(e.shifted(axis, h))
-        - 8 * f(e.shifted(axis, -h))
-        + f(e.shifted(axis, -2 * h))
-    ) / (12 * h)
+# Stencil nodes in units of h, in the order the points are evaluated.
+_NODES = np.array([2.0, 1.0, -1.0, -2.0])
 
 
-def _stencil_second(f, e: Event, axis: int, h: float) -> complex:
-    # (-f(+2h) + 16 f(+h) - 30 f(0) + 16 f(-h) - f(-2h)) / (12 h^2), O(h^4)
-    return (
-        -f(e.shifted(axis, 2 * h))
-        + 16 * f(e.shifted(axis, h))
-        - 30 * f(e)
-        + 16 * f(e.shifted(axis, -h))
-        - f(e.shifted(axis, -2 * h))
-    ) / (12 * h * h)
+def _rdiv(z: np.ndarray, x: float) -> np.ndarray:
+    """z / x for a complex array z and a real x, dividing the real and the
+    imaginary parts separately, as Python divides a complex by a float.
+    numpy's complex division would multiply by 1/x, which rounds differently.
+    """
+    z = np.ascontiguousarray(z, dtype=complex)
+    return (z.view(np.float64) / x).view(complex)
 
 
-def _richardson(coarse: complex, fine: complex) -> complex:
+def _stencil_values(f, e, steps, center: bool = False):
+    """Evaluate f once at every stencil point around e.
+
+    e is one Event or a (K, 4) batch of base points. The field is called a
+    single time on an EventArray of K * 4 axes * len(steps) * 4 nodes rows
+    (plus the K base points when center is set) and must return one value,
+    of any shape, per row. Returns (values of shape (K, 4, len(steps), 4,
+    *S), centre values of shape (K, *S) or None, single).
+    """
+    single = isinstance(e, Event)
+    base = (np.array([[e.x1, e.x2, e.x3, e.t]]) if single
+            else EventArray(e).as_array())
+    k = len(base)
+    # shifts[axis, level, node] moves one coordinate by node * step; the
+    # other coordinates get + 0.0, so every point is the Event.shifted one
+    offsets = np.multiply.outer(np.asarray(steps, dtype=float), _NODES)
+    shifts = np.eye(4)[:, None, None, :] * offsets[None, :, :, None]
+    points = (base[:, None, None, None, :] + shifts).reshape(-1, 4)
+    if center:
+        points = np.concatenate([points, base])
+    values = np.asarray(f(points.view(EventArray)), dtype=complex)
+    if values.ndim == 0 or values.shape[0] != len(points):
+        raise ParameterError(
+            f"field returned shape {values.shape} for {len(points)} points; "
+            "central differences need a field that evaluates a (K, 4) "
+            "point array row by row")
+    stencil = values[:k * 4 * len(steps) * 4]
+    stencil = stencil.reshape((k, 4, len(steps), 4) + values.shape[1:])
+    mid = values[-k:] if center else None
+    return stencil, mid, single
+
+
+def _richardson(coarse, fine):
     # both stencils are O(h^4); 16/15 combination cancels the leading term
-    return (16 * fine - coarse) / 15
+    return _rdiv(16 * fine - coarse, 15)
 
 
-def grad4_numeric(f, e: Event, h: float, c: float = 1.0,
+def grad4_numeric(f, e, h: float, c: float = 1.0,
                   richardson: bool = False) -> np.ndarray:
-    """Central-difference gradient; slot 3 is (1/(i*c)) d_t."""
-    out = np.zeros(4, dtype=complex)
-    for axis in range(3):
-        d = _stencil_first(f, e, axis, h)
-        if richardson:
-            d = _richardson(d, _stencil_first(f, e, axis, h / 2))
-        out[axis] = d
-    dt = _stencil_first(f, e, 3, h)
-    if richardson:
-        dt = _richardson(dt, _stencil_first(f, e, 3, h / 2))
-    out[3] = dt / (1j * c)
-    return out
+    """Central-difference gradient; slot 3 is (1/(i*c)) d_t.
+
+    f may return values of any shape S. For one Event the result has shape
+    (4, *S); for a (K, 4) batch, (K, 4, *S). Each derivative is
+    (-f(+2h) + 8 f(+h) - 8 f(-h) + f(-2h)) / (12 h), error O(h^4).
+    """
+    steps = (h, h / 2) if richardson else (h,)
+    v, _, single = _stencil_values(f, e, steps)
+    d = [_rdiv(-v[:, :, i, 0] + 8 * v[:, :, i, 1] - 8 * v[:, :, i, 2]
+               + v[:, :, i, 3], 12 * step) for i, step in enumerate(steps)]
+    out = _richardson(*d) if richardson else d[0]
+    out[:, 3] = _rdiv(-1j * out[:, 3], c)  # d_t / (i c)
+    return out[0] if single else out
 
 
-def laplace4_numeric(f, e: Event, h: float, c: float = 1.0,
-                     richardson: bool = False) -> complex:
-    """Central-difference 4-Laplacian: sum d_mu d_mu = lap3 - (1/c^2) d_t^2."""
-    total = 0.0 + 0.0j
-    for axis in range(3):
-        d2 = _stencil_second(f, e, axis, h)
-        if richardson:
-            d2 = _richardson(d2, _stencil_second(f, e, axis, h / 2))
-        total += d2
-    d2t = _stencil_second(f, e, 3, h)
-    if richardson:
-        d2t = _richardson(d2t, _stencil_second(f, e, 3, h / 2))
-    return total - d2t / c ** 2
+def laplace4_numeric(f, e, h: float, c: float = 1.0,
+                     richardson: bool = False):
+    """Central-difference 4-Laplacian: sum d_mu d_mu = lap3 - (1/c^2) d_t^2.
+
+    Each second derivative is
+    (-f(+2h) + 16 f(+h) - 30 f(0) + 16 f(-h) - f(-2h)) / (12 h^2), O(h^4).
+    Shapes follow grad4_numeric without the derivative axis.
+    """
+    steps = (h, h / 2) if richardson else (h,)
+    v, mid, single = _stencil_values(f, e, steps, center=True)
+    mid = mid[:, None]
+    d = [_rdiv(-v[:, :, i, 0] + 16 * v[:, :, i, 1] - 30 * mid
+               + 16 * v[:, :, i, 2] - v[:, :, i, 3], 12 * step * step)
+         for i, step in enumerate(steps)]
+    d2 = _richardson(*d) if richardson else d[0]
+    out = d2[:, 0] + d2[:, 1] + d2[:, 2] - _rdiv(d2[:, 3], c ** 2)
+    return out[0] if single else out
 
 
-def differentiate(f, e: Event, order: str, method: DerivativeMethod = ANALYTIC,
+def differentiate(f, e, order: str, method: DerivativeMethod = ANALYTIC,
                   *, c: float = 1.0, eps_psi: float = DEFAULT_EPS_PSI):
     """Evaluate grad4, laplace4, or dlog of a scalar field f at event e.
 
-    f is a callable Event -> complex; for analytic mode it must also carry
-    grad4/laplace4 evaluator attributes (fixtures do). dlog returns
-    grad4(f)/f(e) and raises NearZeroWavefunctionError below eps_psi.
+    e is one Event or a (K, 4) batch of points; batch results carry a
+    leading K axis. f is a callable Event -> complex that, for central
+    mode, also evaluates a point array elementwise; for analytic mode it
+    must carry grad4/laplace4 evaluator attributes (fixtures do). dlog
+    returns grad4(f)/f(e) and raises NearZeroWavefunctionError below
+    eps_psi.
     """
     if order not in ("grad4", "laplace4", "dlog"):
         raise ParameterError(f"unknown derivative order {order!r}")
 
     if order == "dlog":
-        value = complex(f(e))
-        if abs(value) <= eps_psi:
-            raise NearZeroWavefunctionError(e, abs(value), eps_psi)
-        return differentiate(f, e, "grad4", method, c=c) / value
+        value = f(e)
+        _require_nonzero(value, e, eps_psi)
+        grad = differentiate(f, e, "grad4", method, c=c)
+        return grad / _col(value)
 
     if method.mode == "analytic":
         evaluator = getattr(f, order, None)
@@ -231,13 +347,21 @@ def differentiate(f, e: Event, order: str, method: DerivativeMethod = ANALYTIC,
                 f"field {f!r} has no analytic {order} evaluator; "
                 "use a central-difference method"
             )
-        if order == "grad4":
-            return np.asarray(evaluator(e), dtype=complex)
-        return complex(evaluator(e))
+        out = np.asarray(evaluator(e), dtype=complex)
+    elif order == "grad4":
+        out = grad4_numeric(f, e, method.h, c, method.richardson)
+    else:
+        out = laplace4_numeric(f, e, method.h, c, method.richardson)
+    return complex(out) if out.ndim == 0 else out
 
-    if order == "grad4":
-        return grad4_numeric(f, e, method.h, c, method.richardson)
-    return laplace4_numeric(f, e, method.h, c, method.richardson)
+
+def _potential_gradient(a_field, e, method: DerivativeMethod = ANALYTIC,
+                        c: float = 1.0) -> np.ndarray:
+    """G[mu, nu] = d_mu A_nu at e, from the potential's analytic gradient
+    or by central differences of its values."""
+    if method.mode == "analytic":
+        return np.asarray(a_field.grad(e), dtype=complex)
+    return grad4_numeric(a_field.a, e, method.h, c, method.richardson)
 
 
 def field_strength(a_field, e: Event, method: DerivativeMethod = ANALYTIC,
@@ -247,19 +371,5 @@ def field_strength(a_field, e: Event, method: DerivativeMethod = ANALYTIC,
     Antisymmetrized after evaluation, so F + F^T vanishes identically even
     on the numeric path.
     """
-    if method.mode == "analytic":
-        grad = np.asarray(a_field.grad(e), dtype=complex)
-    else:
-        grad = np.zeros((4, 4), dtype=complex)
-        for nu in range(4):
-            comp = lambda ev, nu=nu: a_field.a(ev)[nu]
-            for mu in range(3):
-                d = _stencil_first(comp, e, mu, method.h)
-                if method.richardson:
-                    d = _richardson(d, _stencil_first(comp, e, mu, method.h / 2))
-                grad[mu, nu] = d
-            dt = _stencil_first(comp, e, 3, method.h)
-            if method.richardson:
-                dt = _richardson(dt, _stencil_first(comp, e, 3, method.h / 2))
-            grad[3, nu] = dt / (1j * c)
-    return grad - grad.T
+    grad = _potential_gradient(a_field, e, method, c)
+    return grad - np.swapaxes(grad, -1, -2)

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
-                    NATURAL_UNITS, PhysicalConstants, _richardson,
-                    _stencil_first)
+                    NATURAL_UNITS, PhysicalConstants, grad4_numeric)
 from .errors import (InsufficientComponentsError, NearZeroWavefunctionError,
                      ParameterError, UnsupportedConfigurationError)
 from .velocityfield import extract_u
@@ -48,6 +47,16 @@ def gamma_matrices(representation: str = "dirac-standard") -> GammaSet:
     beta = np.diag([1, 1, -1, -1]).astype(complex)
     gammas = tuple(-1j * beta @ a for a in alphas) + (beta,)
     return GammaSet(representation, alphas, beta, gammas)
+
+
+def _read_only(g: GammaSet) -> GammaSet:
+    for mat in g.alphas + g.gammas + (g.beta,):
+        mat.flags.writeable = False
+    return g
+
+
+# default matrix set of the residuals, built once
+_STANDARD = _read_only(gamma_matrices())
 
 
 def clifford_residual(g: GammaSet) -> float:
@@ -86,34 +95,30 @@ def factorization_residual(g: GammaSet, p,
 def form_relation_matrix(constants: PhysicalConstants = NATURAL_UNITS,
                          g: GammaSet | None = None) -> np.ndarray:
     """M with residual_gamma = M @ residual_alphabeta; M = -(i/c) beta."""
-    g = g or gamma_matrices()
+    g = g or _STANDARD
     return -(1j / constants.c) * g.beta
 
 
-def _operator_values(spinor: SpinorWave, a_field, e: Event,
-                     method: DerivativeMethod, constants, use_analytic: bool):
-    """psi_k(e) and (-i hbar d_mu - q A_mu) psi_k(e) for all k, mu."""
+def _operator_values(spinor: SpinorWave, a, e, method: DerivativeMethod,
+                     constants, use_analytic: bool):
+    """psi_k(e) and pop[..., mu, k] = (-i hbar d_mu - q A_mu) psi_k(e) for
+    all k, mu, given the potential's values a at e. e is one Event or a
+    (K, 4) batch."""
     hbar, c, q = constants.hbar, constants.c, constants.q
     values = spinor.values(e)
     if use_analytic:
         grads = spinor.grads(e)
     else:
-        grads = np.empty((4, 4), dtype=complex)
-        for k, comp in enumerate(spinor.components):
-            for mu in range(3):
-                d = _stencil_first(comp, e, mu, method.h)
-                if method.richardson:
-                    d = _richardson(
-                        d, _stencil_first(comp, e, mu, method.h / 2))
-                grads[k, mu] = d
-            dt = _stencil_first(comp, e, 3, method.h)
-            if method.richardson:
-                dt = _richardson(dt, _stencil_first(comp, e, 3, method.h / 2))
-            grads[k, 3] = dt / (1j * c)
-    a = a_field.a(e)
-    # pop[mu, k] = (-i hbar d_mu - q A_mu) psi_k
-    pop = (-1j * hbar * grads - q * np.outer(values, a)).T
-    return values, pop
+        grads = np.swapaxes(grad4_numeric(spinor.values, e, method.h, c,
+                                          method.richardson), -1, -2)
+    pop = -1j * hbar * grads - q * (values[..., :, None] * a[..., None, :])
+    return values, np.swapaxes(pop, -1, -2)
+
+
+def _gamma_form(g: GammaSet, pop, values, m: float, c: float):
+    """gamma_mu pop_mu - i m c psi at one point or a batch of points."""
+    return sum(pop[..., mu, :] @ g.gammas[mu].T for mu in range(4)) \
+        - 1j * m * c * values
 
 
 def dirac_residual(spinor: SpinorWave, a_field, e: Event,
@@ -126,16 +131,15 @@ def dirac_residual(spinor: SpinorWave, a_field, e: Event,
     for the fixed linear map between the two."""
     if form not in ("gamma", "alphabeta"):
         raise ParameterError(f"unknown form {form!r}")
-    g = g or gamma_matrices()
+    g = g or _STANDARD
     m, c = constants.m, constants.c
-    values, pop = _operator_values(spinor, a_field, e, method, constants,
-                                   method.mode == "analytic")
+    values, pop = _operator_values(spinor, a_field.a(e), e, method,
+                                   constants, method.mode == "analytic")
     scale = float(np.max(np.abs(values)))
     if scale <= eps_psi:
         raise NearZeroWavefunctionError(e, scale, eps_psi)
     if form == "gamma":
-        res = sum(g.gammas[mu] @ pop[mu] for mu in range(4)) \
-            - 1j * m * c * values
+        res = _gamma_form(g, pop, values, m, c)
     else:
         res = (1j * c * pop[3]
                + c * sum(g.alphas[n] @ pop[n] for n in range(3))
@@ -201,46 +205,28 @@ def dirac_to_kg_check(spinor: SpinorWave, a_field, e: Event,
     Free fields only (the squared operator with a potential picks up field
     terms this toolkit does not model). The inner first-order operator uses
     the component gradients directly; the outer derivative is taken by
-    central stencils over that intermediate field, so the result can be
-    compared against kg_operator_on_spinor as an independent evaluation.
-    Output normalized by the largest component magnitude at e.
+    central stencils (with the method's step and Richardson setting) over
+    that intermediate field, so the result can be compared against
+    kg_operator_on_spinor as an independent evaluation. Output normalized
+    by the largest component magnitude at e.
     """
     if a_field is not None and a_field.kind != "zero":
         raise UnsupportedConfigurationError(
             "squared-operator check supports only A = 0")
-    g = g or gamma_matrices()
+    g = g or _STANDARD
     hbar, m, c = constants.hbar, constants.m, constants.c
     use_analytic = method.mode == "analytic"
 
-    zero_a = np.zeros(4, dtype=complex)
-
-    class _NullField:
-        kind = "zero"
-
-        @staticmethod
-        def a(_e):
-            return zero_a
-
-    null = _NullField()
-
-    def first_order(ev: Event) -> np.ndarray:
-        values, pop = _operator_values(spinor, null, ev, method, constants,
-                                       use_analytic)
-        return sum(g.gammas[mu] @ pop[mu] for mu in range(4)) \
-            - 1j * m * c * values
+    def first_order(points) -> np.ndarray:
+        values, pop = _operator_values(spinor, np.zeros(4), points, method,
+                                       constants, use_analytic)
+        return _gamma_form(g, pop, values, m, c)
 
     # outer pass: gamma.(-i hbar d) + i m c on the intermediate field
-    h = method.h
-    inter = first_order(e)
-    out = 1j * m * c * inter.astype(complex)
+    d = grad4_numeric(first_order, e, method.h, c, method.richardson)
+    out = 1j * m * c * first_order(e)
     for mu in range(4):
-        d = (-first_order(e.shifted(mu, 2 * h))
-             + 8 * first_order(e.shifted(mu, h))
-             - 8 * first_order(e.shifted(mu, -h))
-             + first_order(e.shifted(mu, -2 * h))) / (12 * h)
-        if mu == 3:
-            d = d / (1j * c)
-        out = out + g.gammas[mu] @ (-1j * hbar * d)
+        out = out + g.gammas[mu] @ (-1j * hbar * d[mu])
 
     values = spinor.values(e)
     scale = float(np.max(np.abs(values)))

@@ -3,6 +3,9 @@
 Potentials follow the folded-i convention of core4: the fourth component
 A_4 = i*phi/c is purely imaginary for a physical scalar potential phi, and
 the stored gradient G[mu, nu] = d_mu A_nu applies d_4 = (1/(i*c)) d_t.
+
+Potentials and gauge functions take one Event or a (K, 4) EventArray and
+evaluate it elementwise; batch results carry a leading K axis.
 """
 from __future__ import annotations
 
@@ -11,10 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core4 import Event, NATURAL_UNITS, PhysicalConstants
-from .errors import ParameterError, SingularPointError
-
-_SINGULAR_R = 1e-12
+from .core4 import (ANALYTIC, Event, NATURAL_UNITS, PhysicalConstants, _col,
+                    _potential_gradient, _zeros)
+from .errors import ParameterError
+from .wavefunctions import ScalarWave, SpinorWave, _outer, _radius
 
 
 class PotentialField:
@@ -52,17 +55,16 @@ class PotentialField:
 
 
 def zero_potential() -> PotentialField:
-    z4 = np.zeros(4, dtype=complex)
-    z44 = np.zeros((4, 4), dtype=complex)
-    return PotentialField("zero", lambda e: z4, lambda e: z44)
+    return PotentialField("zero", lambda e: _zeros(e, 4),
+                          lambda e: _zeros(e, 4, 4))
 
 
 def constant_potential(components) -> PotentialField:
     a = np.asarray(components, dtype=complex)
     if a.shape != (4,):
         raise ParameterError("constant potential needs 4 components")
-    z44 = np.zeros((4, 4), dtype=complex)
-    return PotentialField("constant", lambda e: a.copy(), lambda e: z44,
+    return PotentialField("constant", lambda e: _zeros(e, 4) + a,
+                          lambda e: _zeros(e, 4, 4),
                           {"components": tuple(a)})
 
 
@@ -79,24 +81,19 @@ def coulomb_potential(z_alpha: float,
             f"z_alpha = {z_alpha} outside (0, 0.5]; the scalar bound-state "
             "fixture exponent is real only in that range"
         )
-    k = -1j * z_alpha * constants.hbar / constants.q  # A_4 = k / r
+    k = -z_alpha * constants.hbar / constants.q  # A_4 = i k / r
 
     def a(e: Event) -> np.ndarray:
-        r = e.r
-        if r <= _SINGULAR_R:
-            raise SingularPointError(f"Coulomb potential evaluated at r = {r}")
-        out = np.zeros(4, dtype=complex)
-        out[3] = k / r
+        r = _radius(e, "Coulomb potential")
+        out = _zeros(e, 4)
+        out[..., 3] = 1j * (k / r)
         return out
 
     def grad(e: Event) -> np.ndarray:
-        r = e.r
-        if r <= _SINGULAR_R:
-            raise SingularPointError(f"Coulomb potential evaluated at r = {r}")
-        g = np.zeros((4, 4), dtype=complex)
-        # d_i (k/r) = -k x_i / r^3; static, so row 4 stays zero
-        for i, xi in enumerate((e.x1, e.x2, e.x3)):
-            g[i, 3] = -k * xi / r ** 3
+        r = _radius(e, "Coulomb potential")
+        g = _zeros(e, 4, 4)
+        # d_i (i k/r) = -i k x_i / r^3; static, so row 4 stays zero
+        g[..., :3, 3] = 1j * (-k * e.spatial / _col(r ** 3))
         return g
 
     return PotentialField("coulomb", a, grad,
@@ -117,7 +114,7 @@ class GaugeFunction:
     degree: int = 0
 
     def laplace4(self, e: Event) -> complex:
-        return complex(np.trace(self.hess4(e)))
+        return np.trace(self.hess4(e), axis1=-2, axis2=-1)
 
 
 def polynomial_gauge(terms: dict, c: float = 1.0) -> GaugeFunction:
@@ -151,22 +148,32 @@ def polynomial_gauge(terms: dict, c: float = 1.0) -> GaugeFunction:
         new[axis] -= 1
         return float(expo[axis]), tuple(new)
 
+    def _fold(acc, n_t: int):
+        # acc / (i c)^n_t, each division rounded as for a Python complex
+        if n_t == 0:
+            return acc
+        if n_t == 1:
+            return -1j * (acc / c)
+        return -(acc / c) / c
+
     def chi(e: Event) -> float:
-        return sum(co * _mono(e, ex) for ex, co in clean.items())
+        # + zeros keeps a batch's shape when every term is a constant
+        return sum(co * _mono(e, ex) for ex, co in clean.items()) \
+            + _zeros(e, dtype=float)
 
     def grad4(e: Event) -> np.ndarray:
-        out = np.zeros(4, dtype=complex)
+        out = _zeros(e, 4)
         for ax in range(4):
             acc = 0.0
             for ex, co in clean.items():
                 d = _diff(ex, ax)
                 if d is not None:
                     acc += co * d[0] * _mono(e, d[1])
-            out[ax] = acc / (1j * c) if ax == 3 else acc
+            out[..., ax] = _fold(acc, ax == 3)
         return out
 
     def hess4(e: Event) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=complex)
+        out = _zeros(e, 4, 4)
         for ax1 in range(4):
             for ax2 in range(ax1, 4):
                 acc = 0.0
@@ -178,13 +185,9 @@ def polynomial_gauge(terms: dict, c: float = 1.0) -> GaugeFunction:
                     if d2 is None:
                         continue
                     acc += co * d1[0] * d2[0] * _mono(e, d2[1])
-                val = complex(acc)
-                if ax1 == 3:
-                    val /= 1j * c
-                if ax2 == 3:
-                    val /= 1j * c
-                out[ax1, ax2] = val
-                out[ax2, ax1] = val
+                val = _fold(acc, (ax1 == 3) + (ax2 == 3))
+                out[..., ax1, ax2] = val
+                out[..., ax2, ax1] = val
         return out
 
     return GaugeFunction(chi, grad4, hess4, degree)
@@ -201,21 +204,8 @@ def pure_gauge_potential(chi: GaugeFunction) -> PotentialField:
 def lorenz_gauge_residual(a_field: PotentialField, e: Event, method=None,
                           *, c: float = 1.0) -> complex:
     """d_mu A_mu at e; zero for a Lorenz-gauge potential."""
-    from .core4 import ANALYTIC, _richardson, _stencil_first
-
-    method = method or ANALYTIC
-    if method.mode == "analytic":
-        return complex(np.trace(a_field.grad(e)))
-    total = 0.0 + 0.0j
-    for mu in range(4):
-        comp = lambda ev, mu=mu: a_field.a(ev)[mu]
-        d = _stencil_first(comp, e, mu, method.h)
-        if method.richardson:
-            d = _richardson(d, _stencil_first(comp, e, mu, method.h / 2))
-        if mu == 3:
-            d /= 1j * c
-        total += d
-    return total
+    grad = _potential_gradient(a_field, e, method or ANALYTIC, c)
+    return complex(np.trace(grad))
 
 
 def gauge_transform(a_field: PotentialField, psi, chi: GaugeFunction,
@@ -226,8 +216,6 @@ def gauge_transform(a_field: PotentialField, psi, chi: GaugeFunction,
     the originals, so both derivative modes remain available. Works on
     scalar waves and componentwise on spinor waves.
     """
-    from .wavefunctions import ScalarWave, SpinorWave
-
     a_prime = a_field + pure_gauge_potential(chi)
 
     iq_h = 1j * constants.q / constants.hbar
@@ -238,7 +226,8 @@ def gauge_transform(a_field: PotentialField, psi, chi: GaugeFunction,
 
         def grad_p(e):
             g = np.exp(iq_h * chi.chi(e))
-            return g * (wave.grad4(e) + wave.psi(e) * iq_h * chi.grad4(e))
+            return _col(g) * (wave.grad4(e)
+                              + _col(wave.psi(e) * iq_h) * chi.grad4(e))
 
         def lap_p(e):
             g = np.exp(iq_h * chi.chi(e))
@@ -246,9 +235,9 @@ def gauge_transform(a_field: PotentialField, psi, chi: GaugeFunction,
             dpsi = wave.grad4(e)
             return g * (
                 wave.laplace4(e)
-                + 2 * iq_h * np.sum(dpsi * dchi)
+                + 2 * iq_h * np.sum(dpsi * dchi, axis=-1)
                 + wave.psi(e) * (iq_h * chi.laplace4(e)
-                                 + iq_h ** 2 * np.sum(dchi * dchi))
+                                 + iq_h ** 2 * np.sum(dchi * dchi, axis=-1))
             )
 
         hess_p = None
@@ -257,11 +246,11 @@ def gauge_transform(a_field: PotentialField, psi, chi: GaugeFunction,
                 g = np.exp(iq_h * chi.chi(e))
                 dchi = chi.grad4(e)
                 dpsi = wave.grad4(e)
-                return g * (
+                return _col(g, 2) * (
                     wave.hess4(e)
-                    + iq_h * (np.outer(dpsi, dchi) + np.outer(dchi, dpsi))
-                    + wave.psi(e) * (iq_h * chi.hess4(e)
-                                     + iq_h ** 2 * np.outer(dchi, dchi))
+                    + iq_h * (_outer(dpsi, dchi) + _outer(dchi, dpsi))
+                    + _col(wave.psi(e), 2) * (iq_h * chi.hess4(e)
+                                              + iq_h ** 2 * _outer(dchi, dchi))
                 )
 
         return ScalarWave(

@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
-                    NATURAL_UNITS, PhysicalConstants, _richardson,
-                    _stencil_first, contract, differentiate, field_strength,
-                    four_displacement)
+                    NATURAL_UNITS, PhysicalConstants, _potential_gradient,
+                    contract, differentiate, field_strength,
+                    four_displacement, grad4_numeric)
 from .errors import (NearZeroWavefunctionError, ParameterError,
                      QuadratureError, SingularPointError)
 
@@ -38,14 +38,16 @@ def canonical_momentum(psi, a_field, e: Event,
                        method: DerivativeMethod = ANALYTIC, *,
                        constants: PhysicalConstants = NATURAL_UNITS,
                        eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
-    """P_mu = m u_mu + q A_mu = -i hbar dlog(psi)_mu."""
+    """P_mu = m u_mu + q A_mu = -i hbar dlog(psi)_mu at one Event or at
+    each row of a (K, 4) batch."""
     return -1j * constants.hbar * _dlog(psi, e, method, constants, eps_psi)
 
 
 def extract_u(psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
               constants: PhysicalConstants = NATURAL_UNITS,
               eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
-    """4-velocity u_mu = (-i hbar dlog(psi)_mu - q A_mu) / m."""
+    """4-velocity u_mu = (-i hbar dlog(psi)_mu - q A_mu) / m at one Event
+    or at each row of a (K, 4) batch."""
     p = canonical_momentum(psi, a_field, e, method, constants=constants,
                            eps_psi=eps_psi)
     return (p - constants.q * a_field.a(e)) / constants.m
@@ -61,21 +63,6 @@ def mass_shell_residual(psi, a_field, e: Event,
     return contract(u, u) + constants.c ** 2
 
 
-def _grad_a(a_field, e: Event, method: DerivativeMethod, c: float) -> np.ndarray:
-    """G[mu, nu] = d_mu A_nu through the requested derivative path."""
-    if method.mode == "analytic":
-        return a_field.grad(e)
-    grad = np.zeros((4, 4), dtype=complex)
-    for nu in range(4):
-        comp = lambda ev, nu=nu: a_field.a(ev)[nu]
-        for mu in range(4):
-            d = _stencil_first(comp, e, mu, method.h)
-            if method.richardson:
-                d = _richardson(d, _stencil_first(comp, e, mu, method.h / 2))
-            grad[mu, nu] = d / (1j * c) if mu == 3 else d
-    return grad
-
-
 def momentum_gradient(psi, a_field, e: Event,
                       method: DerivativeMethod = ANALYTIC, *,
                       constants: PhysicalConstants = NATURAL_UNITS,
@@ -85,7 +72,8 @@ def momentum_gradient(psi, a_field, e: Event,
     Analytic mode needs the fixture's full second-derivative matrix:
     d_mu P_nu = -i hbar (hess_{mu nu}/psi - dlog_mu dlog_nu). Central mode
     nests first-derivative stencils over the extraction evaluator instead,
-    so the two paths are independent.
+    so the two paths are independent; evaluated on the whole stencil at
+    once, that costs two calls of psi.
     """
     hbar, c = constants.hbar, constants.c
     if method.mode == "analytic":
@@ -98,23 +86,11 @@ def momentum_gradient(psi, a_field, e: Event,
         dl = psi.grad4(e) / value
         return -1j * hbar * (psi.hess4(e) / value - np.outer(dl, dl))
 
-    def p_of(ev: Event) -> np.ndarray:
-        return canonical_momentum(psi, a_field, ev, method,
+    def p_of(points) -> np.ndarray:
+        return canonical_momentum(psi, a_field, points, method,
                                   constants=constants, eps_psi=eps_psi)
 
-    grad = np.zeros((4, 4), dtype=complex)
-    h = method.h
-    for mu in range(4):
-        d = (-p_of(e.shifted(mu, 2 * h)) + 8 * p_of(e.shifted(mu, h))
-             - 8 * p_of(e.shifted(mu, -h)) + p_of(e.shifted(mu, -2 * h))) / (12 * h)
-        if method.richardson:
-            h2 = h / 2
-            fine = (-p_of(e.shifted(mu, 2 * h2)) + 8 * p_of(e.shifted(mu, h2))
-                    - 8 * p_of(e.shifted(mu, -h2))
-                    + p_of(e.shifted(mu, -2 * h2))) / (12 * h2)
-            d = _richardson(d, fine)
-        grad[mu, :] = d / (1j * c) if mu == 3 else d
-    return grad
+    return grad4_numeric(p_of, e, method.h, c, method.richardson)
 
 
 def curl_k(psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
@@ -142,7 +118,7 @@ def newton_residual(psi, a_field, e: Event,
                   eps_psi=eps_psi)
     gp = momentum_gradient(psi, a_field, e, method, constants=constants,
                            eps_psi=eps_psi)
-    ga = _grad_a(a_field, e, method, constants.c)
+    ga = _potential_gradient(a_field, e, method, constants.c)
     du = (gp - q * ga) / m  # du[mu, nu] = d_mu u_nu
     convective = u @ du  # sum_nu u_nu d_nu u_mu
     f = field_strength(a_field, e, method, c=constants.c)
@@ -181,7 +157,7 @@ def divergence_mu(psi, a_field, e: Event,
     hbar = constants.hbar
     gp = momentum_gradient(psi, a_field, e, method, constants=constants,
                            eps_psi=eps_psi)
-    ga = _grad_a(a_field, e, method, constants.c)
+    ga = _potential_gradient(a_field, e, method, constants.c)
     lorenz = complex(np.trace(ga))
     value = complex(np.trace(gp)) - constants.q * lorenz
 
@@ -210,7 +186,7 @@ def kg_residual(psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
     grad = differentiate(psi, e, "grad4", method, c=c)
     lap = differentiate(psi, e, "laplace4", method, c=c)
     a = a_field.a(e)
-    div_a = complex(np.trace(_grad_a(a_field, e, method, c)))
+    div_a = complex(np.trace(_potential_gradient(a_field, e, method, c)))
     raw = (-hbar ** 2 * lap
            + 1j * hbar * q * div_a * value
            + 2j * hbar * q * complex(np.sum(a * grad))

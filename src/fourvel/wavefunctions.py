@@ -8,6 +8,10 @@ the two is itself a consistency check exercised by the tests.
 
 Fixtures are deliberately unnormalized: every residual downstream is scale
 free (divided by psi or a component magnitude).
+
+Every evaluator takes one Event or a (K, 4) EventArray and works elementwise
+with numpy, so the central-difference engine can evaluate all its stencil
+points in one call; batch results carry a leading K axis.
 """
 from __future__ import annotations
 
@@ -17,10 +21,24 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core4 import Event, NATURAL_UNITS, PhysicalConstants
+from .core4 import Event, NATURAL_UNITS, PhysicalConstants, _col, _zeros
 from .errors import ParameterError, SingularPointError
 
 _SINGULAR_R = 1e-12
+
+
+def _outer(a, b) -> np.ndarray:
+    """np.outer over the last axis of per-point vectors."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _radius(e, what: str = "bound-state fixture"):
+    """|x| at each point of e; raises SingularPointError at the origin."""
+    r = e.r
+    if np.count_nonzero(r <= _SINGULAR_R):
+        raise SingularPointError(
+            f"{what} evaluated at r = {float(np.min(r))}")
+    return r
 
 
 @dataclass(frozen=True)
@@ -36,7 +54,7 @@ class ScalarWave:
     params: dict = field(default_factory=dict)
 
     def __call__(self, e: Event) -> complex:
-        return complex(self.psi(e))
+        return self.psi(e)
 
 
 @dataclass(frozen=True)
@@ -54,19 +72,22 @@ class SpinorWave:
             raise ParameterError("spinor needs exactly 4 components")
 
     def values(self, e: Event) -> np.ndarray:
-        return np.array([c(e) for c in self.components], dtype=complex)
+        return np.stack([np.asarray(c(e), dtype=complex)
+                         for c in self.components], axis=-1)
 
     def grads(self, e: Event) -> np.ndarray:
         """Matrix [k, mu] of d_mu psi_k from the component evaluators."""
-        return np.array([c.grad4(e) for c in self.components], dtype=complex)
+        return np.stack([np.asarray(c.grad4(e), dtype=complex)
+                         for c in self.components], axis=-2)
 
 
 # ---------------------------------------------------------------------------
 # free plane wave
 # ---------------------------------------------------------------------------
 
-def plane_wave(p, constants: PhysicalConstants = NATURAL_UNITS) -> ScalarWave:
-    """exp(i(p.x - E t)/hbar) on the positive-energy branch E = +sqrt(...)."""
+def _plane_wave_parts(p, constants: PhysicalConstants):
+    """Energy, log-gradient g, Laplacian factor and phase evaluator of the
+    positive-energy plane wave exp(i(p.x - E t)/hbar)."""
     p = np.asarray(p, dtype=float)
     if p.shape != (3,) or not np.all(np.isfinite(p)):
         raise ParameterError("momentum must be a finite 3-vector")
@@ -78,16 +99,22 @@ def plane_wave(p, constants: PhysicalConstants = NATURAL_UNITS) -> ScalarWave:
                   -E / (hbar * c)], dtype=complex)
     lap_coeff = (m * c / hbar) ** 2  # from the dispersion relation
 
-    def psi(e: Event) -> complex:
-        phase = (p @ e.spatial - E * e.t) / hbar
-        return complex(np.exp(1j * phase))
+    def phase(e: Event) -> complex:
+        # vecdot rounds like p @ e.spatial for one event and for a batch
+        return np.exp(1j * ((np.vecdot(e.spatial, p) - E * e.t) / hbar))
 
+    return p, E, g, lap_coeff, phase
+
+
+def plane_wave(p, constants: PhysicalConstants = NATURAL_UNITS) -> ScalarWave:
+    """exp(i(p.x - E t)/hbar) on the positive-energy branch E = +sqrt(...)."""
+    p, E, g, lap_coeff, psi = _plane_wave_parts(p, constants)
     return ScalarWave(
         label=f"plane-wave p=({p[0]:g},{p[1]:g},{p[2]:g})",
         psi=psi,
-        grad4=lambda e: g * psi(e),
+        grad4=lambda e: g * _col(psi(e)),
         laplace4=lambda e: lap_coeff * psi(e),
-        hess4=lambda e: np.outer(g, g) * psi(e),
+        hess4=lambda e: np.outer(g, g) * _col(psi(e), 2),
         energy=E,
         params={"p": tuple(p), "energy": E},
     )
@@ -126,44 +153,39 @@ def kg_coulomb_1s(z_alpha: float,
     lam = E * z_alpha / (gamma * hbar * c)
     g4 = -E / (hbar * c)  # dlog slot 3
 
-    def _radial(e: Event):
-        r = e.r
-        if r <= _SINGULAR_R:
-            raise SingularPointError(f"bound-state fixture evaluated at r = {r}")
-        return r
-
     def psi(e: Event) -> complex:
-        r = _radial(e)
-        return r ** (gamma - 1.0) * math.exp(-lam * r) * np.exp(
-            -1j * E * e.t / hbar)
+        r = _radius(e)
+        return r ** (gamma - 1.0) * np.exp(-lam * r) * np.exp(
+            -1j * (E * e.t / hbar))
 
     def grad4(e: Event) -> np.ndarray:
-        r = _radial(e)
+        r = _radius(e)
         value = psi(e)
         lr = (gamma - 1.0) / r - lam  # radial log-derivative
-        out = np.empty(4, dtype=complex)
-        out[:3] = lr * e.spatial / r * value
-        out[3] = g4 * value
+        out = _zeros(e, 4)
+        out[..., :3] = _col(lr) * e.spatial / _col(r) * _col(value)
+        out[..., 3] = g4 * value
         return out
 
     def laplace4(e: Event) -> complex:
-        r = _radial(e)
+        r = _radius(e)
         radial = (gamma * (gamma - 1.0) / r ** 2
                   - 2.0 * lam * gamma / r + lam ** 2)
         return (radial + (E / (hbar * c)) ** 2) * psi(e)
 
     def hess4(e: Event) -> np.ndarray:
-        r = _radial(e)
+        r = _radius(e)
         value = psi(e)
-        n = e.spatial / r
+        n = e.spatial / _col(r)
         lr = (gamma - 1.0) / r - lam
         rpp = lr ** 2 - (gamma - 1.0) / r ** 2  # R''/R
-        out = np.empty((4, 4), dtype=complex)
-        out[:3, :3] = (rpp * np.outer(n, n)
-                       + lr * (np.eye(3) - np.outer(n, n)) / r) * value
-        out[:3, 3] = lr * n * g4 * value
-        out[3, :3] = out[:3, 3]
-        out[3, 3] = g4 ** 2 * value
+        out = _zeros(e, 4, 4)
+        out[..., :3, :3] = (_col(rpp, 2) * _outer(n, n)
+                            + _col(lr, 2) * (np.eye(3) - _outer(n, n))
+                            / _col(r, 2)) * _col(value, 2)
+        out[..., :3, 3] = _col(lr) * n * g4 * _col(value)
+        out[..., 3, :3] = out[..., :3, 3]
+        out[..., 3, 3] = g4 ** 2 * value
         return out
 
     return ScalarWave(
@@ -195,32 +217,22 @@ def dirac_plane_wave(p, spin: str = "up",
     c (sigma.p) chi / (E + m c^2), common phase exp(i(p.x - E t)/hbar)."""
     if spin not in ("up", "down"):
         raise ParameterError(f"spin must be 'up' or 'down', got {spin!r}")
-    p = np.asarray(p, dtype=float)
-    if p.shape != (3,) or not np.all(np.isfinite(p)):
-        raise ParameterError("momentum must be a finite 3-vector")
-    hbar, c, m = constants.hbar, constants.c, constants.m
-    E = math.sqrt(float(p @ p) * c ** 2 + (m * c ** 2) ** 2)
+    p, E, g, lap_coeff, phase = _plane_wave_parts(p, constants)
+    c, m = constants.c, constants.m
     chi = np.array([1, 0], dtype=complex) if spin == "up" else \
         np.array([0, 1], dtype=complex)
     sigma_p = sum(p[n] * _SIGMA[n] for n in range(3))
     lower = c * (sigma_p @ chi) / (E + m * c ** 2)
     w = np.concatenate([chi, lower])
 
-    g = np.array([1j * p[0] / hbar, 1j * p[1] / hbar, 1j * p[2] / hbar,
-                  -E / (hbar * c)], dtype=complex)
-    lap_coeff = (m * c / hbar) ** 2
-
-    def phase(e: Event) -> complex:
-        return complex(np.exp(1j * (p @ e.spatial - E * e.t) / hbar))
-
     def make_component(k: int) -> ScalarWave:
         wk = w[k]
         return ScalarWave(
             label=f"dirac-plane-wave[{k}]",
             psi=lambda e: wk * phase(e),
-            grad4=lambda e: g * (wk * phase(e)),
+            grad4=lambda e: g * _col(wk * phase(e)),
             laplace4=lambda e: lap_coeff * (wk * phase(e)),
-            hess4=lambda e: np.outer(g, g) * (wk * phase(e)),
+            hess4=lambda e: np.outer(g, g) * _col(wk * phase(e), 2),
             energy=E,
         )
 
@@ -263,38 +275,32 @@ def dirac_coulomb_1s(z_alpha: float,
     ratio = lam * hbar * c / (E + m * c ** 2)
     g4 = -E / (hbar * c)
 
-    def _r(e: Event) -> float:
-        r = e.r
-        if r <= _SINGULAR_R:
-            raise SingularPointError(f"bound-state fixture evaluated at r = {r}")
-        return r
-
     def tfac(e: Event) -> complex:
-        return complex(np.exp(-1j * E * e.t / hbar))
+        return np.exp(-1j * (E * e.t / hbar))
 
     # large component: G(r) = r^(s-1) exp(-lam r), pure radial
     def psi_large(e: Event) -> complex:
-        r = _r(e)
-        return r ** (s - 1.0) * math.exp(-lam * r) * tfac(e)
+        r = _radius(e)
+        return r ** (s - 1.0) * np.exp(-lam * r) * tfac(e)
 
     def grad_large(e: Event) -> np.ndarray:
-        r = _r(e)
+        r = _radius(e)
         value = psi_large(e)
         lg = (s - 1.0) / r - lam
-        out = np.empty(4, dtype=complex)
-        out[:3] = lg * e.spatial / r * value
-        out[3] = g4 * value
+        out = _zeros(e, 4)
+        out[..., :3] = _col(lg) * e.spatial / _col(r) * _col(value)
+        out[..., 3] = g4 * value
         return out
 
     def lap_large(e: Event) -> complex:
-        r = _r(e)
+        r = _radius(e)
         radial = s * (s - 1.0) / r ** 2 - 2.0 * lam * s / r + lam ** 2
         return (radial + g4 ** 2) * psi_large(e)
 
     zero = ScalarWave("dirac-coulomb-1s[1]",
-                      psi=lambda e: 0j,
-                      grad4=lambda e: np.zeros(4, dtype=complex),
-                      laplace4=lambda e: 0j,
+                      psi=_zeros,
+                      grad4=lambda e: _zeros(e, 4),
+                      laplace4=_zeros,
                       energy=E)
 
     # small components: i * ratio * H(r) * Y(x) with H(r) = r^(s-2) e^(-lam r)
@@ -302,23 +308,24 @@ def dirac_coulomb_1s(z_alpha: float,
     # lap3(H Y) = Y H ((s-2)(s+1)/r^2 - 2 lam s / r + lam^2).
     def make_small(label: str, harm, harm_grad) -> ScalarWave:
         def hfac(e: Event, r: float) -> complex:
-            return 1j * ratio * r ** (s - 2.0) * math.exp(-lam * r) * tfac(e)
+            return 1j * ratio * r ** (s - 2.0) * np.exp(-lam * r) * tfac(e)
 
         def psi_s(e: Event) -> complex:
-            r = _r(e)
+            r = _radius(e)
             return hfac(e, r) * harm(e)
 
         def grad_s(e: Event) -> np.ndarray:
-            r = _r(e)
+            r = _radius(e)
             h = hfac(e, r)
             lh = (s - 2.0) / r - lam  # H'/H
-            out = np.empty(4, dtype=complex)
-            out[:3] = h * (harm_grad(e) + harm(e) * lh * e.spatial / r)
-            out[3] = g4 * h * harm(e)
+            out = _zeros(e, 4)
+            out[..., :3] = _col(h) * (harm_grad(e) + _col(harm(e) * lh)
+                                      * e.spatial / _col(r))
+            out[..., 3] = g4 * h * harm(e)
             return out
 
         def lap_s(e: Event) -> complex:
-            r = _r(e)
+            r = _radius(e)
             radial = ((s - 2.0) * (s + 1.0) / r ** 2
                       - 2.0 * lam * s / r + lam ** 2)
             return (radial + g4 ** 2) * hfac(e, r) * harm(e)
@@ -328,12 +335,12 @@ def dirac_coulomb_1s(z_alpha: float,
 
     comp3 = make_small(
         "dirac-coulomb-1s[2]",
-        harm=lambda e: complex(e.x3),
+        harm=lambda e: e.x3 + 0j,
         harm_grad=lambda e: np.array([0, 0, 1], dtype=complex),
     )
     comp4 = make_small(
         "dirac-coulomb-1s[3]",
-        harm=lambda e: complex(e.x1 + 1j * e.x2),
+        harm=lambda e: e.x1 + 1j * e.x2,
         harm_grad=lambda e: np.array([1, 1j, 0], dtype=complex),
     )
 
@@ -374,32 +381,32 @@ def gaussian_polynomial_wave(linear, center, widths,
     def parts(e: Event):
         x = e.as_array()
         d = x - b
-        poly = lin[0] + np.sum(lin[1:] * x)
-        gauss = math.exp(float(-np.sum(a * d * d)))
+        poly = lin[0] + np.sum(lin[1:] * x, axis=-1)
+        gauss = np.exp(-np.sum(a * d * d, axis=-1))
         return x, d, poly, gauss
 
     def psi(e: Event) -> complex:
         _, _, poly, gauss = parts(e)
-        return complex(poly * gauss)
+        return poly * gauss
 
     def grad4(e: Event) -> np.ndarray:
         _, d, poly, gauss = parts(e)
-        raw = (lin[1:] - 2.0 * a * d * poly) * gauss  # plain d/dx_i
+        raw = (lin[1:] - 2.0 * a * d * _col(poly)) * _col(gauss)  # d/dx_i
         return raw * fold
 
     def laplace4(e: Event) -> complex:
         _, d, poly, gauss = parts(e)
         raw = (-2.0 * a * d * lin[1:] * 2.0
-               + poly * (4.0 * a ** 2 * d * d - 2.0 * a)) * gauss
+               + _col(poly) * (4.0 * a ** 2 * d * d - 2.0 * a)) * _col(gauss)
         # slot 3 is a plain t-derivative; fold^2 = -1/c^2 for that slot
-        return complex(np.sum(raw[:3]) - raw[3] / c ** 2)
+        return np.sum(raw[..., :3], axis=-1) - raw[..., 3] / c ** 2
 
     def hess4(e: Event) -> np.ndarray:
         _, d, poly, gauss = parts(e)
         ad = a * d
-        raw = (-2.0 * np.diag(a) * poly
-               - 2.0 * np.outer(ad, lin[1:]) - 2.0 * np.outer(lin[1:], ad)
-               + 4.0 * np.outer(ad, ad) * poly) * gauss
+        raw = (-2.0 * np.diag(a) * _col(poly, 2)
+               - 2.0 * _outer(ad, lin[1:]) - 2.0 * _outer(lin[1:], ad)
+               + 4.0 * _outer(ad, ad) * _col(poly, 2)) * _col(gauss, 2)
         return raw * np.outer(fold, fold)
 
     return ScalarWave(label=label, psi=psi, grad4=grad4, laplace4=laplace4,

@@ -152,3 +152,38 @@ def test_dirac_to_kg_requires_zero_potential():
     field = constant_potential((0.1, 0.0, 0.0, 0.0))
     with pytest.raises(UnsupportedConfigurationError):
         dirac_to_kg_check(spinor, field, E0, ANALYTIC, constants=C)
+
+
+def test_dirac_to_kg_outer_pass_honours_richardson():
+    # both stencil passes must extrapolate; with only the inner one doing
+    # so, the outer pass's O(h^4) error would keep the two settings close
+    rng = np.random.default_rng(79)
+    spinor = random_smooth_spinor(rng, C)
+    e = Event(*rng.uniform(-0.4, 0.4, 4))
+    direct = kg_operator_on_spinor(spinor, e, constants=C)
+    dev = {}
+    for rich in (False, True):
+        squared = dirac_to_kg_check(spinor, A0, e, central(2e-2, rich),
+                                    constants=C)
+        dev[rich] = np.max(np.abs(squared - direct))
+    assert dev[True] < 0.02 * dev[False]
+
+
+def test_residuals_reuse_one_read_only_gamma_set(monkeypatch):
+    # the default matrices are built once at import, not on every call
+    from fourvel import dirac
+
+    def rebuilt(*args):
+        raise AssertionError("gamma_matrices() called per residual")
+
+    monkeypatch.setattr(dirac, "gamma_matrices", rebuilt)
+    spinor = dirac_plane_wave((0.3, -0.2, 0.1), "up", C)
+    e = Event(0.4, -0.1, 0.2, 0.7)
+    assert np.max(np.abs(dirac_residual(spinor, A0, e, ANALYTIC,
+                                        constants=C))) < 1e-13
+    dirac_to_kg_check(spinor, A0, e, ANALYTIC, constants=C)
+    form_relation_matrix(C)
+    shared = dirac._STANDARD
+    with pytest.raises(ValueError):
+        shared.gammas[0][0, 0] = 1.0
+    assert clifford_residual(shared) == 0.0
