@@ -12,6 +12,10 @@ i c (-i hbar d_4 - q A_4) Psi + c alpha_n (-i hbar d_n - q A_n) Psi
 + beta m c^2 Psi. Left-multiplying the gamma form by i c beta gives the
 alphabeta form, so residual_gamma = M residual_alphabeta with the constant
 invertible matrix M = -(i/c) beta exposed as form_relation_matrix().
+
+The spinor residuals take one Event or a (K, 4) EventArray, like the scalar
+ones in velocityfield; each point is normalized by its own largest
+component magnitude.
 """
 from __future__ import annotations
 
@@ -20,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
-                    NATURAL_UNITS, PhysicalConstants, grad4_numeric)
-from .errors import (InsufficientComponentsError, NearZeroWavefunctionError,
-                     ParameterError, UnsupportedConfigurationError)
+                    EventArray, NATURAL_UNITS, PhysicalConstants, _col,
+                    _require_nonzero, grad4_numeric)
+from .errors import (InsufficientComponentsError, ParameterError,
+                     UnsupportedConfigurationError)
 from .velocityfield import extract_u
 from .wavefunctions import _SIGMA, SpinorWave
 
@@ -115,10 +120,23 @@ def _operator_values(spinor: SpinorWave, a, e, method: DerivativeMethod,
     return values, np.swapaxes(pop, -1, -2)
 
 
+def _apply(mat: np.ndarray, v) -> np.ndarray:
+    """mat @ v for the spinor v of every point."""
+    return v @ mat.T
+
+
 def _gamma_form(g: GammaSet, pop, values, m: float, c: float):
     """gamma_mu pop_mu - i m c psi at one point or a batch of points."""
-    return sum(pop[..., mu, :] @ g.gammas[mu].T for mu in range(4)) \
+    return sum(_apply(g.gammas[mu], pop[..., mu, :]) for mu in range(4)) \
         - 1j * m * c * values
+
+
+def _normalized(out, values, e, eps_psi: float):
+    """out divided, point by point, by the largest |psi_k| there; raises
+    NearZeroWavefunctionError at the first point where that is <= eps_psi."""
+    scale = np.max(np.abs(values), axis=-1)
+    _require_nonzero(scale, e, eps_psi)
+    return out / _col(scale)
 
 
 def dirac_residual(spinor: SpinorWave, a_field, e: Event,
@@ -126,25 +144,22 @@ def dirac_residual(spinor: SpinorWave, a_field, e: Event,
                    constants: PhysicalConstants = NATURAL_UNITS,
                    eps_psi: float = DEFAULT_EPS_PSI,
                    g: GammaSet | None = None) -> np.ndarray:
-    """First-order equation residual at e, normalized by the largest
-    component magnitude. form selects the matrix layout; see module notes
-    for the fixed linear map between the two."""
+    """First-order equation residual at e, normalized at each point by
+    that point's largest component magnitude. form selects the matrix
+    layout; see module notes for the fixed linear map between the two."""
     if form not in ("gamma", "alphabeta"):
         raise ParameterError(f"unknown form {form!r}")
     g = g or _STANDARD
     m, c = constants.m, constants.c
     values, pop = _operator_values(spinor, a_field.a(e), e, method,
                                    constants, method.mode == "analytic")
-    scale = float(np.max(np.abs(values)))
-    if scale <= eps_psi:
-        raise NearZeroWavefunctionError(e, scale, eps_psi)
     if form == "gamma":
         res = _gamma_form(g, pop, values, m, c)
     else:
-        res = (1j * c * pop[3]
-               + c * sum(g.alphas[n] @ pop[n] for n in range(3))
-               + m * c ** 2 * (g.beta @ values))
-    return res / scale
+        res = (1j * c * pop[..., 3, :]
+               + c * sum(_apply(g.alphas[n], pop[..., n, :]) for n in range(3))
+               + m * c ** 2 * _apply(g.beta, values))
+    return _normalized(res, values, e, eps_psi)
 
 
 def spinor_velocity_consistency(spinor: SpinorWave, a_field, e: Event,
@@ -154,30 +169,40 @@ def spinor_velocity_consistency(spinor: SpinorWave, a_field, e: Event,
     """Extract u independently from every component with |psi_k| above
     threshold and report the worst pairwise componentwise deviation.
 
-    Needs at least two admissible components. For exact plane waves all
-    components share one phase and the deviation is at rounding level; for
-    bound states the small components carry angular structure and the
-    deviation is a real, finite number worth recording.
+    Needs at least two admissible components at every point, and raises
+    InsufficientComponentsError at the first point that has fewer. For
+    exact plane waves all components share one phase and the deviation is
+    at rounding level; for bound states the small components carry angular
+    structure and the deviation is a real, finite number worth recording.
+
+    Returns (per_component, deviation): (k, u) for every component that is
+    admissible somewhere, and the worst deviation. For a (K, 4) batch u has
+    one row per point (NaN where component k is below threshold) and the
+    deviation is one value per point.
     """
-    per_component = []
-    for k, comp in enumerate(spinor.components):
-        try:
-            if abs(comp(e)) <= eps_psi:
-                continue
-            u = extract_u(comp, a_field, e, method, constants=constants,
-                          eps_psi=eps_psi)
-        except NearZeroWavefunctionError:
-            continue
-        per_component.append((k, u))
-    if len(per_component) < 2:
+    single = isinstance(e, Event)
+    points = EventArray([e.as_array()] if single else e)
+    admissible = np.abs(spinor.values(points)) > eps_psi
+    counts = np.count_nonzero(admissible, axis=-1)
+    if np.count_nonzero(counts < 2):
+        k = int(np.flatnonzero(counts < 2)[0])
         raise InsufficientComponentsError(
-            f"only {len(per_component)} component(s) above threshold at {e}")
-    deviation = 0.0
-    for i in range(len(per_component)):
-        for j in range(i + 1, len(per_component)):
-            diff = per_component[i][1] - per_component[j][1]
-            deviation = max(deviation, float(np.max(np.abs(diff))))
-    return per_component, deviation
+            f"only {counts[k]} component(s) above threshold at "
+            f"{e if single else points.event(k)}")
+    us = np.full(admissible.shape + (4,), np.nan, dtype=complex)
+    for k, comp in enumerate(spinor.components):
+        rows = admissible[:, k]
+        if np.count_nonzero(rows):
+            us[rows, k] = extract_u(comp, a_field, EventArray(points[rows]),
+                                    method, constants=constants,
+                                    eps_psi=eps_psi)
+    # pairs with an inadmissible component are NaN and drop out; every point
+    # has at least one admissible pair
+    pairs = np.abs(us[:, :, None, :] - us[:, None, :, :])
+    deviation = np.nanmax(pairs.reshape(len(points), -1), axis=-1)
+    per_component = [(k, us[0, k] if single else us[:, k])
+                     for k in range(4) if np.count_nonzero(admissible[:, k])]
+    return per_component, float(deviation[0]) if single else deviation
 
 
 def kg_operator_on_spinor(spinor: SpinorWave, e: Event, *,
@@ -187,12 +212,10 @@ def kg_operator_on_spinor(spinor: SpinorWave, e: Event, *,
     componentwise from analytic laplacians, normalized like dirac_residual."""
     hbar, m, c = constants.hbar, constants.m, constants.c
     values = spinor.values(e)
-    scale = float(np.max(np.abs(values)))
-    if scale <= eps_psi:
-        raise NearZeroWavefunctionError(e, scale, eps_psi)
-    lap = np.array([comp.laplace4(e) for comp in spinor.components],
-                   dtype=complex)
-    return (-hbar ** 2 * lap + (m * c) ** 2 * values) / scale
+    lap = np.stack([np.asarray(comp.laplace4(e), dtype=complex)
+                    for comp in spinor.components], axis=-1)
+    return _normalized(-hbar ** 2 * lap + (m * c) ** 2 * values, values, e,
+                       eps_psi)
 
 
 def dirac_to_kg_check(spinor: SpinorWave, a_field, e: Event,
@@ -208,7 +231,7 @@ def dirac_to_kg_check(spinor: SpinorWave, a_field, e: Event,
     central stencils (with the method's step and Richardson setting) over
     that intermediate field, so the result can be compared against
     kg_operator_on_spinor as an independent evaluation. Output normalized
-    by the largest component magnitude at e.
+    at each point by that point's largest component magnitude.
     """
     if a_field is not None and a_field.kind != "zero":
         raise UnsupportedConfigurationError(
@@ -226,10 +249,5 @@ def dirac_to_kg_check(spinor: SpinorWave, a_field, e: Event,
     d = grad4_numeric(first_order, e, method.h, c, method.richardson)
     out = 1j * m * c * first_order(e)
     for mu in range(4):
-        out = out + g.gammas[mu] @ (-1j * hbar * d[mu])
-
-    values = spinor.values(e)
-    scale = float(np.max(np.abs(values)))
-    if scale <= eps_psi:
-        raise NearZeroWavefunctionError(e, scale, eps_psi)
-    return out / scale
+        out = out + _apply(g.gammas[mu], -1j * hbar * d[..., mu, :])
+    return _normalized(out, spinor.values(e), e, eps_psi)

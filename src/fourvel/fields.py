@@ -203,9 +203,9 @@ def pure_gauge_potential(chi: GaugeFunction) -> PotentialField:
 
 def lorenz_gauge_residual(a_field: PotentialField, e: Event, method=None,
                           *, c: float = 1.0) -> complex:
-    """d_mu A_mu at e; zero for a Lorenz-gauge potential."""
+    """d_mu A_mu at e, per point; zero for a Lorenz-gauge potential."""
     grad = _potential_gradient(a_field, e, method or ANALYTIC, c)
-    return complex(np.trace(grad))
+    return np.trace(grad, axis1=-2, axis2=-1)
 
 
 def gauge_transform(a_field: PotentialField, psi, chi: GaugeFunction,

@@ -1,7 +1,10 @@
 """Named verification scenarios and machine-readable reports.
 
-Each scenario builds its fixtures, sweeps a sample cloud, and scores a
-fixed set of named checks against mode-dependent tolerances. Reports are
+Each scenario builds its fixtures, evaluates every residual kernel once on
+its whole sample cloud (a (K, 4) EventArray), and scores a fixed set of
+named checks against mode-dependent tolerances. Rows are reported
+event-major, one per event and check, in the order a per-event sweep would
+give them. Reports are
 deterministic for a given configuration and seed: sample order is fixed,
 all randomness flows through one seeded generator, and JSON keys are
 sorted. The timestamp and wall-clock duration are the only nondeterministic
@@ -21,13 +24,13 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import __version__
-from .core4 import (DEFAULT_EPS_PSI, DerivativeMethod, Event, PhysicalConstants,
-                    contract, field_strength)
+from .core4 import (DEFAULT_EPS_PSI, DerivativeMethod, Event, EventArray,
+                    PhysicalConstants, contract, field_strength)
 from .dirac import (clifford_residual, dirac_residual, dirac_to_kg_check,
                     factorization_residual, form_relation_matrix, gamma_dot,
                     gamma_matrices, kg_operator_on_spinor,
                     spinor_velocity_consistency, GammaSet)
-from .errors import ConfigError, InsufficientComponentsError, ParameterError
+from .errors import ConfigError, ParameterError
 from .fields import (coulomb_potential, gauge_transform, lorenz_gauge_residual,
                      polynomial_gauge, zero_potential)
 from .velocityfield import (action_integral, curl_k, divergence_mu, extract_u,
@@ -164,6 +167,32 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_count(value) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 0)
+
+
+def _fits(value, default) -> bool:
+    """Whether a fixture value has the type and shape of its default."""
+    if isinstance(default, str):
+        return isinstance(value, str)
+    if isinstance(default, int):
+        return _is_count(value)
+    if isinstance(default, float):
+        return _is_number(value)
+    # a vector of fixed length, or a nonempty list of such vectors
+    return (isinstance(value, (list, tuple)) and len(value) > 0
+            and (isinstance(default[0], (list, tuple))
+                 or len(value) == len(default))
+            and all(_fits(v, default[0]) for v in value))
+
+
 def config_from_dict(doc: dict, scenario: Optional[str] = None) -> ScenarioConfig:
     """Validate a JSON config document against a scenario's schema."""
     _require(isinstance(doc, dict), "config document must be a JSON object")
@@ -180,12 +209,14 @@ def config_from_dict(doc: dict, scenario: Optional[str] = None) -> ScenarioConfi
                  f"requested {scenario!r}")
     base = default_config(name)
 
+    for key in ("constants", "method", "fixture", "tolerances"):
+        _require(isinstance(doc.get(key, {}), dict),
+                 f"{key} must be an object")
     const_kwargs = {}
     for key, value in doc.get("constants", {}).items():
         _require(key in ("hbar", "c", "m", "q"),
                  f"unknown constant {key!r}")
-        _require(isinstance(value, (int, float)) and math.isfinite(value),
-                 f"constant {key} must be a finite number")
+        _require(_is_number(value), f"constant {key} must be a finite number")
         const_kwargs[key] = float(value)
     try:
         constants = PhysicalConstants(**{**vars(base.constants), **const_kwargs})
@@ -193,25 +224,32 @@ def config_from_dict(doc: dict, scenario: Optional[str] = None) -> ScenarioConfi
         raise ConfigError(str(exc)) from exc
 
     mdoc = doc.get("method", {})
-    _require(isinstance(mdoc, dict), "method must be an object")
     for key in mdoc:
         _require(key in ("mode", "h", "richardson"),
                  f"unknown method key {key!r}")
+    _require(_is_number(mdoc.get("h", base.method.h)),
+             "method h must be a finite number")
+    _require(isinstance(mdoc.get("richardson", False), bool),
+             "method richardson must be true or false")
     try:
         method = DerivativeMethod(
             mdoc.get("mode", base.method.mode),
             float(mdoc.get("h", base.method.h)),
-            bool(mdoc.get("richardson", base.method.richardson)),
+            mdoc.get("richardson", base.method.richardson),
         )
     except (ParameterError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad method: {exc}") from exc
 
     fixture = dict(base.fixture)
-    fdoc = doc.get("fixture", {})
-    _require(isinstance(fdoc, dict), "fixture must be an object")
-    for key, value in fdoc.items():
-        _require(key in fixture or (name == "dirac-coulomb-1s" and key == "energy"),
+    for key, value in doc.get("fixture", {}).items():
+        # the Dirac bound state also takes an optional trial energy
+        default = (0.0 if name == "dirac-coulomb-1s" and key == "energy"
+                   else fixture.get(key))
+        _require(default is not None,
                  f"unknown fixture key {key!r} for scenario {name}")
+        _require(_fits(value, default),
+                 f"fixture {key} = {value!r} does not have the type and "
+                 f"shape of its default {default!r}")
         fixture[key] = value
 
     cloud = base.cloud
@@ -233,13 +271,18 @@ def config_from_dict(doc: dict, scenario: Optional[str] = None) -> ScenarioConfi
     for key, value in doc.get("tolerances", {}).items():
         _require(key in _TOLERANCES[name],
                  f"unknown check {key!r} for scenario {name}")
-        _require(isinstance(value, (int, float)) and value >= 0,
+        _require(_is_number(value) and value >= 0,
                  f"tolerance {key} must be a nonnegative number")
         tolerances[key] = float(value)
 
     seed = doc.get("seed", base.seed)
-    _require(isinstance(seed, int) and 0 <= seed < 2 ** 64,
+    _require(_is_count(seed) and seed < 2 ** 64,
              "seed must be an unsigned 64-bit integer")
+    no_timestamp = doc.get("no_timestamp", False)
+    _require(isinstance(no_timestamp, bool),
+             "no_timestamp must be true or false")
+    out = doc.get("out")
+    _require(out is None or isinstance(out, str), "out must be a path string")
 
     fmt = doc.get("format", base.fmt)
     _require(fmt in ("json", "csv"), f"unknown format {fmt!r}")
@@ -247,8 +290,7 @@ def config_from_dict(doc: dict, scenario: Optional[str] = None) -> ScenarioConfi
     return ScenarioConfig(
         scenario=name, constants=constants, method=method, fixture=fixture,
         cloud=cloud, tolerances=tolerances, seed=seed,
-        no_timestamp=bool(doc.get("no_timestamp", False)),
-        out=doc.get("out"), fmt=fmt,
+        no_timestamp=no_timestamp, out=out, fmt=fmt,
     )
 
 
@@ -294,14 +336,29 @@ class _Collector:
 
     def add(self, check: str, case: str, index: int, event: Event,
             magnitude: float):
+        self._add(check, case, index,
+                  [float(event.x1), float(event.x2), float(event.x3),
+                   float(event.t)], magnitude)
+
+    def add_cloud(self, case: str, events: EventArray, checks: list):
+        """Rows for a whole cloud, event-major and check-minor, as a
+        per-event sweep adds them. checks is a list of (name, magnitudes)
+        with one magnitude per event, None where the check has no sample."""
+        for i, point in enumerate(events.as_array().tolist()):
+            for check, mags in checks:
+                if mags[i] is not None:
+                    self._add(check, case, i, point, mags[i])
+
+    def _add(self, check: str, case: str, index: int, point: list,
+             magnitude: float):
         if check not in self._mags:
             self._mags[check] = []
             self._order.append(check)
         self._mags[check].append(float(magnitude))
+        x1, x2, x3, t = point
         self.rows.append({
             "case": case, "check": check, "index": index,
-            "x1": float(event.x1), "x2": float(event.x2),
-            "x3": float(event.x3), "t": float(event.t),
+            "x1": x1, "x2": x2, "x3": x3, "t": t,
             "magnitude": float(magnitude),
         })
 
@@ -320,40 +377,83 @@ class _Collector:
 _ORIGIN = Event(0.0, 0.0, 0.0, 0.0)
 
 
+# random-ball rejection sampling gives up after this many draws per point
+_DRAWS_PER_POINT = 1000
+
+
+def _ray(r_min: float, r_max: float, count: int, t: float = 0.0) -> EventArray:
+    rs = np.linspace(r_min, r_max, count)
+    zeros = np.zeros_like(rs)
+    return EventArray(np.column_stack([rs, zeros, zeros, zeros + t]))
+
+
+def _random_ball(center, radius: float, count: int, rng: np.random.Generator,
+                 min_r: float) -> EventArray:
+    """count points uniform in the 4-ball, drawn one at a time and rejected
+    while their spatial radius is below min_r."""
+    points = []
+    for _ in range(_DRAWS_PER_POINT * count):
+        if len(points) == count:
+            break
+        d = rng.normal(size=4)
+        d /= np.linalg.norm(d)
+        p = center + radius * rng.uniform() ** 0.25 * d
+        if min_r and math.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2) < min_r:
+            continue
+        points.append(p)
+    _require(len(points) == count,
+             f"random-ball cloud: only {len(points)} of {count} points lie "
+             f"outside the exclusion radius {min_r} after "
+             f"{_DRAWS_PER_POINT * count} draws")
+    return EventArray(np.reshape(points, (count, 4)))
+
+
 def _build_cloud(spec: dict, rng: np.random.Generator,
-                 min_r: float = 0.0) -> list:
+                 min_r: float = 0.0) -> EventArray:
+    """The sample cloud of spec as one EventArray. No point may lie closer
+    than min_r to the spatial origin: random-ball clouds reject such draws,
+    other kinds are refused."""
     kind = spec["kind"]
+    if kind in ("ray", "random-ball"):
+        _require(_is_count(spec["count"]),
+                 "cloud count must be a nonnegative integer")
     if kind == "ray":
-        rs = np.linspace(float(spec["r_min"]), float(spec["r_max"]),
-                         int(spec["count"]))
-        t = float(spec.get("t", 0.0))
-        return [Event(float(r), 0.0, 0.0, t) for r in rs]
-    if kind == "random-ball":
-        center = np.asarray(spec.get("center", (0, 0, 0, 0)), dtype=float)
-        radius = float(spec["radius"])
-        count = int(spec["count"])
-        events = []
-        while len(events) < count:
-            d = rng.normal(size=4)
-            d /= np.linalg.norm(d)
-            p = center + radius * rng.uniform() ** 0.25 * d
-            ev = Event(*p)
-            if min_r and ev.r < min_r:
-                continue
-            events.append(ev)
-        return events
-    if kind == "events":
-        return [Event(float(p["x1"]), float(p["x2"]), float(p["x3"]),
-                      float(p["t"])) for p in spec["events"]]
-    raise ConfigError(f"unknown cloud kind {kind!r}")
+        bounds = (spec["r_min"], spec["r_max"], spec.get("t", 0.0))
+        _require(all(_is_number(v) for v in bounds),
+                 "ray r_min, r_max and t must be finite numbers")
+        cloud = _ray(*bounds[:2], spec["count"], bounds[2])
+    elif kind == "random-ball":
+        center = spec.get("center", [0, 0, 0, 0])
+        _require(_is_number(spec["radius"]) and _fits(center, [0.0] * 4),
+                 "random-ball needs a finite radius and a 4-number center")
+        return _random_ball(np.asarray(center, dtype=float),
+                            spec["radius"], spec["count"], rng, min_r)
+    elif kind == "events":
+        points = spec["events"]
+        _require(isinstance(points, list) and all(
+            isinstance(p, dict) and set(p) == {"x1", "x2", "x3", "t"}
+            and all(_is_number(v) for v in p.values()) for p in points),
+            "events must be a list of {x1, x2, x3, t} numbers")
+        cloud = EventArray(np.reshape(
+            [[p["x1"], p["x2"], p["x3"], p["t"]] for p in points], (-1, 4)))
+    else:
+        raise ConfigError(f"unknown cloud kind {kind!r}")
+    inside = cloud.r < min_r
+    if np.count_nonzero(inside):
+        raise ConfigError(
+            f"cloud point {cloud.event(int(np.argmax(inside)))} lies inside "
+            f"this scenario's exclusion radius {min_r}")
+    return cloud
+
+
+def _worst(x) -> np.ndarray:
+    """Largest |entry| of each point's value; x has a leading point axis."""
+    return np.max(np.abs(x), axis=tuple(range(1, np.ndim(x))))
 
 
 def _eps_for(waves, events) -> float:
     """Near-zero threshold scaled to the largest |psi| over the cloud."""
-    peak = 0.0
-    for w in waves:
-        for e in events:
-            peak = max(peak, abs(complex(w(e))))
+    peak = max(float(np.max(np.abs(w(events)), initial=0.0)) for w in waves)
     return 1e-12 * peak if peak > 0 else DEFAULT_EPS_PSI
 
 
@@ -363,27 +463,23 @@ def _eps_for(waves, events) -> float:
 
 def _scn_plane_wave(cfg: ScenarioConfig, rng, col: _Collector):
     a0 = zero_potential()
-    kw = {"constants": cfg.constants}
     events = _build_cloud(cfg.cloud, rng)
-    momenta = cfg.fixture["momenta"]
-    waves = [plane_wave(p, cfg.constants) for p in momenta]
+    waves = [plane_wave(p, cfg.constants) for p in cfg.fixture["momenta"]]
     eps = _eps_for(waves, events)
+    m = cfg.method
+    kw = {"constants": cfg.constants, "eps_psi": eps}
     for wave in waves:
-        case = wave.label
-        for i, e in enumerate(events):
-            m = cfg.method
-            col.add("kg", case, i, e,
-                    abs(kg_residual(wave, a0, e, m, eps_psi=eps, **kw)))
-            col.add("mass_shell", case, i, e,
-                    abs(mass_shell_residual(wave, a0, e, m, eps_psi=eps, **kw)))
-            col.add("newton", case, i, e, float(np.max(np.abs(
-                newton_residual(wave, a0, e, m, eps_psi=eps, **kw)))))
-            col.add("curl_k", case, i, e, float(np.max(np.abs(
-                curl_k(wave, a0, e, m, eps_psi=eps, **kw)))))
-            div = divergence_mu(wave, a0, e, m, eps_psi=eps, **kw)
-            col.add("divergence", case, i, e, abs(div.value))
-            col.add("nonlinear", case, i, e, abs(
-                nonlinear_wave_residual(wave, a0, e, m, eps_psi=eps, **kw)))
+        div = divergence_mu(wave, a0, events, m, **kw)
+        col.add_cloud(wave.label, events, [
+            ("kg", np.abs(kg_residual(wave, a0, events, m, **kw))),
+            ("mass_shell",
+             np.abs(mass_shell_residual(wave, a0, events, m, **kw))),
+            ("newton", _worst(newton_residual(wave, a0, events, m, **kw))),
+            ("curl_k", _worst(curl_k(wave, a0, events, m, **kw))),
+            ("divergence", np.abs(div.value)),
+            ("nonlinear",
+             np.abs(nonlinear_wave_residual(wave, a0, events, m, **kw))),
+        ])
 
 
 def _scn_kg_coulomb(cfg: ScenarioConfig, rng, col: _Collector):
@@ -392,27 +488,25 @@ def _scn_kg_coulomb(cfg: ScenarioConfig, rng, col: _Collector):
                          float(cfg.fixture["energy_scale"]))
     a = coulomb_potential(za, cfg.constants)
     events = _build_cloud(cfg.cloud, rng, min_r=0.25)
-    eps = _eps_for([wave], events)
     m2 = cfg.constants.m ** 2
-    case = wave.label
     meth = cfg.method
-    kw = {"constants": cfg.constants, "eps_psi": eps}
-    for i, e in enumerate(events):
-        col.add("kg", case, i, e, abs(kg_residual(wave, a, e, meth, **kw)))
-        div = divergence_mu(wave, a, e, meth, **kw)
-        col.add("divergence_identity", case, i, e, div.mismatch)
-        ms = mass_shell_residual(wave, a, e, meth, **kw)
-        nl = nonlinear_wave_residual(wave, a, e, meth, **kw)
-        col.add("nonlinear_vs_mass_shell", case, i, e, abs(nl - m2 * ms))
-        k = curl_k(wave, a, e, meth, **kw)
-        col.add("curl_k", case, i, e, float(np.max(np.abs(k))))
-        u = extract_u(wave, a, e, meth, **kw)
-        col.add("u_contract_k", case, i, e, float(np.max(np.abs(k @ u))))
-        col.add("lorenz_gauge", case, i, e, abs(
-            lorenz_gauge_residual(a, e, meth, c=cfg.constants.c)))
-        col.add("mass_shell", case, i, e, abs(ms))
-        col.add("newton", case, i, e, float(np.max(np.abs(
-            newton_residual(wave, a, e, meth, **kw)))))
+    kw = {"constants": cfg.constants, "eps_psi": _eps_for([wave], events)}
+    div = divergence_mu(wave, a, events, meth, **kw)
+    ms = mass_shell_residual(wave, a, events, meth, **kw)
+    nl = nonlinear_wave_residual(wave, a, events, meth, **kw)
+    k = curl_k(wave, a, events, meth, **kw)
+    u = extract_u(wave, a, events, meth, **kw)
+    col.add_cloud(wave.label, events, [
+        ("kg", np.abs(kg_residual(wave, a, events, meth, **kw))),
+        ("divergence_identity", div.mismatch),
+        ("nonlinear_vs_mass_shell", np.abs(nl - m2 * ms)),
+        ("curl_k", _worst(k)),
+        ("u_contract_k", _worst(k @ u[..., None])),
+        ("lorenz_gauge", np.abs(
+            lorenz_gauge_residual(a, events, meth, c=cfg.constants.c))),
+        ("mass_shell", np.abs(ms)),
+        ("newton", _worst(newton_residual(wave, a, events, meth, **kw))),
+    ])
 
 
 def _scn_dirac_plane_wave(cfg: ScenarioConfig, rng, col: _Collector):
@@ -424,28 +518,26 @@ def _scn_dirac_plane_wave(cfg: ScenarioConfig, rng, col: _Collector):
     m_rel = form_relation_matrix(cfg.constants)
     for p in cfg.fixture["momenta"]:
         spinor = dirac_plane_wave(p, spin, cfg.constants)
-        case = spinor.label
+        rg = dirac_residual(spinor, a0, events, meth, "gamma", **kw)
+        ra = dirac_residual(spinor, a0, events, meth, "alphabeta", **kw)
+        checks = [("residual_gamma", _worst(rg)),
+                  ("residual_alphabeta", _worst(ra)),
+                  ("form_equivalence", _worst(rg - ra @ m_rel.T))]
         nonzero = sum(1 for comp in spinor.components
                       if abs(comp(_ORIGIN)) > 1e-12)
-        for i, e in enumerate(events):
-            rg = dirac_residual(spinor, a0, e, meth, "gamma", **kw)
-            ra = dirac_residual(spinor, a0, e, meth, "alphabeta", **kw)
-            col.add("residual_gamma", case, i, e, float(np.max(np.abs(rg))))
-            col.add("residual_alphabeta", case, i, e,
-                    float(np.max(np.abs(ra))))
-            col.add("form_equivalence", case, i, e,
-                    float(np.max(np.abs(rg - m_rel @ ra))))
-            if nonzero >= 2:
-                _, dev = spinor_velocity_consistency(spinor, a0, e, meth, **kw)
-                col.add("velocity_consistency", case, i, e, dev)
+        if nonzero >= 2:
+            _, dev = spinor_velocity_consistency(spinor, a0, events, meth,
+                                                 **kw)
+            checks.append(("velocity_consistency", dev))
+        col.add_cloud(spinor.label, events, checks)
     for j in range(int(cfg.fixture["n_random_spinors"])):
         spinor = random_smooth_spinor(rng, cfg.constants)
-        for i in range(3):
-            e = Event(*rng.uniform(-0.5, 0.5, 4))
-            sq = dirac_to_kg_check(spinor, a0, e, meth, **kw)
-            direct = kg_operator_on_spinor(spinor, e, **kw)
-            col.add("dirac_to_kg", f"random-spinor-{j}", i, e,
-                    float(np.max(np.abs(sq - direct))))
+        # one (3, 4) draw takes the same numbers as three draws of 4
+        points = EventArray(rng.uniform(-0.5, 0.5, (3, 4)))
+        sq = dirac_to_kg_check(spinor, a0, points, meth, **kw)
+        direct = kg_operator_on_spinor(spinor, points, **kw)
+        col.add_cloud(f"random-spinor-{j}", points,
+                      [("dirac_to_kg", _worst(sq - direct))])
 
 
 def _scn_dirac_coulomb(cfg: ScenarioConfig, rng, col: _Collector):
@@ -456,35 +548,40 @@ def _scn_dirac_coulomb(cfg: ScenarioConfig, rng, col: _Collector):
     a = coulomb_potential(za, consts)
     events = _build_cloud(cfg.cloud, rng, min_r=0.25)
     meth = cfg.method
-    case = spinor.label
-    for i, e in enumerate(events):
-        res = dirac_residual(spinor, a, e, meth, "gamma", constants=consts)
-        col.add("residual_gamma", case, i, e, float(np.max(np.abs(res))))
-        try:
-            _, dev = spinor_velocity_consistency(spinor, a, e, meth,
-                                                 constants=consts)
-            col.add("velocity_deviation", case, i, e, dev)
-        except InsufficientComponentsError:
-            pass
+    # velocity deviation needs two components above threshold; other
+    # events have no sample of it
+    deviation = [None] * len(events)
+    usable = np.count_nonzero(np.abs(spinor.values(events)) > DEFAULT_EPS_PSI,
+                              axis=-1) >= 2
+    if np.count_nonzero(usable):
+        _, dev = spinor_velocity_consistency(
+            spinor, a, EventArray(events[usable]), meth, constants=consts)
+        for i, value in zip(np.flatnonzero(usable), dev):
+            deviation[i] = value
+    col.add_cloud(spinor.label, events, [
+        ("residual_gamma", _worst(dirac_residual(spinor, a, events, meth,
+                                                 "gamma", constants=consts))),
+        ("velocity_deviation", deviation),
+    ])
 
     # independent oracle: residual norm over a coarse ray as a function of a
     # trial energy must bottom out at the bound-state eigenvalue
     mc2 = consts.m * consts.c ** 2
-    scan_events = [Event(float(r), 0.0, 0.0, 0.0)
-                   for r in np.linspace(0.5, 5.0, int(cfg.fixture["scan_points"]))]
+    n_scan = int(cfg.fixture["scan_points"])
+    _require(n_scan >= 1, "scan_points must be at least 1")
+    scan = _ray(0.5, 5.0, n_scan)
 
     def scan_norm(e_trial: float) -> float:
         trial = dirac_coulomb_1s(za, consts, energy=e_trial)
-        return max(float(np.max(np.abs(
-            dirac_residual(trial, a, ev, constants=consts))))
-            for ev in scan_events)
+        return float(np.max(np.abs(
+            dirac_residual(trial, a, scan, constants=consts))))
 
     lo = float(cfg.fixture["scan_lo"]) * mc2
     hi = float(cfg.fixture["scan_hi"]) * mc2
     found = minimize_scalar(scan_norm, bounds=(lo, hi), method="bounded",
                             options={"xatol": 1e-9})
     expected = math.sqrt(1.0 - za ** 2) * mc2
-    col.add("energy_scan", case, 0, scan_events[0],
+    col.add("energy_scan", spinor.label, 0, scan.event(0),
             abs(float(found.x) - expected) / mc2)
 
 
@@ -505,6 +602,10 @@ def _scn_gauge_orbit(cfg: ScenarioConfig, rng, col: _Collector):
     degree = int(cfg.fixture["degree"])
     _require(1 <= degree <= 2, "gauge orbit supports degree 1 or 2")
     monos = [m for m in _DEG2_MONOMIALS if sum(m) <= degree]
+    # the untransformed side is the same for every gauge
+    u0 = extract_u(wave, a0, events, meth, constants=consts)
+    r0 = _worst(dirac_residual(spinor, a0, events, meth, constants=consts))
+    f0 = field_strength(a0, events, meth, c=consts.c)
     for j in range(int(cfg.fixture["n_gauges"])):
         terms = {m: float(rng.uniform(-0.5, 0.5)) for m in monos}
         chi = polynomial_gauge(terms, consts.c)
@@ -512,22 +613,17 @@ def _scn_gauge_orbit(cfg: ScenarioConfig, rng, col: _Collector):
         a1, wave1 = gauge_transform(a0, wave, chi, consts)
         _, spinor1 = gauge_transform(a0, spinor, chi, consts)
         a2, wave2 = gauge_transform(a1, wave1, neg, consts)
-        case = f"chi-{j}"
-        for i, e in enumerate(events):
-            u0 = extract_u(wave, a0, e, meth, constants=consts)
-            u1 = extract_u(wave1, a1, e, meth, constants=consts)
-            col.add("u_invariance", case, i, e,
-                    float(np.max(np.abs(u1 - u0))))
-            r0 = dirac_residual(spinor, a0, e, meth, constants=consts)
-            r1 = dirac_residual(spinor1, a1, e, meth, constants=consts)
-            col.add("dirac_invariance", case, i, e,
-                    abs(float(np.max(np.abs(r1))) - float(np.max(np.abs(r0)))))
-            f0 = field_strength(a0, e, meth, c=consts.c)
-            f1 = field_strength(a1, e, meth, c=consts.c)
-            col.add("field_strength_invariance", case, i, e,
-                    float(np.max(np.abs(f1 - f0))))
-            u2 = extract_u(wave2, a2, e, meth, constants=consts)
-            col.add("roundtrip", case, i, e, float(np.max(np.abs(u2 - u0))))
+        u1 = extract_u(wave1, a1, events, meth, constants=consts)
+        r1 = _worst(dirac_residual(spinor1, a1, events, meth,
+                                   constants=consts))
+        f1 = field_strength(a1, events, meth, c=consts.c)
+        u2 = extract_u(wave2, a2, events, meth, constants=consts)
+        col.add_cloud(f"chi-{j}", events, [
+            ("u_invariance", _worst(u1 - u0)),
+            ("dirac_invariance", np.abs(r1 - r0)),
+            ("field_strength_invariance", _worst(f1 - f0)),
+            ("roundtrip", _worst(u2 - u0)),
+        ])
 
 
 def _scaled_gammas(scale: float) -> GammaSet:

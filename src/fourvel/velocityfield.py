@@ -11,6 +11,11 @@ Derivatives of the extracted field are taken either from the fixture's
 analytic second derivatives (mode "analytic") or by nesting central
 stencils over the extraction evaluator (mode "central"); the two paths
 share no code beyond the extraction formula itself.
+
+Every residual takes one Event or a (K, 4) EventArray and evaluates the
+whole batch in one pass of array expressions; an Event is the K = 1 case
+without the leading axis. Per-point quantities (normalizations, near-zero
+guards) are taken row by row, and a guard raises at the first offending row.
 """
 from __future__ import annotations
 
@@ -20,13 +25,25 @@ from typing import Optional
 import numpy as np
 
 from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
-                    NATURAL_UNITS, PhysicalConstants, _potential_gradient,
-                    contract, differentiate, field_strength,
-                    four_displacement, grad4_numeric)
+                    NATURAL_UNITS, PhysicalConstants, _col,
+                    _potential_gradient, _require_nonzero, contract,
+                    differentiate, field_strength, four_displacement,
+                    grad4_numeric)
 from .errors import (NearZeroWavefunctionError, ParameterError,
                      QuadratureError, SingularPointError)
+from .wavefunctions import _outer
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+
+
+def _trace(m) -> np.ndarray:
+    """Trace over the last two axes, one value per point."""
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+def _matvec(m, v) -> np.ndarray:
+    """m @ v for one matrix and one vector per point."""
+    return (m @ v[..., None])[..., 0]
 
 
 def _dlog(psi, e, method, constants, eps_psi):
@@ -57,7 +74,7 @@ def mass_shell_residual(psi, a_field, e: Event,
                         method: DerivativeMethod = ANALYTIC, *,
                         constants: PhysicalConstants = NATURAL_UNITS,
                         eps_psi: float = DEFAULT_EPS_PSI) -> complex:
-    """contract(u, u) + c^2; zero exactly on shell."""
+    """contract(u, u) + c^2, per point; zero exactly on shell."""
     u = extract_u(psi, a_field, e, method, constants=constants,
                   eps_psi=eps_psi)
     return contract(u, u) + constants.c ** 2
@@ -67,7 +84,8 @@ def momentum_gradient(psi, a_field, e: Event,
                       method: DerivativeMethod = ANALYTIC, *,
                       constants: PhysicalConstants = NATURAL_UNITS,
                       eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
-    """G[mu, nu] = d_mu P_nu for the canonical momentum P = m u + q A.
+    """G[mu, nu] = d_mu P_nu for the canonical momentum P = m u + q A,
+    per point.
 
     Analytic mode needs the fixture's full second-derivative matrix:
     d_mu P_nu = -i hbar (hess_{mu nu}/psi - dlog_mu dlog_nu). Central mode
@@ -80,11 +98,10 @@ def momentum_gradient(psi, a_field, e: Event,
         if psi.hess4 is None:
             raise ParameterError(
                 f"{psi.label}: no analytic second derivatives; use central mode")
-        value = complex(psi(e))
-        if abs(value) <= eps_psi:
-            raise NearZeroWavefunctionError(e, abs(value), eps_psi)
-        dl = psi.grad4(e) / value
-        return -1j * hbar * (psi.hess4(e) / value - np.outer(dl, dl))
+        value = psi(e)
+        _require_nonzero(value, e, eps_psi)
+        dl = psi.grad4(e) / _col(value)
+        return -1j * hbar * (psi.hess4(e) / _col(value, 2) - _outer(dl, dl))
 
     def p_of(points) -> np.ndarray:
         return canonical_momentum(psi, a_field, points, method,
@@ -100,7 +117,7 @@ def curl_k(psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
     phase, which is what makes the action integral path independent."""
     g = momentum_gradient(psi, a_field, e, method, constants=constants,
                           eps_psi=eps_psi)
-    return g - g.T
+    return g - np.swapaxes(g, -1, -2)
 
 
 def newton_residual(psi, a_field, e: Event,
@@ -110,8 +127,9 @@ def newton_residual(psi, a_field, e: Event,
                     normalize: bool = True) -> np.ndarray:
     """Force-law residual u_nu d_nu u_mu - (q/m) F_mu_nu u_nu.
 
-    Normalized by |u| unless normalize=False (useful when comparing against
-    an independently computed right-hand side).
+    Each point's residual is normalized by that point's |u| unless
+    normalize=False (useful when comparing against an independently computed
+    right-hand side).
     """
     m, q = constants.m, constants.q
     u = extract_u(psi, a_field, e, method, constants=constants,
@@ -120,19 +138,21 @@ def newton_residual(psi, a_field, e: Event,
                            eps_psi=eps_psi)
     ga = _potential_gradient(a_field, e, method, constants.c)
     du = (gp - q * ga) / m  # du[mu, nu] = d_mu u_nu
-    convective = u @ du  # sum_nu u_nu d_nu u_mu
+    convective = _matvec(np.swapaxes(du, -1, -2), u)  # u_nu d_nu u_mu
     f = field_strength(a_field, e, method, c=constants.c)
-    res = convective - (q / m) * (f @ u)
+    res = convective - (q / m) * _matvec(f, u)
     if normalize:
-        scale = np.linalg.norm(u)
-        if scale > 0:
-            res = res / scale
+        scale = np.linalg.norm(u, axis=-1)
+        res = res / _col(np.where(scale > 0, scale, 1.0))
     return res
 
 
 @dataclass(frozen=True)
 class DivergenceResult:
-    """Two independent evaluations of d_mu (m u_mu) plus the gauge check."""
+    """Two independent evaluations of d_mu (m u_mu) plus the gauge check.
+
+    For a (K, 4) batch each field holds one entry per point.
+    """
 
     value: complex              # trace of the momentum gradient, A removed
     independent: complex        # -i hbar (laplace4 psi/psi - dlog.dlog)
@@ -140,7 +160,7 @@ class DivergenceResult:
     lorenz_ok: bool             # independent form assumes this is ~0
 
     @property
-    def mismatch(self) -> float:
+    def mismatch(self):
         return abs(self.value - self.independent)
 
 
@@ -158,13 +178,12 @@ def divergence_mu(psi, a_field, e: Event,
     gp = momentum_gradient(psi, a_field, e, method, constants=constants,
                            eps_psi=eps_psi)
     ga = _potential_gradient(a_field, e, method, constants.c)
-    lorenz = complex(np.trace(ga))
-    value = complex(np.trace(gp)) - constants.q * lorenz
+    lorenz = _trace(ga)
+    value = _trace(gp) - constants.q * lorenz
 
     dl = _dlog(psi, e, method, constants, eps_psi)
     lap = differentiate(psi, e, "laplace4", method, c=constants.c)
-    value_psi = complex(psi(e))
-    independent = -1j * hbar * (lap / value_psi - complex(np.sum(dl * dl)))
+    independent = -1j * hbar * (lap / psi(e) - contract(dl, dl))
 
     return DivergenceResult(value, independent, lorenz,
                             abs(lorenz) < lorenz_tol)
@@ -182,20 +201,19 @@ def kg_residual(psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
     node of psi can still report something finite that way.
     """
     hbar, c, m, q = constants.hbar, constants.c, constants.m, constants.q
-    value = complex(psi(e))
+    value = psi(e)
     grad = differentiate(psi, e, "grad4", method, c=c)
     lap = differentiate(psi, e, "laplace4", method, c=c)
     a = a_field.a(e)
-    div_a = complex(np.trace(_potential_gradient(a_field, e, method, c)))
+    div_a = _trace(_potential_gradient(a_field, e, method, c))
     raw = (-hbar ** 2 * lap
            + 1j * hbar * q * div_a * value
-           + 2j * hbar * q * complex(np.sum(a * grad))
-           + q ** 2 * complex(np.sum(a * a)) * value
+           + 2j * hbar * q * contract(a, grad)
+           + q ** 2 * contract(a, a) * value
            + (m * c) ** 2 * value)
     if not normalized:
         return raw
-    if abs(value) <= eps_psi:
-        raise NearZeroWavefunctionError(e, abs(value), eps_psi)
+    _require_nonzero(value, e, eps_psi)
     return raw / value
 
 
@@ -211,8 +229,7 @@ def nonlinear_wave_residual(psi, a_field, e: Event,
                      eps_psi=eps_psi)
     dl = _dlog(psi, e, method, constants, eps_psi)
     lap = differentiate(psi, e, "laplace4", method, c=constants.c)
-    value = complex(psi(e))
-    ddlog = lap / value - complex(np.sum(dl * dl))  # d_mu d_mu ln psi
+    ddlog = lap / psi(e) - contract(dl, dl)  # d_mu d_mu ln psi
     return kg + hbar ** 2 * ddlog
 
 

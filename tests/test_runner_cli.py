@@ -232,3 +232,80 @@ def test_subprocess_entry_point_help():
     r = _invoke("--help")
     assert r.returncode == 0
     assert "run" in r.stdout and "list" in r.stdout
+
+
+# ---------------------------------------------------------------------------
+# bad values and clouds are configuration errors (exit 2), never exit 1
+# ---------------------------------------------------------------------------
+
+def _run_config(tmp_path, scenario, doc):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(doc))
+    return main(["run", scenario, "--config", str(cfgfile), "--no-timestamp",
+                 "--out", str(tmp_path / "r.json")])
+
+
+@pytest.mark.parametrize("doc", [
+    {"seed": True},                      # a bool is not a seed
+    {"no_timestamp": "false"},           # a non-empty string is not false
+    {"fixture": {"z_alpha": "abc"}},     # not a number
+    {"fixture": {"momenta": [[1.0, 0.0]]}},
+    {"method": {"richardson": "no"}},
+])
+def test_mistyped_config_values_are_config_errors(tmp_path, capsys, doc):
+    scenario = "plane-wave" if "momenta" in doc.get("fixture", {}) \
+        else "kg-coulomb-1s"
+    with pytest.raises(ConfigError):
+        config_from_dict(doc, scenario)
+    assert _run_config(tmp_path, scenario, doc) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_typed_config_values_still_accepted():
+    cfg = config_from_dict({"seed": 0, "no_timestamp": True,
+                            "fixture": {"z_alpha": 0.3, "energy_scale": 1}},
+                           "kg-coulomb-1s")
+    assert cfg.seed == 0 and cfg.no_timestamp is True
+    assert cfg.fixture["z_alpha"] == 0.3
+    cfg = config_from_dict({"fixture": {"energy": 0.9, "scan_points": 5}},
+                           "dirac-coulomb-1s")
+    assert cfg.fixture["energy"] == 0.9
+
+
+@pytest.mark.parametrize("scenario, cloud", [
+    ("kg-coulomb-1s", {"kind": "ray", "r_min": 0.5, "r_max": 5.0,
+                       "count": -3}),
+    ("plane-wave", {"kind": "random-ball", "radius": 1.0, "count": 2.5}),
+    # inside the Coulomb scenarios' exclusion radius of 0.25
+    ("kg-coulomb-1s", {"kind": "ray", "r_min": 0.0, "r_max": 5.0,
+                       "count": 10}),
+    ("dirac-coulomb-1s", {"kind": "events", "events": [
+        {"x1": 1.0, "x2": 0.0, "x3": 0.0, "t": 0.0},
+        {"x1": 0.1, "x2": 0.0, "x3": 0.0, "t": 0.0}]}),
+    ("plane-wave", {"kind": "events", "events": [{"x1": 1.0}]}),
+])
+def test_bad_clouds_exit_two(tmp_path, capsys, scenario, cloud):
+    assert _run_config(tmp_path, scenario, {"cloud": cloud}) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_clouds_outside_the_exclusion_radius_still_run(tmp_path):
+    doc = {"cloud": {"kind": "events", "events": [
+        {"x1": 0.3, "x2": 0.4, "x3": 0.0, "t": 0.1}]}}
+    assert _run_config(tmp_path, "kg-coulomb-1s", doc) == 0
+    doc = {"cloud": {"kind": "random-ball", "radius": 1.0, "count": 20}}
+    assert _run_config(tmp_path, "kg-coulomb-1s", doc) == 0
+    assert len(json.loads((tmp_path / "r.json").read_text())["rows"]) == 160
+
+
+def test_empty_rejection_region_is_a_config_error_not_a_hang(tmp_path):
+    # every point of a radius-0.1 ball lies inside the exclusion radius 0.25;
+    # the timeout turns a regression into a failure instead of a hang
+    cfgfile = tmp_path / "ball.json"
+    cfgfile.write_text(json.dumps({"cloud": {
+        "kind": "random-ball", "radius": 0.1, "count": 100}}))
+    r = subprocess.run([sys.executable, "-m", "fourvel", "run",
+                        "kg-coulomb-1s", "--config", str(cfgfile)],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 2
+    assert "exclusion radius" in r.stderr
