@@ -245,16 +245,15 @@ def _run_config(tmp_path, scenario, doc):
                  "--out", str(tmp_path / "r.json")])
 
 
-@pytest.mark.parametrize("doc", [
-    {"seed": True},                      # a bool is not a seed
-    {"no_timestamp": "false"},           # a non-empty string is not false
-    {"fixture": {"z_alpha": "abc"}},     # not a number
-    {"fixture": {"momenta": [[1.0, 0.0]]}},
-    {"method": {"richardson": "no"}},
+@pytest.mark.parametrize("scenario, doc", [
+    ("kg-coulomb-1s", {"seed": True}),              # a bool is not a seed
+    ("kg-coulomb-1s", {"no_timestamp": "false"}),   # nor a string a bool
+    ("kg-coulomb-1s", {"fixture": {"z_alpha": "abc"}}),
+    ("plane-wave", {"fixture": {"momenta": [[1.0, 0.0]]}}),
+    ("plane-wave", {"method": {"richardson": "no"}}),
 ])
-def test_mistyped_config_values_are_config_errors(tmp_path, capsys, doc):
-    scenario = "plane-wave" if "momenta" in doc.get("fixture", {}) \
-        else "kg-coulomb-1s"
+def test_mistyped_config_values_are_config_errors(tmp_path, capsys, scenario,
+                                                  doc):
     with pytest.raises(ConfigError):
         config_from_dict(doc, scenario)
     assert _run_config(tmp_path, scenario, doc) == 2
