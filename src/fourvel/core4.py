@@ -153,13 +153,22 @@ def _col(x, depth: int = 1) -> np.ndarray:
     return np.asarray(x)[(...,) + (None,) * depth]
 
 
+def _first(flags, e):
+    """(k, Event) of the first point of e whose flag is set, flags holding
+    one flag per point; None when no flag is set."""
+    if not np.count_nonzero(flags):
+        return None
+    k = int(np.flatnonzero(flags)[0])
+    return k, (e if isinstance(e, Event) else EventArray(e).event(k))
+
+
 def _require_nonzero(values, e, eps_psi: float) -> None:
     """Raise NearZeroWavefunctionError at the first point of e where
     |values| <= eps_psi; values holds one entry per point."""
     mags = abs(values)
-    if np.count_nonzero(mags <= eps_psi):
-        k = int(np.flatnonzero(mags <= eps_psi)[0])
-        where = e if isinstance(e, Event) else EventArray(e).event(k)
+    first = _first(mags <= eps_psi, e)
+    if first:
+        k, where = first
         raise NearZeroWavefunctionError(where, float(np.ravel(mags)[k]),
                                         eps_psi)
 

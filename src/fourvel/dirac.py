@@ -25,7 +25,7 @@ import numpy as np
 
 from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
                     EventArray, NATURAL_UNITS, PhysicalConstants, _col,
-                    _require_nonzero, grad4_numeric)
+                    _first, _require_nonzero, grad4_numeric)
 from .errors import (InsufficientComponentsError, ParameterError,
                      UnsupportedConfigurationError)
 from .velocityfield import extract_u
@@ -180,29 +180,33 @@ def spinor_velocity_consistency(spinor: SpinorWave, a_field, e: Event,
     one row per point (NaN where component k is below threshold) and the
     deviation is one value per point.
     """
-    single = isinstance(e, Event)
-    points = EventArray([e.as_array()] if single else e)
-    admissible = np.abs(spinor.values(points)) > eps_psi
+    admissible = np.abs(spinor.values(e)) > eps_psi
     counts = np.count_nonzero(admissible, axis=-1)
-    if np.count_nonzero(counts < 2):
-        k = int(np.flatnonzero(counts < 2)[0])
+    first = _first(counts < 2, e)
+    if first:
+        k, where = first
         raise InsufficientComponentsError(
-            f"only {counts[k]} component(s) above threshold at "
-            f"{e if single else points.event(k)}")
-    us = np.full(admissible.shape + (4,), np.nan, dtype=complex)
+            f"only {np.ravel(counts)[k]} component(s) above threshold at "
+            f"{where}")
+    kw = {"constants": constants, "eps_psi": eps_psi}
+    per_component = []
     for k, comp in enumerate(spinor.components):
-        rows = admissible[:, k]
-        if np.count_nonzero(rows):
-            us[rows, k] = extract_u(comp, a_field, EventArray(points[rows]),
-                                    method, constants=constants,
-                                    eps_psi=eps_psi)
-    # pairs with an inadmissible component are NaN and drop out; every point
-    # has at least one admissible pair
-    pairs = np.abs(us[:, :, None, :] - us[:, None, :, :])
-    deviation = np.nanmax(pairs.reshape(len(points), -1), axis=-1)
-    per_component = [(k, us[0, k] if single else us[:, k])
-                     for k in range(4) if np.count_nonzero(admissible[:, k])]
-    return per_component, float(deviation[0]) if single else deviation
+        rows = admissible[..., k]
+        if np.all(rows):
+            per_component.append((k, extract_u(comp, a_field, e, method,
+                                               **kw)))
+        elif np.count_nonzero(rows):  # a batch: only some rows have it
+            u = np.full(rows.shape + (4,), np.nan, dtype=complex)
+            u[rows] = extract_u(comp, a_field, EventArray(np.asarray(e)[rows]),
+                                method, **kw)
+            per_component.append((k, u))
+    # |u_i - u_j| over every pair of components; fmax skips the NaN pairs
+    # of rows where one of the two is below threshold
+    us = np.stack([u for _, u in per_component], axis=-2)
+    pairs = np.abs(us[..., :, None, :] - us[..., None, :, :])
+    deviation = np.fmax.reduce(pairs.reshape(pairs.shape[:-3] + (-1,)),
+                               axis=-1)
+    return per_component, deviation
 
 
 def kg_operator_on_spinor(spinor: SpinorWave, e: Event, *,

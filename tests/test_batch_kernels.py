@@ -15,7 +15,8 @@ import pytest
 from fourvel import (ANALYTIC, EventArray, InsufficientComponentsError,
                      NATURAL_UNITS, NearZeroWavefunctionError, SpinorWave,
                      central, constant_potential, coulomb_potential, curl_k,
-                     dirac_residual, dirac_to_kg_check, divergence_mu,
+                     dirac_coulomb_1s, dirac_residual, dirac_to_kg_check,
+                     divergence_mu,
                      gaussian_polynomial_wave, kg_operator_on_spinor,
                      kg_residual, lorenz_gauge_residual, mass_shell_residual,
                      momentum_gradient, newton_residual,
@@ -119,6 +120,27 @@ def test_batch_matches_event_calls_row_by_row(name, method):
         assert scale > 0
         assert float(np.max(np.abs(batch[k] - row))) <= RTOL * scale, (
             f"row {k}")
+
+
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.mode)
+def test_consistency_rows_with_different_admissible_components(method):
+    # component 2 of the Dirac-Coulomb state is proportional to x3: it drops
+    # out on the middle row, which still has components 0 and 3
+    spinor, field = dirac_coulomb_1s(0.4, C), coulomb_potential(0.4, C)
+    rows = EventArray([[0.5, 0.2, 0.3, 0.1], [0.7, -0.4, 0.0, 0.2],
+                       [0.3, 0.6, -0.5, -0.3]])
+    per_component, deviation = spinor_velocity_consistency(
+        spinor, field, rows, method, **KW)
+    us = dict(per_component)
+    assert sorted(us) == [0, 2, 3]
+    assert np.isnan(us[2][1]).all() and not np.isnan(us[2][[0, 2]]).any()
+    for k in range(len(rows)):
+        per_row, dev_row = spinor_velocity_consistency(
+            spinor, field, rows.event(k), method, **KW)
+        assert abs(deviation[k] - dev_row) <= RTOL * dev_row
+        assert [c for c, _ in per_row] == ([0, 3] if k == 1 else [0, 2, 3])
+        for comp, u in per_row:
+            assert np.max(np.abs(us[comp][k] - u)) <= RTOL * np.max(np.abs(u))
 
 
 def _failure(call, field, e, method):
