@@ -204,8 +204,7 @@ def spinor_velocity_consistency(spinor: SpinorWave, a_field, e: Event,
     # of rows where one of the two is below threshold
     us = np.stack([u for _, u in per_component], axis=-2)
     pairs = np.abs(us[..., :, None, :] - us[..., None, :, :])
-    deviation = np.fmax.reduce(pairs.reshape(pairs.shape[:-3] + (-1,)),
-                               axis=-1)
+    deviation = np.fmax.reduce(pairs, axis=(-3, -2, -1))
     return per_component, deviation
 
 

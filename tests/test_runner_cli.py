@@ -297,6 +297,17 @@ def test_clouds_outside_the_exclusion_radius_still_run(tmp_path):
     assert len(json.loads((tmp_path / "r.json").read_text())["rows"]) == 160
 
 
+@pytest.mark.parametrize("scenario", ["plane-wave", "kg-coulomb-1s",
+                                      "dirac-plane-wave", "dirac-coulomb-1s",
+                                      "gauge-orbit"])
+def test_empty_cloud_runs_without_rows(tmp_path, scenario):
+    doc = {"cloud": {"kind": "events", "events": []}}
+    assert _run_config(tmp_path, scenario, doc) == 0
+    rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+    # only the random spinors and the energy scan sample outside the cloud
+    assert {r["check"] for r in rows} <= {"dirac_to_kg", "energy_scan"}
+
+
 def test_empty_rejection_region_is_a_config_error_not_a_hang(tmp_path):
     # every point of a radius-0.1 ball lies inside the exclusion radius 0.25;
     # the timeout turns a regression into a failure instead of a hang
