@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
 configuration (unknown scenario, malformed config file, invalid
-parameter values, unwritable output path).
+parameter values, unwritable output path, or any other toolkit error
+raised before the checks are scored).
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .core4 import DerivativeMethod
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, FourvelError, ParameterError
 from .runner import (ScenarioConfig, config_from_dict, default_config,
                      export_report, list_scenarios, run_scenario)
 
@@ -103,7 +104,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         report = run_scenario(cfg)
-    except (ConfigError, ParameterError) as exc:
+    except FourvelError as exc:
         print(f"fourvel: config error: {exc}", file=sys.stderr)
         return 2
 

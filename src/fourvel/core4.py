@@ -198,17 +198,19 @@ def four_displacement(e_from: Event, e_to: Event, c: float = 1.0) -> np.ndarray:
     )
 
 
-def boost_x1(e: Event, v: float, c: float = 1.0) -> Event:
-    """Standard boost along x1 with speed v; |v| >= c rejected."""
+def boost_x1(e, v: float, c: float = 1.0):
+    """Standard boost along x1 with speed v; |v| >= c rejected. e is one
+    Event, or a (K, 4) batch boosted row by row into an EventArray."""
     if not math.isfinite(v) or abs(v) >= c:
         raise InvalidBoostError(f"boost speed {v} not below c = {c}")
     gamma = 1.0 / math.sqrt(1.0 - (v / c) ** 2)
-    return Event(
-        gamma * (e.x1 - v * e.t),
-        e.x2,
-        e.x3,
-        gamma * (e.t - v * e.x1 / c ** 2),
-    )
+    single = isinstance(e, Event)
+    p = e if single else EventArray(e)
+    x1 = gamma * (p.x1 - v * p.t)
+    t = gamma * (p.t - v * p.x1 / c ** 2)
+    if single:
+        return Event(x1, p.x2, p.x3, t)
+    return EventArray(np.column_stack([x1, p.x2, p.x3, t]))
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,11 @@ def config_from_dict(doc: dict, scenario: Optional[str] = None) -> ScenarioConfi
                  f"fixture {key} = {value!r} does not have the type and "
                  f"shape of its default {default!r}")
         fixture[key] = value
+    if name == "worldline-pierce":
+        _require(0 <= fixture["max_boost"] < 1,
+                 "fixture max_boost must lie in [0, 1) (a fraction of c)")
+        _require(abs(fixture["ct0"]) < fixture["radius"],
+                 "fixture ct0 must lie strictly between -radius and radius")
 
     cloud = base.cloud
     if "cloud" in doc:

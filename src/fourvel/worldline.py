@@ -1,11 +1,14 @@
 """Parametrized worldlines, boosts, and constant-time pierce points.
 
 A worldline is a curve lambda -> Event over a closed parameter interval,
-with an analytic tangent (dx1, dx2, dx3, dt)/dlambda. Intersections with a
-hyperplane t = t0 are found by bracketing sign changes of t(lambda) - t0 on
-a uniform grid and bisecting; an extremum that touches zero without a sign
-change is reported as a tangency. Roots separated by less than one grid
-cell can be missed; the default grid has 4096 cells.
+with an analytic tangent (dx1, dx2, dx3, dt)/dlambda. Like a fixture on a
+point array, its position must also evaluate a 1-D lambda array
+elementwise with numpy, giving the (K, 4) EventArray of its events.
+Intersections with a hyperplane t = t0 are found by evaluating
+t(lambda) - t0 on a uniform grid in one call, bracketing sign changes and
+bisecting; an extremum that touches zero without a sign change is reported
+as a tangency. Roots separated by less than one grid cell can be missed;
+the default grid has 4096 cells.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core4 import Event, boost_x1, contract, four_vector
+from .core4 import Event, EventArray, boost_x1, contract, four_vector
 from .errors import DegenerateParameterError, InvalidBoostError, ParameterError
 
 _CUSP_TOL = 1e-14
@@ -26,6 +29,7 @@ _NULL_TOL = 1e-12
 @dataclass(frozen=True)
 class Worldline:
     kind: str
+    # lambda -> Event; a 1-D lambda array -> EventArray, elementwise numpy
     position: Callable[[float], Event]
     velocity: Callable[[float], np.ndarray]  # (dx1, dx2, dx3, dt)/dlambda
     lam_range: tuple
@@ -41,6 +45,20 @@ class Worldline:
         """Tangent as a 4-vector, fourth slot i*c*dt/dlambda."""
         v = np.asarray(self.velocity(lam), dtype=float)
         return four_vector(v[0], v[1], v[2], 1j * self.c * v[3])
+
+
+def _lib(lam):
+    """numpy for a lambda array; math for one lambda, so Events hold Python
+    floats and a bisection step pays no numpy dispatch."""
+    return np if isinstance(lam, np.ndarray) else math
+
+
+def _at(lam, x1, x2, x3, t):
+    """The Event at one lambda, or the EventArray of a lambda array's
+    events (constant coordinates broadcast); finiteness is checked once."""
+    if not isinstance(lam, np.ndarray):
+        return Event(x1, x2, x3, t)
+    return EventArray(np.stack(np.broadcast_arrays(x1, x2, x3, t), axis=-1))
 
 
 def make_worldline(kind: str, *, c: float = 1.0, **params) -> Worldline:
@@ -61,9 +79,9 @@ def make_worldline(kind: str, *, c: float = 1.0, **params) -> Worldline:
         lam_range = tuple(params.get("lam_range", (-10.0, 10.0)))
         vel = np.array([v[0], v[1], v[2], 1.0])
 
-        def position(lam: float) -> Event:
-            return Event(x0.x1 + lam * v[0], x0.x2 + lam * v[1],
-                         x0.x3 + lam * v[2], x0.t + lam)
+        def position(lam):
+            return _at(lam, x0.x1 + lam * v[0], x0.x2 + lam * v[1],
+                       x0.x3 + lam * v[2], x0.t + lam)
 
         return Worldline("line", position, lambda lam: vel, lam_range, c,
                          {"v": tuple(v), "x0": x0})
@@ -75,9 +93,10 @@ def make_worldline(kind: str, *, c: float = 1.0, **params) -> Worldline:
             raise ParameterError("helix needs radius > 0 and finite omega")
         lam_range = tuple(params.get("lam_range", (0.0, 1.0)))
 
-        def position(lam: float) -> Event:
-            return Event(radius * math.cos(omega * lam),
-                         radius * math.sin(omega * lam), 0.0, lam)
+        def position(lam):
+            m = _lib(lam)
+            return _at(lam, radius * m.cos(omega * lam),
+                       radius * m.sin(omega * lam), 0.0, lam)
 
         def velocity(lam: float) -> np.ndarray:
             return np.array([-radius * omega * math.sin(omega * lam),
@@ -92,9 +111,10 @@ def make_worldline(kind: str, *, c: float = 1.0, **params) -> Worldline:
             raise ParameterError("circle needs radius > 0")
         lam_range = tuple(params.get("lam_range", (0.0, 2 * math.pi)))
 
-        def position(lam: float) -> Event:
-            return Event(radius * math.cos(lam), 0.0, 0.0,
-                         radius * math.sin(lam) / c)
+        def position(lam):
+            m = _lib(lam)
+            return _at(lam, radius * m.cos(lam), 0.0, 0.0,
+                       radius * m.sin(lam) / c)
 
         def velocity(lam: float) -> np.ndarray:
             return np.array([-radius * math.sin(lam), 0.0, 0.0,
@@ -113,7 +133,7 @@ def boost_worldline(w: Worldline, v: float) -> Worldline:
         raise InvalidBoostError(f"boost speed {v} not below c = {c}")
     gamma = 1.0 / math.sqrt(1.0 - (v / c) ** 2)
 
-    def position(lam: float) -> Event:
+    def position(lam):
         return boost_x1(w.position(lam), v, c)
 
     def velocity(lam: float) -> np.ndarray:
@@ -170,9 +190,7 @@ def pierce_points(w: Worldline, t0: float, *, grid: int = 4096,
     """
     lo, hi = w.lam_range
     lams = np.linspace(lo, hi, grid + 1)
-    f = np.array([w.position(l).t - t0 for l in lams])
-
-    roots = []
+    f = w.position(lams).t - t0
 
     def bisect(a: float, b: float) -> float:
         fa = w.position(a).t - t0
@@ -187,20 +205,15 @@ def pierce_points(w: Worldline, t0: float, *, grid: int = 4096,
                 a, fa = mid, fm
         return 0.5 * (a + b)
 
-    for i in range(grid):
-        if f[i] == 0.0:
-            roots.append(float(lams[i]))
-        elif f[i] * f[i + 1] < 0.0:
-            roots.append(bisect(float(lams[i]), float(lams[i + 1])))
-    if f[grid] == 0.0:
-        roots.append(float(lams[grid]))
+    roots = [float(lams[i]) for i in np.flatnonzero(f == 0.0)]
+    roots += [bisect(float(lams[i]), float(lams[i + 1]))
+              for i in np.flatnonzero(f[:-1] * f[1:] < 0.0)]
 
     # double roots: refine each discrete extremum of f, keep those touching 0
     cell = (hi - lo) / grid
     df = np.diff(f)
-    for i in range(1, grid):
-        if df[i - 1] == 0.0 or (df[i - 1] < 0) == (df[i] < 0):
-            continue
+    turns = (df[:-1] != 0.0) & ((df[:-1] < 0) != (df[1:] < 0))
+    for i in np.flatnonzero(turns) + 1:
         a, b = float(lams[i - 1]), float(lams[i + 1])
         for _ in range(200):  # ternary search on |f|
             m1 = a + (b - a) / 3

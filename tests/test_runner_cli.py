@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from fourvel import (ConfigError, config_from_dict, default_config,
+from fourvel import (ConfigError, InvalidBoostError, QuadratureError,
+                     SingularPointError, config_from_dict, default_config,
                      export_report, list_scenarios, run_scenario)
+from fourvel import runner
 from fourvel.cli import main
 from fourvel.runner import report_to_csv, report_to_json
 
@@ -319,3 +321,29 @@ def test_empty_rejection_region_is_a_config_error_not_a_hang(tmp_path):
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 2
     assert "exclusion radius" in r.stderr
+
+
+# a boost faster than light, a boost at light speed, and a slice above the
+# circle, which is a bad input and not a failed circle_count check
+@pytest.mark.parametrize("fixture", [
+    {"max_boost": 1.5}, {"max_boost": 1.0}, {"ct0": 5.0}],
+    ids=["max_boost=1.5", "max_boost=1.0", "ct0=5.0"])
+def test_worldline_fixture_out_of_range_exits_two(tmp_path, capsys, fixture):
+    doc = {"fixture": fixture}
+    with pytest.raises(ConfigError):
+        config_from_dict(doc, "worldline-pierce")
+    assert _run_config(tmp_path, "worldline-pierce", doc) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [InvalidBoostError, QuadratureError,
+                                   SingularPointError])
+def test_toolkit_errors_raised_by_a_scenario_exit_two(monkeypatch, capsys,
+                                                      error):
+    def broken(cfg, rng, col):
+        raise error("raised while building the scenario")
+
+    monkeypatch.setitem(runner._SCENARIOS, "clifford", broken)
+    assert main(["run", "clifford", "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: raised while building the scenario" in err
