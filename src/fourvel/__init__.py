@@ -27,10 +27,9 @@ from .fields import (GaugeFunction, PotentialField, constant_potential,
 from .runner import (CheckResult, ResidualReport, ScenarioConfig,
                      config_from_dict, default_config, export_report,
                      list_scenarios, run_scenario)
-from .velocityfield import (ActionResult, DivergenceResult, ResidualSample,
-                            action_integral, canonical_momentum, curl_k,
-                            diagnose_point, divergence_mu, extract_u,
-                            kg_residual, mass_shell_residual,
+from .velocityfield import (ActionResult, DivergenceResult, action_integral,
+                            canonical_momentum, curl_k, divergence_mu,
+                            extract_u, kg_residual, mass_shell_residual,
                             momentum_gradient, newton_residual,
                             nonlinear_wave_residual)
 from .wavefunctions import (ScalarWave, SpinorWave, dirac_coulomb_1s,

@@ -81,6 +81,8 @@ def coulomb_potential(z_alpha: float,
             f"z_alpha = {z_alpha} outside (0, 0.5]; the scalar bound-state "
             "fixture exponent is real only in that range"
         )
+    if constants.q == 0:
+        raise ParameterError("Coulomb potential needs a nonzero charge q")
     k = -z_alpha * constants.hbar / constants.q  # A_4 = i k / r
 
     def a(e: Event) -> np.ndarray:

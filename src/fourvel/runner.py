@@ -1,24 +1,25 @@
 """Named verification scenarios and machine-readable reports.
 
-Each scenario builds its fixtures, evaluates every residual kernel once on
-its whole sample cloud (a (K, 4) EventArray), and scores a fixed set of
-named checks against mode-dependent tolerances. Rows are reported
-event-major, one per event and check, in the order a per-event sweep would
-give them. Reports are
-deterministic for a given configuration and seed: sample order is fixed,
-all randomness flows through one seeded generator, and JSON keys are
-sorted. The timestamp and wall-clock duration are the only nondeterministic
-fields and can be suppressed together for byte-identical comparisons.
+Each scenario is one Scenario record: its defaults, the tolerances of the
+fixed set of named checks it scores, and a builder that evaluates every
+residual kernel once on the whole sample cloud (a (K, 4) EventArray). Rows
+are reported event-major, one per event and check, in the order a
+per-event sweep would give them. Reports are deterministic for a given
+configuration and seed: sample order is fixed, all randomness flows
+through one seeded generator, and JSON keys are sorted. The timestamp and
+wall-clock duration are the only nondeterministic fields and can be
+suppressed together for byte-identical comparisons.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
 import math
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -43,69 +44,6 @@ from .worldline import (boost_worldline, classify_speed, make_worldline,
 
 DEFAULT_SEED = 20240817
 
-# (analytic tolerance, central tolerance); None = informational, never fails
-_TOLERANCES = {
-    "plane-wave": {
-        "kg": (1e-12, 1e-6), "mass_shell": (1e-12, 1e-6),
-        "newton": (1e-12, 1e-6), "curl_k": (1e-12, 1e-6),
-        "divergence": (1e-12, 1e-6), "nonlinear": (1e-12, 1e-6),
-    },
-    "kg-coulomb-1s": {
-        "kg": (1e-8, 1e-5), "divergence_identity": (1e-8, 1e-5),
-        "nonlinear_vs_mass_shell": (1e-8, 1e-5), "curl_k": (1e-8, 1e-5),
-        "u_contract_k": (1e-10, 1e-6), "lorenz_gauge": (1e-12, 1e-8),
-        "mass_shell": (None, None), "newton": (None, None),
-    },
-    "dirac-plane-wave": {
-        "residual_gamma": (1e-12, 1e-6), "residual_alphabeta": (1e-12, 1e-6),
-        "form_equivalence": (1e-12, 1e-12),
-        "velocity_consistency": (1e-12, 1e-8), "dirac_to_kg": (1e-8, 1e-8),
-    },
-    "dirac-coulomb-1s": {
-        "residual_gamma": (1e-10, 1e-6), "energy_scan": (1e-6, 1e-6),
-        "velocity_deviation": (None, None),
-    },
-    "gauge-orbit": {
-        "u_invariance": (1e-9, 1e-6), "dirac_invariance": (1e-10, 1e-6),
-        "field_strength_invariance": (1e-10, 1e-10),
-        "roundtrip": (1e-12, 1e-11),
-    },
-    "clifford": {
-        "clifford": (0.0, 0.0), "fixed_entries": (0.0, 0.0),
-        "gamma_square": (1e-12, 1e-12), "factorization": (1e-12, 1e-12),
-    },
-    "action-path": {
-        "plane_phi": (1e-12, 1e-12), "plane_reconstruction": (1e-12, 1e-12),
-        "closed_loop": (1e-8, 1e-8), "two_path_delta": (1e-8, 1e-8),
-    },
-    "worldline-pierce": {
-        "circle_count": (0.0, 0.0), "circle_position": (1e-9, 1e-9),
-        "line_boost_count": (0.0, 0.0), "timelike_onshell": (1e-10, 1e-10),
-        "tangent_flag": (0.0, 0.0), "classification": (0.0, 0.0),
-    },
-}
-
-_FIXTURE_DEFAULTS = {
-    "plane-wave": {
-        "momenta": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, -0.2, 0.1]],
-    },
-    "kg-coulomb-1s": {"z_alpha": 0.4, "energy_scale": 1.0},
-    "dirac-plane-wave": {
-        "momenta": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, -0.2, 0.1]],
-        "spin": "up", "n_random_spinors": 20,
-    },
-    "dirac-coulomb-1s": {
-        "z_alpha": 0.4, "scan_lo": 0.85, "scan_hi": 0.95, "scan_points": 25,
-    },
-    "gauge-orbit": {"p": [1.0, 0.0, 0.0], "n_gauges": 10, "degree": 2},
-    "clifford": {"n_random_p": 100, "gamma_scale": 1.0},
-    "action-path": {"p": [1.0, 0.0, 0.0], "z_alpha": 0.4},
-    "worldline-pierce": {
-        "radius": 1.0, "ct0": 0.5, "line_v": [0.3, 0.1, -0.2],
-        "n_boosts": 20, "max_boost": 0.99,
-    },
-}
-
 _CLOUD_KEYS = {
     # kind -> (required keys, optional keys)
     "ray": (("r_min", "r_max", "count"), ("t",)),
@@ -113,25 +51,17 @@ _CLOUD_KEYS = {
     "events": (("events",), ()),
 }
 
-_CLOUD_DEFAULTS = {
-    "plane-wave": {"kind": "random-ball", "center": [0, 0, 0, 0],
-                   "radius": 2.0, "count": 100},
-    "kg-coulomb-1s": {"kind": "ray", "r_min": 0.5, "r_max": 5.0,
-                      "count": 50, "t": 0.0},
-    "dirac-plane-wave": {"kind": "random-ball", "center": [0, 0, 0, 0],
-                         "radius": 2.0, "count": 100},
-    "dirac-coulomb-1s": {"kind": "ray", "r_min": 0.5, "r_max": 5.0,
-                         "count": 50, "t": 0.0},
-    "gauge-orbit": {"kind": "random-ball", "center": [0, 0, 0, 0],
-                    "radius": 1.5, "count": 100},
-}
-
-# scenarios whose default derivative mode is central rather than analytic
-_DEFAULT_CENTRAL = {"dirac-coulomb-1s"}
-
 
 def list_scenarios() -> list:
-    return sorted(_TOLERANCES)
+    return sorted(_SCENARIOS)
+
+
+def _spec(scenario) -> Scenario:
+    spec = _SCENARIOS.get(scenario) if isinstance(scenario, str) else None
+    if spec is None:
+        raise ConfigError(f"unknown scenario {scenario!r}; "
+                          f"choices: {', '.join(list_scenarios())}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -149,16 +79,12 @@ class ScenarioConfig:
 
 
 def default_config(scenario: str) -> ScenarioConfig:
-    if scenario not in _TOLERANCES:
-        raise ConfigError(
-            f"unknown scenario {scenario!r}; choices: {', '.join(list_scenarios())}")
-    mode = "central" if scenario in _DEFAULT_CENTRAL else "analytic"
+    spec = _spec(scenario)
     return ScenarioConfig(
         scenario=scenario,
-        method=DerivativeMethod(mode),
-        fixture=dict(_FIXTURE_DEFAULTS[scenario]),
-        cloud=dict(_CLOUD_DEFAULTS[scenario]) if scenario in _CLOUD_DEFAULTS
-        else None,
+        method=DerivativeMethod(spec.mode),
+        fixture=copy.deepcopy(spec.fixture),
+        cloud=copy.deepcopy(spec.cloud),
     )
 
 
@@ -207,6 +133,7 @@ def config_from_dict(doc: dict, scenario: Optional[str] = None) -> ScenarioConfi
         _require(doc["scenario"] == scenario,
                  f"config is for scenario {doc['scenario']!r}, "
                  f"requested {scenario!r}")
+    spec = _spec(name)
     base = default_config(name)
 
     for key in ("constants", "method", "fixture", "tolerances"):
@@ -242,23 +169,19 @@ def config_from_dict(doc: dict, scenario: Optional[str] = None) -> ScenarioConfi
 
     fixture = dict(base.fixture)
     for key, value in doc.get("fixture", {}).items():
-        # the Dirac bound state also takes an optional trial energy
-        default = (0.0 if name == "dirac-coulomb-1s" and key == "energy"
-                   else fixture.get(key))
+        default = spec.fixture.get(key, spec.optional.get(key))
         _require(default is not None,
                  f"unknown fixture key {key!r} for scenario {name}")
         _require(_fits(value, default),
                  f"fixture {key} = {value!r} does not have the type and "
                  f"shape of its default {default!r}")
         fixture[key] = value
-    if name == "worldline-pierce":
-        _require(0 <= fixture["max_boost"] < 1,
-                 "fixture max_boost must lie in [0, 1) (a fraction of c)")
-        _require(abs(fixture["ct0"]) < fixture["radius"],
-                 "fixture ct0 must lie strictly between -radius and radius")
+    spec.limits(fixture)
 
     cloud = base.cloud
     if "cloud" in doc:
+        _require(spec.cloud is not None,
+                 f"scenario {name} samples no cloud; remove the cloud key")
         cdoc = doc["cloud"]
         _require(isinstance(cdoc, dict) and "kind" in cdoc,
                  "cloud must be an object with a 'kind'")
@@ -274,7 +197,7 @@ def config_from_dict(doc: dict, scenario: Optional[str] = None) -> ScenarioConfi
 
     tolerances = {}
     for key, value in doc.get("tolerances", {}).items():
-        _require(key in _TOLERANCES[name],
+        _require(key in spec.tolerances,
                  f"unknown check {key!r} for scenario {name}")
         _require(_is_number(value) and value >= 0,
                  f"tolerance {key} must be a nonnegative number")
@@ -326,8 +249,8 @@ class ResidualReport:
 
 
 class _Collector:
-    def __init__(self, scenario: str, mode: str, overrides: dict):
-        self.scenario = scenario
+    def __init__(self, tolerances: dict, mode: str, overrides: dict):
+        self.tolerances = tolerances
         self.mode_index = 1 if mode == "central" else 0
         self.overrides = overrides
         self.rows = []
@@ -337,7 +260,7 @@ class _Collector:
     def tolerance(self, check: str) -> Optional[float]:
         if check in self.overrides:
             return self.overrides[check]
-        return _TOLERANCES[self.scenario][check][self.mode_index]
+        return self.tolerances[check][self.mode_index]
 
     def add(self, check: str, case: str, index: int, event: Event,
             magnitude: float):
@@ -414,7 +337,7 @@ def _random_ball(center, radius: float, count: int, rng: np.random.Generator,
 
 
 def _build_cloud(spec: dict, rng: np.random.Generator,
-                 min_r: float = 0.0) -> EventArray:
+                 min_r: float) -> EventArray:
     """The sample cloud of spec as one EventArray. No point may lie closer
     than min_r to the spatial origin: random-ball clouds reject such draws,
     other kinds are refused."""
@@ -466,9 +389,8 @@ def _eps_for(waves, events) -> float:
 # scenario builders
 # ---------------------------------------------------------------------------
 
-def _scn_plane_wave(cfg: ScenarioConfig, rng, col: _Collector):
+def _scn_plane_wave(cfg: ScenarioConfig, rng, col: _Collector, events):
     a0 = zero_potential()
-    events = _build_cloud(cfg.cloud, rng)
     waves = [plane_wave(p, cfg.constants) for p in cfg.fixture["momenta"]]
     eps = _eps_for(waves, events)
     m = cfg.method
@@ -487,12 +409,11 @@ def _scn_plane_wave(cfg: ScenarioConfig, rng, col: _Collector):
         ])
 
 
-def _scn_kg_coulomb(cfg: ScenarioConfig, rng, col: _Collector):
+def _scn_kg_coulomb(cfg: ScenarioConfig, rng, col: _Collector, events):
     za = float(cfg.fixture["z_alpha"])
     wave = kg_coulomb_1s(za, cfg.constants,
                          float(cfg.fixture["energy_scale"]))
     a = coulomb_potential(za, cfg.constants)
-    events = _build_cloud(cfg.cloud, rng, min_r=0.25)
     m2 = cfg.constants.m ** 2
     meth = cfg.method
     kw = {"constants": cfg.constants, "eps_psi": _eps_for([wave], events)}
@@ -514,9 +435,9 @@ def _scn_kg_coulomb(cfg: ScenarioConfig, rng, col: _Collector):
     ])
 
 
-def _scn_dirac_plane_wave(cfg: ScenarioConfig, rng, col: _Collector):
+def _scn_dirac_plane_wave(cfg: ScenarioConfig, rng, col: _Collector,
+                          events):
     a0 = zero_potential()
-    events = _build_cloud(cfg.cloud, rng)
     spin = cfg.fixture["spin"]
     meth = cfg.method
     kw = {"constants": cfg.constants}
@@ -545,13 +466,12 @@ def _scn_dirac_plane_wave(cfg: ScenarioConfig, rng, col: _Collector):
                       [("dirac_to_kg", _worst(sq - direct))])
 
 
-def _scn_dirac_coulomb(cfg: ScenarioConfig, rng, col: _Collector):
+def _scn_dirac_coulomb(cfg: ScenarioConfig, rng, col: _Collector, events):
     za = float(cfg.fixture["z_alpha"])
     consts = cfg.constants
     energy = cfg.fixture.get("energy")
     spinor = dirac_coulomb_1s(za, consts, energy)
     a = coulomb_potential(za, consts)
-    events = _build_cloud(cfg.cloud, rng, min_r=0.25)
     meth = cfg.method
     # velocity deviation needs two components above threshold; other
     # events have no sample of it
@@ -572,9 +492,7 @@ def _scn_dirac_coulomb(cfg: ScenarioConfig, rng, col: _Collector):
     # independent oracle: residual norm over a coarse ray as a function of a
     # trial energy must bottom out at the bound-state eigenvalue
     mc2 = consts.m * consts.c ** 2
-    n_scan = int(cfg.fixture["scan_points"])
-    _require(n_scan >= 1, "scan_points must be at least 1")
-    scan = _ray(0.5, 5.0, n_scan)
+    scan = _ray(0.5, 5.0, int(cfg.fixture["scan_points"]))
 
     def scan_norm(e_trial: float) -> float:
         trial = dirac_coulomb_1s(za, consts, energy=e_trial)
@@ -597,16 +515,13 @@ _DEG2_MONOMIALS = [
 ]
 
 
-def _scn_gauge_orbit(cfg: ScenarioConfig, rng, col: _Collector):
+def _scn_gauge_orbit(cfg: ScenarioConfig, rng, col: _Collector, events):
     consts = cfg.constants
     a0 = zero_potential()
     wave = plane_wave(cfg.fixture["p"], consts)
     spinor = dirac_plane_wave(cfg.fixture["p"], "up", consts)
-    events = _build_cloud(cfg.cloud, rng)
     meth = cfg.method
-    degree = int(cfg.fixture["degree"])
-    _require(1 <= degree <= 2, "gauge orbit supports degree 1 or 2")
-    monos = [m for m in _DEG2_MONOMIALS if sum(m) <= degree]
+    monos = [m for m in _DEG2_MONOMIALS if sum(m) <= cfg.fixture["degree"]]
     # the untransformed side is the same for every gauge
     u0 = extract_u(wave, a0, events, meth, constants=consts)
     r0 = _worst(dirac_residual(spinor, a0, events, meth, constants=consts))
@@ -639,7 +554,7 @@ def _scaled_gammas(scale: float) -> GammaSet:
     return GammaSet(g.representation + "-perturbed", g.alphas, g.beta, gammas)
 
 
-def _scn_clifford(cfg: ScenarioConfig, rng, col: _Collector):
+def _scn_clifford(cfg: ScenarioConfig, rng, col: _Collector, events):
     consts = cfg.constants
     g = _scaled_gammas(float(cfg.fixture["gamma_scale"]))
     col.add("clifford", "matrix-set", 0, _ORIGIN, clifford_residual(g))
@@ -659,7 +574,7 @@ def _scn_clifford(cfg: ScenarioConfig, rng, col: _Collector):
                 factorization_residual(g, p, consts))
 
 
-def _scn_action_path(cfg: ScenarioConfig, rng, col: _Collector):
+def _scn_action_path(cfg: ScenarioConfig, rng, col: _Collector, events):
     consts = cfg.constants
     meth = cfg.method
     a0 = zero_potential()
@@ -690,7 +605,7 @@ def _scn_action_path(cfg: ScenarioConfig, rng, col: _Collector):
             abs(r1.phi - r2.phi))
 
 
-def _scn_worldline(cfg: ScenarioConfig, rng, col: _Collector):
+def _scn_worldline(cfg: ScenarioConfig, rng, col: _Collector, events):
     consts = cfg.constants
     c = consts.c
     radius = float(cfg.fixture["radius"])
@@ -734,15 +649,117 @@ def _scn_worldline(cfg: ScenarioConfig, rng, col: _Collector):
                         abs(contract(pt.u, pt.u) + c ** 2))
 
 
+def _dirac_coulomb_limits(fixture: dict):
+    _require(fixture["scan_points"] >= 1, "fixture scan_points must be >= 1")
+    _require(fixture["scan_lo"] < fixture["scan_hi"],
+             "fixture scan_lo must lie below scan_hi")
+
+
+def _gauge_orbit_limits(fixture: dict):
+    _require(1 <= fixture["degree"] <= 2, "fixture degree must be 1 or 2")
+
+
+def _worldline_limits(fixture: dict):
+    _require(0 <= fixture["max_boost"] < 1,
+             "fixture max_boost must lie in [0, 1) (a fraction of c)")
+    _require(abs(fixture["ct0"]) < fixture["radius"],
+             "fixture ct0 must lie strictly between -radius and radius")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One scenario. build(cfg, rng, col, events) adds its rows to col;
+    events is the sample cloud, drawn first from rng, or None when cloud is
+    None. tolerances maps every check it reports to (analytic, central),
+    None for a check that never fails. The fixture defaults' types and
+    shapes are the fixture schema, optional holds an example value of each
+    key without a default, limits(fixture) raises ConfigError for a value
+    out of range, and no cloud point may lie closer than min_r to the
+    spatial origin."""
+
+    build: Callable
+    tolerances: dict
+    fixture: dict
+    cloud: Optional[dict] = None
+    mode: str = "analytic"
+    min_r: float = 0.0
+    optional: dict = dc_field(default_factory=dict)
+    limits: Callable = lambda fixture: None
+
+
+_BALL = {"kind": "random-ball", "center": [0, 0, 0, 0], "radius": 2.0,
+         "count": 100}
+_RAY = {"kind": "ray", "r_min": 0.5, "r_max": 5.0, "count": 50, "t": 0.0}
+_MOMENTA = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, -0.2, 0.1]]
+
+# the Coulomb clouds keep min_r = 0.25 away from the singularity, and the
+# hard Dirac bound state is certified by central differences by default
 _SCENARIOS = {
-    "plane-wave": _scn_plane_wave,
-    "kg-coulomb-1s": _scn_kg_coulomb,
-    "dirac-plane-wave": _scn_dirac_plane_wave,
-    "dirac-coulomb-1s": _scn_dirac_coulomb,
-    "gauge-orbit": _scn_gauge_orbit,
-    "clifford": _scn_clifford,
-    "action-path": _scn_action_path,
-    "worldline-pierce": _scn_worldline,
+    "plane-wave": Scenario(
+        _scn_plane_wave,
+        tolerances={"kg": (1e-12, 1e-6), "mass_shell": (1e-12, 1e-6),
+                    "newton": (1e-12, 1e-6), "curl_k": (1e-12, 1e-6),
+                    "divergence": (1e-12, 1e-6), "nonlinear": (1e-12, 1e-6)},
+        fixture={"momenta": _MOMENTA}, cloud=_BALL),
+    "kg-coulomb-1s": Scenario(
+        _scn_kg_coulomb,
+        tolerances={"kg": (1e-8, 1e-5), "divergence_identity": (1e-8, 1e-5),
+                    "nonlinear_vs_mass_shell": (1e-8, 1e-5),
+                    "curl_k": (1e-8, 1e-5), "u_contract_k": (1e-10, 1e-6),
+                    "lorenz_gauge": (1e-12, 1e-8),
+                    "mass_shell": (None, None), "newton": (None, None)},
+        fixture={"z_alpha": 0.4, "energy_scale": 1.0}, cloud=_RAY,
+        min_r=0.25),
+    "dirac-plane-wave": Scenario(
+        _scn_dirac_plane_wave,
+        tolerances={"residual_gamma": (1e-12, 1e-6),
+                    "residual_alphabeta": (1e-12, 1e-6),
+                    "form_equivalence": (1e-12, 1e-12),
+                    "velocity_consistency": (1e-12, 1e-8),
+                    "dirac_to_kg": (1e-8, 1e-8)},
+        fixture={"momenta": _MOMENTA, "spin": "up", "n_random_spinors": 20},
+        cloud=_BALL),
+    "dirac-coulomb-1s": Scenario(
+        _scn_dirac_coulomb,
+        tolerances={"residual_gamma": (1e-10, 1e-6),
+                    "energy_scan": (1e-6, 1e-6),
+                    "velocity_deviation": (None, None)},
+        fixture={"z_alpha": 0.4, "scan_lo": 0.85, "scan_hi": 0.95,
+                 "scan_points": 25},
+        cloud=_RAY, mode="central", min_r=0.25,
+        optional={"energy": 0.0},   # a trial energy for the eigenvalue
+        limits=_dirac_coulomb_limits),
+    "gauge-orbit": Scenario(
+        _scn_gauge_orbit,
+        tolerances={"u_invariance": (1e-9, 1e-6),
+                    "dirac_invariance": (1e-10, 1e-6),
+                    "field_strength_invariance": (1e-10, 1e-10),
+                    "roundtrip": (1e-12, 1e-11)},
+        fixture={"p": [1.0, 0.0, 0.0], "n_gauges": 10, "degree": 2},
+        cloud={**_BALL, "radius": 1.5}, limits=_gauge_orbit_limits),
+    "clifford": Scenario(
+        _scn_clifford,
+        tolerances={"clifford": (0.0, 0.0), "fixed_entries": (0.0, 0.0),
+                    "gamma_square": (1e-12, 1e-12),
+                    "factorization": (1e-12, 1e-12)},
+        fixture={"n_random_p": 100, "gamma_scale": 1.0}),
+    "action-path": Scenario(
+        _scn_action_path,
+        tolerances={"plane_phi": (1e-12, 1e-12),
+                    "plane_reconstruction": (1e-12, 1e-12),
+                    "closed_loop": (1e-8, 1e-8),
+                    "two_path_delta": (1e-8, 1e-8)},
+        fixture={"p": [1.0, 0.0, 0.0], "z_alpha": 0.4}),
+    "worldline-pierce": Scenario(
+        _scn_worldline,
+        tolerances={"circle_count": (0.0, 0.0),
+                    "circle_position": (1e-9, 1e-9),
+                    "line_boost_count": (0.0, 0.0),
+                    "timelike_onshell": (1e-10, 1e-10),
+                    "tangent_flag": (0.0, 0.0), "classification": (0.0, 0.0)},
+        fixture={"radius": 1.0, "ct0": 0.5, "line_v": [0.3, 0.1, -0.2],
+                 "n_boosts": 20, "max_boost": 0.99},
+        limits=_worldline_limits),
 }
 
 
@@ -761,12 +778,14 @@ def _config_echo(cfg: ScenarioConfig) -> dict:
 
 
 def run_scenario(cfg: ScenarioConfig) -> ResidualReport:
-    if cfg.scenario not in _SCENARIOS:
-        raise ConfigError(f"unknown scenario {cfg.scenario!r}")
+    spec = _spec(cfg.scenario)
+    spec.limits(cfg.fixture)
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    col = _Collector(cfg.scenario, cfg.method.mode, cfg.tolerances)
-    _SCENARIOS[cfg.scenario](cfg, rng, col)
+    col = _Collector(spec.tolerances, cfg.method.mode, cfg.tolerances)
+    events = (None if spec.cloud is None
+              else _build_cloud(cfg.cloud, rng, spec.min_r))
+    spec.build(cfg, rng, col, events)
     checks = col.finalize()
     duration = time.perf_counter() - started
     return ResidualReport(

@@ -19,8 +19,7 @@ guards) are taken row by row, and a guard raises at the first offending row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
                     differentiate, field_strength, four_displacement,
                     grad4_numeric)
 from .errors import (NearZeroWavefunctionError, ParameterError,
-                     QuadratureError, SingularPointError)
+                     QuadratureError)
 from .wavefunctions import _outer
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
@@ -314,83 +313,3 @@ def action_integral(psi, a_field, path, method: DerivativeMethod = ANALYTIC, *,
     err = abs(predicted - end_val) / abs(end_val)
     return ActionResult(phi, complex(theta), float(err), panels[0])
 
-
-# ---------------------------------------------------------------------------
-# one-stop diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResidualSample:
-    """All residuals at one event; entries are None when their evaluation
-    failed, with the reason recorded in flags."""
-
-    event: Event
-    psi_magnitude: float
-    mass_shell: Optional[complex] = None
-    newton: Optional[np.ndarray] = None
-    curl_k: Optional[np.ndarray] = None
-    divergence: Optional[complex] = None
-    continuity: Optional[complex] = None  # independent divergence evaluation
-    kg: Optional[complex] = None
-    nonlinear: Optional[complex] = None
-    flags: dict = field(default_factory=dict)
-
-
-def diagnose_point(psi, a_field, e: Event,
-                   method: DerivativeMethod = ANALYTIC, *,
-                   constants: PhysicalConstants = NATURAL_UNITS,
-                   eps_psi: float = DEFAULT_EPS_PSI) -> ResidualSample:
-    """Evaluate the full residual chain at one event; never raises.
-
-    Individual failures (near-zero psi, singular potential) are recorded as
-    flags; the kg entry falls back to the unnormalized numerator when psi
-    is too small to divide by.
-    """
-    flags: dict = {}
-    values: dict = {}
-    try:
-        psi_mag = abs(complex(psi(e)))
-    except SingularPointError as exc:
-        return ResidualSample(event=e, psi_magnitude=float("nan"),
-                              flags={"psi": f"singular: {exc}"})
-
-    def attempt(name, fn):
-        try:
-            values[name] = fn()
-        except NearZeroWavefunctionError:
-            flags[name] = "near-zero-wavefunction"
-        except SingularPointError:
-            flags[name] = "singular-potential"
-        except ParameterError as exc:
-            flags[name] = f"unsupported: {exc}"
-
-    kw = {"constants": constants, "eps_psi": eps_psi}
-    attempt("mass_shell",
-            lambda: mass_shell_residual(psi, a_field, e, method, **kw))
-    attempt("newton", lambda: newton_residual(psi, a_field, e, method, **kw))
-    attempt("curl_k", lambda: curl_k(psi, a_field, e, method, **kw))
-
-    def _div():
-        res = divergence_mu(psi, a_field, e, method, **kw)
-        values["continuity"] = res.independent
-        if not res.lorenz_ok:
-            flags["divergence"] = "gauge-violation"
-        return res.value
-
-    attempt("divergence", _div)
-
-    def _kg():
-        try:
-            return kg_residual(psi, a_field, e, method, **kw)
-        except NearZeroWavefunctionError:
-            flags["kg"] = "near-zero-wavefunction; unnormalized value"
-            return kg_residual(psi, a_field, e, method, normalized=False, **kw)
-
-    attempt("kg", _kg)
-    attempt("nonlinear",
-            lambda: nonlinear_wave_residual(psi, a_field, e, method, **kw))
-
-    return ResidualSample(event=e, psi_magnitude=psi_mag, flags=flags,
-                          **{k: values.get(k) for k in
-                             ("mass_shell", "newton", "curl_k", "divergence",
-                              "continuity", "kg", "nonlinear")})

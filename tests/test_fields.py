@@ -47,6 +47,12 @@ def test_coulomb_rejects_bad_coupling_and_singular_points():
         field.grad(Event(1e-13, 0.0, 0.0, 0.0))
 
 
+def test_coulomb_rejects_zero_charge():
+    # the coupling q*A_4 is fixed, so A_4 = coupling / q has no value at q = 0
+    with pytest.raises(ParameterError):
+        coulomb_potential(0.4, PhysicalConstants(q=0.0))
+
+
 def test_coulomb_satisfies_lorenz_gauge():
     field = coulomb_potential(0.4, NATURAL_UNITS)
     for e in (E0, Event(0.3, -0.2, 0.5, 1.7), Event(-2.0, 0.1, 0.0, -0.4)):

@@ -1,5 +1,6 @@
 """Scenario runner configs, report shape, and the command line contract."""
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -7,9 +8,10 @@ import sys
 
 import pytest
 
-from fourvel import (ConfigError, InvalidBoostError, QuadratureError,
-                     SingularPointError, config_from_dict, default_config,
-                     export_report, list_scenarios, run_scenario)
+from fourvel import (ConfigError, DerivativeMethod, InvalidBoostError,
+                     QuadratureError, SingularPointError, config_from_dict,
+                     default_config, export_report, list_scenarios,
+                     run_scenario)
 from fourvel import runner
 from fourvel.cli import main
 from fourvel.runner import report_to_csv, report_to_json
@@ -340,10 +342,85 @@ def test_worldline_fixture_out_of_range_exits_two(tmp_path, capsys, fixture):
                                    SingularPointError])
 def test_toolkit_errors_raised_by_a_scenario_exit_two(monkeypatch, capsys,
                                                       error):
-    def broken(cfg, rng, col):
+    def broken(cfg, rng, col, events):
         raise error("raised while building the scenario")
 
-    monkeypatch.setitem(runner._SCENARIOS, "clifford", broken)
+    spec = dataclasses.replace(runner._SCENARIOS["clifford"], build=broken)
+    monkeypatch.setitem(runner._SCENARIOS, "clifford", spec)
     assert main(["run", "clifford", "--no-timestamp"]) == 2
     err = capsys.readouterr().err
     assert "config error: raised while building the scenario" in err
+
+
+# out-of-range values of the right type: an empty energy bracket, a
+# bracket with no points and a gauge polynomial of unsupported degree
+@pytest.mark.parametrize("scenario, fixture", [
+    ("dirac-coulomb-1s", {"scan_lo": 0.95, "scan_hi": 0.85}),
+    ("dirac-coulomb-1s", {"scan_lo": 0.9, "scan_hi": 0.9}),
+    ("dirac-coulomb-1s", {"scan_points": 0}),
+    ("gauge-orbit", {"degree": 3}),
+    ("gauge-orbit", {"degree": 0}),
+], ids=["scan_lo>scan_hi", "scan_lo=scan_hi", "scan_points=0", "degree=3",
+        "degree=0"])
+def test_fixture_out_of_range_exits_two(tmp_path, capsys, scenario, fixture):
+    doc = {"fixture": fixture}
+    with pytest.raises(ConfigError):
+        config_from_dict(doc, scenario)
+    assert _run_config(tmp_path, scenario, doc) == 2
+    assert "config error" in capsys.readouterr().err
+    # a config built in code meets the same limits
+    cfg = default_config(scenario)
+    cfg = dataclasses.replace(cfg, fixture={**cfg.fixture, **fixture})
+    with pytest.raises(ConfigError):
+        run_scenario(cfg)
+
+
+def test_default_configs_do_not_share_the_records_values():
+    cfg = default_config("plane-wave")
+    cfg.fixture["momenta"].append([2.0, 0.0, 0.0])
+    cfg.cloud["center"][0] = 1.0
+    for name in ("plane-wave", "dirac-plane-wave"):
+        fresh = default_config(name)
+        assert len(fresh.fixture["momenta"]) == 3
+        assert fresh.cloud["center"] == [0, 0, 0, 0]
+
+
+def test_scenario_name_that_is_not_a_string_is_unknown():
+    with pytest.raises(ConfigError, match="unknown scenario"):
+        config_from_dict({"scenario": ["clifford"]})
+
+
+# the Coulomb potential fixes q*A_4, so it has no value at q = 0
+@pytest.mark.parametrize("scenario", ["kg-coulomb-1s", "dirac-coulomb-1s",
+                                      "action-path"])
+def test_zero_charge_in_a_coulomb_scenario_exits_two(tmp_path, capsys,
+                                                     scenario):
+    assert _run_config(tmp_path, scenario, {"constants": {"q": 0.0}}) == 2
+    assert "nonzero charge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["clifford", "action-path",
+                                      "worldline-pierce"])
+def test_cloud_is_refused_where_no_cloud_is_sampled(tmp_path, capsys,
+                                                    scenario):
+    good = {"kind": "ray", "r_min": 0.5, "r_max": 5.0, "count": 9}
+    bad = {"kind": "ray", "r_min": "x", "count": -3}
+    for cloud in (good, bad):
+        with pytest.raises(ConfigError, match="samples no cloud"):
+            config_from_dict({"cloud": cloud}, scenario)
+    assert _run_config(tmp_path, scenario, {"cloud": good}) == 2
+    assert "samples no cloud" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the scenario record matches what the scenario reports
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["analytic", "central"])
+@pytest.mark.parametrize("scenario", list_scenarios())
+def test_reported_checks_are_the_records_tolerance_keys(scenario, mode):
+    cfg = default_config(scenario)
+    cfg = dataclasses.replace(cfg, method=DerivativeMethod(mode))
+    report = run_scenario(cfg)
+    assert ({c.name for c in report.checks}
+            == set(runner._SCENARIOS[scenario].tolerances))

@@ -13,7 +13,7 @@ import pytest
 from fourvel import (ANALYTIC, Event, NATURAL_UNITS, NearZeroWavefunctionError,
                      ParameterError, PhysicalConstants, QuadratureError,
                      action_integral, canonical_momentum, central, contract,
-                     coulomb_potential, curl_k, diagnose_point, differentiate,
+                     coulomb_potential, curl_k, differentiate,
                      divergence_mu, extract_u, gaussian_polynomial_wave,
                      kg_coulomb_1s, kg_residual, mass_shell_residual,
                      momentum_gradient, newton_residual,
@@ -179,25 +179,6 @@ def test_near_zero_wave_raises_with_context():
     with pytest.raises(NearZeroWavefunctionError) as exc:
         extract_u(wave, A0, Event(0.0, 1.0, 0.0, 0.0), ANALYTIC, constants=C)
     assert exc.value.magnitude == 0.0
-
-
-def test_diagnose_point_flags_instead_of_raising():
-    def psi(e):
-        return complex(e.x1)
-
-    from fourvel import ScalarWave
-    wave = ScalarWave("node", psi, lambda e: np.array([1, 0, 0, 0], complex),
-                      lambda e: 0.0)
-    sample = diagnose_point(wave, A0, Event(0.0, 1.0, 0.0, 0.0), ANALYTIC,
-                            constants=C)
-    assert sample.flags
-    assert sample.mass_shell is None
-
-    good = diagnose_point(plane_wave((1, 0, 0), C), A0, Event(0, 0, 0, 0),
-                          ANALYTIC, constants=C)
-    assert not good.flags
-    assert abs(good.mass_shell) < 1e-12
-    assert abs(good.kg) < 1e-12
 
 
 # ---------------------------------------------------------------------------
