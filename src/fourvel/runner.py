@@ -22,7 +22,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import __version__
 from .core4 import (DEFAULT_EPS_PSI, DerivativeMethod, Event, EventArray,
@@ -93,10 +92,29 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _scale_limits(k: PhysicalConstants):
+    """Refuse units whose scales overflow or underflow once the fixtures
+    square them; q = 0 stays allowed, for scenarios without a charge."""
+    c = k.c
+    scales = {"m c^2": k.m * c * c, "hbar c": k.hbar * c,
+              "m c / hbar": k.m * c / k.hbar, "c^2": c * c}
+    if k.q != 0.0:
+        scales["q"] = k.q
+    for name, value in scales.items():
+        _require(math.isfinite(value * value) and value * value != 0.0,
+                 f"constants out of range: ({name})^2 = {value * value!r} "
+                 f"is not a finite nonzero number")
+
+
 def _is_number(value) -> bool:
-    """A finite JSON number; booleans are not numbers here."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A finite JSON number within the float range; booleans are not
+    numbers here."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an integer too large for a float
+        return False
 
 
 def _is_count(value) -> bool:
@@ -149,6 +167,7 @@ def config_from_dict(doc: dict, scenario: Optional[str] = None) -> ScenarioConfi
         constants = PhysicalConstants(**{**vars(base.constants), **const_kwargs})
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
+    _scale_limits(constants)
 
     mdoc = doc.get("method", {})
     for key in mdoc:
@@ -466,6 +485,77 @@ def _scn_dirac_plane_wave(cfg: ScenarioConfig, rng, col: _Collector,
                       [("dirac_to_kg", _worst(sq - direct))])
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAXFUN = 500
+
+
+def _fminbound(f: Callable[[float], float], lo: float, hi: float,
+               xatol: float) -> float:
+    """The x in [lo, hi] where f is least, by Brent's bounded minimizer:
+    golden-section steps, parabolic steps where the fit is acceptable, and
+    an absolute x tolerance xatol (R. P. Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 5; the fmin of Forsythe, Malcolm and
+    Moler, 1977). Each step, tie and sign rule is that of scipy's
+    minimize_scalar(method="bounded"), so both return the same x bit for
+    bit; gives up after _MAXFUN evaluations of f."""
+    a, b = lo, hi
+    v = w = x = a + _GOLDEN * (b - a)   # w, v: the second and third best
+    fv = fw = fx = f(x)
+    d = e = 0.0                         # the last step and the one before
+    nfev = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(x - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through (v, fv), (w, fw), (x, fx)
+            golden = False
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = tol1 if xm - x >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - x) if x >= xm else (b - x)
+            d = _GOLDEN * e
+        u = x + (1.0 if d >= 0.0 else -1.0) * max(abs(d), tol1)
+        fu = f(u)
+        nfev += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if nfev >= _MAXFUN:
+            break
+    return x
+
+
 def _scn_dirac_coulomb(cfg: ScenarioConfig, rng, col: _Collector, events):
     za = float(cfg.fixture["z_alpha"])
     consts = cfg.constants
@@ -501,11 +591,10 @@ def _scn_dirac_coulomb(cfg: ScenarioConfig, rng, col: _Collector, events):
 
     lo = float(cfg.fixture["scan_lo"]) * mc2
     hi = float(cfg.fixture["scan_hi"]) * mc2
-    found = minimize_scalar(scan_norm, bounds=(lo, hi), method="bounded",
-                            options={"xatol": 1e-9})
+    found = _fminbound(scan_norm, lo, hi, 1e-9)
     expected = math.sqrt(1.0 - za ** 2) * mc2
     col.add("energy_scan", spinor.label, 0, scan.event(0),
-            abs(float(found.x) - expected) / mc2)
+            abs(found - expected) / mc2)
 
 
 _DEG2_MONOMIALS = [
@@ -660,6 +749,8 @@ def _gauge_orbit_limits(fixture: dict):
 
 
 def _worldline_limits(fixture: dict):
+    _require(math.isfinite(fixture["radius"] * fixture["radius"]),
+             "fixture radius must have a finite square")
     _require(0 <= fixture["max_boost"] < 1,
              "fixture max_boost must lie in [0, 1) (a fraction of c)")
     _require(abs(fixture["ct0"]) < fixture["radius"],
@@ -779,6 +870,7 @@ def _config_echo(cfg: ScenarioConfig) -> dict:
 
 def run_scenario(cfg: ScenarioConfig) -> ResidualReport:
     spec = _spec(cfg.scenario)
+    _scale_limits(cfg.constants)
     spec.limits(cfg.fixture)
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)

@@ -49,8 +49,15 @@ class Worldline:
 
 def _lib(lam):
     """numpy for a lambda array; math for one lambda, so Events hold Python
-    floats and a bisection step pays no numpy dispatch."""
-    return np if isinstance(lam, np.ndarray) else math
+    floats and a bisection step pays no numpy dispatch. A non-finite lambda
+    is refused before any coordinate is evaluated from it."""
+    if isinstance(lam, np.ndarray):
+        finite, lib = bool(np.all(np.isfinite(lam))), np
+    else:
+        finite, lib = math.isfinite(lam), math
+    if not finite:
+        raise ParameterError(f"worldline parameter {lam} is not finite")
+    return lib
 
 
 def _at(lam, x1, x2, x3, t):
@@ -80,6 +87,7 @@ def make_worldline(kind: str, *, c: float = 1.0, **params) -> Worldline:
         vel = np.array([v[0], v[1], v[2], 1.0])
 
         def position(lam):
+            _lib(lam)   # refuses a non-finite lambda
             return _at(lam, x0.x1 + lam * v[0], x0.x2 + lam * v[1],
                        x0.x3 + lam * v[2], x0.t + lam)
 

@@ -9,9 +9,9 @@ import sys
 import pytest
 
 from fourvel import (ConfigError, DerivativeMethod, InvalidBoostError,
-                     QuadratureError, SingularPointError, config_from_dict,
-                     default_config, export_report, list_scenarios,
-                     run_scenario)
+                     PhysicalConstants, QuadratureError, SingularPointError,
+                     config_from_dict, default_config, export_report,
+                     list_scenarios, run_scenario)
 from fourvel import runner
 from fourvel.cli import main
 from fourvel.runner import report_to_csv, report_to_json
@@ -336,6 +336,50 @@ def test_worldline_fixture_out_of_range_exits_two(tmp_path, capsys, fixture):
         config_from_dict(doc, "worldline-pierce")
     assert _run_config(tmp_path, "worldline-pierce", doc) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_worldline_radius_with_an_infinite_square_exits_two(tmp_path, capsys):
+    doc = {"fixture": {"radius": 1e200}}
+    with pytest.raises(ConfigError, match="radius"):
+        config_from_dict(doc, "worldline-pierce")
+    assert _run_config(tmp_path, "worldline-pierce", doc) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+# units whose scales (m c^2, hbar c, m c / hbar, q, c^2) overflow or
+# underflow once squared are refused before any fixture is built
+@pytest.mark.parametrize("value", [1e200, 1e-200])
+@pytest.mark.parametrize("constant", ["c", "m", "hbar", "q"])
+@pytest.mark.parametrize("scenario", list_scenarios())
+def test_extreme_constants_exit_two(tmp_path, capsys, scenario, constant,
+                                    value):
+    doc = {"constants": {constant: value}}
+    assert _run_config(tmp_path, scenario, doc) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    cfg = dataclasses.replace(default_config(scenario),
+                              constants=PhysicalConstants(**{constant: value}))
+    with pytest.raises(ConfigError):
+        run_scenario(cfg)
+
+
+# JSON integers beyond the float range are not finite numbers
+@pytest.mark.parametrize("scenario, doc", [
+    ("kg-coulomb-1s", {"constants": {"c": 10 ** 400}}),
+    ("kg-coulomb-1s", {"fixture": {"z_alpha": 10 ** 400}}),
+    ("worldline-pierce", {"fixture": {"radius": -10 ** 400}}),
+], ids=["constant", "fixture", "negative-fixture"])
+def test_integers_beyond_the_float_range_exit_two(tmp_path, capsys, scenario,
+                                                  doc):
+    assert _run_config(tmp_path, scenario, doc) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_si_constants_are_still_accepted():
+    si = {"hbar": 1.054571817e-34, "c": 299792458.0, "m": 9.1093837e-31,
+          "q": -1.602176634e-19}
+    assert vars(config_from_dict({"constants": si}, "plane-wave").constants) \
+        == si
 
 
 @pytest.mark.parametrize("error", [InvalidBoostError, QuadratureError,

@@ -6,6 +6,7 @@ compared with an oracle written here: a scan that evaluates closed forms
 of t(lambda) one lambda at a time and shares no code with the library.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,18 @@ def test_boost_of_an_event_array_matches_each_event_bit_for_bit(v, c):
 def test_non_finite_lambda_array_is_rejected(name, bad):
     with np.errstate(invalid="ignore"), pytest.raises(ParameterError):
         CATALOG[name].position(np.array([0.0, bad, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_non_finite_lambda_is_refused_before_it_is_evaluated(name, bad):
+    # no math domain error for one lambda, no numpy warning for an array
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError):
+            CATALOG[name].position(bad)
+        with pytest.raises(ParameterError):
+            CATALOG[name].position(np.array([0.0, bad]))
 
 
 # ---------------------------------------------------------------------------
