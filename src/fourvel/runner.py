@@ -19,6 +19,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field as dc_field
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
 import numpy as np
@@ -117,6 +118,21 @@ def _is_number(value) -> bool:
         return False
 
 
+# the most samples, draws, gauges, boosts or scan points any one count of a
+# configuration may ask for
+_MAX_COUNT = 10_000
+
+
+def _limits(spec: Scenario, fixture: dict):
+    """Refuse a fixture count above _MAX_COUNT (an integer default marks a
+    count), then a value out of the scenario's own limits."""
+    for key, default in spec.fixture.items():
+        if isinstance(default, int):
+            _require(fixture[key] <= _MAX_COUNT,
+                     f"fixture {key} must be at most {_MAX_COUNT}")
+    spec.limits(fixture)
+
+
 def _is_count(value) -> bool:
     return (isinstance(value, int) and not isinstance(value, bool)
             and value >= 0)
@@ -195,7 +211,7 @@ def config_from_dict(doc: dict, scenario: Optional[str] = None) -> ScenarioConfi
                  f"fixture {key} = {value!r} does not have the type and "
                  f"shape of its default {default!r}")
         fixture[key] = value
-    spec.limits(fixture)
+    _limits(spec, fixture)
 
     cloud = base.cloud
     if "cloud" in doc:
@@ -362,8 +378,8 @@ def _build_cloud(spec: dict, rng: np.random.Generator,
     other kinds are refused."""
     kind = spec["kind"]
     if kind in ("ray", "random-ball"):
-        _require(_is_count(spec["count"]),
-                 "cloud count must be a nonnegative integer")
+        _require(_is_count(spec["count"]) and spec["count"] <= _MAX_COUNT,
+                 f"cloud count must be an integer in [0, {_MAX_COUNT}]")
     if kind == "ray":
         bounds = (spec["r_min"], spec["r_max"], spec.get("t", 0.0))
         _require(all(_is_number(v) for v in bounds),
@@ -871,7 +887,7 @@ def _config_echo(cfg: ScenarioConfig) -> dict:
 def run_scenario(cfg: ScenarioConfig) -> ResidualReport:
     spec = _spec(cfg.scenario)
     _scale_limits(cfg.constants)
-    spec.limits(cfg.fixture)
+    _limits(spec, cfg.fixture)
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     col = _Collector(spec.tolerances, cfg.method.mode, cfg.tolerances)
@@ -893,7 +909,54 @@ def run_scenario(cfg: ScenarioConfig) -> ResidualReport:
     )
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# one row at the rows array's depth in json.dumps(sort_keys=True, indent=2):
+# case, check, index, magnitude, then the coordinate block t, x1, x2, x3
+_JSON_ROW = ('    {\n      "case": %s,\n      "check": %s,\n'
+             '      "index": %d,\n      "magnitude": %s,\n%s\n    }')
+_JSON_COORDS = ('      "t": %s,\n      "x1": %s,\n      "x2": %s,\n'
+                '      "x3": %s')
+_JSON_ROWS_SLOT = '\n  "rows": [],\n'
+
+
+def _json_float(x: float) -> str:
+    """x as json spells it: float repr, or NaN, Infinity and -Infinity."""
+    text = float.__repr__(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _json_rows(rows) -> list:
+    """The text of each row as json.dumps(sort_keys=True, indent=2) writes
+    it inside the report. Labels are escaped once each, and the coordinate
+    block once per distinct (x1, x2, x3, t): an event's coordinates repeat
+    on every check row it has."""
+    labels, coords, out = {}, {}, []
+    for row in rows:
+        case, check = row["case"], row["check"]
+        x1, x2, x3, t = key = row["x1"], row["x2"], row["x3"], row["t"]
+        if 0.0 in key:   # 0.0 == -0.0, yet they print differently
+            key += tuple(math.copysign(1.0, v) for v in key)
+        block = coords.get(key)
+        if block is None:
+            block = coords[key] = _JSON_COORDS % (
+                _json_float(t), _json_float(x1), _json_float(x2),
+                _json_float(x3))
+        if case not in labels:
+            labels[case] = encode_basestring_ascii(case)
+        if check not in labels:
+            labels[check] = encode_basestring_ascii(check)
+        out.append(_JSON_ROW % (labels[case], labels[check], row["index"],
+                                _json_float(row["magnitude"]), block))
+    return out
+
+
 def report_to_json(report: ResidualReport) -> str:
+    """The report as json.dumps(doc, sort_keys=True, indent=2) + "\\n"
+    would write it, byte for byte. Only the header goes through json.dumps,
+    with an empty rows array: with an indent, json encodes in pure Python,
+    and the rows are almost all of the text. They are written by
+    _json_rows and spliced in."""
     doc = {
         "schema": "fourvel-report/1",
         "scenario": report.scenario,
@@ -903,14 +966,21 @@ def report_to_json(report: ResidualReport) -> str:
              "tolerance": c.tolerance, "passed": c.passed, "count": c.count}
             for c in report.checks
         ],
-        "rows": list(report.rows),
+        "rows": [],
         "passed": report.passed,
         "version": report.version,
     }
     if report.timestamp is not None:
         doc["timestamp"] = report.timestamp
         doc["duration_s"] = report.duration_s
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if not report.rows:
+        return text
+    # the only line at the top level's indent that opens a "rows" key;
+    # a string in the header cannot hold a raw newline
+    head, _, tail = text.partition(_JSON_ROWS_SLOT)
+    return "".join((head, '\n  "rows": [\n',
+                    ",\n".join(_json_rows(report.rows)), "\n  ],\n", tail))
 
 
 _CSV_HEADER = ("case", "check", "index", "x1", "x2", "x3", "t", "magnitude")

@@ -86,12 +86,16 @@ def make_worldline(kind: str, *, c: float = 1.0, **params) -> Worldline:
         lam_range = tuple(params.get("lam_range", (-10.0, 10.0)))
         vel = np.array([v[0], v[1], v[2], 1.0])
 
+        def velocity(lam: float) -> np.ndarray:
+            _lib(lam)
+            return vel
+
         def position(lam):
             _lib(lam)   # refuses a non-finite lambda
             return _at(lam, x0.x1 + lam * v[0], x0.x2 + lam * v[1],
                        x0.x3 + lam * v[2], x0.t + lam)
 
-        return Worldline("line", position, lambda lam: vel, lam_range, c,
+        return Worldline("line", position, velocity, lam_range, c,
                          {"v": tuple(v), "x0": x0})
 
     if kind == "helix":
@@ -107,6 +111,7 @@ def make_worldline(kind: str, *, c: float = 1.0, **params) -> Worldline:
                        radius * m.sin(omega * lam), 0.0, lam)
 
         def velocity(lam: float) -> np.ndarray:
+            _lib(lam)
             return np.array([-radius * omega * math.sin(omega * lam),
                              radius * omega * math.cos(omega * lam), 0.0, 1.0])
 
@@ -125,6 +130,7 @@ def make_worldline(kind: str, *, c: float = 1.0, **params) -> Worldline:
                        radius * m.sin(lam) / c)
 
         def velocity(lam: float) -> np.ndarray:
+            _lib(lam)
             return np.array([-radius * math.sin(lam), 0.0, 0.0,
                              radius * math.cos(lam) / c])
 
@@ -194,11 +200,20 @@ def pierce_points(w: Worldline, t0: float, *, grid: int = 4096,
     Sign changes of f = t(lambda) - t0 over the grid are bisected to width
     lam_tol; local extrema of f with |f| < tangent_tol catch double roots
     that never change sign. Any root where |dt/dlambda| < tangent_slope_tol
-    is flagged as a tangential (grazing) contact. Results sorted by lambda.
+    is flagged as a tangential (grazing) contact. tangent_tol is relative
+    to the slice's t-scale, the largest of |t0| and |t| over the grid,
+    since t carries rounding error in proportion to it; tangent_slope_tol
+    is relative to the grid's largest |dt/dlambda|, which a shift in t
+    leaves unchanged. Results sorted by lambda.
     """
     lo, hi = w.lam_range
     lams = np.linspace(lo, hi, grid + 1)
-    f = w.position(lams).t - t0
+    cell = (hi - lo) / grid
+    t = w.position(lams).t
+    tangent_tol *= max(abs(t0), float(np.max(np.abs(t)))) or 1.0
+    tangent_slope_tol *= float(np.max(np.abs(np.diff(t)))) / cell or 1.0
+    f = t - t0
+    sign = np.sign(f)   # a product of two f values may overflow or underflow
 
     def bisect(a: float, b: float) -> float:
         fa = w.position(a).t - t0
@@ -215,10 +230,9 @@ def pierce_points(w: Worldline, t0: float, *, grid: int = 4096,
 
     roots = [float(lams[i]) for i in np.flatnonzero(f == 0.0)]
     roots += [bisect(float(lams[i]), float(lams[i + 1]))
-              for i in np.flatnonzero(f[:-1] * f[1:] < 0.0)]
+              for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
 
     # double roots: refine each discrete extremum of f, keep those touching 0
-    cell = (hi - lo) / grid
     df = np.diff(f)
     turns = (df[:-1] != 0.0) & ((df[:-1] < 0) != (df[1:] < 0))
     for i in np.flatnonzero(turns) + 1:

@@ -346,6 +346,57 @@ def test_worldline_radius_with_an_infinite_square_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# the grazing slice at ct0 = radius is flagged tangent at every scale whose
+# square is finite, not only where dt/dlambda is small in absolute terms
+@pytest.mark.parametrize("radius", [10.0, 1e6, 1e10, 1e12, 1e20, 1e50, 1e100,
+                                    1e150])
+def test_worldline_large_radius_passes(tmp_path, radius):
+    assert _run_config(tmp_path, "worldline-pierce",
+                       {"fixture": {"radius": radius}}) == 0
+
+
+# every count is refused above one fixed bound before any work is done
+@pytest.mark.parametrize("scenario, key", [
+    ("dirac-plane-wave", "n_random_spinors"), ("gauge-orbit", "n_gauges"),
+    ("clifford", "n_random_p"), ("worldline-pierce", "n_boosts"),
+    ("dirac-coulomb-1s", "scan_points")])
+def test_fixture_count_above_the_bound_exits_two(tmp_path, capsys, scenario,
+                                                 key):
+    cap = runner._MAX_COUNT
+    assert config_from_dict({"fixture": {key: cap}}, scenario)
+    doc = {"fixture": {key: cap + 1}}
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(doc, scenario)
+    assert _run_config(tmp_path, scenario, doc) == 2
+    assert "config error" in capsys.readouterr().err
+    cfg = default_config(scenario)
+    cfg = dataclasses.replace(cfg, fixture={**cfg.fixture, key: cap + 1})
+    with pytest.raises(ConfigError, match=key):
+        run_scenario(cfg)
+
+
+@pytest.mark.parametrize("scenario, cloud", [
+    ("plane-wave", {"kind": "random-ball", "radius": 1.0}),
+    ("kg-coulomb-1s", {"kind": "ray", "r_min": 0.5, "r_max": 5.0})])
+def test_cloud_count_above_the_bound_exits_two(tmp_path, capsys, scenario,
+                                               cloud):
+    doc = {"cloud": {**cloud, "count": runner._MAX_COUNT + 1}}
+    assert _run_config(tmp_path, scenario, doc) == 2
+    assert "cloud count" in capsys.readouterr().err
+
+
+def test_a_billion_random_spinors_is_refused_at_once(tmp_path):
+    # the timeout turns a regression into a failure instead of a weeks-long
+    # run
+    cfgfile = tmp_path / "spinors.json"
+    cfgfile.write_text(json.dumps({"fixture": {"n_random_spinors": 10 ** 9}}))
+    r = subprocess.run([sys.executable, "-m", "fourvel", "run",
+                        "dirac-plane-wave", "--config", str(cfgfile)],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 2
+    assert "n_random_spinors" in r.stderr and "Traceback" not in r.stderr
+
+
 # units whose scales (m c^2, hbar c, m c / hbar, q, c^2) overflow or
 # underflow once squared are refused before any fixture is built
 @pytest.mark.parametrize("value", [1e200, 1e-200])

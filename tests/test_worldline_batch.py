@@ -13,7 +13,8 @@ import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 from fourvel import (Event, EventArray, ParameterError, Worldline, boost_x1,
-                     boost_worldline, make_worldline, pierce_points)
+                     boost_worldline, classify_speed, four_velocity,
+                     make_worldline, pierce_points)
 
 X0 = Event(0.7, -1.2, 0.4, 2.5)
 LINE_V = (0.3, 0.1, -0.2)
@@ -235,3 +236,47 @@ def test_pierce_points_scans_the_grid_in_one_array_call(name, w, t0):
     assert shapes == [(4097,)]
     pierce_points(counted, t0, grid=64)
     assert shapes == [(4097,), (65,)]
+
+
+# the tangent and everything built on it refuse a non-finite lambda as
+# position does, with no math domain error first
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_non_finite_lambda_is_refused_by_the_tangent(name, bad):
+    w = CATALOG[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (w.velocity, w.tangent4,
+                     lambda lam: classify_speed(w, lam),
+                     lambda lam: four_velocity(w, lam)):
+            with pytest.raises(ParameterError, match="not finite"):
+                call(bad)
+
+
+# the tangent tolerances follow the slice's t-scale: a circle of any radius
+# grazed at its top gives one tangent root there
+@pytest.mark.parametrize("radius", [1e-6, 1.0, 10.0, 1e6, 1e12, 1e50, 1e150,
+                                    1e154])
+def test_grazing_contact_is_tangent_at_every_scale(radius):
+    w = make_worldline("circle-x1x4", radius=radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = pierce_points(w, radius)
+        crossing = pierce_points(w, 0.5 * radius)
+    assert len(top) == 1 and top[0].tangent
+    assert top[0].lam == pytest.approx(math.pi / 2, abs=1e-6)
+    assert len(crossing) == 2 and not any(p.tangent for p in crossing)
+
+
+# the slope tolerance follows the grid's own |dt/dlambda|, not the size of
+# t: a unit-slope line crossed far from t = 0, or over a long lambda range,
+# is a transversal crossing
+@pytest.mark.parametrize("w, t0", [
+    (make_worldline("line", x0=Event(0.0, 0.0, 0.0, 1e6)), 1e6),
+    (make_worldline("line", lam_range=(-1e7, 1e7)), 0.0),
+    (make_worldline("line", x0=Event(0.0, 0.0, 0.0, -1e12),
+                    lam_range=(-1e7, 1e7)), -1e12 + 3.0),
+])
+def test_transversal_crossing_is_not_tangent_at_any_t_offset(w, t0):
+    points = pierce_points(w, t0)
+    assert len(points) == 1 and not points[0].tangent
