@@ -9,7 +9,10 @@ evaluate it elementwise; batch results carry a leading K axis.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from numbers import Number
 from typing import Callable
 
 import numpy as np
@@ -122,77 +125,71 @@ class GaugeFunction:
 def polynomial_gauge(terms: dict, c: float = 1.0) -> GaugeFunction:
     """Gauge generator from monomial terms {(n1, n2, n3, nt): coeff}.
 
-    Exponents refer to (x1, x2, x3, t); coefficients must be real. All
-    derivatives are exact, with each t-derivative picking up 1/(i*c).
+    Exponents refer to (x1, x2, x3, t) and must be non-negative integers (int
+    or numpy integer); coefficients must be finite and real, a complex with
+    zero imaginary part included. Anything else raises ParameterError. All
+    derivatives are exact, with each t-derivative picking up 1/(i*c); the
+    terms are differentiated here, once per axis and once per axis pair.
     """
-    clean = {}
-    degree = 0
-    for expo, coeff in terms.items():
-        expo = tuple(int(n) for n in expo)
-        if len(expo) != 4 or any(n < 0 for n in expo):
-            raise ParameterError(f"bad monomial exponents {expo}")
-        if abs(complex(coeff).imag) > 0:
-            raise ParameterError("gauge function must be real")
-        clean[expo] = float(coeff)
-        degree = max(degree, sum(expo))
+    table = {}
+    for key, coeff in terms.items():
+        try:
+            expo = tuple(operator.index(n) for n in key)
+            z = complex(coeff) if isinstance(coeff, Number) else math.nan
+        except (TypeError, OverflowError):
+            expo, z = (), math.nan
+        if len(expo) != 4 or min(expo) < 0 or z.imag != 0 \
+                or not math.isfinite(z.real):
+            raise ParameterError(f"bad gauge term {key!r}: {coeff!r}; need 4 "
+                                 "integer exponents >= 0 and a finite real")
+        table[expo] = z.real
 
-    def _mono(e: Event, expo):
-        v = 1.0
-        for base, n in zip((e.x1, e.x2, e.x3, e.t), expo):
-            v *= base ** n
-        return v
+    def diff(poly: dict, axis: int) -> dict:
+        # d/dx_axis term by term; a term free of x_axis drops out, and no
+        # two terms merge, since lowering one exponent is injective
+        return {ex[:axis] + (ex[axis] - 1,) + ex[axis + 1:]: co * ex[axis]
+                for ex, co in poly.items() if ex[axis]}
 
-    def _diff(expo, axis):
-        # differentiate one monomial: returns (factor, new exponents) or None
-        if expo[axis] == 0:
-            return None
-        new = list(expo)
-        new[axis] -= 1
-        return float(expo[axis]), tuple(new)
-
-    def _fold(acc, n_t: int):
-        # acc / (i c)^n_t, each division rounded as for a Python complex
-        if n_t == 0:
-            return acc
+    def evaluate(poly: dict, n_t: int, x: tuple):
+        # the terms summed left to right, zero powers skipped (exact, as
+        # x**0 == 1.0 and 1.0 * v == v), then divided by (i c)^n_t with
+        # each division rounded as for a Python complex
+        acc = 0.0
+        for ex, co in poly.items():
+            v = 1.0
+            for base, n in zip(x, ex):
+                if n:
+                    v = v * base ** n
+            acc += co * v
         if n_t == 1:
             return -1j * (acc / c)
-        return -(acc / c) / c
+        return -(acc / c) / c if n_t == 2 else acc
+
+    first = [diff(table, ax) for ax in range(4)]
+    second = {(a1, a2): diff(first[a1], a2)
+              for a1 in range(4) for a2 in range(a1, 4)}
 
     def chi(e: Event) -> float:
         # + zeros keeps a batch's shape when every term is a constant
-        return sum(co * _mono(e, ex) for ex, co in clean.items()) \
+        return evaluate(table, 0, (e.x1, e.x2, e.x3, e.t)) \
             + _zeros(e, dtype=float)
 
     def grad4(e: Event) -> np.ndarray:
+        x = (e.x1, e.x2, e.x3, e.t)
         out = _zeros(e, 4)
-        for ax in range(4):
-            acc = 0.0
-            for ex, co in clean.items():
-                d = _diff(ex, ax)
-                if d is not None:
-                    acc += co * d[0] * _mono(e, d[1])
-            out[..., ax] = _fold(acc, ax == 3)
+        for ax, poly in enumerate(first):
+            out[..., ax] = evaluate(poly, ax == 3, x)
         return out
 
     def hess4(e: Event) -> np.ndarray:
+        x = (e.x1, e.x2, e.x3, e.t)
         out = _zeros(e, 4, 4)
-        for ax1 in range(4):
-            for ax2 in range(ax1, 4):
-                acc = 0.0
-                for ex, co in clean.items():
-                    d1 = _diff(ex, ax1)
-                    if d1 is None:
-                        continue
-                    d2 = _diff(d1[1], ax2)
-                    if d2 is None:
-                        continue
-                    acc += co * d1[0] * d2[0] * _mono(e, d2[1])
-                val = _fold(acc, (ax1 == 3) + (ax2 == 3))
-                out[..., ax1, ax2] = val
-                out[..., ax2, ax1] = val
+        for (a1, a2), poly in second.items():
+            out[..., a1, a2] = out[..., a2, a1] = evaluate(
+                poly, (a1 == 3) + (a2 == 3), x)
         return out
 
-    return GaugeFunction(chi, grad4, hess4, degree)
+    return GaugeFunction(chi, grad4, hess4, max(map(sum, table), default=0))
 
 
 def pure_gauge_potential(chi: GaugeFunction) -> PotentialField:

@@ -330,7 +330,9 @@ class _Collector:
         for name in self._order:
             mags = self._mags[name]
             tol = self.tolerance(name)
-            linf = max(mags) if mags else 0.0
+            # max() keeps a NaN only in first place; any NaN must fail
+            linf = math.nan if any(m != m for m in mags) \
+                else max(mags, default=0.0)
             l2 = math.sqrt(sum(m * m for m in mags))
             passed = True if tol is None else linf <= tol
             checks.append(CheckResult(name, linf, l2, tol, passed, len(mags)))

@@ -7,6 +7,8 @@ from fourvel import (ANALYTIC, Event, NATURAL_UNITS, ParameterError,
                      field_strength, gauge_transform, lorenz_gauge_residual,
                      plane_wave, polynomial_gauge, pure_gauge_potential,
                      zero_potential)
+from fourvel import runner
+from fourvel.core4 import EventArray
 
 E0 = Event(1.0, 0.0, 0.0, 0.0)
 
@@ -98,6 +100,140 @@ def test_polynomial_gauge_validation():
         polynomial_gauge({(1, 0, 0): 1.0})
     with pytest.raises(ParameterError):
         polynomial_gauge({(1, 0, 0, 0): 1.0j})
+    bad_terms = [
+        {(1.5, 0, 0, 0): 1.0}, {(1.0, 0, 0, 0): 1.0}, {("1", 0, 0, 0): 1.0},
+        {(1, 0, 0, -1): 1.0}, {(1, 0, 0, 0, 0): 1.0}, {1: 1.0},
+        {"1000": 1.0}, {None: 1.0},
+        {(1, 0, 0, 0): float("nan")}, {(1, 0, 0, 0): float("inf")},
+        {(1, 0, 0, 0): -float("inf")}, {(1, 0, 0, 0): complex("nan")},
+        {(1, 0, 0, 0): complex(1.0, float("nan"))},
+        {(1, 0, 0, 0): 1.0 + 1e-300j}, {(1, 0, 0, 0): "1.0"},
+        {(1, 0, 0, 0): None}, {(1, 0, 0, 0): [1.0]},
+        {(1, 0, 0, 0): 10 ** 400}, {(1, 0, 0, 0): np.float64("nan")},
+    ]
+    for terms in bad_terms:
+        with pytest.raises(ParameterError):
+            polynomial_gauge(terms)
+    # a real-valued complex coefficient is real, and integral exponents of
+    # any integer type are exponents
+    e = Event(0.4, -1.1, 0.6, 0.9)
+    ref = polynomial_gauge({(1, 0, 0, 1): 0.5, (0, 2, 0, 0): -3.0}, 1.3)
+    for terms in ({(1, 0, 0, 1): 0.5 + 0j, (0, 2, 0, 0): -3},
+                  {tuple(np.int64([1, 0, 0, 1])): np.float64(0.5),
+                   (0, np.uint8(2), 0, 0): np.complex128(-3.0)}):
+        chi = polynomial_gauge(terms, 1.3)
+        assert chi.degree == ref.degree == 2
+        for name in ("chi", "grad4", "hess4"):
+            np.testing.assert_array_equal(getattr(chi, name)(e),
+                                          getattr(ref, name)(e))
+
+
+def _reference_gauge(terms: dict, c: float):
+    """(chi, grad4, hess4) of terms computed the first way, independently of
+    the library: each call differentiates every monomial again and takes the
+    power of all four coordinates, zero powers included."""
+    clean = {tuple(int(n) for n in ex): float(co) for ex, co in terms.items()}
+
+    def mono(e, expo):
+        v = 1.0
+        for base, n in zip((e.x1, e.x2, e.x3, e.t), expo):
+            v *= base ** n
+        return v
+
+    def diff(expo, axis):
+        if expo[axis] == 0:
+            return None
+        new = list(expo)
+        new[axis] -= 1
+        return float(expo[axis]), tuple(new)
+
+    def fold(acc, n_t):
+        if n_t == 0:
+            return acc
+        if n_t == 1:
+            return -1j * (acc / c)
+        return -(acc / c) / c
+
+    def zeros(e, *shape, dtype=complex):
+        lead = () if isinstance(e, Event) else np.shape(e)[:-1]
+        return np.zeros(lead + shape, dtype=dtype)
+
+    def chi(e):
+        return sum(co * mono(e, ex) for ex, co in clean.items()) \
+            + zeros(e, dtype=float)
+
+    def grad4(e):
+        out = zeros(e, 4)
+        for ax in range(4):
+            acc = 0.0
+            for ex, co in clean.items():
+                d = diff(ex, ax)
+                if d is not None:
+                    acc += co * d[0] * mono(e, d[1])
+            out[..., ax] = fold(acc, ax == 3)
+        return out
+
+    def hess4(e):
+        out = zeros(e, 4, 4)
+        for ax1 in range(4):
+            for ax2 in range(ax1, 4):
+                acc = 0.0
+                for ex, co in clean.items():
+                    d1 = diff(ex, ax1)
+                    d2 = None if d1 is None else diff(d1[1], ax2)
+                    if d2 is not None:
+                        acc += co * d1[0] * d2[0] * mono(e, d2[1])
+                val = fold(acc, (ax1 == 3) + (ax2 == 3))
+                out[..., ax1, ax2] = val
+                out[..., ax2, ax1] = val
+        return out
+
+    return chi, grad4, hess4
+
+
+def _assert_same_bits(got, want):
+    # tobytes tells -0.0 from 0.0, which assert_array_equal does not
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+def _random_tables(rng):
+    expos = [ex for ex in np.ndindex(5, 5, 5, 5) if sum(ex) <= 4]
+    for degree in range(5):
+        allowed = [ex for ex in expos if sum(ex) <= degree]
+        for _ in range(6):
+            picks = rng.permutation(len(allowed))[:rng.integers(1, 16)]
+            coeffs = rng.normal(size=len(picks))
+            coeffs[rng.uniform(size=len(picks)) < 0.2] = 0.0
+            coeffs[rng.uniform(size=len(picks)) < 0.2] = -0.0
+            yield {allowed[i]: float(co) for i, co in zip(picks, coeffs)}
+    yield {m: float(rng.uniform(-0.5, 0.5)) for m in runner._DEG2_MONOMIALS}
+    yield {m: -0.0 for m in runner._DEG2_MONOMIALS}
+    yield {}
+    yield {(0, 0, 0, 0): 1.5}
+    yield {(0, 0, 0, 0): -0.0}
+
+
+def test_polynomial_gauge_matches_the_per_call_algorithm_bit_for_bit():
+    rng = np.random.default_rng(8)
+    points = rng.normal(size=(12, 4))
+    points[rng.uniform(size=points.shape) < 0.25] = 0.0
+    points[rng.uniform(size=points.shape) < 0.25] = -0.0
+    points[0] = (0.0, -0.0, 0.0, -0.0)
+    batch = EventArray(points)
+    events = [batch, batch.event(0), batch.event(5),
+              Event(-0.0, 1.0, 0.0, -2.5)]
+    for terms in _random_tables(rng):
+        for c in (1.0, 1.7):
+            gauge = polynomial_gauge(terms, c)
+            chi, grad4, hess4 = _reference_gauge(terms, c)
+            for e in events:
+                _assert_same_bits(gauge.chi(e), chi(e))
+                _assert_same_bits(gauge.grad4(e), grad4(e))
+                _assert_same_bits(gauge.hess4(e), hess4(e))
+                _assert_same_bits(gauge.laplace4(e),
+                                  np.trace(hess4(e), axis1=-2, axis2=-1))
 
 
 def test_pure_gauge_potential_has_zero_field_strength():

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -150,6 +151,41 @@ def test_tolerance_override_can_fail_a_passing_run():
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
     assert failed == {"gamma_square"}
+
+
+def test_a_nan_magnitude_fails_its_check_wherever_it_lies():
+    e = runner._ORIGIN
+    for mags in ([0.0, float("nan"), 1e-20], [float("nan"), 0.0],
+                 [1e-20, 0.0, float("nan")]):
+        col = runner._Collector({"chk": (1e-12, 1e-12),
+                                 "info": (None, None)}, "analytic", {})
+        for i, m in enumerate(mags):
+            col.add("chk", "case", i, e, m)
+            col.add("info", "case", i, e, m)
+        chk, info = col.finalize()
+        assert math.isnan(chk.linf) and not chk.passed
+        # a check without a tolerance stays informational
+        assert math.isnan(info.linf) and info.passed
+    col = runner._Collector({"chk": (1e-12, 1e-12)}, "analytic", {})
+    col.add("chk", "case", 0, e, 0.0)
+    col.add("chk", "case", 1, e, float("inf"))
+    assert col.finalize()[0].linf == float("inf")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("momenta", [[[0, 0, 0], [1e200, 0, 0]],
+                                     [[1e200, 0, 0], [0, 0, 0]]])
+def test_overflowing_momentum_fails_in_either_order(tmp_path, capsys,
+                                                    momenta):
+    # the energy of 1e200 overflows and gives that momentum NaN rows; the
+    # verdict must not depend on whether those rows come first
+    doc = {"fixture": {"momenta": momenta}}
+    report = run_scenario(config_from_dict(doc, "plane-wave"))
+    assert not report.passed
+    assert all(not c.passed and math.isnan(c.linf) for c in report.checks
+               if c.tolerance is not None)
+    assert _run_config(tmp_path, "plane-wave", doc) == 1
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
