@@ -35,7 +35,8 @@ from .errors import ConfigError, ParameterError
 from .fields import (coulomb_potential, gauge_transform, lorenz_gauge_residual,
                      polynomial_gauge, zero_potential)
 from .velocityfield import (action_integral, curl_k, divergence_mu, extract_u,
-                            kg_residual, mass_shell_residual, newton_residual,
+                            kg_residual, mass_shell_residual,
+                            momentum_gradient, newton_residual,
                             nonlinear_wave_residual)
 from .wavefunctions import (dirac_coulomb_1s, dirac_plane_wave, kg_coulomb_1s,
                             plane_wave, random_smooth_spinor)
@@ -433,16 +434,19 @@ def _scn_plane_wave(cfg: ScenarioConfig, rng, col: _Collector, events):
     m = cfg.method
     kw = {"constants": cfg.constants, "eps_psi": eps}
     for wave in waves:
-        div = divergence_mu(wave, a0, events, m, **kw)
+        gp = momentum_gradient(wave, a0, events, m, **kw)
+        kg = kg_residual(wave, a0, events, m, **kw)
+        div = divergence_mu(wave, a0, events, m, gp=gp, **kw)
         col.add_cloud(wave.label, events, [
-            ("kg", np.abs(kg_residual(wave, a0, events, m, **kw))),
+            ("kg", np.abs(kg)),
             ("mass_shell",
              np.abs(mass_shell_residual(wave, a0, events, m, **kw))),
-            ("newton", _worst(newton_residual(wave, a0, events, m, **kw))),
-            ("curl_k", _worst(curl_k(wave, a0, events, m, **kw))),
+            ("newton",
+             _worst(newton_residual(wave, a0, events, m, gp=gp, **kw))),
+            ("curl_k", _worst(curl_k(wave, a0, events, m, gp=gp, **kw))),
             ("divergence", np.abs(div.value)),
-            ("nonlinear",
-             np.abs(nonlinear_wave_residual(wave, a0, events, m, **kw))),
+            ("nonlinear", np.abs(
+                nonlinear_wave_residual(wave, a0, events, m, kg=kg, **kw))),
         ])
 
 
@@ -454,13 +458,15 @@ def _scn_kg_coulomb(cfg: ScenarioConfig, rng, col: _Collector, events):
     m2 = cfg.constants.m ** 2
     meth = cfg.method
     kw = {"constants": cfg.constants, "eps_psi": _eps_for([wave], events)}
-    div = divergence_mu(wave, a, events, meth, **kw)
+    gp = momentum_gradient(wave, a, events, meth, **kw)
+    kg = kg_residual(wave, a, events, meth, **kw)
+    div = divergence_mu(wave, a, events, meth, gp=gp, **kw)
     ms = mass_shell_residual(wave, a, events, meth, **kw)
-    nl = nonlinear_wave_residual(wave, a, events, meth, **kw)
-    k = curl_k(wave, a, events, meth, **kw)
+    nl = nonlinear_wave_residual(wave, a, events, meth, kg=kg, **kw)
+    k = curl_k(wave, a, events, meth, gp=gp, **kw)
     u = extract_u(wave, a, events, meth, **kw)
     col.add_cloud(wave.label, events, [
-        ("kg", np.abs(kg_residual(wave, a, events, meth, **kw))),
+        ("kg", np.abs(kg)),
         ("divergence_identity", div.mismatch),
         ("nonlinear_vs_mass_shell", np.abs(nl - m2 * ms)),
         ("curl_k", _worst(k)),
@@ -468,7 +474,8 @@ def _scn_kg_coulomb(cfg: ScenarioConfig, rng, col: _Collector, events):
         ("lorenz_gauge", np.abs(
             lorenz_gauge_residual(a, events, meth, c=cfg.constants.c))),
         ("mass_shell", np.abs(ms)),
-        ("newton", _worst(newton_residual(wave, a, events, meth, **kw))),
+        ("newton",
+         _worst(newton_residual(wave, a, events, meth, gp=gp, **kw))),
     ])
 
 

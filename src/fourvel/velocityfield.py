@@ -111,30 +111,34 @@ def momentum_gradient(psi, a_field, e: Event,
 
 def curl_k(psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
            constants: PhysicalConstants = NATURAL_UNITS,
-           eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
+           eps_psi: float = DEFAULT_EPS_PSI, gp=None) -> np.ndarray:
     """K[mu, nu] = d_mu P_nu - d_nu P_mu; vanishes for any single-valued
-    phase, which is what makes the action integral path independent."""
-    g = momentum_gradient(psi, a_field, e, method, constants=constants,
-                          eps_psi=eps_psi)
-    return g - np.swapaxes(g, -1, -2)
+    phase, which is what makes the action integral path independent. gp, if
+    given, is momentum_gradient of the same call and is used in place of
+    rebuilding it."""
+    if gp is None:
+        gp = momentum_gradient(psi, a_field, e, method, constants=constants,
+                               eps_psi=eps_psi)
+    return gp - np.swapaxes(gp, -1, -2)
 
 
 def newton_residual(psi, a_field, e: Event,
                     method: DerivativeMethod = ANALYTIC, *,
                     constants: PhysicalConstants = NATURAL_UNITS,
                     eps_psi: float = DEFAULT_EPS_PSI,
-                    normalize: bool = True) -> np.ndarray:
+                    normalize: bool = True, gp=None) -> np.ndarray:
     """Force-law residual u_nu d_nu u_mu - (q/m) F_mu_nu u_nu.
 
     Each point's residual is normalized by that point's |u| unless
     normalize=False (useful when comparing against an independently computed
-    right-hand side).
+    right-hand side). gp, if given, is momentum_gradient of the same call.
     """
     m, q = constants.m, constants.q
     u = extract_u(psi, a_field, e, method, constants=constants,
                   eps_psi=eps_psi)
-    gp = momentum_gradient(psi, a_field, e, method, constants=constants,
-                           eps_psi=eps_psi)
+    if gp is None:
+        gp = momentum_gradient(psi, a_field, e, method, constants=constants,
+                               eps_psi=eps_psi)
     ga = _potential_gradient(a_field, e, method, constants.c)
     du = (gp - q * ga) / m  # du[mu, nu] = d_mu u_nu
     convective = _matvec(np.swapaxes(du, -1, -2), u)  # u_nu d_nu u_mu
@@ -167,15 +171,17 @@ def divergence_mu(psi, a_field, e: Event,
                   method: DerivativeMethod = ANALYTIC, *,
                   constants: PhysicalConstants = NATURAL_UNITS,
                   eps_psi: float = DEFAULT_EPS_PSI,
-                  lorenz_tol: float = 1e-10) -> DivergenceResult:
+                  lorenz_tol: float = 1e-10, gp=None) -> DivergenceResult:
     """Source term d_mu (m u_mu), evaluated two independent ways.
 
     The identity behind the cross-check requires the Lorenz condition;
     lorenz_ok records whether the supplied potential satisfies it here.
+    gp, if given, is momentum_gradient of the same call.
     """
     hbar = constants.hbar
-    gp = momentum_gradient(psi, a_field, e, method, constants=constants,
-                           eps_psi=eps_psi)
+    if gp is None:
+        gp = momentum_gradient(psi, a_field, e, method, constants=constants,
+                               eps_psi=eps_psi)
     ga = _potential_gradient(a_field, e, method, constants.c)
     lorenz = _trace(ga)
     value = _trace(gp) - constants.q * lorenz
@@ -219,13 +225,16 @@ def kg_residual(psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
 def nonlinear_wave_residual(psi, a_field, e: Event,
                             method: DerivativeMethod = ANALYTIC, *,
                             constants: PhysicalConstants = NATURAL_UNITS,
-                            eps_psi: float = DEFAULT_EPS_PSI) -> complex:
+                            eps_psi: float = DEFAULT_EPS_PSI,
+                            kg=None) -> complex:
     """Residual of the wave equation with the hbar^2 d_mu d_mu ln psi
     correction restored; equals m^2 * mass_shell_residual identically in
-    Lorenz gauge, on shell or off."""
+    Lorenz gauge, on shell or off. kg, if given, is kg_residual of the same
+    call and is used in place of rerunning it."""
     hbar = constants.hbar
-    kg = kg_residual(psi, a_field, e, method, constants=constants,
-                     eps_psi=eps_psi)
+    if kg is None:
+        kg = kg_residual(psi, a_field, e, method, constants=constants,
+                         eps_psi=eps_psi)
     dl = _dlog(psi, e, method, constants, eps_psi)
     lap = differentiate(psi, e, "laplace4", method, c=constants.c)
     ddlog = lap / psi(e) - contract(dl, dl)  # d_mu d_mu ln psi

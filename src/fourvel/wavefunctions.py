@@ -92,7 +92,11 @@ def _plane_wave_parts(p, constants: PhysicalConstants):
     if p.shape != (3,) or not np.all(np.isfinite(p)):
         raise ParameterError("momentum must be a finite 3-vector")
     hbar, c, m = constants.hbar, constants.c, constants.m
-    E = math.sqrt(float(p @ p) * c ** 2 + (m * c ** 2) ** 2)
+    with np.errstate(over="ignore"):
+        E = math.sqrt(float(p @ p) * c ** 2 + (m * c ** 2) ** 2)
+    if not math.isfinite(E):
+        raise ParameterError(
+            f"momentum {p.tolist()} gives an infinite energy")
 
     # d_mu psi = g_mu psi; slot 3 already folds the 1/(i c) factor
     g = np.array([1j * p[0] / hbar, 1j * p[1] / hbar, 1j * p[2] / hbar,

@@ -6,14 +6,15 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from fourvel import (ConfigError, DerivativeMethod, InvalidBoostError,
-                     PhysicalConstants, QuadratureError, SingularPointError,
-                     config_from_dict, default_config, export_report,
-                     list_scenarios, run_scenario)
-from fourvel import runner
+                     ParameterError, PhysicalConstants, QuadratureError,
+                     SingularPointError, config_from_dict, default_config,
+                     export_report, list_scenarios, run_scenario)
+from fourvel import runner, velocityfield
 from fourvel.cli import main
 from fourvel.runner import report_to_csv, report_to_json
 
@@ -172,20 +173,50 @@ def test_a_nan_magnitude_fails_its_check_wherever_it_lies():
     assert col.finalize()[0].linf == float("inf")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _counted(monkeypatch, name):
+    """Count every call of the velocityfield kernel name, whether it comes
+    from the runner or from another kernel."""
+    calls = []
+    kernel = getattr(velocityfield, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return kernel(*args, **kwargs)
+
+    for module in (velocityfield, runner):
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
+# the momentum gradient and the KG residual are built once per wave and
+# handed to the kernels that contract them
+@pytest.mark.parametrize("mode", ["analytic", "central"])
+@pytest.mark.parametrize("scenario, waves", [("plane-wave", 3),
+                                             ("kg-coulomb-1s", 1)])
+def test_one_momentum_gradient_and_kg_residual_per_wave(monkeypatch, scenario,
+                                                        waves, mode):
+    gradients = _counted(monkeypatch, "momentum_gradient")
+    kgs = _counted(monkeypatch, "kg_residual")
+    report = run_scenario(config_from_dict({"method": {"mode": mode}},
+                                           scenario))
+    assert report.passed
+    assert (len(gradients), len(kgs)) == (waves, waves)
+
+
 @pytest.mark.parametrize("momenta", [[[0, 0, 0], [1e200, 0, 0]],
                                      [[1e200, 0, 0], [0, 0, 0]]])
-def test_overflowing_momentum_fails_in_either_order(tmp_path, capsys,
-                                                    momenta):
-    # the energy of 1e200 overflows and gives that momentum NaN rows; the
-    # verdict must not depend on whether those rows come first
+def test_overflowing_momentum_is_refused_in_either_order(tmp_path, capsys,
+                                                         momenta):
+    # the energy of 1e200 overflows; that is a bad input, refused before any
+    # row is certified and without a numpy warning, whichever momentum is
+    # first
     doc = {"fixture": {"momenta": momenta}}
-    report = run_scenario(config_from_dict(doc, "plane-wave"))
-    assert not report.passed
-    assert all(not c.passed and math.isnan(c.linf) for c in report.checks
-               if c.tolerance is not None)
-    assert _run_config(tmp_path, "plane-wave", doc) == 1
-    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="infinite energy"):
+            run_scenario(config_from_dict(doc, "plane-wave"))
+        assert _run_config(tmp_path, "plane-wave", doc) == 2
+    assert "infinite energy" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +462,21 @@ def test_a_billion_random_spinors_is_refused_at_once(tmp_path):
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 2
     assert "n_random_spinors" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("scenario, fixture", [
+    ("plane-wave", {"momenta": [[0, 0, 0], [1e200, 0, 0]]}),
+    ("dirac-plane-wave", {"momenta": [[0, 0, 0], [1e200, 0, 0]]}),
+    ("gauge-orbit", {"p": [1e200, 0, 0]}),
+])
+def test_overflowing_plane_wave_energy_exits_two_quietly(tmp_path, scenario,
+                                                         fixture):
+    cfgfile = tmp_path / "p.json"
+    cfgfile.write_text(json.dumps({"fixture": fixture}))
+    r = _invoke("run", scenario, "--config", str(cfgfile), "--no-timestamp")
+    assert r.returncode == 2
+    assert r.stderr.startswith("fourvel: config error:")
+    assert "Warning" not in r.stderr and "Traceback" not in r.stderr
 
 
 # units whose scales (m c^2, hbar c, m c / hbar, q, c^2) overflow or

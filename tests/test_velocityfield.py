@@ -5,18 +5,19 @@ where every term is nontrivial, not only on exact solutions: the operator
 decomposition holds for any smooth wave, so random synthetic fields probe
 it off shell.
 """
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fourvel import (ANALYTIC, Event, NATURAL_UNITS, NearZeroWavefunctionError,
-                     ParameterError, PhysicalConstants, QuadratureError,
-                     action_integral, canonical_momentum, central, contract,
-                     coulomb_potential, curl_k, differentiate,
-                     divergence_mu, extract_u, gaussian_polynomial_wave,
-                     kg_coulomb_1s, kg_residual, mass_shell_residual,
-                     momentum_gradient, newton_residual,
+from fourvel import (ANALYTIC, Event, EventArray, NATURAL_UNITS,
+                     NearZeroWavefunctionError, ParameterError,
+                     PhysicalConstants, QuadratureError, action_integral,
+                     canonical_momentum, central, contract, coulomb_potential,
+                     curl_k, differentiate, divergence_mu, extract_u,
+                     gaussian_polynomial_wave, kg_coulomb_1s, kg_residual,
+                     mass_shell_residual, momentum_gradient, newton_residual,
                      nonlinear_wave_residual, plane_wave, zero_potential)
 
 A0 = zero_potential()
@@ -179,6 +180,43 @@ def test_near_zero_wave_raises_with_context():
     with pytest.raises(NearZeroWavefunctionError) as exc:
         extract_u(wave, A0, Event(0.0, 1.0, 0.0, 0.0), ANALYTIC, constants=C)
     assert exc.value.magnitude == 0.0
+
+
+# a precomputed momentum gradient or KG residual stands in for the kernel's
+# own rebuild: with gp= or kg= from the same call, every kernel returns the
+# same bits as without it
+_SHARED = [
+    ("plane-wave", lambda: (plane_wave((0.6, -0.3, 0.2), C), A0)),
+    ("kg-coulomb-1s", lambda: (kg_coulomb_1s(0.4, C),
+                               coulomb_potential(0.4, C))),
+]
+_POINTS = [[0.5, 0.3, -0.2, 0.1], [1.2, -0.4, 0.6, -0.3],
+           [-0.7, 0.9, 0.1, 0.4]]
+
+
+@pytest.mark.parametrize("points", [Event(*_POINTS[0]), EventArray(_POINTS)],
+                         ids=["event", "batch"])
+@pytest.mark.parametrize("method", [ANALYTIC, central(1e-3)],
+                         ids=lambda m: m.mode)
+@pytest.mark.parametrize("name, fixture", _SHARED, ids=[n for n, _ in _SHARED])
+def test_shared_gradient_and_kg_are_bit_identical(name, fixture, method,
+                                                  points):
+    wave, field = fixture()
+    args = (wave, field, points, method)
+    gp = momentum_gradient(*args, constants=C)
+    kg = kg_residual(*args, constants=C)
+    assert np.array_equal(curl_k(*args, constants=C, gp=gp),
+                          curl_k(*args, constants=C))
+    assert np.array_equal(newton_residual(*args, constants=C, gp=gp),
+                          newton_residual(*args, constants=C))
+    shared = divergence_mu(*args, constants=C, gp=gp)
+    own = divergence_mu(*args, constants=C)
+    for f in dataclasses.fields(own):
+        assert np.array_equal(getattr(shared, f.name), getattr(own, f.name))
+    assert np.array_equal(nonlinear_wave_residual(*args, constants=C, kg=kg),
+                          nonlinear_wave_residual(*args, constants=C))
+    # the Coulomb potential makes the d_mu A_nu term of newton live
+    assert np.any(field.grad(points) != 0) == (name == "kg-coulomb-1s")
 
 
 # ---------------------------------------------------------------------------
