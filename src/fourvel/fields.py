@@ -130,6 +130,9 @@ def polynomial_gauge(terms: dict, c: float = 1.0) -> GaugeFunction:
     zero imaginary part included. Anything else raises ParameterError. All
     derivatives are exact, with each t-derivative picking up 1/(i*c); the
     terms are differentiated here, once per axis and once per axis pair.
+    chi, grad4 and hess4 each keep the result for the last points they
+    evaluated and reuse it while the points' float64 bytes stay the same;
+    every array they return is a fresh copy.
     """
     table = {}
     for key, coeff in terms.items():
@@ -169,20 +172,40 @@ def polynomial_gauge(terms: dict, c: float = 1.0) -> GaugeFunction:
     second = {(a1, a2): diff(first[a1], a2)
               for a1 in range(4) for a2 in range(a1, 4)}
 
-    def chi(e: Event) -> float:
-        # + zeros keeps a batch's shape when every term is a constant
-        return evaluate(table, 0, (e.x1, e.x2, e.x3, e.t)) \
-            + _zeros(e, dtype=float)
+    def memo(body: Callable) -> Callable:
+        # one-entry memo keyed on the float64 bytes of the points, which are
+        # all a body reads: equal keys give equal results, -0.0 and 0.0 get
+        # distinct keys, and an array changed in place gets a new key
+        last = (None, None)
 
-    def grad4(e: Event) -> np.ndarray:
-        x = (e.x1, e.x2, e.x3, e.t)
+        def evaluator(e):
+            nonlocal last
+            arr = e.as_array()
+            one = isinstance(e, Event)
+            key = (one, arr.shape, arr.tobytes())
+            seen, out = last
+            if key != seen:
+                out = body(e, tuple(arr.tolist()) if one
+                           else tuple(np.moveaxis(arr, -1, 0)))
+                last = key, out
+            # the caller owns what it receives; a numpy scalar is immutable
+            return out.copy() if isinstance(out, np.ndarray) else out
+        return evaluator
+
+    @memo
+    def chi(e: Event, x: tuple) -> float:
+        # + zeros keeps a batch's shape when every term is a constant
+        return evaluate(table, 0, x) + _zeros(e, dtype=float)
+
+    @memo
+    def grad4(e: Event, x: tuple) -> np.ndarray:
         out = _zeros(e, 4)
         for ax, poly in enumerate(first):
             out[..., ax] = evaluate(poly, ax == 3, x)
         return out
 
-    def hess4(e: Event) -> np.ndarray:
-        x = (e.x1, e.x2, e.x3, e.t)
+    @memo
+    def hess4(e: Event, x: tuple) -> np.ndarray:
         out = _zeros(e, 4, 4)
         for (a1, a2), poly in second.items():
             out[..., a1, a2] = out[..., a2, a1] = evaluate(

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import time
+import warnings
 from dataclasses import dataclass, field as dc_field
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
@@ -222,7 +223,8 @@ def config_from_dict(doc: dict, scenario: Optional[str] = None) -> ScenarioConfi
         _require(isinstance(cdoc, dict) and "kind" in cdoc,
                  "cloud must be an object with a 'kind'")
         kind = cdoc["kind"]
-        _require(kind in _CLOUD_KEYS, f"unknown cloud kind {kind!r}")
+        _require(isinstance(kind, str) and kind in _CLOUD_KEYS,
+                 f"unknown cloud kind {kind!r}")
         required, optional = _CLOUD_KEYS[kind]
         for key in cdoc:
             _require(key == "kind" or key in required or key in optional,
@@ -387,7 +389,9 @@ def _build_cloud(spec: dict, rng: np.random.Generator,
         bounds = (spec["r_min"], spec["r_max"], spec.get("t", 0.0))
         _require(all(_is_number(v) for v in bounds),
                  "ray r_min, r_max and t must be finite numbers")
-        cloud = _ray(*bounds[:2], spec["count"], bounds[2])
+        # floats: np.linspace of an int beyond int64 builds an object array
+        r_min, r_max, t = map(float, bounds)
+        cloud = _ray(r_min, r_max, spec["count"], t)
     elif kind == "random-ball":
         center = spec.get("center", [0, 0, 0, 0])
         _require(_is_number(spec["radius"]) and _fits(center, [0.0] * 4),
@@ -900,9 +904,16 @@ def run_scenario(cfg: ScenarioConfig) -> ResidualReport:
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     col = _Collector(spec.tolerances, cfg.method.mode, cfg.tolerances)
-    events = (None if spec.cloud is None
-              else _build_cloud(cfg.cloud, rng, spec.min_r))
-    spec.build(cfg, rng, col, events)
+    # numpy warns, and goes on with inf or NaN, where an input's arithmetic
+    # overflows; such an input is refused instead of certified
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            events = (None if spec.cloud is None
+                      else _build_cloud(cfg.cloud, rng, spec.min_r))
+            spec.build(cfg, rng, col, events)
+        except RuntimeWarning as exc:
+            raise ParameterError(f"arithmetic out of range: {exc}") from exc
     checks = col.finalize()
     duration = time.perf_counter() - started
     return ResidualReport(

@@ -7,7 +7,7 @@ from fourvel import (ANALYTIC, Event, NATURAL_UNITS, ParameterError,
                      field_strength, gauge_transform, lorenz_gauge_residual,
                      plane_wave, polynomial_gauge, pure_gauge_potential,
                      zero_potential)
-from fourvel import runner
+from fourvel import fields, runner
 from fourvel.core4 import EventArray
 
 E0 = Event(1.0, 0.0, 0.0, 0.0)
@@ -222,18 +222,76 @@ def test_polynomial_gauge_matches_the_per_call_algorithm_bit_for_bit():
     points[rng.uniform(size=points.shape) < 0.25] = -0.0
     points[0] = (0.0, -0.0, 0.0, -0.0)
     batch = EventArray(points)
-    events = [batch, batch.event(0), batch.event(5),
-              Event(-0.0, 1.0, 0.0, -2.5)]
+    # each point set twice in a row, then alternating with others: the
+    # evaluators reuse their last result, and every reuse must be exact
+    events = [batch, batch.event(0), EventArray(points[:1]), batch.event(5),
+              batch, EventArray(points.copy()), Event(0.0, 1.0, 0.0, -2.5),
+              Event(-0.0, 1.0, 0.0, -2.5), batch.event(0)]
     for terms in _random_tables(rng):
         for c in (1.0, 1.7):
             gauge = polynomial_gauge(terms, c)
             chi, grad4, hess4 = _reference_gauge(terms, c)
             for e in events:
-                _assert_same_bits(gauge.chi(e), chi(e))
-                _assert_same_bits(gauge.grad4(e), grad4(e))
-                _assert_same_bits(gauge.hess4(e), hess4(e))
-                _assert_same_bits(gauge.laplace4(e),
-                                  np.trace(hess4(e), axis1=-2, axis2=-1))
+                for _ in range(2):
+                    _assert_same_bits(gauge.chi(e), chi(e))
+                    _assert_same_bits(gauge.grad4(e), grad4(e))
+                    _assert_same_bits(gauge.hess4(e), hess4(e))
+                    _assert_same_bits(gauge.laplace4(e),
+                                      np.trace(hess4(e), axis1=-2, axis2=-1))
+
+
+_MEMO_TERMS = {(1, 0, 0, 0): 0.7, (2, 0, 1, 0): -0.3, (0, 1, 0, 1): 0.5,
+               (0, 0, 0, 2): 1.1}
+
+
+def _memo_points():
+    return EventArray(np.random.default_rng(5).normal(size=(6, 4)))
+
+
+def test_polynomial_gauge_recomputes_after_the_points_change_in_place():
+    gauge = polynomial_gauge(_MEMO_TERMS, 1.3)
+    reference = _reference_gauge(_MEMO_TERMS, 1.3)
+    points = _memo_points()
+    for got, want in zip((gauge.chi, gauge.grad4, gauge.hess4), reference):
+        _assert_same_bits(got(points), want(points))
+        points[2, 0] += 1.0
+        points[4, 3] = -points[4, 3]
+        _assert_same_bits(got(points), want(points))
+
+
+def test_polynomial_gauge_results_are_fresh_arrays():
+    gauge = polynomial_gauge(_MEMO_TERMS, 1.3)
+    reference = _reference_gauge(_MEMO_TERMS, 1.3)
+    points = _memo_points()
+    for got, want in zip((gauge.chi, gauge.grad4, gauge.hess4), reference):
+        first = got(points)
+        first[...] = 99.0
+        _assert_same_bits(got(points), want(points))
+    trace = gauge.laplace4(points)
+    trace[...] = 99.0
+    _assert_same_bits(gauge.laplace4(points),
+                      np.trace(reference[2](points), axis1=-2, axis2=-1))
+
+
+def test_polynomial_gauge_evaluates_each_point_set_once(monkeypatch):
+    # every evaluator body builds its output with exactly one _zeros
+    # call, and laplace4 is the trace of hess4
+    calls = []
+    zeros = fields._zeros
+    monkeypatch.setattr(fields, "_zeros",
+                        lambda *a, **k: calls.append(a) or zeros(*a, **k))
+    gauge = polynomial_gauge(_MEMO_TERMS, 1.3)
+    points = _memo_points()
+    flipped = points.copy()
+    flipped[1, 2] = 0.0
+    points[1, 2] = -0.0   # the same values but for the sign of one zero
+    for evaluator in (gauge.chi, gauge.grad4, gauge.hess4, gauge.laplace4):
+        for sample in (points, flipped, Event(0.0, 1.0, 2.0, 3.0),
+                       Event(-0.0, 1.0, 2.0, 3.0)):
+            before = len(calls)
+            for _ in range(5):
+                evaluator(sample)
+            assert len(calls) == before + 1
 
 
 def test_pure_gauge_potential_has_zero_field_strength():

@@ -353,6 +353,7 @@ def test_typed_config_values_still_accepted():
         {"x1": 1.0, "x2": 0.0, "x3": 0.0, "t": 0.0},
         {"x1": 0.1, "x2": 0.0, "x3": 0.0, "t": 0.0}]}),
     ("plane-wave", {"kind": "events", "events": [{"x1": 1.0}]}),
+    ("plane-wave", {"kind": [], "events": []}),   # an unhashable kind
 ])
 def test_bad_clouds_exit_two(tmp_path, capsys, scenario, cloud):
     assert _run_config(tmp_path, scenario, {"cloud": cloud}) == 2
@@ -477,6 +478,36 @@ def test_overflowing_plane_wave_energy_exits_two_quietly(tmp_path, scenario,
     assert r.returncode == 2
     assert r.stderr.startswith("fourvel: config error:")
     assert "Warning" not in r.stderr and "Traceback" not in r.stderr
+
+
+# finite inputs whose arithmetic overflows on the way: numpy would warn and
+# go on with inf or NaN rows
+@pytest.mark.parametrize("scenario, doc", [
+    ("plane-wave", {"fixture": {"momenta": [[0, 0, 0], [1e154, 0, 0]]}}),
+    ("gauge-orbit", {"cloud": {"kind": "random-ball", "radius": 1e200,
+                               "count": 5}}),
+    ("gauge-orbit", {"cloud": {"kind": "ray", "r_min": 1.7976931348623155e308,
+                               "r_max": 1.7976931348623157e308, "count": 5},
+                     "fixture": {"n_gauges": 0}}),
+], ids=["momentum", "random-ball", "ray"])
+def test_overflowing_arithmetic_exits_two_quietly(tmp_path, capsys, scenario,
+                                                  doc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="arithmetic out of range"):
+            run_scenario(config_from_dict(doc, scenario))
+        assert _run_config(tmp_path, scenario, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fourvel: config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scenario", ["plane-wave", "gauge-orbit"])
+def test_ray_bound_beyond_int64_runs(tmp_path, capsys, scenario):
+    doc = {"cloud": {"kind": "ray", "r_min": 0.5,
+                     "r_max": 100000000000000000000, "count": 5}}
+    assert _run_config(tmp_path, scenario, doc) in (0, 1)
+    rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+    assert max(r["x1"] for r in rows) == 1e20
 
 
 # units whose scales (m c^2, hbar c, m c / hbar, q, c^2) overflow or
