@@ -502,7 +502,7 @@ def test_overflowing_arithmetic_exits_two_quietly(tmp_path, capsys, scenario,
 
 
 @pytest.mark.parametrize("scenario", ["plane-wave", "gauge-orbit"])
-def test_ray_bound_beyond_int64_runs(tmp_path, capsys, scenario):
+def test_ray_bound_beyond_int64_runs(tmp_path, scenario):
     doc = {"cloud": {"kind": "ray", "r_min": 0.5,
                      "r_max": 100000000000000000000, "count": 5}}
     assert _run_config(tmp_path, scenario, doc) in (0, 1)
