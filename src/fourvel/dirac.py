@@ -67,34 +67,35 @@ _STANDARD = _read_only(gamma_matrices())
 def clifford_residual(g: GammaSet) -> float:
     """Largest entry of gamma_mu gamma_nu + gamma_nu gamma_mu - 2 delta I
     over all index pairs; exactly zero for a true representation."""
-    worst = 0.0
-    eye = np.eye(4, dtype=complex)
-    for mu in range(4):
-        for nu in range(4):
-            anti = g.gammas[mu] @ g.gammas[nu] + g.gammas[nu] @ g.gammas[mu]
-            target = 2.0 * eye if mu == nu else 0.0 * eye
-            worst = max(worst, float(np.max(np.abs(anti - target))))
-    return worst
+    gammas = np.array(g.gammas)
+    prod = gammas[:, None] @ gammas[None, :]   # [mu, nu]: gamma_mu gamma_nu
+    target = 2.0 * np.eye(4)[:, :, None, None] * np.eye(4)
+    return float(np.max(np.abs(prod + np.swapaxes(prod, 0, 1) - target)))
 
 
 def gamma_dot(g: GammaSet, p) -> np.ndarray:
+    """gamma_mu p_mu for one 4-vector, or one matrix per row of an (N, 4)
+    stack."""
     p = np.asarray(p, dtype=complex)
-    if p.shape != (4,):
-        raise ParameterError("gamma contraction needs a 4-vector")
-    return sum(p[mu] * g.gammas[mu] for mu in range(4))
+    if p.ndim not in (1, 2) or p.shape[-1] != 4:
+        raise ParameterError(
+            "gamma contraction needs a 4-vector or an (N, 4) stack")
+    return sum(p[..., mu, None, None] * g.gammas[mu] for mu in range(4))
 
 
 def factorization_residual(g: GammaSet, p,
-                           constants: PhysicalConstants = NATURAL_UNITS) -> float:
+                           constants: PhysicalConstants = NATURAL_UNITS):
     """Entrywise deviation of (gamma.P + i m c)(gamma.P - i m c) from
-    (P.P + m^2 c^2) I; zero whenever the anticommutators close."""
+    (P.P + m^2 c^2) I; zero whenever the anticommutators close. A float
+    for one 4-vector, one value per row for an (N, 4) stack."""
     mc = constants.m * constants.c
     gp = gamma_dot(g, p)
     eye = np.eye(4, dtype=complex)
     product = (gp + 1j * mc * eye) @ (gp - 1j * mc * eye)
     p = np.asarray(p, dtype=complex)
-    scalar = complex(np.sum(p * p)) + mc ** 2
-    return float(np.max(np.abs(product - scalar * eye)))
+    scalar = np.sum(p * p, axis=-1) + mc ** 2
+    out = np.max(np.abs(product - _col(scalar, 2) * eye), axis=(-2, -1))
+    return float(out) if out.ndim == 0 else out
 
 
 def form_relation_matrix(constants: PhysicalConstants = NATURAL_UNITS,
@@ -215,10 +216,8 @@ def kg_operator_on_spinor(spinor: SpinorWave, e: Event, *,
     componentwise from analytic laplacians, normalized like dirac_residual."""
     hbar, m, c = constants.hbar, constants.m, constants.c
     values = spinor.values(e)
-    lap = np.stack([np.asarray(comp.laplace4(e), dtype=complex)
-                    for comp in spinor.components], axis=-1)
-    return _normalized(-hbar ** 2 * lap + (m * c) ** 2 * values, values, e,
-                       eps_psi)
+    return _normalized(-hbar ** 2 * spinor.laplacians(e)
+                       + (m * c) ** 2 * values, values, e, eps_psi)
 
 
 def dirac_to_kg_check(spinor: SpinorWave, a_field, e: Event,
@@ -250,7 +249,6 @@ def dirac_to_kg_check(spinor: SpinorWave, a_field, e: Event,
 
     # outer pass: gamma.(-i hbar d) + i m c on the intermediate field
     d = grad4_numeric(first_order, e, method.h, c, method.richardson)
-    out = 1j * m * c * first_order(e)
-    for mu in range(4):
-        out = out + _apply(g.gammas[mu], -1j * hbar * d[..., mu, :])
+    out = sum((_apply(g.gammas[mu], -1j * hbar * d[..., mu, :])
+               for mu in range(4)), 1j * m * c * first_order(e))
     return _normalized(out, spinor.values(e), e, eps_psi)

@@ -497,9 +497,7 @@ def _scn_dirac_plane_wave(cfg: ScenarioConfig, rng, col: _Collector,
         checks = [("residual_gamma", _worst(rg)),
                   ("residual_alphabeta", _worst(ra)),
                   ("form_equivalence", _worst(rg - ra @ m_rel.T))]
-        nonzero = sum(1 for comp in spinor.components
-                      if abs(comp(_ORIGIN)) > 1e-12)
-        if nonzero >= 2:
+        if np.count_nonzero(np.abs(spinor.values(_ORIGIN)) > 1e-12) >= 2:
             _, dev = spinor_velocity_consistency(spinor, a0, events, meth,
                                                  **kw)
             checks.append(("velocity_consistency", dev))
@@ -620,7 +618,7 @@ def _scn_dirac_coulomb(cfg: ScenarioConfig, rng, col: _Collector, events):
 
     lo = float(cfg.fixture["scan_lo"]) * mc2
     hi = float(cfg.fixture["scan_hi"]) * mc2
-    found = _fminbound(scan_norm, lo, hi, 1e-9)
+    found = _fminbound(scan_norm, lo, hi, 1e-9 * mc2)   # x in units of m c^2
     expected = math.sqrt(1.0 - za ** 2) * mc2
     col.add("energy_scan", spinor.label, 0, scan.event(0),
             abs(found - expected) / mc2)
@@ -682,14 +680,18 @@ def _scn_clifford(cfg: ScenarioConfig, rng, col: _Collector, events):
         abs(g.gammas[0][3, 0] - 1j),
     )
     col.add("fixed_entries", "matrix-set", 0, _ORIGIN, fixed)
-    eye = np.eye(4, dtype=complex)
-    for i in range(int(cfg.fixture["n_random_p"])):
-        p = rng.normal(size=4) + 1j * rng.normal(size=4)
-        gp = gamma_dot(g, p)
-        square = float(np.max(np.abs(gp @ gp - complex(np.sum(p * p)) * eye)))
-        col.add("gamma_square", "random-p", i, _ORIGIN, square)
-        col.add("factorization", "random-p", i, _ORIGIN,
-                factorization_residual(g, p, consts))
+    # one (n, 2, 4) draw takes the same numbers as a real and an imaginary
+    # draw of 4 per momentum
+    draws = rng.normal(size=(int(cfg.fixture["n_random_p"]), 2, 4))
+    p = draws[:, 0] + 1j * draws[:, 1]
+    gp = gamma_dot(g, p)
+    square = np.max(np.abs(gp @ gp - np.sum(p * p, axis=-1)[:, None, None]
+                           * np.eye(4, dtype=complex)), axis=(-2, -1))
+    factorization = factorization_residual(g, p, consts)
+    for i, (sq, fac) in enumerate(zip(square.tolist(),
+                                      factorization.tolist())):
+        col.add("gamma_square", "random-p", i, _ORIGIN, sq)
+        col.add("factorization", "random-p", i, _ORIGIN, fac)
 
 
 def _scn_action_path(cfg: ScenarioConfig, rng, col: _Collector, events):
@@ -935,9 +937,12 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # case, check, index, magnitude, then the coordinate block t, x1, x2, x3
 _JSON_ROW = ('    {\n      "case": %s,\n      "check": %s,\n'
              '      "index": %d,\n      "magnitude": %s,\n%s\n    }')
-_JSON_COORDS = ('      "t": %s,\n      "x1": %s,\n      "x2": %s,\n'
-                '      "x3": %s')
+_JSON_COORDS = ('      "t": {3},\n      "x1": {0},\n      "x2": {1},\n'
+                '      "x3": {2}')
 _JSON_ROWS_SLOT = '\n  "rows": [],\n'
+# one row as csv.writer writes it: case, check, index, x1, x2, x3, t, magnitude
+_CSV_ROW = "%s,%s,%d,%s,%s\r\n"
+_CSV_COORDS = "{0},{1},{2},{3}"
 
 
 def _json_float(x: float) -> str:
@@ -946,11 +951,19 @@ def _json_float(x: float) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
-def _json_rows(rows) -> list:
-    """The text of each row as json.dumps(sort_keys=True, indent=2) writes
-    it inside the report. Labels are escaped once each, and the coordinate
-    block once per distinct (x1, x2, x3, t): an event's coordinates repeat
-    on every check row it has."""
+def _csv_field(text: str) -> str:
+    """text as csv.writer spells it in a row of more than one field."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(("", text))
+    return buf.getvalue()[1:-2]
+
+
+def _row_parts(rows, coords_fmt: str, label, number) -> list:
+    """(case, check, index, magnitude, coordinates) of each report row as
+    text: labels spelled by label, numbers by number, and the coordinates
+    as coords_fmt.format(x1, x2, x3, t). Each label is spelled once, and
+    the coordinates once per distinct (x1, x2, x3, t): an event's
+    coordinates repeat on every check row it has."""
     labels, coords, out = {}, {}, []
     for row in rows:
         case, check = row["case"], row["check"]
@@ -959,15 +972,14 @@ def _json_rows(rows) -> list:
             key += tuple(math.copysign(1.0, v) for v in key)
         block = coords.get(key)
         if block is None:
-            block = coords[key] = _JSON_COORDS % (
-                _json_float(t), _json_float(x1), _json_float(x2),
-                _json_float(x3))
+            block = coords[key] = coords_fmt.format(
+                number(x1), number(x2), number(x3), number(t))
         if case not in labels:
-            labels[case] = encode_basestring_ascii(case)
+            labels[case] = label(case)
         if check not in labels:
-            labels[check] = encode_basestring_ascii(check)
-        out.append(_JSON_ROW % (labels[case], labels[check], row["index"],
-                                _json_float(row["magnitude"]), block))
+            labels[check] = label(check)
+        out.append((labels[case], labels[check], row["index"],
+                    number(row["magnitude"]), block))
     return out
 
 
@@ -976,7 +988,7 @@ def report_to_json(report: ResidualReport) -> str:
     would write it, byte for byte. Only the header goes through json.dumps,
     with an empty rows array: with an indent, json encodes in pure Python,
     and the rows are almost all of the text. They are written by
-    _json_rows and spliced in."""
+    _row_parts and spliced in."""
     doc = {
         "schema": "fourvel-report/1",
         "scenario": report.scenario,
@@ -1000,21 +1012,23 @@ def report_to_json(report: ResidualReport) -> str:
     # a string in the header cannot hold a raw newline
     head, _, tail = text.partition(_JSON_ROWS_SLOT)
     return "".join((head, '\n  "rows": [\n',
-                    ",\n".join(_json_rows(report.rows)), "\n  ],\n", tail))
+                    ",\n".join([_JSON_ROW % row for row in _row_parts(
+                        report.rows, _JSON_COORDS, encode_basestring_ascii,
+                        _json_float)]),
+                    "\n  ],\n", tail))
 
 
 _CSV_HEADER = ("case", "check", "index", "x1", "x2", "x3", "t", "magnitude")
 
 
 def report_to_csv(report: ResidualReport) -> str:
+    """The report's rows as csv.writer writes them, byte for byte."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_CSV_HEADER)
-    for row in report.rows:
-        writer.writerow([row["case"], row["check"], row["index"],
-                         repr(row["x1"]), repr(row["x2"]), repr(row["x3"]),
-                         repr(row["t"]), repr(row["magnitude"])])
-    return buf.getvalue()
+    csv.writer(buf).writerow(_CSV_HEADER)
+    return buf.getvalue() + "".join([
+        _CSV_ROW % (case, check, index, coords, magnitude)
+        for case, check, index, magnitude, coords in _row_parts(
+            report.rows, _CSV_COORDS, _csv_field, float.__repr__)])
 
 
 def export_report(report: ResidualReport, fmt: str = "json") -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
-                    NATURAL_UNITS, PhysicalConstants, _col,
+                    EventArray, NATURAL_UNITS, PhysicalConstants, _col,
                     _potential_gradient, _require_nonzero, contract,
                     differentiate, field_strength, four_displacement,
                     grad4_numeric)
@@ -253,17 +253,21 @@ class ActionResult:
     n_segments: int              # accepted quadrature panels over all legs
 
 
-def _gl(f, a: float, b: float) -> complex:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * sum(w * f(mid + half * x)
-                      for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+def _gl(f, edges) -> list:
+    """10-point Gauss-Legendre sums over the panels between consecutive
+    edges, the nodes of all panels passed to f in one array; each panel's
+    weighted sum runs in node order."""
+    lo, hi = np.asarray(edges[:-1]), np.asarray(edges[1:])
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
+    values = f(nodes.ravel()).reshape(nodes.shape)
+    return [h * sum(_GL_WEIGHTS * v) for h, v in zip(half.tolist(), values)]
 
 
 def _adaptive(f, a: float, b: float, whole: complex, tol: float,
               depth: int, panels: list) -> complex:
     mid = 0.5 * (a + b)
-    left = _gl(f, a, mid)
-    right = _gl(f, mid, b)
+    left, right = _gl(f, [a, mid, b])
     if abs(left + right - whole) < tol:
         panels[0] += 1
         return left + right
@@ -291,11 +295,6 @@ def action_integral(psi, a_field, path, method: DerivativeMethod = ANALYTIC, *,
         raise ParameterError("path needs at least two events")
     m, q, hbar, c = constants.m, constants.q, constants.hbar, constants.c
 
-    def b_vec(e: Event) -> np.ndarray:
-        u = extract_u(psi, a_field, e, method, constants=constants,
-                      eps_psi=eps_psi)
-        return m * u + q * a_field.a(e)
-
     phi = 0.0 + 0.0j
     panels = [0]
     for e0, e1 in zip(path[:-1], path[1:]):
@@ -303,11 +302,14 @@ def action_integral(psi, a_field, path, method: DerivativeMethod = ANALYTIC, *,
         base = e0.as_array()
         step = e1.as_array() - base
 
-        def integrand(s: float) -> complex:
-            ev = Event(*(base + s * step))
-            return complex(np.sum(b_vec(ev) * delta))
+        def integrand(s: np.ndarray) -> np.ndarray:
+            """(m u + q A) . delta at base + s * step, for each s."""
+            points = EventArray(base + s[:, None] * step)
+            u = extract_u(psi, a_field, points, method, constants=constants,
+                          eps_psi=eps_psi)
+            return np.sum((m * u + q * a_field.a(points)) * delta, axis=-1)
 
-        whole = _gl(integrand, 0.0, 1.0)
+        whole, = _gl(integrand, [0.0, 1.0])
         phi += _adaptive(integrand, 0.0, 1.0, whole, seg_tol, max_depth,
                          panels)
 

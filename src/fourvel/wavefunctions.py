@@ -16,7 +16,7 @@ points in one call; batch results carry a leading K axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,25 +60,41 @@ class ScalarWave:
 @dataclass(frozen=True)
 class SpinorWave:
     """4-component wave; each component is a ScalarWave sharing the phase
-    conventions of the whole spinor."""
+    conventions of the whole spinor. stack, if given, is one ScalarWave
+    giving all four components bit for bit along a trailing axis, which
+    values, grads and laplacians then use; as the non-init field stacked it
+    is dropped by dataclasses.replace, so a copy evaluates its components."""
 
     label: str
     components: tuple
     energy: Optional[float] = None
     params: dict = field(default_factory=dict)
+    stack: InitVar[Optional[ScalarWave]] = None
+    stacked: Optional[ScalarWave] = field(default=None, init=False,
+                                          repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, stack):
         if len(self.components) != 4:
             raise ParameterError("spinor needs exactly 4 components")
+        object.__setattr__(self, "stacked", stack)
+
+    def _each(self, evaluator: str, e, axis: int) -> np.ndarray:
+        """One evaluator of every component at e, components along axis."""
+        if self.stacked is not None:
+            return getattr(self.stacked, evaluator)(e)
+        return np.stack([np.asarray(getattr(c, evaluator)(e), dtype=complex)
+                         for c in self.components], axis=axis)
 
     def values(self, e: Event) -> np.ndarray:
-        return np.stack([np.asarray(c(e), dtype=complex)
-                         for c in self.components], axis=-1)
+        return self._each("psi", e, -1)
 
     def grads(self, e: Event) -> np.ndarray:
         """Matrix [k, mu] of d_mu psi_k from the component evaluators."""
-        return np.stack([np.asarray(c.grad4(e), dtype=complex)
-                         for c in self.components], axis=-2)
+        return self._each("grad4", e, -2)
+
+    def laplacians(self, e: Event) -> np.ndarray:
+        """laplace4 psi_k for every component k."""
+        return self._each("laplace4", e, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -370,46 +386,52 @@ def gaussian_polynomial_wave(linear, center, widths,
     """(c0 + c.x) * exp(-sum a_i (x_i - b_i)^2) over all four coordinates.
 
     Not a solution of anything; a smooth field with exact derivatives for
-    exercising operator identities off shell.
+    exercising operator identities off shell. Parameters with leading axes
+    (linear (..., 5), center and widths (..., 4)) give one wave per
+    parameter row, evaluated together: the values then carry those axes
+    after the point axis, before any derivative axes.
     """
     lin = np.asarray(linear, dtype=complex)
     b = np.asarray(center, dtype=float)
     a = np.asarray(widths, dtype=float)
-    if lin.shape != (5,) or b.shape != (4,) or a.shape != (4,):
+    if (lin.shape[-1:] != (5,) or b.shape != lin.shape[:-1] + (4,)
+            or a.shape != b.shape):
         raise ParameterError("need 5 linear coeffs, 4 centers, 4 widths")
     if np.any(a <= 0):
         raise ParameterError("widths must be positive")
     c = constants.c
     fold = np.array([1, 1, 1, 1 / (1j * c)], dtype=complex)
+    rows = tuple(range(-lin.ndim, -1))   # where the parameter axes go
+    lin0, lin1 = lin[..., 0], lin[..., 1:]
 
     def parts(e: Event):
-        x = e.as_array()
+        x = np.expand_dims(e.as_array(), rows)
         d = x - b
-        poly = lin[0] + np.sum(lin[1:] * x, axis=-1)
+        poly = lin0 + np.sum(lin1 * x, axis=-1)
         gauss = np.exp(-np.sum(a * d * d, axis=-1))
-        return x, d, poly, gauss
+        return d, poly, gauss
 
     def psi(e: Event) -> complex:
-        _, _, poly, gauss = parts(e)
+        _, poly, gauss = parts(e)
         return poly * gauss
 
     def grad4(e: Event) -> np.ndarray:
-        _, d, poly, gauss = parts(e)
-        raw = (lin[1:] - 2.0 * a * d * _col(poly)) * _col(gauss)  # d/dx_i
+        d, poly, gauss = parts(e)
+        raw = (lin1 - 2.0 * a * d * _col(poly)) * _col(gauss)  # d/dx_i
         return raw * fold
 
     def laplace4(e: Event) -> complex:
-        _, d, poly, gauss = parts(e)
-        raw = (-2.0 * a * d * lin[1:] * 2.0
+        d, poly, gauss = parts(e)
+        raw = (-2.0 * a * d * lin1 * 2.0
                + _col(poly) * (4.0 * a ** 2 * d * d - 2.0 * a)) * _col(gauss)
         # slot 3 is a plain t-derivative; fold^2 = -1/c^2 for that slot
         return np.sum(raw[..., :3], axis=-1) - raw[..., 3] / c ** 2
 
     def hess4(e: Event) -> np.ndarray:
-        _, d, poly, gauss = parts(e)
+        d, poly, gauss = parts(e)
         ad = a * d
-        raw = (-2.0 * np.diag(a) * _col(poly, 2)
-               - 2.0 * _outer(ad, lin[1:]) - 2.0 * _outer(lin[1:], ad)
+        raw = (-2.0 * (a[..., None] * np.eye(4)) * _col(poly, 2)
+               - 2.0 * _outer(ad, lin1) - 2.0 * _outer(lin1, ad)
                + 4.0 * _outer(ad, ad) * _col(poly, 2)) * _col(gauss, 2)
         return raw * np.outer(fold, fold)
 
@@ -422,16 +444,22 @@ def random_smooth_spinor(rng: np.random.Generator,
                          constants: PhysicalConstants = NATURAL_UNITS) -> SpinorWave:
     """Seeded non-solution spinor: four independent gaussian-polynomial
     components with O(1) constant terms so the field has no zero near the
-    sampling ball."""
-    comps = []
+    sampling ball. The four are also evaluated as one stacked wave."""
+    lin = np.empty((4, 5), dtype=complex)
+    center = np.empty((4, 4))
+    widths = np.empty((4, 4))
     for k in range(4):
-        lin = np.empty(5, dtype=complex)
         mag = rng.uniform(0.5, 1.5)
-        lin[0] = mag * np.exp(1j * rng.uniform(0, 2 * math.pi))
-        lin[1:] = (rng.uniform(-0.3, 0.3, 4)
-                   + 1j * rng.uniform(-0.3, 0.3, 4))
-        center = rng.uniform(-0.5, 0.5, 4)
-        widths = rng.uniform(0.1, 0.4, 4)
-        comps.append(gaussian_polynomial_wave(
-            lin, center, widths, constants, label=f"random-spinor[{k}]"))
-    return SpinorWave(label="random-smooth-spinor", components=tuple(comps))
+        lin[k, 0] = mag * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        lin[k, 1:] = (rng.uniform(-0.3, 0.3, 4)
+                      + 1j * rng.uniform(-0.3, 0.3, 4))
+        center[k] = rng.uniform(-0.5, 0.5, 4)
+        widths[k] = rng.uniform(0.1, 0.4, 4)
+    comps = tuple(gaussian_polynomial_wave(lin[k], center[k], widths[k],
+                                           constants,
+                                           label=f"random-spinor[{k}]")
+                  for k in range(4))
+    return SpinorWave(label="random-smooth-spinor", components=comps,
+                      stack=gaussian_polynomial_wave(
+                          lin, center, widths, constants,
+                          label="random-spinor"))

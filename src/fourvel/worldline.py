@@ -232,10 +232,15 @@ def pierce_points(w: Worldline, t0: float, *, grid: int = 4096,
     roots += [bisect(float(lams[i]), float(lams[i + 1]))
               for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
 
-    # double roots: refine each discrete extremum of f, keep those touching 0
+    # double roots: refine each discrete extremum of f, keep those touching
+    # 0; around one, f stays within its two steps of f[i] (a quadratic's
+    # extremum within an eighth of that), so a larger |f[i]| is skipped
     df = np.diff(f)
     turns = (df[:-1] != 0.0) & ((df[:-1] < 0) != (df[1:] < 0))
-    for i in np.flatnonzero(turns) + 1:
+    idx = np.flatnonzero(turns) + 1
+    near = (np.abs(f[idx]) - (np.abs(df[idx - 1]) + np.abs(df[idx]))
+            <= tangent_tol)
+    for i in idx[near]:
         a, b = float(lams[i - 1]), float(lams[i + 1])
         for _ in range(200):  # ternary search on |f|
             m1 = a + (b - a) / 3

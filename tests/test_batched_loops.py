@@ -1,0 +1,381 @@
+"""Batched paths against per-item oracles written here, bit for bit.
+
+The action quadrature, the stacked random spinor, the (N, 4) gamma
+contraction and the pierce-point refinement each replaced a loop over one
+node, component, momentum or turning point. Each oracle below is that loop,
+and every comparison is exact (== or np.array_equal), never a tolerance.
+"""
+import dataclasses
+import importlib.util
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fourvel import (ANALYTIC, Event, EventArray, NATURAL_UNITS,
+                     ParameterError, PhysicalConstants, Worldline,
+                     action_integral, boost_worldline, central,
+                     config_from_dict, coulomb_potential,
+                     extract_u, factorization_residual, gamma_dot,
+                     gamma_matrices, gauge_transform, kg_coulomb_1s,
+                     make_worldline, pierce_points, plane_wave,
+                     polynomial_gauge, random_smooth_spinor, run_scenario,
+                     zero_potential)
+from fourvel.core4 import four_displacement
+from fourvel.runner import _scaled_gammas
+
+C = NATURAL_UNITS
+K = PhysicalConstants(hbar=1.3, c=1.7, m=0.8, q=-0.6)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+# ---------------------------------------------------------------------------
+# action integral: one Event per Gauss-Legendre node
+# ---------------------------------------------------------------------------
+
+def _oracle_action(psi, a_field, path, method, constants, seg_tol=1e-10,
+                   max_depth=20):
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    m, q, c = constants.m, constants.q, constants.c
+
+    def gl(f, a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return half * sum(w * f(mid + half * x)
+                          for x, w in zip(nodes, weights))
+
+    def adaptive(f, a, b, whole, tol, depth, panels):
+        mid = 0.5 * (a + b)
+        left, right = gl(f, a, mid), gl(f, mid, b)
+        if abs(left + right - whole) < tol:
+            panels[0] += 1
+            return left + right
+        assert depth > 0
+        return (adaptive(f, a, mid, left, tol / 2, depth - 1, panels)
+                + adaptive(f, mid, b, right, tol / 2, depth - 1, panels))
+
+    phi, panels = 0.0 + 0.0j, [0]
+    for e0, e1 in zip(path[:-1], path[1:]):
+        delta = four_displacement(e0, e1, c)
+        base = e0.as_array()
+        step = e1.as_array() - base
+
+        def integrand(s):
+            ev = Event(*(base + s * step))
+            u = extract_u(psi, a_field, ev, method, constants=constants)
+            return complex(np.sum((m * u + q * a_field.a(ev)) * delta))
+
+        phi += adaptive(integrand, 0.0, 1.0, gl(integrand, 0.0, 1.0),
+                        seg_tol, max_depth, panels)
+    return phi, panels[0]
+
+
+ACTION_CASES = {
+    "straight": (lambda k: plane_wave((0.3, -0.2, 0.1), k), zero_potential,
+                 [Event(0, 0, 0, 0), Event(1, 0, 0, 0)]),
+    "loop": (lambda k: plane_wave((0.3, -0.2, 0.1), k), zero_potential,
+             [Event(1, 0, 0, 0), Event(2, 1, 0, 0.2), Event(1, 2, 0, 0.4),
+              Event(1, 0, 0, 0)]),
+    "coulomb": (lambda k: kg_coulomb_1s(0.3, k),
+                lambda: coulomb_potential(0.3, C),
+                [Event(1, 0, 0, 0), Event(1, 2, 0, 0), Event(3, 2, 0, 0.5),
+                 Event(3, 0, 0, 0)]),
+}
+
+
+@pytest.mark.parametrize("method", [ANALYTIC, central(1e-3)],
+                         ids=["analytic", "central"])
+@pytest.mark.parametrize("case", sorted(ACTION_CASES))
+def test_action_phi_matches_the_per_node_quadrature(case, method):
+    wave, potential, path = ACTION_CASES[case]
+    psi, a_field = wave(C), potential()
+    res = action_integral(psi, a_field, path, method, constants=C)
+    phi, panels = _oracle_action(psi, a_field, path, method, C)
+    assert res.phi == phi
+    assert res.n_segments == panels
+
+
+def test_action_phi_matches_in_other_units():
+    psi = plane_wave((0.4, 0.1, -0.3), K)
+    path = [Event(0, 0, 0, 0), Event(1, 0.5, 0, 0.3), Event(0.2, 1, 0.1, 1)]
+    res = action_integral(psi, zero_potential(), path, ANALYTIC, constants=K)
+    assert res.phi == _oracle_action(psi, zero_potential(), path, ANALYTIC,
+                                     K)[0]
+
+
+# ---------------------------------------------------------------------------
+# random spinor: four gaussian-polynomial components in one expression
+# ---------------------------------------------------------------------------
+
+POINTS = EventArray(np.random.default_rng(7).uniform(-0.8, 0.8, (9, 4)))
+
+
+@pytest.mark.parametrize("e", [POINTS, POINTS.event(3)],
+                         ids=["batch", "event"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stacked_spinor_matches_its_components(seed, e):
+    spinor = random_smooth_spinor(np.random.default_rng(seed), K)
+    assert spinor.stacked is not None
+    comps = spinor.components
+    assert np.array_equal(spinor.values(e),
+                          np.stack([c.psi(e) for c in comps], axis=-1))
+    assert np.array_equal(spinor.grads(e),
+                          np.stack([c.grad4(e) for c in comps], axis=-2))
+    assert np.array_equal(spinor.laplacians(e),
+                          np.stack([c.laplace4(e) for c in comps], axis=-1))
+    assert np.array_equal(spinor.stacked.hess4(e),
+                          np.stack([c.hess4(e) for c in comps], axis=-3))
+
+
+def test_random_spinor_keeps_its_draw_order():
+    # per component: magnitude, phase, 4 real and 4 imaginary linear
+    # coefficients, 4 centers, 4 widths
+    rng = np.random.default_rng(11)
+    spinor = random_smooth_spinor(np.random.default_rng(11), C)
+    e = POINTS.event(0)
+    for comp in spinor.components:
+        mag = rng.uniform(0.5, 1.5)
+        lin = np.empty(5, dtype=complex)
+        lin[0] = mag * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        lin[1:] = rng.uniform(-0.3, 0.3, 4) + 1j * rng.uniform(-0.3, 0.3, 4)
+        b, a = rng.uniform(-0.5, 0.5, 4), rng.uniform(0.1, 0.4, 4)
+        x = e.as_array()
+        want = (lin[0] + np.sum(lin[1:] * x)) * np.exp(
+            -np.sum(a * (x - b) * (x - b)))
+        assert comp.psi(e) == want
+
+
+def test_gauge_transformed_spinor_evaluates_its_transformed_components():
+    spinor = random_smooth_spinor(np.random.default_rng(5), C)
+    chi = polynomial_gauge({(1, 0, 0, 0): 0.4, (0, 0, 0, 2): -0.3}, C.c)
+    _, moved = gauge_transform(zero_potential(), spinor, chi, C)
+    assert moved.stacked is None
+    comps = moved.components
+    assert np.array_equal(moved.values(POINTS),
+                          np.stack([c.psi(POINTS) for c in comps], axis=-1))
+    assert np.array_equal(moved.grads(POINTS),
+                          np.stack([c.grad4(POINTS) for c in comps], axis=-2))
+    assert not np.array_equal(moved.values(POINTS), spinor.values(POINTS))
+
+
+def test_replaced_components_are_evaluated_not_the_old_stack():
+    spinor = random_smooth_spinor(np.random.default_rng(5), C)
+    other = random_smooth_spinor(np.random.default_rng(6), C)
+    copy = dataclasses.replace(spinor, components=other.components)
+    assert copy.stacked is None
+    assert np.array_equal(copy.values(POINTS), other.values(POINTS))
+
+
+# ---------------------------------------------------------------------------
+# clifford: every momentum in one (N, 4) stack
+# ---------------------------------------------------------------------------
+
+def _oracle_gamma_dot(g, p):
+    return sum(p[mu] * g.gammas[mu] for mu in range(4))
+
+
+def _oracle_factorization(g, p, constants):
+    mc = constants.m * constants.c
+    gp = _oracle_gamma_dot(g, p)
+    eye = np.eye(4, dtype=complex)
+    product = (gp + 1j * mc * eye) @ (gp - 1j * mc * eye)
+    return float(np.max(np.abs(product - (complex(np.sum(p * p)) + mc ** 2)
+                               * eye)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.1])
+def test_gamma_dot_and_factorization_of_a_stack(scale):
+    g = _scaled_gammas(scale)
+    draws = np.random.default_rng(3).normal(size=(25, 2, 4))
+    p = draws[:, 0] + 1j * draws[:, 1]
+    assert np.array_equal(gamma_dot(g, p),
+                          np.stack([_oracle_gamma_dot(g, v) for v in p]))
+    fac = factorization_residual(g, p, K)
+    assert fac.shape == (25,)
+    assert fac.tolist() == [_oracle_factorization(g, v, K) for v in p]
+    one = factorization_residual(g, p[4], K)
+    assert type(one) is float and one == _oracle_factorization(g, p[4], K)
+    assert np.array_equal(gamma_dot(g, p[4]), _oracle_gamma_dot(g, p[4]))
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 3)),
+                                 np.zeros((2, 2, 4)), 1.0],
+                         ids=["3", "2x3", "2x2x4", "scalar"])
+def test_gamma_contraction_refuses_a_bad_shape(bad):
+    g = gamma_matrices()
+    with pytest.raises(ParameterError):
+        gamma_dot(g, bad)
+    with pytest.raises(ParameterError):
+        factorization_residual(g, bad)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.1])
+def test_clifford_rows_match_one_draw_per_momentum(scale):
+    cfg = config_from_dict({"fixture": {"gamma_scale": scale,
+                                        "n_random_p": 30}}, "clifford")
+    rows = [r for r in run_scenario(cfg).rows if r["case"] == "random-p"]
+    rng = np.random.default_rng(cfg.seed)
+    g = _scaled_gammas(scale)
+    want = []
+    for i in range(30):
+        p = rng.normal(size=4) + 1j * rng.normal(size=4)
+        gp = _oracle_gamma_dot(g, p)
+        square = float(np.max(np.abs(
+            gp @ gp - complex(np.sum(p * p)) * np.eye(4, dtype=complex))))
+        want += [("gamma_square", i, square),
+                 ("factorization", i,
+                  _oracle_factorization(g, p, cfg.constants))]
+    assert [(r["check"], r["index"], r["magnitude"]) for r in rows] == want
+
+
+# ---------------------------------------------------------------------------
+# pierce points: refinement skipped where the grid rules a touch out
+# ---------------------------------------------------------------------------
+
+def _oracle_pierce(w, t0, grid=4096, lam_tol=1e-12, tangent_tol=1e-10,
+                   tangent_slope_tol=1e-6):
+    """pierce_points with the ternary refinement at every turning point;
+    (lambda, tangent) per root."""
+    lo, hi = w.lam_range
+    lams = np.linspace(lo, hi, grid + 1)
+    cell = (hi - lo) / grid
+    t = w.position(lams).t
+    tangent_tol *= max(abs(t0), float(np.max(np.abs(t)))) or 1.0
+    tangent_slope_tol *= float(np.max(np.abs(np.diff(t)))) / cell or 1.0
+    f = t - t0
+    sign = np.sign(f)
+
+    def bisect(a, b):
+        fa = w.position(a).t - t0
+        while b - a > lam_tol:
+            mid = 0.5 * (a + b)
+            fm = w.position(mid).t - t0
+            if fm == 0.0:
+                return mid
+            if (fa < 0) != (fm < 0):
+                b = mid
+            else:
+                a, fa = mid, fm
+        return 0.5 * (a + b)
+
+    roots = [float(lams[i]) for i in np.flatnonzero(f == 0.0)]
+    roots += [bisect(float(lams[i]), float(lams[i + 1]))
+              for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
+    df = np.diff(f)
+    turns = (df[:-1] != 0.0) & ((df[:-1] < 0) != (df[1:] < 0))
+    for i in np.flatnonzero(turns) + 1:
+        a, b = float(lams[i - 1]), float(lams[i + 1])
+        for _ in range(200):
+            m1, m2 = a + (b - a) / 3, b - (b - a) / 3
+            if abs(w.position(m1).t - t0) < abs(w.position(m2).t - t0):
+                b = m2
+            else:
+                a = m1
+            if b - a < lam_tol:
+                break
+        lam_star = 0.5 * (a + b)
+        if abs(w.position(lam_star).t - t0) < tangent_tol:
+            if not any(abs(lam_star - r) < 2 * cell for r in roots):
+                roots.append(lam_star)
+    return [(lam, abs(float(w.velocity(lam)[3])) < tangent_slope_tol)
+            for lam in sorted(roots)]
+
+
+def _sweep(top):
+    near = top * (1 - 1e-12)
+    return sorted(set(np.linspace(-1.1 * top, 1.1 * top, 23).tolist()
+                      + [near, -near, top, -top, top * (1 + 1e-12), 0.0]))
+
+
+PIERCE_CURVES = {
+    "circle": (make_worldline("circle-x1x4", radius=1.0), 1.0),
+    "circle-c2": (make_worldline("circle-x1x4", radius=1e3, c=2.0), 500.0),
+    # no grid point at the top: |f| there is far above tangent_tol, but
+    # within the neighbouring steps, so a touch still gets refined
+    "circle-offset": (make_worldline("circle-x1x4", radius=1.0,
+                                     lam_range=(0.1, 0.1 + 2 * math.pi)),
+                      1.0),
+    "helix": (make_worldline("helix", radius=0.8, omega=3.0, c=1.5), 1.0),
+    "boosted-circle": (boost_worldline(
+        make_worldline("circle-x1x4", radius=1.3), 0.5), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIERCE_CURVES))
+def test_pierce_points_match_refinement_everywhere(name):
+    w, top = PIERCE_CURVES[name]
+    for t0 in _sweep(top):
+        got = [(p.lam, p.tangent) for p in pierce_points(w, t0)]
+        assert got == _oracle_pierce(w, t0), t0
+
+
+def _scalar_position_calls(w, t0):
+    calls = []
+
+    def position(lam):
+        calls.append(np.ndim(lam))
+        return w.position(lam)
+
+    counted = Worldline(w.kind, position, w.velocity, w.lam_range, w.c,
+                        w.params)
+    return pierce_points(counted, t0), calls.count(0)
+
+
+def test_far_turning_points_are_not_refined():
+    # the two bisections of about 32 steps and the two roots' events; each
+    # turning point refined would add about 109 more
+    points, calls = _scalar_position_calls(
+        make_worldline("circle-x1x4", radius=1.0), 0.5)
+    assert len(points) == 2 and calls < 80
+
+
+def test_near_grazing_turning_point_is_still_refined():
+    # 1e-12 below the top the slice still crosses twice, and the top's
+    # turning point lies within tangent_tol of it, so it is refined
+    w = make_worldline("circle-x1x4", radius=1.0)
+    points, calls = _scalar_position_calls(w, 1.0 - 1e-12)
+    assert [(p.lam, p.tangent) for p in points] == _oracle_pierce(
+        w, 1.0 - 1e-12)
+    assert len(points) == 2 and calls > 150
+
+
+# ---------------------------------------------------------------------------
+# energy scan: the x tolerance in units of m c^2
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [1e-9, 1e-6, 1.0, 10.0])
+def test_energy_scan_passes_at_every_mass(m):
+    report = run_scenario(config_from_dict({"constants": {"m": m}},
+                                           "dirac-coulomb-1s"))
+    scan, = [c for c in report.checks if c.name == "energy_scan"]
+    assert scan.passed and report.passed
+    assert scan.linf < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# tools/report_hashes.py
+# ---------------------------------------------------------------------------
+
+def _hash_tool():
+    spec = importlib.util.spec_from_file_location(
+        "report_hashes", ROOT / "tools" / "report_hashes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_hashes_smoke(tmp_path, capsys):
+    tool = _hash_tool()
+    assert tool.main(["--scenario", "clifford"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1:] for line in lines] == [
+        ["0", "clifford", mode, fmt] for mode in ("default", "analytic",
+                                                  "numeric")
+        for fmt in ("json", "csv")]
+    assert all(len(line.split()[0]) == 64 for line in lines)
+    saved = tmp_path / "hashes.txt"
+    saved.write_text("\n".join(lines) + "\n")
+    assert tool.main(["--scenario", "clifford", "--check", str(saved)]) == 0
+    saved.write_text("\n".join(["0" * 64 + lines[0][64:]] + lines[1:]))
+    assert tool.main(["--scenario", "clifford", "--check", str(saved)]) == 1
+    assert "changed: " in capsys.readouterr().err

@@ -1,11 +1,14 @@
 """report_to_json writes exactly what json.dumps(sort_keys=True, indent=2)
-writes for the same document.
+writes for the same document, and report_to_csv what csv.writer writes.
 
 The oracle document is built here, field by field from the report, and
-encoded by the standard library's indent encoder; the library writes the
-rows itself, so every byte of every row is compared against json's.
+encoded by the standard library's indent encoder (or its csv writer); the
+library writes the rows itself, so every byte of every row is compared
+against json's and csv's.
 """
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -13,7 +16,8 @@ import pytest
 
 from fourvel import (DerivativeMethod, default_config, list_scenarios,
                      run_scenario)
-from fourvel.runner import CheckResult, ResidualReport, report_to_json
+from fourvel.runner import (CheckResult, ResidualReport, report_to_csv,
+                            report_to_json)
 
 
 def oracle(report) -> str:
@@ -34,6 +38,18 @@ def oracle(report) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def csv_oracle(report) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(("case", "check", "index", "x1", "x2", "x3", "t",
+                     "magnitude"))
+    for row in report.rows:
+        writer.writerow([row["case"], row["check"], row["index"],
+                         repr(row["x1"]), repr(row["x2"]), repr(row["x3"]),
+                         repr(row["t"]), repr(row["magnitude"])])
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("mode", ["analytic", "central"])
 @pytest.mark.parametrize("scenario", list_scenarios())
 def test_every_scenario_report_matches_the_indent_encoder(scenario, mode):
@@ -43,6 +59,7 @@ def test_every_scenario_report_matches_the_indent_encoder(scenario, mode):
     report = run_scenario(cfg)
     assert report.rows
     assert report_to_json(report) == oracle(report)
+    assert report_to_csv(report) == csv_oracle(report)
 
 
 def test_timestamped_scenario_report_matches_the_indent_encoder():
@@ -83,6 +100,8 @@ EDGE_ROWS = (
     _row(case="new\nline\ttab\rreturn", check="ctl \x00\x01\x1f\x7f"),
     _row(case="astral \U0001f600", check="rows\": []"),
     _row(case="", check="", index=12345678901234567890),
+    _row(case="comma, here", check="a \"quoted\" label"),
+    _row(case="", check="comma,"),
 )
 
 
@@ -103,6 +122,14 @@ def test_edge_rows_match_the_indent_encoder():
     assert text == oracle(report)
     assert '"x1": -0.0' in text and '"t": -0.0' in text
     assert '"magnitude": NaN' in text and '"x3": -Infinity' in text
+
+
+def test_edge_rows_match_the_csv_writer():
+    report = _synthetic(EDGE_ROWS)
+    text = report_to_csv(report)
+    assert text == csv_oracle(report)
+    assert "c,k,0,-0.0,0.0,0.0,0.0," in text
+    assert report_to_csv(_synthetic(())) == csv_oracle(_synthetic(()))
 
 
 def test_zero_rows_match_the_indent_encoder():
