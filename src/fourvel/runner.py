@@ -958,13 +958,13 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[1:-2]
 
 
-def _row_parts(rows, coords_fmt: str, label, number) -> list:
-    """(case, check, index, magnitude, coordinates) of each report row as
-    text: labels spelled by label, numbers by number, and the coordinates
-    as coords_fmt.format(x1, x2, x3, t). Each label is spelled once, and
-    the coordinates once per distinct (x1, x2, x3, t): an event's
+def _row_parts(rows, coords_fmt: str, label, number):
+    """Yield (case, check, index, magnitude, coordinates) of each report row
+    as text: labels spelled by label, numbers by number, and the
+    coordinates as coords_fmt.format(x1, x2, x3, t). Each label is spelled
+    once, and the coordinates once per distinct (x1, x2, x3, t): an event's
     coordinates repeat on every check row it has."""
-    labels, coords, out = {}, {}, []
+    labels, coords = {}, {}
     for row in rows:
         case, check = row["case"], row["check"]
         x1, x2, x3, t = key = row["x1"], row["x2"], row["x3"], row["t"]
@@ -978,9 +978,8 @@ def _row_parts(rows, coords_fmt: str, label, number) -> list:
             labels[case] = label(case)
         if check not in labels:
             labels[check] = label(check)
-        out.append((labels[case], labels[check], row["index"],
-                    number(row["magnitude"]), block))
-    return out
+        yield (labels[case], labels[check], row["index"],
+               number(row["magnitude"]), block)
 
 
 def report_to_json(report: ResidualReport) -> str:

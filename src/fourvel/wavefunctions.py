@@ -401,11 +401,11 @@ def gaussian_polynomial_wave(linear, center, widths,
         raise ParameterError("widths must be positive")
     c = constants.c
     fold = np.array([1, 1, 1, 1 / (1j * c)], dtype=complex)
-    rows = tuple(range(-lin.ndim, -1))   # where the parameter axes go
+    param_axes = tuple(range(-lin.ndim, -1))   # after the point axis
     lin0, lin1 = lin[..., 0], lin[..., 1:]
 
     def parts(e: Event):
-        x = np.expand_dims(e.as_array(), rows)
+        x = np.expand_dims(e.as_array(), param_axes)
         d = x - b
         poly = lin0 + np.sum(lin1 * x, axis=-1)
         gauss = np.exp(-np.sum(a * d * d, axis=-1))
