@@ -279,11 +279,33 @@ class ResidualReport:
     scenario: str
     config: dict
     checks: tuple
-    rows: tuple
+    rows: _Rows
     passed: bool
     version: str
     timestamp: Optional[str]
     duration_s: Optional[float]
+
+
+class _Rows:
+    """The report rows as blocks (case, first index, (K, 4) points,
+    columns), one column (check, K float64 magnitudes, a K-bool mask of the
+    events with a sample, or None for all) per check. It reads as a
+    sequence of row dicts, event-major and check-minor within a block,
+    built on the first read; its length is counted as blocks are added."""
+
+    def __init__(self):
+        self.blocks, self.count, self._dicts = [], 0, ()
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i):
+        if len(self._dicts) != self.count:
+            self._dicts = tuple(
+                dict(zip(_CSV_HEADER, (case, check, index, *point, mag)))
+                for case, check, index, mag, point in _row_parts(
+                    self, str, np.ndarray.tolist, lambda *point: point))
+        return self._dicts[i]
 
 
 class _Collector:
@@ -291,48 +313,39 @@ class _Collector:
         self.tolerances = tolerances
         self.mode_index = 1 if mode == "central" else 0
         self.overrides = overrides
-        self.rows = []
-        self._order = []
-        self._mags = {}
-
-    def tolerance(self, check: str) -> Optional[float]:
-        if check in self.overrides:
-            return self.overrides[check]
-        return self.tolerances[check][self.mode_index]
+        self.rows = _Rows()
 
     def add(self, check: str, case: str, index: int, event: Event,
             magnitude: float):
-        self._add(check, case, index,
-                  [float(event.x1), float(event.x2), float(event.x3),
-                   float(event.t)], magnitude)
+        self.add_cloud(case, [event.as_array()], [(check, [magnitude])], index)
 
-    def add_cloud(self, case: str, events: EventArray, checks: list):
-        """Rows for a whole cloud, event-major and check-minor, as a
-        per-event sweep adds them. checks is a list of (name, magnitudes)
-        with one magnitude per event, None where the check has no sample."""
-        for i, point in enumerate(events.as_array().tolist()):
-            for check, mags in checks:
-                if mags[i] is not None:
-                    self._add(check, case, i, point, mags[i])
-
-    def _add(self, check: str, case: str, index: int, point: list,
-             magnitude: float):
-        if check not in self._mags:
-            self._mags[check] = []
-            self._order.append(check)
-        self._mags[check].append(float(magnitude))
-        x1, x2, x3, t = point
-        self.rows.append({
-            "case": case, "check": check, "index": index,
-            "x1": x1, "x2": x2, "x3": x3, "t": t,
-            "magnitude": float(magnitude),
-        })
+    def add_cloud(self, case: str, events, checks: list, start: int = 0):
+        """One block of rows for a (K, 4) array of events, indexed from
+        start. checks is a list of (name, magnitudes) or (name, magnitudes,
+        present), one magnitude per event; the mask present leaves out the
+        events where the check has no sample."""
+        points = np.array(events, dtype=float).reshape(-1, 4)
+        columns = []
+        for check, mags, *present in checks:
+            keep = np.array(present[0], dtype=bool) if present else None
+            n = len(points) if keep is None else np.count_nonzero(keep)
+            if n:
+                columns.append((check, np.array(mags, dtype=float), keep))
+                self.rows.count += int(n)
+        if columns:
+            self.rows.blocks.append((case, start, points, columns))
 
     def finalize(self) -> tuple:
+        samples = {}   # in the order of the checks' first rows
+        for _, _, _, columns in self.rows.blocks:
+            for check, values, keep in sorted(columns, key=lambda col: (
+                    0 if col[2] is None else np.argmax(col[2]))):
+                samples.setdefault(check, []).extend(
+                    (values if keep is None else values[keep]).tolist())
         checks = []
-        for name in self._order:
-            mags = self._mags[name]
-            tol = self.tolerance(name)
+        for name, mags in samples.items():
+            tol = self.overrides.get(name,
+                                     self.tolerances[name][self.mode_index])
             # max() keeps a NaN only in first place; any NaN must fail
             linf = math.nan if any(m != m for m in mags) \
                 else max(mags, default=0.0)
@@ -592,18 +605,16 @@ def _scn_dirac_coulomb(cfg: ScenarioConfig, rng, col: _Collector, events):
     meth = cfg.method
     # velocity deviation needs two components above threshold; other
     # events have no sample of it
-    deviation = [None] * len(events)
+    deviation = np.zeros(len(events))
     usable = np.count_nonzero(np.abs(spinor.values(events)) > DEFAULT_EPS_PSI,
                               axis=-1) >= 2
     if np.count_nonzero(usable):
-        _, dev = spinor_velocity_consistency(
+        _, deviation[usable] = spinor_velocity_consistency(
             spinor, a, EventArray(events[usable]), meth, constants=consts)
-        for i, value in zip(np.flatnonzero(usable), dev):
-            deviation[i] = value
     col.add_cloud(spinor.label, events, [
         ("residual_gamma", _worst(dirac_residual(spinor, a, events, meth,
                                                  "gamma", constants=consts))),
-        ("velocity_deviation", deviation),
+        ("velocity_deviation", deviation, usable),
     ])
 
     # independent oracle: residual norm over a coarse ray as a function of a
@@ -687,11 +698,9 @@ def _scn_clifford(cfg: ScenarioConfig, rng, col: _Collector, events):
     gp = gamma_dot(g, p)
     square = np.max(np.abs(gp @ gp - np.sum(p * p, axis=-1)[:, None, None]
                            * np.eye(4, dtype=complex)), axis=(-2, -1))
-    factorization = factorization_residual(g, p, consts)
-    for i, (sq, fac) in enumerate(zip(square.tolist(),
-                                      factorization.tolist())):
-        col.add("gamma_square", "random-p", i, _ORIGIN, sq)
-        col.add("factorization", "random-p", i, _ORIGIN, fac)
+    col.add_cloud("random-p", np.zeros((len(p), 4)), [
+        ("gamma_square", square),
+        ("factorization", factorization_residual(g, p, consts))])
 
 
 def _scn_action_path(cfg: ScenarioConfig, rng, col: _Collector, events):
@@ -771,8 +780,14 @@ def _scn_worldline(cfg: ScenarioConfig, rng, col: _Collector, events):
 
 def _dirac_coulomb_limits(fixture: dict):
     _require(fixture["scan_points"] >= 1, "fixture scan_points must be >= 1")
-    _require(fixture["scan_lo"] < fixture["scan_hi"],
-             "fixture scan_lo must lie below scan_hi")
+    lo, hi, za = fixture["scan_lo"], fixture["scan_hi"], fixture["z_alpha"]
+    _require(lo < hi, "fixture scan_lo must lie below scan_hi")
+    # the scan can only find a bound-state energy inside its window
+    if 0.0 < za < 1.0:
+        energy = math.sqrt(1.0 - za * za)
+        _require(lo <= energy <= hi,
+                 f"fixture scan window [{lo}, {hi}] does not hold the "
+                 f"expected energy sqrt(1 - z_alpha^2) = {energy!r} m c^2")
 
 
 def _gauge_orbit_limits(fixture: dict):
@@ -922,7 +937,7 @@ def run_scenario(cfg: ScenarioConfig) -> ResidualReport:
         scenario=cfg.scenario,
         config=_config_echo(cfg),
         checks=checks,
-        rows=tuple(col.rows),
+        rows=col.rows,
         passed=all(c.passed for c in checks),
         version=__version__,
         timestamp=None if cfg.no_timestamp else
@@ -945,10 +960,13 @@ _CSV_ROW = "%s,%s,%d,%s,%s\r\n"
 _CSV_COORDS = "{0},{1},{2},{3}"
 
 
-def _json_float(x: float) -> str:
-    """x as json spells it: float repr, or NaN, Infinity and -Infinity."""
-    text = float.__repr__(x)
-    return _JSON_NONFINITE.get(text, text)
+def _floats(values: np.ndarray, nonfinite: Optional[dict] = None) -> list:
+    """Each of values as float repr spells it, and a non-finite one as
+    nonfinite spells it, if given."""
+    texts = list(map(float.__repr__, values.tolist()))
+    if nonfinite and not np.isfinite(values).all():
+        texts = [nonfinite.get(text, text) for text in texts]
+    return texts
 
 
 def _csv_field(text: str) -> str:
@@ -958,28 +976,30 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[1:-2]
 
 
-def _row_parts(rows, coords_fmt: str, label, number):
-    """Yield (case, check, index, magnitude, coordinates) of each report row
-    as text: labels spelled by label, numbers by number, and the
-    coordinates as coords_fmt.format(x1, x2, x3, t). Each label is spelled
-    once, and the coordinates once per distinct (x1, x2, x3, t): an event's
-    coordinates repeat on every check row it has."""
-    labels, coords = {}, {}
-    for row in rows:
-        case, check = row["case"], row["check"]
-        x1, x2, x3, t = key = row["x1"], row["x2"], row["x3"], row["t"]
-        if 0.0 in key:   # 0.0 == -0.0, yet they print differently
-            key += tuple(math.copysign(1.0, v) for v in key)
-        block = coords.get(key)
-        if block is None:
-            block = coords[key] = coords_fmt.format(
-                number(x1), number(x2), number(x3), number(t))
-        if case not in labels:
-            labels[case] = label(case)
-        if check not in labels:
-            labels[check] = label(check)
-        yield (labels[case], labels[check], row["index"],
-               number(row["magnitude"]), block)
+def _row_parts(rows: _Rows, label, spell, point):
+    """Yield (case, check, index, magnitude, coordinates) of each row of
+    rows, block by block: labels as label(name), a column of magnitudes as
+    spell(values), a list, and a block's coordinates as point(x1, x2, x3,
+    t) of the spelled values, once per distinct points array. Its float64
+    bytes are the key, so -0.0 stays apart from 0.0."""
+    coords = {}
+    for case, start, points, columns in rows.blocks:
+        key = points.tobytes()
+        xyz = coords.get(key)
+        if xyz is None:
+            texts = spell(points.ravel())
+            xyz = coords[key] = list(map(point, texts[0::4], texts[1::4],
+                                         texts[2::4], texts[3::4]))
+        names = [label(check) for check, _, _ in columns]
+        # None marks an event without a sample
+        cols = [spell(values) if keep is None
+                else np.where(keep, spell(values), None).tolist()
+                for _, values, keep in columns]
+        case = label(case)
+        for index, (block, *mags) in enumerate(zip(xyz, *cols), start):
+            for check, magnitude in zip(names, mags):
+                if magnitude is not None:
+                    yield case, check, index, magnitude, block
 
 
 def report_to_json(report: ResidualReport) -> str:
@@ -1012,8 +1032,9 @@ def report_to_json(report: ResidualReport) -> str:
     head, _, tail = text.partition(_JSON_ROWS_SLOT)
     return "".join((head, '\n  "rows": [\n',
                     ",\n".join([_JSON_ROW % row for row in _row_parts(
-                        report.rows, _JSON_COORDS, encode_basestring_ascii,
-                        _json_float)]),
+                        report.rows, encode_basestring_ascii,
+                        lambda v: _floats(v, _JSON_NONFINITE),
+                        _JSON_COORDS.format)]),
                     "\n  ],\n", tail))
 
 
@@ -1027,7 +1048,7 @@ def report_to_csv(report: ResidualReport) -> str:
     return buf.getvalue() + "".join([
         _CSV_ROW % (case, check, index, coords, magnitude)
         for case, check, index, magnitude, coords in _row_parts(
-            report.rows, _CSV_COORDS, _csv_field, float.__repr__)])
+            report.rows, _csv_field, _floats, _CSV_COORDS.format)])
 
 
 def export_report(report: ResidualReport, fmt: str = "json") -> str:

@@ -440,21 +440,24 @@ def gaussian_polynomial_wave(linear, center, widths,
                       params={"center": tuple(b), "widths": tuple(a)})
 
 
+# (low, high) of the uniform slots of a random spinor component: magnitude,
+# phase, 4 real and 4 imaginary linear coefficients, 4 centers, 4 widths
+_SPINOR_LOW, _SPINOR_HIGH = np.repeat([[0.5, 0.0, -0.3, -0.3, -0.5, 0.1],
+                                       [1.5, 2 * math.pi, 0.3, 0.3, 0.5, 0.4]],
+                                      [1, 1, 4, 4, 4, 4], axis=1)
+
+
 def random_smooth_spinor(rng: np.random.Generator,
                          constants: PhysicalConstants = NATURAL_UNITS) -> SpinorWave:
     """Seeded non-solution spinor: four independent gaussian-polynomial
     components with O(1) constant terms so the field has no zero near the
-    sampling ball. The four are also evaluated as one stacked wave."""
-    lin = np.empty((4, 5), dtype=complex)
-    center = np.empty((4, 4))
-    widths = np.empty((4, 4))
-    for k in range(4):
-        mag = rng.uniform(0.5, 1.5)
-        lin[k, 0] = mag * np.exp(1j * rng.uniform(0, 2 * math.pi))
-        lin[k, 1:] = (rng.uniform(-0.3, 0.3, 4)
-                      + 1j * rng.uniform(-0.3, 0.3, 4))
-        center[k] = rng.uniform(-0.5, 0.5, 4)
-        widths[k] = rng.uniform(0.1, 0.4, 4)
+    sampling ball. The four are also evaluated as one stacked wave. One
+    draw, scaled as rng.uniform scales it, takes the numbers of per-slot
+    uniform draws."""
+    u = _SPINOR_LOW + (_SPINOR_HIGH - _SPINOR_LOW) * rng.random((4, 18))
+    lin = np.column_stack([u[:, 0] * np.exp(1j * u[:, 1]),
+                           u[:, 2:6] + 1j * u[:, 6:10]])
+    center, widths = u[:, 10:14], u[:, 14:]
     comps = tuple(gaussian_polynomial_wave(lin[k], center[k], widths[k],
                                            constants,
                                            label=f"random-spinor[{k}]")

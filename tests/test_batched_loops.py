@@ -18,7 +18,7 @@ from fourvel import (ANALYTIC, Event, EventArray, NATURAL_UNITS,
                      action_integral, boost_worldline, central,
                      config_from_dict, coulomb_potential,
                      extract_u, factorization_residual, gamma_dot,
-                     gamma_matrices, gauge_transform, kg_coulomb_1s,
+                     gamma_matrices, gaussian_polynomial_wave, gauge_transform, kg_coulomb_1s,
                      make_worldline, pierce_points, plane_wave,
                      polynomial_gauge, random_smooth_spinor, run_scenario,
                      zero_potential)
@@ -143,6 +143,28 @@ def test_random_spinor_keeps_its_draw_order():
         want = (lin[0] + np.sum(lin[1:] * x)) * np.exp(
             -np.sum(a * (x - b) * (x - b)))
         assert comp.psi(e) == want
+
+
+@pytest.mark.parametrize("seed", [3, 11, 2024])
+def test_random_spinor_draws_the_per_slot_numbers_and_stream(seed):
+    # one uniform draw per slot, as the spinor was built before its draws
+    # became one block; three spinors in a row, then the next draw
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        spinor = random_smooth_spinor(rng, K)
+        for comp in spinor.components:
+            mag = oracle.uniform(0.5, 1.5)
+            lin = np.empty(5, dtype=complex)
+            lin[0] = mag * np.exp(1j * oracle.uniform(0, 2 * math.pi))
+            lin[1:] = (oracle.uniform(-0.3, 0.3, 4)
+                       + 1j * oracle.uniform(-0.3, 0.3, 4))
+            b, a = oracle.uniform(-0.5, 0.5, 4), oracle.uniform(0.1, 0.4, 4)
+            want = gaussian_polynomial_wave(lin, b, a, K)
+            assert comp.params == {"center": tuple(b), "widths": tuple(a)}
+            assert np.array_equal(comp.psi(POINTS), want.psi(POINTS))
+            assert np.array_equal(comp.grad4(POINTS), want.grad4(POINTS))
+    assert rng.bit_generator.state == oracle.bit_generator.state
+    assert rng.random() == oracle.random()
 
 
 def test_gauge_transformed_spinor_evaluates_its_transformed_components():
@@ -379,3 +401,13 @@ def test_report_hashes_smoke(tmp_path, capsys):
     saved.write_text("\n".join(["0" * 64 + lines[0][64:]] + lines[1:]))
     assert tool.main(["--scenario", "clifford", "--check", str(saved)]) == 1
     assert "changed: " in capsys.readouterr().err
+
+
+def test_report_hashes_extra_configs(capsys):
+    tool = _hash_tool()
+    assert tool.main(["--scenario", "clifford", "--extra"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the default reports, then the perturbed gammas, which fail (exit 1)
+    assert [line.split()[1:] for line in lines[6:]] == [
+        ["1", "clifford", "gamma-scale-1.001", fmt] for fmt in ("json", "csv")]
+    assert lines[6].split()[0] != lines[0].split()[0]

@@ -12,12 +12,14 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fourvel import (DerivativeMethod, default_config, list_scenarios,
                      run_scenario)
-from fourvel.runner import (CheckResult, ResidualReport, report_to_csv,
-                            report_to_json)
+from fourvel import runner
+from fourvel.runner import (CheckResult, ResidualReport, _Collector,
+                            report_to_csv, report_to_json)
 
 
 def oracle(report) -> str:
@@ -105,13 +107,27 @@ EDGE_ROWS = (
 )
 
 
+def _collected(rows):
+    """rows as the collector holds them: one single-row block each (an
+    Event refuses the non-finite coordinates, an array does not)."""
+    col = _Collector({}, "analytic", {})
+    for r in rows:
+        col.add_cloud(r["case"], [[r["x1"], r["x2"], r["x3"], r["t"]]],
+                      [(r["check"], [r["magnitude"]])], r["index"])
+    return col.rows
+
+
 def _synthetic(rows, *, timestamp=None, config=None) -> ResidualReport:
     checks = (CheckResult("k", math.inf, math.nan, None, True, len(rows)),
               CheckResult("ψ", 0.0, -0.0, 1e-12, False, 0))
+    collected = _collected(rows)
+    # the collector hands back the rows it was given, in order
+    assert len(collected) == len(rows)
+    assert repr(list(collected)) == repr(list(rows))
     return ResidualReport(
         scenario="synthetic \"scenario\"",
         config=config if config is not None else {"seed": 1},
-        checks=checks, rows=tuple(rows), passed=False, version="0.1.0",
+        checks=checks, rows=collected, passed=False, version="0.1.0",
         timestamp=timestamp,
         duration_s=None if timestamp is None else 0.25)
 
@@ -151,3 +167,116 @@ def test_config_text_that_looks_like_the_rows_key(rows):
               "fixture": {"rows": [], "z": 1}, "rows": {"rows": []}}
     report = _synthetic(rows, config=config)
     assert report_to_json(report) == oracle(report)
+
+
+# ---------------------------------------------------------------------------
+# random blocks through the collector, against rows written out one by one
+# ---------------------------------------------------------------------------
+
+NAMES = ("alpha", "beta", "gamma", "δ, \"quoted\"")
+MAGNITUDES = (0.0, -0.0, math.nan, math.inf, -math.inf, 2.220446049250313e-16,
+              0.1 + 0.2, 5e-324, 1e300, 123456789.0)
+COORDINATES = (0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, -1.25, 1e-300)
+
+
+def _points(rng, k):
+    """k points drawn from COORDINATES, some replaced by fresh normals."""
+    points = rng.choice(COORDINATES, size=(k, 4))
+    fresh = rng.random((k, 4)) < 0.3
+    points[fresh] = rng.normal(size=np.count_nonzero(fresh))
+    return points
+
+
+def _random_blocks(rng, n=12):
+    """(case, start, points, [(check, magnitudes, present or None)]) blocks
+    with missing samples, signed zeros, NaN and infinities in magnitudes and
+    coordinates, one points array in several blocks, equal points in
+    different arrays and repeated magnitudes. The fixed first blocks: a
+    check whose first sample comes after another's, an empty cloud, and a
+    column with no sample at all."""
+    shared = _points(rng, 5)
+    blocks = [
+        ("order", 0, shared[:2], [("late", np.array([1.0, 2.0]),
+                                   np.array([False, True])),
+                                  ("early", np.array([-0.0, 0.0]), None)]),
+        ("empty", 0, np.empty((0, 4)), [("alpha", np.empty(0), None)]),
+        ("absent", 3, shared, [("beta", np.ones(5), np.zeros(5, bool)),
+                               ("gamma", np.full(5, -0.0), None)]),
+    ]
+    for b in range(n):
+        pick = rng.integers(3)
+        points = (shared if pick == 0 else shared.copy() if pick == 1
+                  else _points(rng, int(rng.integers(0, 6))))
+        k = len(points)
+        columns = []
+        for check in rng.choice(NAMES, size=rng.integers(1, 4),
+                                replace=False):
+            mags = rng.choice(MAGNITUDES, size=k)
+            fresh = rng.random(k) < 0.3
+            mags[fresh] = rng.normal(size=np.count_nonzero(fresh))
+            present = rng.random(k) < 0.7 if rng.random() < 0.5 else None
+            columns.append((str(check), mags, present))
+        blocks.append((f"case-{b % 4}", int(rng.integers(0, 3)) * 10,
+                       points, columns))
+    return blocks
+
+
+def _oracle_rows(blocks) -> list:
+    """Each block's rows, event-major and check-minor, one dict at a time."""
+    rows = []
+    for case, start, points, columns in blocks:
+        for i in range(len(points)):
+            x1, x2, x3, t = (float(v) for v in points[i])
+            for check, mags, present in columns:
+                if present is None or present[i]:
+                    rows.append({"case": case, "check": check,
+                                 "index": start + i, "x1": x1, "x2": x2,
+                                 "x3": x3, "t": t,
+                                 "magnitude": float(mags[i])})
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_blocks_match_the_oracles(seed):
+    blocks = _random_blocks(np.random.default_rng(seed))
+    col = _Collector({name: (1.0, 1.0) for name in
+                      NAMES + ("late", "early")}, "analytic", {})
+    for case, start, points, columns in blocks:
+        col.add_cloud(case, points, [
+            (check, mags) if present is None else (check, mags, present)
+            for check, mags, present in columns], start)
+    checks = col.finalize()
+    report = ResidualReport(
+        scenario="random blocks", config={"seed": seed}, checks=checks,
+        rows=col.rows, passed=all(c.passed for c in checks),
+        version="0.1.0", timestamp=None, duration_s=None)
+    expected = _oracle_rows(blocks)
+    truth = dataclasses.replace(report, rows=tuple(expected))
+    assert len(report.rows) == len(expected)
+    assert report_to_json(report) == oracle(truth)
+    assert report_to_csv(report) == csv_oracle(truth)
+    assert repr(list(report.rows)) == repr(expected)
+
+    # each check in the order of its first row; count, linf (any NaN wins)
+    # and the sequential l2 sum over its magnitudes in row order
+    mags = {}
+    for row in expected:
+        mags.setdefault(row["check"], []).append(row["magnitude"])
+    assert [c.name for c in checks] == list(mags)
+    assert [c.name for c in checks][:2] == ["early", "late"]
+    for c in checks:
+        m = mags[c.name]
+        linf = math.nan if any(v != v for v in m) else max(m)
+        l2 = math.sqrt(sum(v * v for v in m))
+        assert (c.count, repr(c.linf), repr(c.l2)) == (len(m), repr(linf),
+                                                      repr(l2))
+
+
+def test_row_count_does_not_walk_the_rows(monkeypatch):
+    report = run_scenario(default_config("gauge-orbit"))
+
+    def walked(*args):
+        raise AssertionError("len(report.rows) walked the rows")
+
+    monkeypatch.setattr(runner, "_row_parts", walked)
+    assert len(report.rows) == 4000 and report.rows

@@ -1,5 +1,6 @@
 """Scenario runner configs, report shape, and the command line contract."""
 import csv
+import hashlib
 import dataclasses
 import io
 import json
@@ -632,3 +633,31 @@ def test_reported_checks_are_the_records_tolerance_keys(scenario, mode):
     report = run_scenario(cfg)
     assert ({c.name for c in report.checks}
             == set(runner._SCENARIOS[scenario].tolerances))
+
+
+# ---------------------------------------------------------------------------
+# dirac-coulomb-1s: the energy scan window must hold the expected energy
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("z_alpha", [0.2, 0.3])
+def test_scan_window_without_the_energy_exits_two(tmp_path, capsys, z_alpha):
+    # sqrt(1 - z_alpha^2) is 0.980 or 0.954, above the default [0.85, 0.95]
+    doc = {"fixture": {"z_alpha": z_alpha}}
+    with pytest.raises(ConfigError, match="scan window"):
+        config_from_dict(doc, "dirac-coulomb-1s")
+    assert _run_config(tmp_path, "dirac-coulomb-1s", doc) == 2
+    err = capsys.readouterr().err
+    assert "[0.85, 0.95]" in err and repr(math.sqrt(1 - z_alpha ** 2)) in err
+
+
+def test_scan_window_that_holds_the_energy_passes(tmp_path):
+    doc = {"fixture": {"z_alpha": 0.2, "scan_hi": 0.99}}
+    assert _run_config(tmp_path, "dirac-coulomb-1s", doc) == 0
+
+
+def test_default_dirac_coulomb_report_is_unchanged(capsys):
+    # the sha256 of the default report (numpy 2.4 on x86-64) before the
+    # scan window was checked
+    assert main(["run", "dirac-coulomb-1s", "--no-timestamp"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest.startswith("54fa2ea7e16ed210")

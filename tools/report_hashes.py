@@ -9,6 +9,15 @@ give 48 lines of ``<sha256> <exit code> <scenario> <mode> <format>``.
     python tools/report_hashes.py --check hashes.txt
     python tools/report_hashes.py --scenario clifford
 
+With ``--extra`` the reports of the fixed non-default configs in
+``EXTRA_CONFIGS`` follow, in their scenario's default mode, each named in
+the mode column: other seeds, a failing (exit 1) report, other couplings
+and units, a near-grazing worldline and a ray whose far events have no
+velocity sample.
+
+    python tools/report_hashes.py --extra > hashes.txt
+    python tools/report_hashes.py --extra --check hashes.txt
+
 With ``--check FILE`` the lines are compared with a saved list; every line
 that differs, and every saved line that is missing, is printed to stderr,
 and the exit code is 1. The hashes depend on the numpy build, so a saved
@@ -20,7 +29,9 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -30,17 +41,48 @@ from fourvel.runner import list_scenarios  # noqa: E402
 
 MODES = {"default": [], "analytic": ["--analytic"], "numeric": ["--numeric"]}
 FORMATS = ("json", "csv")
+UNITS = {"hbar": 1.3, "c": 1.7, "m": 0.8, "q": -0.6}
+# (scenario, name, config document)
+EXTRA_CONFIGS = [
+    ("plane-wave", "seed-7", {"seed": 7}),
+    ("dirac-plane-wave", "seed-7", {"seed": 7}),
+    ("clifford", "gamma-scale-1.001", {"fixture": {"gamma_scale": 1.001}}),
+    ("kg-coulomb-1s", "z-alpha-0.45", {"fixture": {"z_alpha": 0.45}}),
+    ("dirac-coulomb-1s", "z-alpha-0.5", {"fixture": {"z_alpha": 0.5}}),
+    ("dirac-coulomb-1s", "z-alpha-0.2-wide-scan",
+     {"fixture": {"z_alpha": 0.2, "scan_hi": 0.99}}),
+    ("dirac-coulomb-1s", "far-ray",
+     {"cloud": {"kind": "ray", "r_min": 0.5, "r_max": 68.0, "count": 40}}),
+    ("gauge-orbit", "units", {"constants": UNITS}),
+    ("kg-coulomb-1s", "units", {"constants": UNITS}),
+    ("action-path", "units", {"constants": UNITS}),
+    ("worldline-pierce", "near-grazing", {"fixture": {"ct0": 0.999999}}),
+]
 
 
-def report_hash(scenario: str, mode: str, fmt: str) -> str:
-    """One line for the report of scenario in mode and format."""
+def report_hash(scenario: str, mode: str, fmt: str, args=()) -> str:
+    """One line for the report of scenario in mode and format; args are
+    more command line arguments."""
     out = io.StringIO()
-    argv = ["run", scenario, "--no-timestamp", "--format", fmt, *MODES[mode]]
+    argv = ["run", scenario, "--no-timestamp", "--format", fmt,
+            *MODES.get(mode, []), *args]
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         code = cli_main(argv)
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     return f"{digest} {code} {scenario} {mode} {fmt}"
+
+
+def extra_hashes() -> list:
+    """The lines of the reports of EXTRA_CONFIGS."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for scenario, name, doc in EXTRA_CONFIGS:
+            path = Path(tmp) / f"{scenario}-{name}.json"
+            path.write_text(json.dumps(doc))
+            lines += [report_hash(scenario, name, fmt, ["--config", str(path)])
+                      for fmt in FORMATS]
+    return lines
 
 
 def main(argv=None) -> int:
@@ -49,11 +91,17 @@ def main(argv=None) -> int:
                         help="hash only this scenario (repeatable)")
     parser.add_argument("--check", metavar="FILE",
                         help="compare with a saved list; exit 1 on change")
+    parser.add_argument("--extra", action="store_true",
+                        help="also hash the reports of EXTRA_CONFIGS")
     args = parser.parse_args(argv)
 
     lines = [report_hash(s, mode, fmt)
              for s in args.scenario or list_scenarios()
              for mode in MODES for fmt in FORMATS]
+    if args.extra:
+        lines += [line for line in extra_hashes()
+                  if args.scenario is None
+                  or line.split()[2] in args.scenario]
     if args.check is None:
         print("\n".join(lines))
         return 0
