@@ -14,8 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .core4 import DerivativeMethod
-from .errors import ConfigError, FourvelError, ParameterError
+from .errors import ConfigError, FourvelError
 from .runner import (ScenarioConfig, config_from_dict, default_config,
                      export_report, list_scenarios, run_scenario)
 
@@ -65,29 +64,16 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     else:
         cfg = default_config(args.scenario)
 
-    method = cfg.method
-    if args.analytic:
-        method = DerivativeMethod("analytic", method.h, method.richardson)
-    elif args.numeric:
-        method = DerivativeMethod("central", method.h, method.richardson)
-    if args.h is not None:
-        try:
-            method = DerivativeMethod(method.mode, args.h, method.richardson)
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+    mode = "analytic" if args.analytic else "central" if args.numeric else None
+    return replace(
+        cfg, method=replace(cfg.method, **_given(mode=mode, h=args.h)),
+        **_given(seed=args.seed, no_timestamp=args.no_timestamp or None,
+                 out=args.out, fmt=args.format))
 
-    updates = {"method": method}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        updates["seed"] = args.seed
-    if args.no_timestamp:
-        updates["no_timestamp"] = True
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.format is not None:
-        updates["fmt"] = args.format
-    return replace(cfg, **updates)
+
+def _given(**flags) -> dict:
+    """The flags that were given on the command line."""
+    return {key: value for key, value in flags.items() if value is not None}
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
@@ -46,11 +46,15 @@ from .worldline import (boost_worldline, classify_speed, make_worldline,
 
 DEFAULT_SEED = 20240817
 
-_CLOUD_KEYS = {
-    # kind -> (required keys, optional keys)
-    "ray": (("r_min", "r_max", "count"), ("t",)),
-    "random-ball": (("radius", "count"), ("center",)),
-    "events": (("events",), ()),
+# the example values of the constants' and the derivative method's fields,
+# and of each cloud kind's required and optional keys; an integer example
+# marks a count
+_CONSTANTS = dict.fromkeys(("hbar", "c", "m", "q"), 0.0)
+_METHOD = {"mode": "", "h": 0.0, "richardson": False}
+_CLOUDS = {
+    "ray": ({"r_min": 0.0, "r_max": 0.0, "count": 0}, {"t": 0.0}),
+    "random-ball": ({"radius": 0.0, "count": 0}, {"center": [0.0] * 4}),
+    "events": ({"events": [dict.fromkeys(("x1", "x2", "x3", "t"), 0.0)]}, {}),
 }
 
 
@@ -95,169 +99,151 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
-def _scale_limits(k: PhysicalConstants):
-    """Refuse units whose scales overflow or underflow once the fixtures
-    square them; q = 0 stays allowed, for scenarios without a charge."""
-    c = k.c
-    scales = {"m c^2": k.m * c * c, "hbar c": k.hbar * c,
-              "m c / hbar": k.m * c / k.hbar, "c^2": c * c}
-    if k.q != 0.0:
-        scales["q"] = k.q
-    for name, value in scales.items():
-        _require(math.isfinite(value * value) and value * value != 0.0,
-                 f"constants out of range: ({name})^2 = {value * value!r} "
-                 f"is not a finite nonzero number")
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number within the float range; booleans are not
-    numbers here."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:   # an integer too large for a float
-        return False
-
-
 # the most samples, draws, gauges, boosts or scan points any one count of a
 # configuration may ask for
 _MAX_COUNT = 10_000
 
 
-def _limits(spec: Scenario, fixture: dict):
-    """Refuse a fixture count above _MAX_COUNT (an integer default marks a
-    count), then a value out of the scenario's own limits."""
-    for key, default in spec.fixture.items():
-        if isinstance(default, int):
-            _require(fixture[key] <= _MAX_COUNT,
-                     f"fixture {key} must be at most {_MAX_COUNT}")
-    spec.limits(fixture)
+def _fits(value, example) -> bool:
+    """Whether value has the type and shape of example: a string, a bool, a
+    count from 0 to _MAX_COUNT for an integer example, a finite number
+    within the float range, an object with example's keys, a vector of
+    example's length, or a list of such vectors (nonempty) or objects
+    (possibly empty). A bool is only a bool."""
+    if isinstance(example, (str, bool)) or isinstance(value, bool):
+        return type(value) is type(example)
+    if isinstance(example, int):
+        return isinstance(value, int) and 0 <= value <= _MAX_COUNT
+    if isinstance(example, float):
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:   # an integer too large for a float
+            return False
+    if isinstance(example, dict):
+        return (isinstance(value, dict) and value.keys() == example.keys()
+                and all(_fits(v, example[k]) for k, v in value.items()))
+    item = example[0]
+    return (isinstance(value, (list, tuple))
+            and (len(value) > 0 or isinstance(item, dict))
+            and (isinstance(item, (list, tuple, dict))
+                 or len(value) == len(example))
+            and all(_fits(v, item) for v in value))
 
 
-def _is_count(value) -> bool:
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and value >= 0)
+def _check_keys(what: str, value, required: dict, optional: dict = {}):
+    """Refuse value unless it is an object with every key of required and
+    no key outside required and optional, each value fitting the example
+    value of its key."""
+    _require(isinstance(value, dict), f"{what} must be an object")
+    examples = {**required, **optional}
+    for key, v in value.items():
+        _require(key in examples, f"unknown {what} key {key!r}")
+        example = examples[key]
+        if not _fits(v, example):   # repr(v) only on refusal: it may be long
+            raise ConfigError(
+                f"{what} {key} must be an integer in [0, {_MAX_COUNT}]"
+                if type(example) is int else f"{what} {key} = {v!r} does not "
+                f"have the type and shape of {example!r}")
+    for key in required:
+        _require(key in value, f"{what} needs {key!r}")
 
 
-def _fits(value, default) -> bool:
-    """Whether a fixture value has the type and shape of its default."""
-    if isinstance(default, str):
-        return isinstance(value, str)
-    if isinstance(default, int):
-        return _is_count(value)
-    if isinstance(default, float):
-        return _is_number(value)
-    # a vector of fixed length, or a nonempty list of such vectors
-    return (isinstance(value, (list, tuple)) and len(value) > 0
-            and (isinstance(default[0], (list, tuple))
-                 or len(value) == len(default))
-            and all(_fits(v, default[0]) for v in value))
+def _validate(cfg: ScenarioConfig) -> Scenario:
+    """The record of cfg's scenario, once every field of cfg is known to be
+    in range: the one check of a configuration, whether it was read from a
+    document, set by command line flags or built in code."""
+    spec = _spec(cfg.scenario)
+    # the fields of the constants and method records; config_from_dict
+    # passes the objects its document gives in their place
+    consts = getattr(cfg.constants, "__dict__", cfg.constants)
+    _check_keys("constants", consts, _CONSTANTS)
+    k = {key: float(value) for key, value in consts.items()}
+    _require(min(k["hbar"], k["c"], k["m"]) > 0,
+             "constants hbar, c and m must be positive")
+    # units whose scales overflow or underflow once the fixtures square them
+    # are refused; q = 0 stays allowed, for scenarios without a charge
+    c = k["c"]
+    scales = {"m c^2": k["m"] * c * c, "hbar c": k["hbar"] * c,
+              "m c / hbar": k["m"] * c / k["hbar"], "c^2": c * c}
+    if k["q"] != 0.0:
+        scales["q"] = k["q"]
+    for name, value in scales.items():
+        _require(math.isfinite(value * value) and value * value != 0.0,
+                 f"constants out of range: ({name})^2 = {value * value!r} "
+                 f"is not a finite nonzero number")
+
+    method = getattr(cfg.method, "__dict__", cfg.method)
+    _check_keys("method", method, _METHOD)
+    _require(method["mode"] in ("analytic", "central"),
+             f"unknown derivative mode {method['mode']!r}")
+    _require(method["h"] > 0, "method h must be positive")
+
+    _check_keys("fixture", cfg.fixture, spec.fixture, spec.optional)
+    spec.limits(cfg.fixture)
+
+    if spec.cloud is None:
+        _require(cfg.cloud is None, f"scenario {cfg.scenario} samples no "
+                                    f"cloud; remove the cloud key")
+    else:
+        kind = cfg.cloud.get("kind") if isinstance(cfg.cloud, dict) else None
+        _require(isinstance(kind, str) and kind in _CLOUDS,
+                 f"cloud must be an object whose kind is one of "
+                 f"{', '.join(_CLOUDS)}")
+        required, optional = _CLOUDS[kind]
+        _check_keys(f"{kind} cloud", cfg.cloud, {"kind": kind, **required},
+                    optional)
+
+    _check_keys("tolerances", cfg.tolerances, {},
+                dict.fromkeys(spec.tolerances, 0.0))
+    _require(all(v >= 0 for v in cfg.tolerances.values()),
+             "tolerances must be nonnegative")
+    _require(type(cfg.seed) is int and 0 <= cfg.seed < 2 ** 64,
+             "seed must be an unsigned 64-bit integer")
+    _require(_fits(cfg.no_timestamp, False),
+             "no_timestamp must be true or false")
+    _require(cfg.out is None or isinstance(cfg.out, str),
+             "out must be a path string")
+    _require(cfg.fmt in ("json", "csv"), f"unknown format {cfg.fmt!r}")
+    return spec
 
 
 def config_from_dict(doc: dict, scenario: Optional[str] = None) -> ScenarioConfig:
-    """Validate a JSON config document against a scenario's schema."""
+    """A JSON config document read over its scenario's defaults, once
+    _validate has accepted it."""
     _require(isinstance(doc, dict), "config document must be a JSON object")
     known = {"scenario", "constants", "method", "fixture", "cloud",
              "tolerances", "seed", "no_timestamp", "out", "format"}
     for key in doc:
         _require(key in known, f"unknown config key {key!r}")
-
     name = doc.get("scenario", scenario)
     _require(name is not None, "no scenario named")
     if scenario is not None and "scenario" in doc:
         _require(doc["scenario"] == scenario,
                  f"config is for scenario {doc['scenario']!r}, "
                  f"requested {scenario!r}")
-    spec = _spec(name)
     base = default_config(name)
-
-    for key in ("constants", "method", "fixture", "tolerances"):
+    for key in ("constants", "method", "fixture"):
         _require(isinstance(doc.get(key, {}), dict),
                  f"{key} must be an object")
-    const_kwargs = {}
-    for key, value in doc.get("constants", {}).items():
-        _require(key in ("hbar", "c", "m", "q"),
-                 f"unknown constant {key!r}")
-        _require(_is_number(value), f"constant {key} must be a finite number")
-        const_kwargs[key] = float(value)
-    try:
-        constants = PhysicalConstants(**{**vars(base.constants), **const_kwargs})
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    _scale_limits(constants)
 
-    mdoc = doc.get("method", {})
-    for key in mdoc:
-        _require(key in ("mode", "h", "richardson"),
-                 f"unknown method key {key!r}")
-    _require(_is_number(mdoc.get("h", base.method.h)),
-             "method h must be a finite number")
-    _require(isinstance(mdoc.get("richardson", False), bool),
-             "method richardson must be true or false")
-    try:
-        method = DerivativeMethod(
-            mdoc.get("mode", base.method.mode),
-            float(mdoc.get("h", base.method.h)),
-            mdoc.get("richardson", base.method.richardson),
-        )
-    except (ParameterError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad method: {exc}") from exc
-
-    fixture = dict(base.fixture)
-    for key, value in doc.get("fixture", {}).items():
-        default = spec.fixture.get(key, spec.optional.get(key))
-        _require(default is not None,
-                 f"unknown fixture key {key!r} for scenario {name}")
-        _require(_fits(value, default),
-                 f"fixture {key} = {value!r} does not have the type and "
-                 f"shape of its default {default!r}")
-        fixture[key] = value
-    _limits(spec, fixture)
-
-    cloud = base.cloud
-    if "cloud" in doc:
-        _require(spec.cloud is not None,
-                 f"scenario {name} samples no cloud; remove the cloud key")
-        cdoc = doc["cloud"]
-        _require(isinstance(cdoc, dict) and "kind" in cdoc,
-                 "cloud must be an object with a 'kind'")
-        kind = cdoc["kind"]
-        _require(isinstance(kind, str) and kind in _CLOUD_KEYS,
-                 f"unknown cloud kind {kind!r}")
-        required, optional = _CLOUD_KEYS[kind]
-        for key in cdoc:
-            _require(key == "kind" or key in required or key in optional,
-                     f"unknown cloud key {key!r} for kind {kind!r}")
-        for key in required:
-            _require(key in cdoc, f"cloud kind {kind!r} needs {key!r}")
-        cloud = dict(cdoc)
-
-    tolerances = {}
-    for key, value in doc.get("tolerances", {}).items():
-        _require(key in spec.tolerances,
-                 f"unknown check {key!r} for scenario {name}")
-        _require(_is_number(value) and value >= 0,
-                 f"tolerance {key} must be a nonnegative number")
-        tolerances[key] = float(value)
-
-    seed = doc.get("seed", base.seed)
-    _require(_is_count(seed) and seed < 2 ** 64,
-             "seed must be an unsigned 64-bit integer")
-    no_timestamp = doc.get("no_timestamp", False)
-    _require(isinstance(no_timestamp, bool),
-             "no_timestamp must be true or false")
-    out = doc.get("out")
-    _require(out is None or isinstance(out, str), "out must be a path string")
-
-    fmt = doc.get("format", base.fmt)
-    _require(fmt in ("json", "csv"), f"unknown format {fmt!r}")
-
-    return ScenarioConfig(
-        scenario=name, constants=constants, method=method, fixture=fixture,
-        cloud=cloud, tolerances=tolerances, seed=seed,
-        no_timestamp=no_timestamp, out=out, fmt=fmt,
+    cfg = ScenarioConfig(
+        scenario=name,
+        constants={**vars(base.constants), **doc.get("constants", {})},
+        method={**vars(base.method), **doc.get("method", {})},
+        fixture={**base.fixture, **doc.get("fixture", {})},
+        cloud=doc.get("cloud", base.cloud),
+        tolerances=doc.get("tolerances", {}),
+        seed=doc.get("seed", base.seed),
+        no_timestamp=doc.get("no_timestamp", False),
+        out=doc.get("out"),
+        fmt=doc.get("format", base.fmt),
     )
+    _validate(cfg)
+    m = cfg.method
+    return replace(cfg, constants=PhysicalConstants(
+        **{key: float(v) for key, v in cfg.constants.items()}),
+        method=DerivativeMethod(m["mode"], float(m["h"]), m["richardson"]),
+        tolerances={key: float(v) for key, v in cfg.tolerances.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -391,36 +377,20 @@ def _random_ball(center, radius: float, count: int, rng: np.random.Generator,
 
 def _build_cloud(spec: dict, rng: np.random.Generator,
                  min_r: float) -> EventArray:
-    """The sample cloud of spec as one EventArray. No point may lie closer
-    than min_r to the spatial origin: random-ball clouds reject such draws,
-    other kinds are refused."""
-    kind = spec["kind"]
-    if kind in ("ray", "random-ball"):
-        _require(_is_count(spec["count"]) and spec["count"] <= _MAX_COUNT,
-                 f"cloud count must be an integer in [0, {_MAX_COUNT}]")
-    if kind == "ray":
-        bounds = (spec["r_min"], spec["r_max"], spec.get("t", 0.0))
-        _require(all(_is_number(v) for v in bounds),
-                 "ray r_min, r_max and t must be finite numbers")
+    """The sample cloud of a validated spec as one EventArray. No point may
+    lie closer than min_r to the spatial origin: random-ball clouds reject
+    such draws, other kinds are refused."""
+    if spec["kind"] == "ray":
         # floats: np.linspace of an int beyond int64 builds an object array
-        r_min, r_max, t = map(float, bounds)
-        cloud = _ray(r_min, r_max, spec["count"], t)
-    elif kind == "random-ball":
-        center = spec.get("center", [0, 0, 0, 0])
-        _require(_is_number(spec["radius"]) and _fits(center, [0.0] * 4),
-                 "random-ball needs a finite radius and a 4-number center")
-        return _random_ball(np.asarray(center, dtype=float),
+        cloud = _ray(float(spec["r_min"]), float(spec["r_max"]),
+                     spec["count"], float(spec.get("t", 0.0)))
+    elif spec["kind"] == "random-ball":
+        return _random_ball(np.asarray(spec.get("center", [0, 0, 0, 0]),
+                                       dtype=float),
                             spec["radius"], spec["count"], rng, min_r)
-    elif kind == "events":
-        points = spec["events"]
-        _require(isinstance(points, list) and all(
-            isinstance(p, dict) and set(p) == {"x1", "x2", "x3", "t"}
-            and all(_is_number(v) for v in p.values()) for p in points),
-            "events must be a list of {x1, x2, x3, t} numbers")
-        cloud = EventArray(np.reshape(
-            [[p["x1"], p["x2"], p["x3"], p["t"]] for p in points], (-1, 4)))
     else:
-        raise ConfigError(f"unknown cloud kind {kind!r}")
+        cloud = EventArray(np.reshape([[p["x1"], p["x2"], p["x3"], p["t"]]
+                                       for p in spec["events"]], (-1, 4)))
     inside = cloud.r < min_r
     if np.count_nonzero(inside):
         raise ConfigError(
@@ -795,7 +765,8 @@ def _gauge_orbit_limits(fixture: dict):
 
 
 def _worldline_limits(fixture: dict):
-    _require(math.isfinite(fixture["radius"] * fixture["radius"]),
+    radius = float(fixture["radius"])   # an integer's square may not convert
+    _require(math.isfinite(radius * radius),
              "fixture radius must have a finite square")
     _require(0 <= fixture["max_boost"] < 1,
              "fixture max_boost must lie in [0, 1) (a fraction of c)")
@@ -903,10 +874,8 @@ _SCENARIOS = {
 def _config_echo(cfg: ScenarioConfig) -> dict:
     return {
         "scenario": cfg.scenario,
-        "constants": {"hbar": cfg.constants.hbar, "c": cfg.constants.c,
-                      "m": cfg.constants.m, "q": cfg.constants.q},
-        "method": {"mode": cfg.method.mode, "h": cfg.method.h,
-                   "richardson": cfg.method.richardson},
+        "constants": dict(vars(cfg.constants)),
+        "method": dict(vars(cfg.method)),
         "fixture": cfg.fixture,
         "cloud": cfg.cloud,
         "tolerances": cfg.tolerances,
@@ -915,9 +884,7 @@ def _config_echo(cfg: ScenarioConfig) -> dict:
 
 
 def run_scenario(cfg: ScenarioConfig) -> ResidualReport:
-    spec = _spec(cfg.scenario)
-    _scale_limits(cfg.constants)
-    _limits(spec, cfg.fixture)
+    spec = _validate(cfg)
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     col = _Collector(spec.tolerances, cfg.method.mode, cfg.tolerances)

@@ -1,10 +1,12 @@
-"""Property test of the CLI exit contract: every config document, however
+"""Property tests of the CLI exit contract: every config document, however
 malformed or extreme, exits 0, 1 or 2 without an escaping exception or a
-numpy warning, and exits 1 only when a check failed.
+numpy warning, and exits 1 only when a check failed; and config_from_dict,
+on any document, returns a ScenarioConfig or raises ConfigError.
 
-Each document is an ordinary one, with a cloud of at most 6 points and at
-most 3 gauges, in which up to two entries are replaced by a wrong type, a
-huge, tiny or big-integer number, or a non-finite one.
+Each CLI document is an ordinary one for its scenario, with a cloud of at
+most 6 points and at most a handful of gauges, draws, boosts or scan
+points, in which up to two entries are replaced by a wrong type, a huge,
+tiny or big-integer number, or a non-finite one.
 """
 import contextlib
 import io
@@ -13,8 +15,10 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from fourvel import ConfigError, ScenarioConfig, config_from_dict
 from fourvel.cli import main
 
 EXTREMES = [0, -0.0, 1e-320, 5e-324, 1e-154, 1e154, 1e200,
@@ -54,16 +58,42 @@ OPTIONAL = {
         "h": _floats(1e-4, 1e-2)}),
     "seed": st.integers(0, 2 ** 32),
 }
-DOCUMENTS = {
-    "gauge-orbit": st.fixed_dictionaries({"cloud": CLOUDS, "fixture": (
-        st.fixed_dictionaries({"p": _vector(3), "n_gauges": st.integers(0, 3)},
-                              optional={"degree": st.integers(1, 2)}))},
-        optional=OPTIONAL),
-    "plane-wave": st.fixed_dictionaries({"cloud": CLOUDS, "fixture": (
-        st.fixed_dictionaries({"momenta": st.lists(_vector(3), min_size=1,
-                                                   max_size=2)}))},
-        optional=OPTIONAL),
+Z_ALPHA = _floats(0.05, 0.95)
+MOMENTA = st.lists(_vector(3), min_size=1, max_size=2)
+FIXTURES = {
+    "gauge-orbit": st.fixed_dictionaries(
+        {"p": _vector(3), "n_gauges": st.integers(0, 3)},
+        optional={"degree": st.integers(1, 2)}),
+    "plane-wave": st.fixed_dictionaries({"momenta": MOMENTA}),
+    "kg-coulomb-1s": st.fixed_dictionaries({}, optional={
+        "z_alpha": Z_ALPHA, "energy_scale": _floats(0.9, 1.1)}),
+    "dirac-plane-wave": st.fixed_dictionaries(
+        {"momenta": MOMENTA, "n_random_spinors": st.integers(0, 2)},
+        optional={"spin": st.sampled_from(["up", "down"])}),
+    "dirac-coulomb-1s": st.fixed_dictionaries(
+        {"scan_points": st.integers(1, 5)},
+        # windows that hold the expected energy sqrt(1 - z_alpha^2)
+        optional={"z_alpha": _floats(0.32, 0.52),
+                  "scan_lo": _floats(0.5, 0.85), "scan_hi": _floats(0.95, 1.0),
+                  "energy": _floats(0.5, 1.0)}),
+    "clifford": st.fixed_dictionaries(
+        {"n_random_p": st.integers(0, 6)},
+        optional={"gamma_scale": _floats(0.9, 1.1)}),
+    "action-path": st.fixed_dictionaries({}, optional={
+        "p": _vector(3), "z_alpha": Z_ALPHA}),
+    "worldline-pierce": st.fixed_dictionaries(
+        {"n_boosts": st.integers(0, 6)},
+        optional={"radius": _floats(0.1, 10), "ct0": _floats(-2, 2),
+                  "line_v": _vector(3, -0.5, 0.5),
+                  "max_boost": _floats(0, 0.999)}),
 }
+# the scenarios that sample no cloud and refuse a cloud key
+NO_CLOUD = {"clifford", "action-path", "worldline-pierce"}
+DOCUMENTS = {
+    name: st.fixed_dictionaries(
+        {"fixture": fixture} if name in NO_CLOUD
+        else {"cloud": CLOUDS, "fixture": fixture}, optional=OPTIONAL)
+    for name, fixture in FIXTURES.items()}
 # entries a replacement may add to any document
 EXTRA_PATHS = [("constants", "c"), ("constants", "m"), ("constants", "hbar"),
                ("constants", "q"), ("method", "h"), ("unknown",)]
@@ -139,3 +169,35 @@ def test_gauge_orbit_config_documents_keep_the_exit_contract(doc):
 @given(documents("plane-wave"))
 def test_plane_wave_config_documents_keep_the_exit_contract(doc):
     _check_exit_contract("plane-wave", doc)
+
+
+@pytest.mark.parametrize("scenario", sorted(set(FIXTURES) - {
+    "gauge-orbit", "plane-wave"}))
+@settings(FUZZ, max_examples=30)
+@given(data=st.data())
+def test_config_documents_keep_the_exit_contract(scenario, data):
+    _check_exit_contract(scenario, data.draw(documents(scenario)))
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8)
+KEYS = ["scenario", "constants", "method", "fixture", "cloud", "tolerances",
+        "seed", "no_timestamp", "out", "format"]
+ANY_DOCUMENT = st.one_of(
+    JSON, st.dictionaries(st.sampled_from(KEYS), JSON, max_size=4),
+    st.sampled_from(sorted(FIXTURES)).flatmap(documents))
+
+
+@settings(FUZZ, max_examples=150)
+@given(ANY_DOCUMENT, st.sampled_from(sorted(FIXTURES) + [None, "nope"]))
+def test_config_from_dict_returns_a_config_or_raises_config_error(doc,
+                                                                  scenario):
+    try:
+        cfg = config_from_dict(doc, scenario)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ScenarioConfig)

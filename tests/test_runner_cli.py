@@ -276,6 +276,15 @@ def test_cli_unwritable_output_is_config_error(capsys):
     assert rc == 2
 
 
+# --seed meets the rule of a config file's seed
+@pytest.mark.parametrize("seed, code", [(2 ** 64, 2), (2 ** 64 - 1, 0)])
+def test_cli_seed_is_an_unsigned_64_bit_integer(capsys, seed, code):
+    assert main(["run", "clifford", "--seed", str(seed),
+                 "--no-timestamp"]) == code
+    err = capsys.readouterr().err
+    assert ("unsigned 64-bit integer" in err) == (code == 2)
+
+
 def test_cli_csv_to_stdout(capsys):
     rc = main(["run", "clifford", "--no-timestamp", "--format", "csv"])
     assert rc == 0
@@ -582,6 +591,36 @@ def test_fixture_out_of_range_exits_two(tmp_path, capsys, scenario, fixture):
     cfg = dataclasses.replace(cfg, fixture={**cfg.fixture, **fixture})
     with pytest.raises(ConfigError):
         run_scenario(cfg)
+
+
+# a config built in code meets the rules of a config file when it is run,
+# instead of letting a Python error escape or a field go unread
+@pytest.mark.parametrize("changes", [
+    {"fixture": {"p": [1.0, 0, 0]}},
+    {"cloud": {"kind": "random-ball", "radius": 1.5}},
+    {"cloud": [1, 2]},
+    {"fixture": {"p": "abc", "n_gauges": 10, "degree": 2}},
+    {"seed": -1},
+    {"tolerances": {"nope": 1.0}},
+    {"fmt": "xml"},
+    {"method": DerivativeMethod("analytic", 1e-3, "no")},
+    {"no_timestamp": "yes"},
+], ids=["fixture-without-n_gauges", "cloud-without-count", "cloud-list",
+        "p-string", "seed-negative", "unknown-tolerance", "format-xml",
+        "richardson-string", "no_timestamp-string"])
+def test_configs_built_in_code_are_checked_when_run(changes):
+    cfg = dataclasses.replace(default_config("gauge-orbit"), **changes)
+    with pytest.raises(ConfigError):
+        run_scenario(cfg)
+
+
+def test_integer_radius_whose_square_overflows_exits_two(tmp_path, capsys):
+    # an integer's square may be too large to convert to a float
+    doc = {"fixture": {"radius": 10 ** 200}}
+    with pytest.raises(ConfigError, match="radius"):
+        config_from_dict(doc, "worldline-pierce")
+    assert _run_config(tmp_path, "worldline-pierce", doc) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_default_configs_do_not_share_the_records_values():

@@ -12,8 +12,11 @@ give 48 lines of ``<sha256> <exit code> <scenario> <mode> <format>``.
 With ``--extra`` the reports of the fixed non-default configs in
 ``EXTRA_CONFIGS`` follow, in their scenario's default mode, each named in
 the mode column: other seeds, a failing (exit 1) report, other couplings
-and units, a near-grazing worldline and a ray whose far events have no
-velocity sample.
+and units, a near-grazing worldline, a ray whose far events have no
+velocity sample, and integer or empty values whose echo in the report's
+config must not change (integer constants, step and tolerance, which the
+echo shows as floats, and integer cloud and fixture values, which it
+shows as given).
 
     python tools/report_hashes.py --extra > hashes.txt
     python tools/report_hashes.py --extra --check hashes.txt
@@ -57,6 +60,22 @@ EXTRA_CONFIGS = [
     ("kg-coulomb-1s", "units", {"constants": UNITS}),
     ("action-path", "units", {"constants": UNITS}),
     ("worldline-pierce", "near-grazing", {"fixture": {"ct0": 0.999999}}),
+    # integer, empty and optional values whose echo must not change
+    ("plane-wave", "int-tolerance", {"tolerances": {"kg": 1}}),
+    ("plane-wave", "int-step", {"method": {"mode": "central", "h": 1}}),
+    ("kg-coulomb-1s", "empty-events", {"cloud": {"kind": "events",
+                                                 "events": []}}),
+    ("kg-coulomb-1s", "int-events", {"cloud": {"kind": "events", "events": [
+        {"x1": 1, "x2": 0, "x3": 0, "t": 0},
+        {"x1": 0, "x2": 2, "x3": -1, "t": 3}]}}),
+    ("gauge-orbit", "int-ball", {"cloud": {"kind": "random-ball", "radius": 2,
+                                           "center": [0, 1, 0, -1],
+                                           "count": 20}}),
+    ("kg-coulomb-1s", "int-ray", {"cloud": {"kind": "ray", "r_min": 1,
+                                            "r_max": 5, "count": 9, "t": 2}}),
+    ("gauge-orbit", "int-c-p", {"constants": {"c": 2},
+                                "fixture": {"p": [1, 0, 0]}}),
+    ("dirac-coulomb-1s", "energy", {"fixture": {"energy": 0.9}}),
 ]
 
 
