@@ -15,7 +15,9 @@ invertible matrix M = -(i/c) beta exposed as form_relation_matrix().
 
 The spinor residuals take one Event or a (K, 4) EventArray, like the scalar
 ones in velocityfield; each point is normalized by its own largest
-component magnitude.
+component magnitude. A SpinorWave evaluates all four components in one
+call, so each derivative a residual needs is one analytic call or one
+stencil over the spinor's values, never a loop over components.
 """
 from __future__ import annotations
 
@@ -24,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
-                    EventArray, NATURAL_UNITS, PhysicalConstants, _col,
+                    NATURAL_UNITS, PhysicalConstants, _col,
                     _first, _require_nonzero, grad4_numeric)
 from .errors import (InsufficientComponentsError, ParameterError,
                      UnsupportedConfigurationError)
-from .velocityfield import extract_u
 from .wavefunctions import _SIGMA, SpinorWave
 
 _I2 = np.eye(2, dtype=complex)
@@ -105,19 +106,23 @@ def form_relation_matrix(constants: PhysicalConstants = NATURAL_UNITS,
     return -(1j / constants.c) * g.beta
 
 
+def _grads(spinor: SpinorWave, e, method: DerivativeMethod, c: float):
+    """d_mu psi_k(e) as [..., k, mu]: the analytic evaluator, or in central
+    mode one stencil over the values of all four components."""
+    if method.mode == "analytic":
+        return spinor.grads(e)
+    return np.swapaxes(grad4_numeric(spinor.values, e, method.h, c,
+                                     method.richardson), -1, -2)
+
+
 def _operator_values(spinor: SpinorWave, a, e, method: DerivativeMethod,
-                     constants, use_analytic: bool):
+                     constants):
     """psi_k(e) and pop[..., mu, k] = (-i hbar d_mu - q A_mu) psi_k(e) for
     all k, mu, given the potential's values a at e. e is one Event or a
     (K, 4) batch."""
-    hbar, c, q = constants.hbar, constants.c, constants.q
     values = spinor.values(e)
-    if use_analytic:
-        grads = spinor.grads(e)
-    else:
-        grads = np.swapaxes(grad4_numeric(spinor.values, e, method.h, c,
-                                          method.richardson), -1, -2)
-    pop = -1j * hbar * grads - q * (values[..., :, None] * a[..., None, :])
+    pop = (-1j * constants.hbar * _grads(spinor, e, method, constants.c)
+           - constants.q * (values[..., :, None] * a[..., None, :]))
     return values, np.swapaxes(pop, -1, -2)
 
 
@@ -153,7 +158,7 @@ def dirac_residual(spinor: SpinorWave, a_field, e: Event,
     g = g or _STANDARD
     m, c = constants.m, constants.c
     values, pop = _operator_values(spinor, a_field.a(e), e, method,
-                                   constants, method.mode == "analytic")
+                                   constants)
     if form == "gamma":
         res = _gamma_form(g, pop, values, m, c)
     else:
@@ -168,7 +173,9 @@ def spinor_velocity_consistency(spinor: SpinorWave, a_field, e: Event,
                                 constants: PhysicalConstants = NATURAL_UNITS,
                                 eps_psi: float = DEFAULT_EPS_PSI):
     """Extract u independently from every component with |psi_k| above
-    threshold and report the worst pairwise componentwise deviation.
+    threshold and report the worst pairwise componentwise deviation. The
+    formula of extract_u is applied to all four components at once, from
+    one evaluation of the values and the gradients.
 
     Needs at least two admissible components at every point, and raises
     InsufficientComponentsError at the first point that has fewer. For
@@ -181,7 +188,8 @@ def spinor_velocity_consistency(spinor: SpinorWave, a_field, e: Event,
     one row per point (NaN where component k is below threshold) and the
     deviation is one value per point.
     """
-    admissible = np.abs(spinor.values(e)) > eps_psi
+    values = spinor.values(e)
+    admissible = np.abs(values) > eps_psi
     counts = np.count_nonzero(admissible, axis=-1)
     first = _first(counts < 2, e)
     if first:
@@ -189,18 +197,18 @@ def spinor_velocity_consistency(spinor: SpinorWave, a_field, e: Event,
         raise InsufficientComponentsError(
             f"only {np.ravel(counts)[k]} component(s) above threshold at "
             f"{where}")
-    kw = {"constants": constants, "eps_psi": eps_psi}
-    per_component = []
-    for k, comp in enumerate(spinor.components):
-        rows = admissible[..., k]
-        if np.all(rows):
-            per_component.append((k, extract_u(comp, a_field, e, method,
-                                               **kw)))
-        elif np.count_nonzero(rows):  # a batch: only some rows have it
-            u = np.full(rows.shape + (4,), np.nan, dtype=complex)
-            u[rows] = extract_u(comp, a_field, EventArray(np.asarray(e)[rows]),
-                                method, **kw)
-            per_component.append((k, u))
+    # extract_u of every component at once, dividing only where it is
+    # admissible; the other entries are NaN
+    dlog = (_grads(spinor, e, method, constants.c)
+            / _col(np.where(admissible, values, 1.0)))
+    u = (-1j * constants.hbar * dlog
+         - constants.q * a_field.a(e)[..., None, :]) / constants.m
+    u[~admissible] = np.nan
+    # a component enters where it is admissible at every row (an empty
+    # batch rules none out) or at some row
+    rows = admissible.reshape(-1, 4)
+    keep = np.all(rows, axis=0) | np.any(rows, axis=0)
+    per_component = [(k, u[..., k, :]) for k in range(4) if keep[k]]
     # |u_i - u_j| over every pair of components; fmax skips the NaN pairs
     # of rows where one of the two is below threshold
     us = np.stack([u for _, u in per_component], axis=-2)
@@ -240,11 +248,10 @@ def dirac_to_kg_check(spinor: SpinorWave, a_field, e: Event,
             "squared-operator check supports only A = 0")
     g = g or _STANDARD
     hbar, m, c = constants.hbar, constants.m, constants.c
-    use_analytic = method.mode == "analytic"
 
     def first_order(points) -> np.ndarray:
         values, pop = _operator_values(spinor, np.zeros(4), points, method,
-                                       constants, use_analytic)
+                                       constants)
         return _gamma_form(g, pop, values, m, c)
 
     # outer pass: gamma.(-i hbar d) + i m c on the intermediate field

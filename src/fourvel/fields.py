@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Number
 from typing import Callable
 
@@ -20,7 +20,7 @@ import numpy as np
 from .core4 import (ANALYTIC, Event, NATURAL_UNITS, PhysicalConstants, _col,
                     _potential_gradient, _zeros)
 from .errors import ParameterError
-from .wavefunctions import ScalarWave, SpinorWave, _outer, _radius
+from .wavefunctions import ScalarWave, _outer, _radius
 
 
 class PotentialField:
@@ -230,67 +230,64 @@ def lorenz_gauge_residual(a_field: PotentialField, e: Event, method=None,
     return np.trace(grad, axis1=-2, axis2=-1)
 
 
-def gauge_transform(a_field: PotentialField, psi, chi: GaugeFunction,
+def gauge_transform(a_field: PotentialField, psi: ScalarWave,
+                    chi: GaugeFunction,
                     constants: PhysicalConstants = NATURAL_UNITS):
     """Return (A', psi') = (A + d chi, psi * exp(i q chi / hbar)).
 
     The transformed wave keeps analytic evaluators, composed exactly from
-    the originals, so both derivative modes remain available. Works on
-    scalar waves and componentwise on spinor waves.
+    the originals, so both derivative modes remain available. psi is any
+    ScalarWave, a SpinorWave included: chi and its derivatives get one unit
+    axis after the point axis for each value axis of the wave, so a spinor's
+    components are transformed in one expression. Each evaluator asks chi
+    only for what it reads, and psi' has psi's class.
     """
+    if not isinstance(psi, ScalarWave):
+        raise ParameterError(f"cannot gauge-transform {type(psi).__name__}")
     a_prime = a_field + pure_gauge_potential(chi)
-
     iq_h = 1j * constants.q / constants.hbar
 
-    def transform_scalar(wave: ScalarWave) -> ScalarWave:
-        def psi_p(e):
-            return wave.psi(e) * np.exp(iq_h * chi.chi(e))
+    def gauged(e):
+        # psi at e, the factor exp(i q chi / hbar) and a reader of chi's
+        # derivative evaluators at e, both lifted over psi's value axes
+        value, x = psi.psi(e), chi.chi(e)
+        lift = ((slice(None),) * np.ndim(x)
+                + (None,) * (np.ndim(value) - np.ndim(x)))
+        return value, np.exp(iq_h * x[lift]), lambda d: d(e)[lift]
 
-        def grad_p(e):
-            g = np.exp(iq_h * chi.chi(e))
-            return _col(g) * (wave.grad4(e)
-                              + _col(wave.psi(e) * iq_h) * chi.grad4(e))
+    def psi_p(e):
+        value, g, _ = gauged(e)
+        return value * g
 
-        def lap_p(e):
-            g = np.exp(iq_h * chi.chi(e))
-            dchi = chi.grad4(e)
-            dpsi = wave.grad4(e)
-            return g * (
-                wave.laplace4(e)
-                + 2 * iq_h * np.sum(dpsi * dchi, axis=-1)
-                + wave.psi(e) * (iq_h * chi.laplace4(e)
-                                 + iq_h ** 2 * np.sum(dchi * dchi, axis=-1))
-            )
+    def grad_p(e):
+        value, g, lifted = gauged(e)
+        return _col(g) * (psi.grad4(e)
+                          + _col(value * iq_h) * lifted(chi.grad4))
 
-        hess_p = None
-        if wave.hess4 is not None:
-            def hess_p(e):
-                g = np.exp(iq_h * chi.chi(e))
-                dchi = chi.grad4(e)
-                dpsi = wave.grad4(e)
-                return _col(g, 2) * (
-                    wave.hess4(e)
-                    + iq_h * (_outer(dpsi, dchi) + _outer(dchi, dpsi))
-                    + _col(wave.psi(e), 2) * (iq_h * chi.hess4(e)
-                                              + iq_h ** 2 * _outer(dchi, dchi))
-                )
-
-        return ScalarWave(
-            label=wave.label + "+gauge",
-            psi=psi_p,
-            grad4=grad_p,
-            laplace4=lap_p,
-            hess4=hess_p,
-            energy=wave.energy,
-            params=dict(wave.params),
+    def lap_p(e):
+        value, g, lifted = gauged(e)
+        dchi = lifted(chi.grad4)
+        dpsi = psi.grad4(e)
+        return g * (
+            psi.laplace4(e)
+            + 2 * iq_h * np.sum(dpsi * dchi, axis=-1)
+            + value * (iq_h * lifted(chi.laplace4)
+                       + iq_h ** 2 * np.sum(dchi * dchi, axis=-1))
         )
 
-    if isinstance(psi, SpinorWave):
-        comps = tuple(transform_scalar(comp) for comp in psi.components)
-        psi_prime = SpinorWave(label=psi.label + "+gauge", components=comps,
-                               energy=psi.energy, params=dict(psi.params))
-    elif isinstance(psi, ScalarWave):
-        psi_prime = transform_scalar(psi)
-    else:
-        raise ParameterError(f"cannot gauge-transform {type(psi).__name__}")
-    return a_prime, psi_prime
+    hess_p = None
+    if psi.hess4 is not None:
+        def hess_p(e):
+            value, g, lifted = gauged(e)
+            dchi = lifted(chi.grad4)
+            dpsi = psi.grad4(e)
+            return _col(g, 2) * (
+                psi.hess4(e)
+                + iq_h * (_outer(dpsi, dchi) + _outer(dchi, dpsi))
+                + _col(value, 2) * (iq_h * lifted(chi.hess4)
+                                    + iq_h ** 2 * _outer(dchi, dchi))
+            )
+
+    return a_prime, replace(psi, label=psi.label + "+gauge", psi=psi_p,
+                            grad4=grad_p, laplace4=lap_p, hess4=hess_p,
+                            params=dict(psi.params))

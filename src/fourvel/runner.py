@@ -148,14 +148,20 @@ def _check_keys(what: str, value, required: dict, optional: dict = {}):
         _require(key in value, f"{what} needs {key!r}")
 
 
-def _validate(cfg: ScenarioConfig) -> Scenario:
+def _validate(cfg: ScenarioConfig, document: bool = False) -> Scenario:
     """The record of cfg's scenario, once every field of cfg is known to be
     in range: the one check of a configuration, whether it was read from a
-    document, set by command line flags or built in code."""
+    document, set by command line flags or built in code. With document set,
+    cfg's constants and method are the objects a config document gives,
+    which config_from_dict turns into their records once they pass."""
     spec = _spec(cfg.scenario)
-    # the fields of the constants and method records; config_from_dict
-    # passes the objects its document gives in their place
-    consts = getattr(cfg.constants, "__dict__", cfg.constants)
+    consts, method = cfg.constants, cfg.method
+    if not document:
+        _require(isinstance(consts, PhysicalConstants),
+                 "constants must be a PhysicalConstants record")
+        _require(isinstance(method, DerivativeMethod),
+                 "method must be a DerivativeMethod record")
+        consts, method = vars(consts), vars(method)
     _check_keys("constants", consts, _CONSTANTS)
     k = {key: float(value) for key, value in consts.items()}
     _require(min(k["hbar"], k["c"], k["m"]) > 0,
@@ -172,7 +178,6 @@ def _validate(cfg: ScenarioConfig) -> Scenario:
                  f"constants out of range: ({name})^2 = {value * value!r} "
                  f"is not a finite nonzero number")
 
-    method = getattr(cfg.method, "__dict__", cfg.method)
     _check_keys("method", method, _METHOD)
     _require(method["mode"] in ("analytic", "central"),
              f"unknown derivative mode {method['mode']!r}")
@@ -238,7 +243,7 @@ def config_from_dict(doc: dict, scenario: Optional[str] = None) -> ScenarioConfi
         out=doc.get("out"),
         fmt=doc.get("format", base.fmt),
     )
-    _validate(cfg)
+    _validate(cfg, document=True)
     m = cfg.method
     return replace(cfg, constants=PhysicalConstants(
         **{key: float(v) for key, v in cfg.constants.items()}),

@@ -1,22 +1,25 @@
 """Analytic wavefunction fixtures with closed-form derivatives.
 
-Every fixture supplies psi, grad4, and laplace4 evaluators (scalar fixtures
-also the full second-derivative matrix hess4) so the extraction and residual
-operators can run without finite differencing. laplace4 is written from an
-independently derived closed form, not as the trace of hess4; agreement of
-the two is itself a consistency check exercised by the tests.
+Every fixture supplies psi, grad4, and laplace4 evaluators (all but the
+Dirac-Coulomb spinor also the full second-derivative matrix hess4) so the
+extraction and residual operators can run without finite differencing.
+laplace4 is written from an independently derived closed form, not as the
+trace of hess4; agreement of the two is itself a consistency check
+exercised by the tests.
 
 Fixtures are deliberately unnormalized: every residual downstream is scale
 free (divided by psi or a component magnitude).
 
 Every evaluator takes one Event or a (K, 4) EventArray and works elementwise
 with numpy, so the central-difference engine can evaluate all its stencil
-points in one call; batch results carry a leading K axis.
+points in one call; batch results carry a leading K axis. A spinor is a
+ScalarWave whose values carry its four components on one more axis after
+the point axis, so every evaluator of a spinor is one call as well.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,43 +61,43 @@ class ScalarWave:
 
 
 @dataclass(frozen=True)
-class SpinorWave:
-    """4-component wave; each component is a ScalarWave sharing the phase
-    conventions of the whole spinor. stack, if given, is one ScalarWave
-    giving all four components bit for bit along a trailing axis, which
-    values, grads and laplacians then use; as the non-init field stacked it
-    is dropped by dataclasses.replace, so a copy evaluates its components."""
-
-    label: str
-    components: tuple
-    energy: Optional[float] = None
-    params: dict = field(default_factory=dict)
-    stack: InitVar[Optional[ScalarWave]] = None
-    stacked: Optional[ScalarWave] = field(default=None, init=False,
-                                          repr=False, compare=False)
-
-    def __post_init__(self, stack):
-        if len(self.components) != 4:
-            raise ParameterError("spinor needs exactly 4 components")
-        object.__setattr__(self, "stacked", stack)
-
-    def _each(self, evaluator: str, e, axis: int) -> np.ndarray:
-        """One evaluator of every component at e, components along axis."""
-        if self.stacked is not None:
-            return getattr(self.stacked, evaluator)(e)
-        return np.stack([np.asarray(getattr(c, evaluator)(e), dtype=complex)
-                         for c in self.components], axis=axis)
+class SpinorWave(ScalarWave):
+    """4-component wave: a ScalarWave whose evaluators carry the components
+    on the axis after the point axis, psi [..., k], grad4 [..., k, mu],
+    laplace4 [..., k] and hess4 [..., k, mu, nu], so one call evaluates all
+    four."""
 
     def values(self, e: Event) -> np.ndarray:
-        return self._each("psi", e, -1)
+        return self.psi(e)
 
     def grads(self, e: Event) -> np.ndarray:
-        """Matrix [k, mu] of d_mu psi_k from the component evaluators."""
-        return self._each("grad4", e, -2)
+        """Matrix [k, mu] of d_mu psi_k."""
+        return self.grad4(e)
 
     def laplacians(self, e: Event) -> np.ndarray:
         """laplace4 psi_k for every component k."""
-        return self._each("laplace4", e, -1)
+        return self.laplace4(e)
+
+
+def spinor_from_components(label: str, comps, energy: Optional[float] = None,
+                           params: Optional[dict] = None) -> SpinorWave:
+    """The spinor whose component k is the ScalarWave comps[k]: each
+    evaluator stacks the components' results on the component axis, and
+    hess4 is given when every component has one."""
+    comps = tuple(comps)
+    if len(comps) != 4:
+        raise ParameterError("spinor needs exactly 4 components")
+
+    def stacked(name: str, axis: int):
+        evaluators = [getattr(c, name) for c in comps]
+        if any(f is None for f in evaluators):
+            return None
+        return lambda e: np.stack([np.asarray(f(e), dtype=complex)
+                                   for f in evaluators], axis=axis)
+
+    return SpinorWave(label, stacked("psi", -1), stacked("grad4", -2),
+                      stacked("laplace4", -1), stacked("hess4", -3),
+                      energy, dict(params or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +248,15 @@ def dirac_plane_wave(p, spin: str = "up",
     lower = c * (sigma_p @ chi) / (E + m * c ** 2)
     w = np.concatenate([chi, lower])
 
-    def make_component(k: int) -> ScalarWave:
-        wk = w[k]
-        return ScalarWave(
-            label=f"dirac-plane-wave[{k}]",
-            psi=lambda e: wk * phase(e),
-            grad4=lambda e: g * _col(wk * phase(e)),
-            laplace4=lambda e: lap_coeff * (wk * phase(e)),
-            hess4=lambda e: np.outer(g, g) * _col(wk * phase(e), 2),
-            energy=E,
-        )
+    def psi(e: Event) -> np.ndarray:
+        return w * _col(phase(e))
 
     return SpinorWave(
         label=f"dirac-plane-wave p=({p[0]:g},{p[1]:g},{p[2]:g}) {spin}",
-        components=tuple(make_component(k) for k in range(4)),
+        psi=psi,
+        grad4=lambda e: g * _col(psi(e)),
+        laplace4=lambda e: lap_coeff * psi(e),
+        hess4=lambda e: np.outer(g, g) * _col(psi(e), 2),
         energy=E,
         params={"p": tuple(p), "spin": spin, "energy": E},
     )
@@ -317,11 +315,10 @@ def dirac_coulomb_1s(z_alpha: float,
         radial = s * (s - 1.0) / r ** 2 - 2.0 * lam * s / r + lam ** 2
         return (radial + g4 ** 2) * psi_large(e)
 
-    zero = ScalarWave("dirac-coulomb-1s[1]",
-                      psi=_zeros,
-                      grad4=lambda e: _zeros(e, 4),
-                      laplace4=_zeros,
-                      energy=E)
+    large = ScalarWave("dirac-coulomb-1s[0]", psi_large, grad_large,
+                       lap_large)
+    zero = ScalarWave("dirac-coulomb-1s[1]", _zeros, lambda e: _zeros(e, 4),
+                      _zeros)
 
     # small components: i * ratio * H(r) * Y(x) with H(r) = r^(s-2) e^(-lam r)
     # and Y a degree-1 solid harmonic (x3, or x1 + i x2). For those Y:
@@ -350,30 +347,16 @@ def dirac_coulomb_1s(z_alpha: float,
                       - 2.0 * lam * s / r + lam ** 2)
             return (radial + g4 ** 2) * hfac(e, r) * harm(e)
 
-        return ScalarWave(label, psi=psi_s, grad4=grad_s, laplace4=lap_s,
-                          energy=E)
+        return ScalarWave(label, psi_s, grad_s, lap_s)
 
-    comp3 = make_small(
-        "dirac-coulomb-1s[2]",
-        harm=lambda e: e.x3 + 0j,
-        harm_grad=lambda e: np.array([0, 0, 1], dtype=complex),
-    )
-    comp4 = make_small(
-        "dirac-coulomb-1s[3]",
-        harm=lambda e: e.x1 + 1j * e.x2,
-        harm_grad=lambda e: np.array([1, 1j, 0], dtype=complex),
-    )
-
-    large = ScalarWave("dirac-coulomb-1s[0]", psi=psi_large, grad4=grad_large,
-                       laplace4=lap_large, energy=E)
-
-    return SpinorWave(
-        label=f"dirac-coulomb-1s za={z_alpha:g}",
-        components=(large, zero, comp3, comp4),
-        energy=E,
-        params={"z_alpha": z_alpha, "s": s, "lambda": lam, "ratio": ratio,
-                "energy": E},
-    )
+    comp3 = make_small("dirac-coulomb-1s[2]", lambda e: e.x3 + 0j,
+                       lambda e: np.array([0, 0, 1], dtype=complex))
+    comp4 = make_small("dirac-coulomb-1s[3]", lambda e: e.x1 + 1j * e.x2,
+                       lambda e: np.array([1, 1j, 0], dtype=complex))
+    return spinor_from_components(
+        f"dirac-coulomb-1s za={z_alpha:g}", (large, zero, comp3, comp4), E,
+        {"z_alpha": z_alpha, "s": s, "lambda": lam, "ratio": ratio,
+         "energy": E})
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +420,8 @@ def gaussian_polynomial_wave(linear, center, widths,
 
     return ScalarWave(label=label, psi=psi, grad4=grad4, laplace4=laplace4,
                       hess4=hess4,
-                      params={"center": tuple(b), "widths": tuple(a)})
+                      params={"center": tuple(b.tolist()),
+                              "widths": tuple(a.tolist())})
 
 
 # (low, high) of the uniform slots of a random spinor component: magnitude,
@@ -450,19 +434,13 @@ _SPINOR_LOW, _SPINOR_HIGH = np.repeat([[0.5, 0.0, -0.3, -0.3, -0.5, 0.1],
 def random_smooth_spinor(rng: np.random.Generator,
                          constants: PhysicalConstants = NATURAL_UNITS) -> SpinorWave:
     """Seeded non-solution spinor: four independent gaussian-polynomial
-    components with O(1) constant terms so the field has no zero near the
-    sampling ball. The four are also evaluated as one stacked wave. One
-    draw, scaled as rng.uniform scales it, takes the numbers of per-slot
-    uniform draws."""
+    components, one parameter row each of a single gaussian_polynomial_wave,
+    with O(1) constant terms so the field has no zero near the sampling
+    ball. One draw, scaled as rng.uniform scales it, takes the numbers of
+    per-slot uniform draws."""
     u = _SPINOR_LOW + (_SPINOR_HIGH - _SPINOR_LOW) * rng.random((4, 18))
     lin = np.column_stack([u[:, 0] * np.exp(1j * u[:, 1]),
                            u[:, 2:6] + 1j * u[:, 6:10]])
-    center, widths = u[:, 10:14], u[:, 14:]
-    comps = tuple(gaussian_polynomial_wave(lin[k], center[k], widths[k],
-                                           constants,
-                                           label=f"random-spinor[{k}]")
-                  for k in range(4))
-    return SpinorWave(label="random-smooth-spinor", components=comps,
-                      stack=gaussian_polynomial_wave(
-                          lin, center, widths, constants,
-                          label="random-spinor"))
+    return SpinorWave(**vars(gaussian_polynomial_wave(
+        lin, u[:, 10:14], u[:, 14:], constants,
+        label="random-smooth-spinor")))

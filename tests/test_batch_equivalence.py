@@ -91,12 +91,10 @@ def test_scalar_fixture_evaluators_match_row_by_row(name):
 @pytest.mark.parametrize("name", sorted(_spinors()))
 def test_spinor_fixture_evaluators_match_row_by_row(name):
     spinor = _spinors()[name]
-    _rows_match(spinor.values)
-    _rows_match(spinor.grads)
-    for comp in spinor.components:
-        for evaluator in (comp.psi, comp.grad4, comp.laplace4, comp.hess4):
-            if evaluator is not None:
-                _rows_match(evaluator)
+    for evaluator in (spinor.values, spinor.grads, spinor.laplacians,
+                      spinor.hess4):
+        if evaluator is not None:
+            _rows_match(evaluator)
 
 
 @pytest.mark.parametrize("name", sorted(_potentials()))

@@ -12,17 +12,18 @@ first failing row's Event fails.
 import numpy as np
 import pytest
 
-from fourvel import (ANALYTIC, EventArray, InsufficientComponentsError,
-                     NATURAL_UNITS, NearZeroWavefunctionError, SpinorWave,
-                     central, constant_potential, coulomb_potential, curl_k,
-                     dirac_coulomb_1s, dirac_residual, dirac_to_kg_check,
-                     divergence_mu,
+from fourvel import (ANALYTIC, DEFAULT_EPS_PSI, EventArray,
+                     InsufficientComponentsError, NATURAL_UNITS,
+                     NearZeroWavefunctionError, ScalarWave, central,
+                     constant_potential, coulomb_potential, curl_k,
+                     dirac_coulomb_1s, dirac_plane_wave, dirac_residual,
+                     dirac_to_kg_check, divergence_mu, extract_u,
                      gaussian_polynomial_wave, kg_operator_on_spinor,
                      kg_residual, lorenz_gauge_residual, mass_shell_residual,
                      momentum_gradient, newton_residual,
                      nonlinear_wave_residual, polynomial_gauge,
-                     pure_gauge_potential, spinor_velocity_consistency,
-                     zero_potential)
+                     pure_gauge_potential, spinor_from_components,
+                     spinor_velocity_consistency, zero_potential)
 
 C = NATURAL_UNITS
 RTOL = 1e-12
@@ -42,7 +43,7 @@ def _wave(linear, label="envelope"):
 
 
 WAVE = _wave((1.0, 0.3, -0.2, 0.1, 0.2j))
-SPINOR = SpinorWave("envelope-spinor", tuple(
+SPINOR = spinor_from_components("envelope-spinor", (
     _wave(lin, f"envelope[{k}]") for k, lin in enumerate([
         (1.0, 0.3, -0.2, 0.1, 0.2j), (0.5j, -0.1, 0.2, 0.3, 0.1),
         (0.7, 0.2j, 0.1, -0.3, 0.0), (-0.4, 0.1, 0.1j, 0.2, -0.1)])))
@@ -143,6 +144,51 @@ def test_consistency_rows_with_different_admissible_components(method):
             assert np.max(np.abs(us[comp][k] - u)) <= RTOL * np.max(np.abs(u))
 
 
+def _component(spinor, k):
+    """Component k of a spinor as a ScalarWave of its own."""
+    return ScalarWave(f"{spinor.label}[{k}]",
+                      psi=lambda e: spinor.psi(e)[..., k],
+                      grad4=lambda e: spinor.grad4(e)[..., k, :],
+                      laplace4=lambda e: spinor.laplace4(e)[..., k])
+
+
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.mode)
+def test_consistency_is_extract_u_of_each_admissible_component(method):
+    # oracle: extract_u of each component on the rows where it is above
+    # threshold, the loop the stacked evaluation replaced; bit for bit
+    spinor, field = dirac_coulomb_1s(0.4, C), coulomb_potential(0.4, C)
+    rows = EventArray([[0.5, 0.2, 0.3, 0.1], [0.7, -0.4, 0.0, 0.2],
+                       [0.3, 0.6, -0.5, -0.3], [-0.2, 0.0, 0.0, 0.4]])
+    per_component, deviation = spinor_velocity_consistency(
+        spinor, field, rows, method, **KW)
+    admissible = np.abs(spinor.values(rows)) > DEFAULT_EPS_PSI
+    assert admissible[:, 2].tolist() == [True, False, True, False]
+    assert [k for k, _ in per_component] == [0, 2, 3]
+    for k, u in per_component:
+        keep = admissible[:, k]
+        want = np.full((len(rows), 4), np.nan, dtype=complex)
+        want[keep] = extract_u(_component(spinor, k), field,
+                               EventArray(rows.as_array()[keep]), method,
+                               **KW)
+        assert np.array_equal(u, want, equal_nan=True)
+    assert deviation.shape == (len(rows),) and np.isfinite(deviation).all()
+
+
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.mode)
+def test_consistency_of_an_empty_batch_keeps_every_component(method):
+    # no row rules a component out, so all four enter, as extract_u of each
+    # gives them on no rows
+    empty = EventArray(np.zeros((0, 4)))
+    spinor = dirac_plane_wave((0.0, 0.0, 0.0), "up", C)   # lower pair zero
+    per_component, deviation = spinor_velocity_consistency(
+        spinor, A0, empty, method, **KW)
+    assert [k for k, _ in per_component] == [0, 1, 2, 3]
+    for k, u in per_component:
+        want = extract_u(_component(spinor, k), A0, empty, method, **KW)
+        assert u.shape == want.shape == (0, 4)
+    assert deviation.shape == (0,)
+
+
 def _failure(call, field, e, method):
     """(type, message) of what call raises at e, or None."""
     try:
@@ -157,7 +203,7 @@ NODE_ROWS = EventArray([[0.4, 0.2, -0.1, 0.05], [0.0, -0.4, 0.3, 0.2],
                         [1.1, 0.9, -0.6, -0.3], [0.0, 0.5, 0.2, -0.1],
                         [-0.7, 0.3, 0.1, 0.4]])
 NODE_WAVE = _wave((0.0, 1.0, 0.0, 0.0, 0.0), "node")
-NODE_SPINOR = SpinorWave("node-spinor", tuple(
+NODE_SPINOR = spinor_from_components("node-spinor", (
     _wave((0.0, scale, 0.0, 0.0, 0.0), f"node[{k}]")
     for k, scale in enumerate((1.0, 0.5j, -0.3, 0.2))))
 

@@ -1,6 +1,6 @@
 """Batched paths against per-item oracles written here, bit for bit.
 
-The action quadrature, the stacked random spinor, the (N, 4) gamma
+The action quadrature, the random spinor, the (N, 4) gamma
 contraction and the pierce-point refinement each replaced a loop over one
 node, component, momentum or turning point. Each oracle below is that loop,
 and every comparison is exact (== or np.array_equal), never a tolerance.
@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from fourvel import (ANALYTIC, Event, EventArray, NATURAL_UNITS,
-                     ParameterError, PhysicalConstants, Worldline,
-                     action_integral, boost_worldline, central,
-                     config_from_dict, coulomb_potential,
-                     extract_u, factorization_residual, gamma_dot,
-                     gamma_matrices, gaussian_polynomial_wave, gauge_transform, kg_coulomb_1s,
-                     make_worldline, pierce_points, plane_wave,
-                     polynomial_gauge, random_smooth_spinor, run_scenario,
-                     zero_potential)
+                     ParameterError, PhysicalConstants, ScalarWave,
+                     SpinorWave, Worldline, action_integral, boost_worldline,
+                     central, config_from_dict, coulomb_potential,
+                     dirac_coulomb_1s, dirac_plane_wave, extract_u,
+                     factorization_residual, gamma_dot, gamma_matrices,
+                     gaussian_polynomial_wave, gauge_transform,
+                     kg_coulomb_1s, make_worldline, pierce_points,
+                     plane_wave, polynomial_gauge, random_smooth_spinor,
+                     run_scenario, zero_potential)
 from fourvel.core4 import four_displacement
 from fourvel.runner import _scaled_gammas
 
@@ -110,20 +111,45 @@ def test_action_phi_matches_in_other_units():
 POINTS = EventArray(np.random.default_rng(7).uniform(-0.8, 0.8, (9, 4)))
 
 
+def _oracle_slots(rng, constants):
+    """The random spinor's four components, one gaussian_polynomial_wave
+    per slot, drawn one uniform call per slot as the spinor was once built:
+    magnitude, phase, 4 real and 4 imaginary linear coefficients, 4 centers,
+    4 widths."""
+    comps = []
+    for _ in range(4):
+        mag = rng.uniform(0.5, 1.5)
+        lin = np.empty(5, dtype=complex)
+        lin[0] = mag * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        lin[1:] = rng.uniform(-0.3, 0.3, 4) + 1j * rng.uniform(-0.3, 0.3, 4)
+        b, a = rng.uniform(-0.5, 0.5, 4), rng.uniform(0.1, 0.4, 4)
+        comps.append(gaussian_polynomial_wave(lin, b, a, constants))
+    return comps
+
+
+def _component(spinor, k):
+    """Component k of a spinor as a ScalarWave of its own."""
+    hess4 = spinor.hess4 and (lambda e: spinor.hess4(e)[..., k, :, :])
+    return ScalarWave(f"{spinor.label}[{k}]",
+                      psi=lambda e: spinor.psi(e)[..., k],
+                      grad4=lambda e: spinor.grad4(e)[..., k, :],
+                      laplace4=lambda e: spinor.laplace4(e)[..., k],
+                      hess4=hess4)
+
+
 @pytest.mark.parametrize("e", [POINTS, POINTS.event(3)],
                          ids=["batch", "event"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_stacked_spinor_matches_its_components(seed, e):
     spinor = random_smooth_spinor(np.random.default_rng(seed), K)
-    assert spinor.stacked is not None
-    comps = spinor.components
+    comps = _oracle_slots(np.random.default_rng(seed), K)
     assert np.array_equal(spinor.values(e),
                           np.stack([c.psi(e) for c in comps], axis=-1))
     assert np.array_equal(spinor.grads(e),
                           np.stack([c.grad4(e) for c in comps], axis=-2))
     assert np.array_equal(spinor.laplacians(e),
                           np.stack([c.laplace4(e) for c in comps], axis=-1))
-    assert np.array_equal(spinor.stacked.hess4(e),
+    assert np.array_equal(spinor.hess4(e),
                           np.stack([c.hess4(e) for c in comps], axis=-3))
 
 
@@ -133,7 +159,8 @@ def test_random_spinor_keeps_its_draw_order():
     rng = np.random.default_rng(11)
     spinor = random_smooth_spinor(np.random.default_rng(11), C)
     e = POINTS.event(0)
-    for comp in spinor.components:
+    values = spinor.psi(e)
+    for k in range(4):
         mag = rng.uniform(0.5, 1.5)
         lin = np.empty(5, dtype=complex)
         lin[0] = mag * np.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -142,7 +169,7 @@ def test_random_spinor_keeps_its_draw_order():
         x = e.as_array()
         want = (lin[0] + np.sum(lin[1:] * x)) * np.exp(
             -np.sum(a * (x - b) * (x - b)))
-        assert comp.psi(e) == want
+        assert values[..., k] == want
 
 
 @pytest.mark.parametrize("seed", [3, 11, 2024])
@@ -152,40 +179,66 @@ def test_random_spinor_draws_the_per_slot_numbers_and_stream(seed):
     rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
         spinor = random_smooth_spinor(rng, K)
-        for comp in spinor.components:
-            mag = oracle.uniform(0.5, 1.5)
-            lin = np.empty(5, dtype=complex)
-            lin[0] = mag * np.exp(1j * oracle.uniform(0, 2 * math.pi))
-            lin[1:] = (oracle.uniform(-0.3, 0.3, 4)
-                       + 1j * oracle.uniform(-0.3, 0.3, 4))
-            b, a = oracle.uniform(-0.5, 0.5, 4), oracle.uniform(0.1, 0.4, 4)
-            want = gaussian_polynomial_wave(lin, b, a, K)
-            assert comp.params == {"center": tuple(b), "widths": tuple(a)}
-            assert np.array_equal(comp.psi(POINTS), want.psi(POINTS))
-            assert np.array_equal(comp.grad4(POINTS), want.grad4(POINTS))
+        for k, want in enumerate(_oracle_slots(oracle, K)):
+            assert np.array_equal(spinor.params["center"][k],
+                                  want.params["center"])
+            assert np.array_equal(spinor.params["widths"][k],
+                                  want.params["widths"])
+            assert np.array_equal(spinor.psi(POINTS)[..., k],
+                                  want.psi(POINTS))
+            assert np.array_equal(spinor.grad4(POINTS)[..., k, :],
+                                  want.grad4(POINTS))
     assert rng.bit_generator.state == oracle.bit_generator.state
     assert rng.random() == oracle.random()
 
 
 def test_gauge_transformed_spinor_evaluates_its_transformed_components():
-    spinor = random_smooth_spinor(np.random.default_rng(5), C)
-    chi = polynomial_gauge({(1, 0, 0, 0): 0.4, (0, 0, 0, 2): -0.3}, C.c)
-    _, moved = gauge_transform(zero_potential(), spinor, chi, C)
-    assert moved.stacked is None
-    comps = moved.components
-    assert np.array_equal(moved.values(POINTS),
-                          np.stack([c.psi(POINTS) for c in comps], axis=-1))
-    assert np.array_equal(moved.grads(POINTS),
-                          np.stack([c.grad4(POINTS) for c in comps], axis=-2))
-    assert not np.array_equal(moved.values(POINTS), spinor.values(POINTS))
+    # the stacked transform against the stack of the four scalar transforms,
+    # on a batch: at one Event the scalar path multiplies numpy scalars,
+    # which may round otherwise than array arithmetic
+    chi = polynomial_gauge({(1, 0, 0, 0): 0.4, (0, 0, 0, 2): -0.3,
+                            (0, 1, 1, 0): 0.2}, K.c)
+    field = coulomb_potential(0.4, K)
+    points = EventArray(np.abs(POINTS.as_array()) + 0.2)  # off the origin
+    for spinor in (random_smooth_spinor(np.random.default_rng(5), K),
+                   dirac_plane_wave((0.3, -0.2, 0.1), "down", K),
+                   dirac_coulomb_1s(0.4, K)):   # the one without hess4
+        a_moved, moved = gauge_transform(field, spinor, chi, K)
+        assert type(moved) is SpinorWave
+        assert moved.label == spinor.label + "+gauge"
+        comps = [gauge_transform(field, _component(spinor, k), chi, K)
+                 for k in range(4)]
+        assert np.array_equal(a_moved.a(points), comps[0][0].a(points))
+        for evaluator, axis in (("psi", -1), ("grad4", -2),
+                                ("laplace4", -1), ("hess4", -3)):
+            if getattr(spinor, evaluator) is None:
+                assert getattr(moved, evaluator) is None
+                continue
+            assert np.array_equal(
+                getattr(moved, evaluator)(points),
+                np.stack([getattr(c, evaluator)(points) for _, c in comps],
+                         axis=axis))
+        assert not np.array_equal(moved.values(points),
+                                  spinor.values(points))
 
 
-def test_replaced_components_are_evaluated_not_the_old_stack():
+def test_replaced_psi_keeps_a_spinor_whose_values_read_it():
+    # dataclasses.replace, as a tracer wraps an evaluator, keeps the class,
+    # and values, grads and laplacians read the replaced evaluators
     spinor = random_smooth_spinor(np.random.default_rng(5), C)
     other = random_smooth_spinor(np.random.default_rng(6), C)
-    copy = dataclasses.replace(spinor, components=other.components)
-    assert copy.stacked is None
+    calls = []
+
+    def f(e):
+        calls.append(e)
+        return other.psi(e)
+
+    copy = dataclasses.replace(spinor, psi=f, grad4=other.grad4)
+    assert type(copy) is SpinorWave
     assert np.array_equal(copy.values(POINTS), other.values(POINTS))
+    assert len(calls) == 1 and calls[0] is POINTS
+    assert np.array_equal(copy.grads(POINTS), other.grads(POINTS))
+    assert np.array_equal(copy.laplacians(POINTS), spinor.laplacians(POINTS))
 
 
 # ---------------------------------------------------------------------------

@@ -614,6 +614,22 @@ def test_configs_built_in_code_are_checked_when_run(changes):
         run_scenario(cfg)
 
 
+# a config built in code holds the records, not the dicts of a document;
+# a dict in a record's place is refused, with every key and value in range
+@pytest.mark.parametrize("field, record", [
+    ("constants", {"hbar": 1.0, "c": 1.0, "m": 1.0, "q": -1.0}),
+    ("method", {"mode": "analytic", "h": 1e-3, "richardson": False}),
+])
+def test_a_dict_in_place_of_a_record_is_refused_when_run(field, record):
+    cfg = dataclasses.replace(default_config("clifford"), **{field: record})
+    with pytest.raises(ConfigError, match=f"{field} must be a"):
+        run_scenario(cfg)
+    # the same values in a document are still read into their records
+    cfg = config_from_dict({field: record}, "clifford")
+    assert vars(getattr(cfg, field)) == record
+    assert run_scenario(cfg).passed
+
+
 def test_integer_radius_whose_square_overflows_exits_two(tmp_path, capsys):
     # an integer's square may be too large to convert to a float
     doc = {"fixture": {"radius": 10 ** 200}}

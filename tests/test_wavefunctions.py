@@ -13,7 +13,8 @@ import pytest
 from fourvel import (Event, NATURAL_UNITS, ParameterError, PhysicalConstants,
                      central, differentiate, dirac_coulomb_1s,
                      dirac_plane_wave, gaussian_polynomial_wave, kg_coulomb_1s,
-                     plane_wave, random_smooth_spinor)
+                     plane_wave, random_smooth_spinor,
+                     spinor_from_components)
 
 def _stencil_d(fn, e, axis, h=1e-3):
     # 4th order first derivative of a scalar closure along one coordinate
@@ -203,10 +204,31 @@ def test_dirac_plane_wave_component_gradients():
     rng = np.random.default_rng(13)
     for _ in range(5):
         e = Event(*rng.uniform(-1, 1, 4))
-        grads = spinor.grads(e)
-        for k, comp in enumerate(spinor.components):
-            g_num = differentiate(comp, e, "grad4", central(1e-3), c=consts.c)
-            np.testing.assert_allclose(g_num, grads[k], atol=1e-9)
+        # the stencil of the whole spinor is [mu, k]
+        g_num = differentiate(spinor, e, "grad4", central(1e-3), c=consts.c)
+        np.testing.assert_allclose(g_num.T, spinor.grads(e), atol=1e-9)
+
+
+def test_spinor_laplacians_are_the_trace_of_their_hessians():
+    e = Event(0.1, -0.2, 0.3, 0.05)
+    for spinor in (dirac_plane_wave((0.3, -0.2, 0.1), "down", NATURAL_UNITS),
+                   random_smooth_spinor(np.random.default_rng(4),
+                                        NATURAL_UNITS)):
+        hess = spinor.hess4(e)
+        assert hess.shape == (4, 4, 4)   # [k, mu, nu]
+        np.testing.assert_allclose(np.trace(hess, axis1=-2, axis2=-1),
+                                   spinor.laplacians(e), atol=1e-12)
+
+
+def test_spinor_from_components_needs_four():
+    wave = plane_wave((0.1, 0.0, 0.0), NATURAL_UNITS)
+    for count in (0, 3, 5):
+        with pytest.raises(ParameterError):
+            spinor_from_components("short", [wave] * count)
+    spinor = spinor_from_components("same", [wave] * 4, wave.energy)
+    e = Event(0.1, -0.2, 0.3, 0.05)
+    assert np.array_equal(spinor.values(e), np.full(4, wave.psi(e)))
+    assert np.array_equal(spinor.hess4(e), np.stack([wave.hess4(e)] * 4))
 
 
 def test_dirac_plane_wave_rejects_unknown_spin():
@@ -234,9 +256,8 @@ def test_dirac_coulomb_solves_the_hamiltonian_pointwise():
     for ev in (Event(0.8, 0.0, 0.0, 0.0), Event(0.5, -0.6, 0.4, 0.3),
                Event(-1.2, 0.9, 1.5, -0.2)):
         psi = spinor.values(ev)
-        grad_sp = np.array([
-            [_stencil_d(comp, ev, axis) for axis in range(3)]
-            for comp in spinor.components])
+        grad_sp = np.array([_stencil_d(spinor, ev, axis)
+                            for axis in range(3)]).T   # [k, n]
         h_psi = (-1j * hbar * c * sum(alphas[n] @ grad_sp[:, n]
                                       for n in range(3))
                  + beta @ psi * m * c ** 2
@@ -254,9 +275,7 @@ def test_dirac_coulomb_energy_override_detunes_the_solution():
     alphas, beta = _dirac_matrices()
     ev = Event(1.0, 0.0, 0.0, 0.0)
     psi = spinor.values(ev)
-    grad_sp = np.array([
-        [_stencil_d(comp, ev, axis) for axis in range(3)]
-        for comp in spinor.components])
+    grad_sp = np.array([_stencil_d(spinor, ev, axis) for axis in range(3)]).T
     h_psi = (-1j * sum(alphas[n] @ grad_sp[:, n] for n in range(3))
              + beta @ psi - za / ev.r * psi)
     assert np.max(np.abs(h_psi - spinor.energy * psi)) > 1e-3
@@ -269,10 +288,8 @@ def test_dirac_coulomb_component_gradients_match_stencils():
     for _ in range(5):
         x = rng.uniform(0.5, 1.5, 3) * rng.choice([-1.0, 1.0], 3)
         ev = Event(x[0], x[1], x[2], rng.uniform(-1, 1))
-        grads = spinor.grads(ev)
-        for k, comp in enumerate(spinor.components):
-            g_num = differentiate(comp, ev, "grad4", central(1e-3), c=1.0)
-            np.testing.assert_allclose(g_num, grads[k], atol=1e-6)
+        g_num = differentiate(spinor, ev, "grad4", central(1e-3), c=1.0)
+        np.testing.assert_allclose(g_num.T, spinor.grads(ev), atol=1e-6)
 
 
 def test_dirac_coulomb_coupling_range():
@@ -306,7 +323,5 @@ def test_random_smooth_spinor_is_reproducible_and_consistent():
     s2 = random_smooth_spinor(np.random.default_rng(42), NATURAL_UNITS)
     e = Event(0.1, -0.2, 0.3, 0.05)
     np.testing.assert_array_equal(s1.values(e), s2.values(e))
-    grads = s1.grads(e)
-    for k, comp in enumerate(s1.components):
-        g_num = differentiate(comp, e, "grad4", central(1e-3), c=1.0)
-        np.testing.assert_allclose(g_num, grads[k], atol=1e-7)
+    g_num = differentiate(s1, e, "grad4", central(1e-3), c=1.0)
+    np.testing.assert_allclose(g_num.T, s1.grads(e), atol=1e-7)

@@ -76,6 +76,14 @@ EXTRA_CONFIGS = [
     ("gauge-orbit", "int-c-p", {"constants": {"c": 2},
                                 "fixture": {"p": [1, 0, 0]}}),
     ("dirac-coulomb-1s", "energy", {"fixture": {"energy": 0.9}}),
+    # spinor evaluation in the mode its scenario does not run by default
+    ("dirac-plane-wave", "spin-down-central-units",
+     {"fixture": {"spin": "down"}, "method": {"mode": "central"},
+      "constants": UNITS}),
+    ("dirac-coulomb-1s", "analytic-units",
+     {"method": {"mode": "analytic"}, "constants": UNITS}),
+    ("gauge-orbit", "central-units",
+     {"method": {"mode": "central"}, "constants": UNITS}),
 ]
 
 
