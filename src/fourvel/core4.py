@@ -8,8 +8,7 @@ the scalar product of two 4-vectors is a plain subscript sum with no metric
 tensor, and timelike vectors contract to negative values.
 
 Derivatives are evaluated either from a field's analytic evaluators or by
-4th-order central differences; dlog means (d_mu f)/f and is always formed
-from the gradient, never through a complex logarithm (branch cuts).
+4th-order central differences.
 
 A field is evaluated at one Event or at a (K, 4) EventArray of points. The
 central-difference engine (grad4_numeric, laplace4_numeric) gathers every
@@ -336,24 +335,16 @@ def laplace4_numeric(f, e, h: float, c: float = 1.0,
 
 
 def differentiate(f, e, order: str, method: DerivativeMethod = ANALYTIC,
-                  *, c: float = 1.0, eps_psi: float = DEFAULT_EPS_PSI):
-    """Evaluate grad4, laplace4, or dlog of a scalar field f at event e.
+                  *, c: float = 1.0):
+    """Evaluate grad4 or laplace4 of a scalar field f at event e.
 
     e is one Event or a (K, 4) batch of points; batch results carry a
     leading K axis. f is a callable Event -> complex that, for central
     mode, also evaluates a point array elementwise; for analytic mode it
-    must carry grad4/laplace4 evaluator attributes (fixtures do). dlog
-    returns grad4(f)/f(e) and raises NearZeroWavefunctionError below
-    eps_psi.
+    must carry grad4/laplace4 evaluator attributes (fixtures do).
     """
-    if order not in ("grad4", "laplace4", "dlog"):
+    if order not in ("grad4", "laplace4"):
         raise ParameterError(f"unknown derivative order {order!r}")
-
-    if order == "dlog":
-        value = f(e)
-        _require_nonzero(value, e, eps_psi)
-        grad = differentiate(f, e, "grad4", method, c=c)
-        return grad / _col(value)
 
     if method.mode == "analytic":
         evaluator = getattr(f, order, None)

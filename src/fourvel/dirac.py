@@ -110,7 +110,7 @@ def _grads(spinor: SpinorWave, e, method: DerivativeMethod, c: float):
     """d_mu psi_k(e) as [..., k, mu]: the analytic evaluator, or in central
     mode one stencil over the values of all four components."""
     if method.mode == "analytic":
-        return spinor.grads(e)
+        return spinor.grad4(e)
     return np.swapaxes(grad4_numeric(spinor.values, e, method.h, c,
                                      method.richardson), -1, -2)
 
@@ -224,7 +224,7 @@ def kg_operator_on_spinor(spinor: SpinorWave, e: Event, *,
     componentwise from analytic laplacians, normalized like dirac_residual."""
     hbar, m, c = constants.hbar, constants.m, constants.c
     values = spinor.values(e)
-    return _normalized(-hbar ** 2 * spinor.laplacians(e)
+    return _normalized(-hbar ** 2 * spinor.laplace4(e)
                        + (m * c) ** 2 * values, values, e, eps_psi)
 
 

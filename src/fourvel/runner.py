@@ -33,12 +33,9 @@ from .dirac import (clifford_residual, dirac_residual, dirac_to_kg_check,
                     gamma_matrices, kg_operator_on_spinor,
                     spinor_velocity_consistency, GammaSet)
 from .errors import ConfigError, ParameterError
-from .fields import (coulomb_potential, gauge_transform, lorenz_gauge_residual,
-                     polynomial_gauge, zero_potential)
-from .velocityfield import (action_integral, curl_k, divergence_mu, extract_u,
-                            kg_residual, mass_shell_residual,
-                            momentum_gradient, newton_residual,
-                            nonlinear_wave_residual)
+from .fields import (coulomb_potential, gauge_transform, polynomial_gauge,
+                     zero_potential)
+from .velocityfield import _Chain, action_integral, extract_u
 from .wavefunctions import (dirac_coulomb_1s, dirac_plane_wave, kg_coulomb_1s,
                             plane_wave, random_smooth_spinor)
 from .worldline import (boost_worldline, classify_speed, make_worldline,
@@ -423,22 +420,15 @@ def _scn_plane_wave(cfg: ScenarioConfig, rng, col: _Collector, events):
     a0 = zero_potential()
     waves = [plane_wave(p, cfg.constants) for p in cfg.fixture["momenta"]]
     eps = _eps_for(waves, events)
-    m = cfg.method
-    kw = {"constants": cfg.constants, "eps_psi": eps}
     for wave in waves:
-        gp = momentum_gradient(wave, a0, events, m, **kw)
-        kg = kg_residual(wave, a0, events, m, **kw)
-        div = divergence_mu(wave, a0, events, m, gp=gp, **kw)
+        ch = _Chain(wave, a0, events, cfg.method, cfg.constants, eps)
         col.add_cloud(wave.label, events, [
-            ("kg", np.abs(kg)),
-            ("mass_shell",
-             np.abs(mass_shell_residual(wave, a0, events, m, **kw))),
-            ("newton",
-             _worst(newton_residual(wave, a0, events, m, gp=gp, **kw))),
-            ("curl_k", _worst(curl_k(wave, a0, events, m, gp=gp, **kw))),
-            ("divergence", np.abs(div.value)),
-            ("nonlinear", np.abs(
-                nonlinear_wave_residual(wave, a0, events, m, kg=kg, **kw))),
+            ("kg", np.abs(ch.kg)),
+            ("mass_shell", np.abs(ch.mass_shell)),
+            ("newton", _worst(ch.newton)),
+            ("curl_k", _worst(ch.curl_k)),
+            ("divergence", np.abs(ch.divergence.value)),
+            ("nonlinear", np.abs(ch.nonlinear)),
         ])
 
 
@@ -446,28 +436,18 @@ def _scn_kg_coulomb(cfg: ScenarioConfig, rng, col: _Collector, events):
     za = float(cfg.fixture["z_alpha"])
     wave = kg_coulomb_1s(za, cfg.constants,
                          float(cfg.fixture["energy_scale"]))
-    a = coulomb_potential(za, cfg.constants)
-    m2 = cfg.constants.m ** 2
-    meth = cfg.method
-    kw = {"constants": cfg.constants, "eps_psi": _eps_for([wave], events)}
-    gp = momentum_gradient(wave, a, events, meth, **kw)
-    kg = kg_residual(wave, a, events, meth, **kw)
-    div = divergence_mu(wave, a, events, meth, gp=gp, **kw)
-    ms = mass_shell_residual(wave, a, events, meth, **kw)
-    nl = nonlinear_wave_residual(wave, a, events, meth, kg=kg, **kw)
-    k = curl_k(wave, a, events, meth, gp=gp, **kw)
-    u = extract_u(wave, a, events, meth, **kw)
+    ch = _Chain(wave, coulomb_potential(za, cfg.constants), events,
+                cfg.method, cfg.constants, _eps_for([wave], events))
     col.add_cloud(wave.label, events, [
-        ("kg", np.abs(kg)),
-        ("divergence_identity", div.mismatch),
-        ("nonlinear_vs_mass_shell", np.abs(nl - m2 * ms)),
-        ("curl_k", _worst(k)),
-        ("u_contract_k", _worst(k @ u[..., None])),
-        ("lorenz_gauge", np.abs(
-            lorenz_gauge_residual(a, events, meth, c=cfg.constants.c))),
-        ("mass_shell", np.abs(ms)),
-        ("newton",
-         _worst(newton_residual(wave, a, events, meth, gp=gp, **kw))),
+        ("kg", np.abs(ch.kg)),
+        ("divergence_identity", ch.divergence.mismatch),
+        ("nonlinear_vs_mass_shell",
+         np.abs(ch.nonlinear - cfg.constants.m ** 2 * ch.mass_shell)),
+        ("curl_k", _worst(ch.curl_k)),
+        ("u_contract_k", _worst(ch.curl_k @ ch.u[..., None])),
+        ("lorenz_gauge", np.abs(ch.divergence.lorenz_residual)),
+        ("mass_shell", np.abs(ch.mass_shell)),
+        ("newton", _worst(ch.newton)),
     ])
 
 

@@ -20,14 +20,14 @@ guards) are taken row by row, and a guard raises at the first offending row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
                     EventArray, NATURAL_UNITS, PhysicalConstants, _col,
                     _potential_gradient, _require_nonzero, contract,
-                    differentiate, field_strength, four_displacement,
-                    grad4_numeric)
+                    differentiate, four_displacement, grad4_numeric)
 from .errors import (NearZeroWavefunctionError, ParameterError,
                      QuadratureError)
 from .wavefunctions import _outer
@@ -43,111 +43,6 @@ def _trace(m) -> np.ndarray:
 def _matvec(m, v) -> np.ndarray:
     """m @ v for one matrix and one vector per point."""
     return (m @ v[..., None])[..., 0]
-
-
-def _dlog(psi, e, method, constants, eps_psi):
-    return differentiate(psi, e, "dlog", method, c=constants.c,
-                         eps_psi=eps_psi)
-
-
-def canonical_momentum(psi, a_field, e: Event,
-                       method: DerivativeMethod = ANALYTIC, *,
-                       constants: PhysicalConstants = NATURAL_UNITS,
-                       eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
-    """P_mu = m u_mu + q A_mu = -i hbar dlog(psi)_mu at one Event or at
-    each row of a (K, 4) batch."""
-    return -1j * constants.hbar * _dlog(psi, e, method, constants, eps_psi)
-
-
-def extract_u(psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
-              constants: PhysicalConstants = NATURAL_UNITS,
-              eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
-    """4-velocity u_mu = (-i hbar dlog(psi)_mu - q A_mu) / m at one Event
-    or at each row of a (K, 4) batch."""
-    p = canonical_momentum(psi, a_field, e, method, constants=constants,
-                           eps_psi=eps_psi)
-    return (p - constants.q * a_field.a(e)) / constants.m
-
-
-def mass_shell_residual(psi, a_field, e: Event,
-                        method: DerivativeMethod = ANALYTIC, *,
-                        constants: PhysicalConstants = NATURAL_UNITS,
-                        eps_psi: float = DEFAULT_EPS_PSI) -> complex:
-    """contract(u, u) + c^2, per point; zero exactly on shell."""
-    u = extract_u(psi, a_field, e, method, constants=constants,
-                  eps_psi=eps_psi)
-    return contract(u, u) + constants.c ** 2
-
-
-def momentum_gradient(psi, a_field, e: Event,
-                      method: DerivativeMethod = ANALYTIC, *,
-                      constants: PhysicalConstants = NATURAL_UNITS,
-                      eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
-    """G[mu, nu] = d_mu P_nu for the canonical momentum P = m u + q A,
-    per point.
-
-    Analytic mode needs the fixture's full second-derivative matrix:
-    d_mu P_nu = -i hbar (hess_{mu nu}/psi - dlog_mu dlog_nu). Central mode
-    nests first-derivative stencils over the extraction evaluator instead,
-    so the two paths are independent; evaluated on the whole stencil at
-    once, that costs two calls of psi.
-    """
-    hbar, c = constants.hbar, constants.c
-    if method.mode == "analytic":
-        if psi.hess4 is None:
-            raise ParameterError(
-                f"{psi.label}: no analytic second derivatives; use central mode")
-        value = psi(e)
-        _require_nonzero(value, e, eps_psi)
-        dl = psi.grad4(e) / _col(value)
-        return -1j * hbar * (psi.hess4(e) / _col(value, 2) - _outer(dl, dl))
-
-    def p_of(points) -> np.ndarray:
-        return canonical_momentum(psi, a_field, points, method,
-                                  constants=constants, eps_psi=eps_psi)
-
-    return grad4_numeric(p_of, e, method.h, c, method.richardson)
-
-
-def curl_k(psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
-           constants: PhysicalConstants = NATURAL_UNITS,
-           eps_psi: float = DEFAULT_EPS_PSI, gp=None) -> np.ndarray:
-    """K[mu, nu] = d_mu P_nu - d_nu P_mu; vanishes for any single-valued
-    phase, which is what makes the action integral path independent. gp, if
-    given, is momentum_gradient of the same call and is used in place of
-    rebuilding it."""
-    if gp is None:
-        gp = momentum_gradient(psi, a_field, e, method, constants=constants,
-                               eps_psi=eps_psi)
-    return gp - np.swapaxes(gp, -1, -2)
-
-
-def newton_residual(psi, a_field, e: Event,
-                    method: DerivativeMethod = ANALYTIC, *,
-                    constants: PhysicalConstants = NATURAL_UNITS,
-                    eps_psi: float = DEFAULT_EPS_PSI,
-                    normalize: bool = True, gp=None) -> np.ndarray:
-    """Force-law residual u_nu d_nu u_mu - (q/m) F_mu_nu u_nu.
-
-    Each point's residual is normalized by that point's |u| unless
-    normalize=False (useful when comparing against an independently computed
-    right-hand side). gp, if given, is momentum_gradient of the same call.
-    """
-    m, q = constants.m, constants.q
-    u = extract_u(psi, a_field, e, method, constants=constants,
-                  eps_psi=eps_psi)
-    if gp is None:
-        gp = momentum_gradient(psi, a_field, e, method, constants=constants,
-                               eps_psi=eps_psi)
-    ga = _potential_gradient(a_field, e, method, constants.c)
-    du = (gp - q * ga) / m  # du[mu, nu] = d_mu u_nu
-    convective = _matvec(np.swapaxes(du, -1, -2), u)  # u_nu d_nu u_mu
-    f = field_strength(a_field, e, method, c=constants.c)
-    res = convective - (q / m) * _matvec(f, u)
-    if normalize:
-        scale = np.linalg.norm(u, axis=-1)
-        res = res / _col(np.where(scale > 0, scale, 1.0))
-    return res
 
 
 @dataclass(frozen=True)
@@ -167,31 +62,211 @@ class DivergenceResult:
         return abs(self.value - self.independent)
 
 
+class _Chain:
+    """One wave and one potential on one point set e (an Event or a (K, 4)
+    batch). Every quantity of the residual chain is read off the same psi,
+    d psi and laplace4 psi, and each is evaluated at most once, on first
+    read. A chain lives for one kernel call or one wave of a scenario.
+
+    dlog = (d_mu psi)/psi is formed from the gradient, never through a
+    complex logarithm (branch cuts), and raises NearZeroWavefunctionError
+    at the first point where |psi| <= eps_psi.
+    """
+
+    def __init__(self, psi, a_field, e, method: DerivativeMethod,
+                 constants: PhysicalConstants, eps_psi: float):
+        self.psi, self.a_field, self.e = psi, a_field, e
+        self.method, self.constants, self.eps_psi = method, constants, eps_psi
+
+    @cached_property
+    def value(self):
+        return self.psi(self.e)
+
+    @cached_property
+    def grad(self):
+        return differentiate(self.psi, self.e, "grad4", self.method,
+                             c=self.constants.c)
+
+    @cached_property
+    def lap(self):
+        return differentiate(self.psi, self.e, "laplace4", self.method,
+                             c=self.constants.c)
+
+    @cached_property
+    def dlog(self):
+        _require_nonzero(self.value, self.e, self.eps_psi)
+        return self.grad / _col(self.value)
+
+    @cached_property
+    def ddlog(self):
+        """d_mu d_mu ln psi."""
+        dl = self.dlog
+        return self.lap / self.value - contract(dl, dl)
+
+    @cached_property
+    def a(self):
+        return self.a_field.a(self.e)
+
+    @cached_property
+    def ga(self):
+        """d_mu A_nu."""
+        return _potential_gradient(self.a_field, self.e, self.method,
+                                   self.constants.c)
+
+    @cached_property
+    def momentum(self):
+        """P = m u + q A = -i hbar dlog."""
+        return -1j * self.constants.hbar * self.dlog
+
+    @cached_property
+    def u(self):
+        return (self.momentum - self.constants.q * self.a) / self.constants.m
+
+    @cached_property
+    def gp(self):
+        """G[mu, nu] = d_mu P_nu.
+
+        Analytic mode needs the fixture's full second-derivative matrix:
+        d_mu P_nu = -i hbar (hess_{mu nu}/psi - dlog_mu dlog_nu). Central
+        mode nests first-derivative stencils over the momentum of a chain on
+        the stencil points instead, so the two paths are independent.
+        """
+        psi, method, constants = self.psi, self.method, self.constants
+        if method.mode == "central":
+            def p_of(points) -> np.ndarray:
+                return _Chain(psi, self.a_field, points, method, constants,
+                              self.eps_psi).momentum
+
+            return grad4_numeric(p_of, self.e, method.h, constants.c,
+                                 method.richardson)
+        if psi.hess4 is None:
+            raise ParameterError(
+                f"{psi.label}: no analytic second derivatives; use central mode")
+        dl = self.dlog  # the near-zero guard, before hess4 is divided by psi
+        return -1j * constants.hbar * (psi.hess4(self.e) / _col(self.value, 2)
+                                       - _outer(dl, dl))
+
+    @cached_property
+    def mass_shell(self):
+        return contract(self.u, self.u) + self.constants.c ** 2
+
+    @cached_property
+    def curl_k(self):
+        return self.gp - np.swapaxes(self.gp, -1, -2)
+
+    @cached_property
+    def raw_newton(self):
+        u, m, q = self.u, self.constants.m, self.constants.q
+        du = (self.gp - q * self.ga) / m  # du[mu, nu] = d_mu u_nu
+        convective = _matvec(np.swapaxes(du, -1, -2), u)  # u_nu d_nu u_mu
+        f = self.ga - np.swapaxes(self.ga, -1, -2)  # F[mu, nu]
+        return convective - (q / m) * _matvec(f, u)
+
+    @cached_property
+    def newton(self):
+        scale = np.linalg.norm(self.u, axis=-1)
+        return self.raw_newton / _col(np.where(scale > 0, scale, 1.0))
+
+    @cached_property
+    def divergence(self) -> DivergenceResult:
+        gp = self.gp
+        lorenz = _trace(self.ga)
+        return DivergenceResult(_trace(gp) - self.constants.q * lorenz,
+                                -1j * self.constants.hbar * self.ddlog,
+                                lorenz, abs(lorenz) < 1e-10)
+
+    @cached_property
+    def raw_kg(self):
+        hbar, c, m, q = (self.constants.hbar, self.constants.c,
+                         self.constants.m, self.constants.q)
+        value, grad, lap, a = self.value, self.grad, self.lap, self.a
+        div_a = _trace(self.ga)
+        return (-hbar ** 2 * lap
+                + 1j * hbar * q * div_a * value
+                + 2j * hbar * q * contract(a, grad)
+                + q ** 2 * contract(a, a) * value
+                + (m * c) ** 2 * value)
+
+    @cached_property
+    def kg(self):
+        raw = self.raw_kg
+        _require_nonzero(self.value, self.e, self.eps_psi)
+        return raw / self.value
+
+    @cached_property
+    def nonlinear(self):
+        return self.kg + self.constants.hbar ** 2 * self.ddlog
+
+
+def canonical_momentum(psi, a_field, e: Event,
+                       method: DerivativeMethod = ANALYTIC, *,
+                       constants: PhysicalConstants = NATURAL_UNITS,
+                       eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
+    """P_mu = m u_mu + q A_mu = -i hbar dlog(psi)_mu at one Event or at
+    each row of a (K, 4) batch; dlog = (d_mu psi)/psi raises
+    NearZeroWavefunctionError where |psi| <= eps_psi."""
+    return _Chain(psi, a_field, e, method, constants, eps_psi).momentum
+
+
+def extract_u(psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
+              constants: PhysicalConstants = NATURAL_UNITS,
+              eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
+    """4-velocity u_mu = (-i hbar dlog(psi)_mu - q A_mu) / m at one Event
+    or at each row of a (K, 4) batch."""
+    return _Chain(psi, a_field, e, method, constants, eps_psi).u
+
+
+def mass_shell_residual(psi, a_field, e: Event,
+                        method: DerivativeMethod = ANALYTIC, *,
+                        constants: PhysicalConstants = NATURAL_UNITS,
+                        eps_psi: float = DEFAULT_EPS_PSI) -> complex:
+    """contract(u, u) + c^2, per point; zero exactly on shell."""
+    return _Chain(psi, a_field, e, method, constants, eps_psi).mass_shell
+
+
+def momentum_gradient(psi, a_field, e: Event,
+                      method: DerivativeMethod = ANALYTIC, *,
+                      constants: PhysicalConstants = NATURAL_UNITS,
+                      eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
+    """G[mu, nu] = d_mu P_nu for the canonical momentum P = m u + q A,
+    per point, from the fixture's hess4 (analytic mode) or by nesting
+    stencils over the momentum (central mode, two calls of psi)."""
+    return _Chain(psi, a_field, e, method, constants, eps_psi).gp
+
+
+def curl_k(psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
+           constants: PhysicalConstants = NATURAL_UNITS,
+           eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
+    """K[mu, nu] = d_mu P_nu - d_nu P_mu; vanishes for any single-valued
+    phase, which is what makes the action integral path independent."""
+    return _Chain(psi, a_field, e, method, constants, eps_psi).curl_k
+
+
+def newton_residual(psi, a_field, e: Event,
+                    method: DerivativeMethod = ANALYTIC, *,
+                    constants: PhysicalConstants = NATURAL_UNITS,
+                    eps_psi: float = DEFAULT_EPS_PSI,
+                    normalize: bool = True) -> np.ndarray:
+    """Force-law residual u_nu d_nu u_mu - (q/m) F_mu_nu u_nu.
+
+    Each point's residual is normalized by that point's |u| unless
+    normalize=False (useful when comparing against an independently computed
+    right-hand side).
+    """
+    chain = _Chain(psi, a_field, e, method, constants, eps_psi)
+    return chain.newton if normalize else chain.raw_newton
+
+
 def divergence_mu(psi, a_field, e: Event,
                   method: DerivativeMethod = ANALYTIC, *,
                   constants: PhysicalConstants = NATURAL_UNITS,
-                  eps_psi: float = DEFAULT_EPS_PSI,
-                  lorenz_tol: float = 1e-10, gp=None) -> DivergenceResult:
+                  eps_psi: float = DEFAULT_EPS_PSI) -> DivergenceResult:
     """Source term d_mu (m u_mu), evaluated two independent ways.
 
     The identity behind the cross-check requires the Lorenz condition;
     lorenz_ok records whether the supplied potential satisfies it here.
-    gp, if given, is momentum_gradient of the same call.
     """
-    hbar = constants.hbar
-    if gp is None:
-        gp = momentum_gradient(psi, a_field, e, method, constants=constants,
-                               eps_psi=eps_psi)
-    ga = _potential_gradient(a_field, e, method, constants.c)
-    lorenz = _trace(ga)
-    value = _trace(gp) - constants.q * lorenz
-
-    dl = _dlog(psi, e, method, constants, eps_psi)
-    lap = differentiate(psi, e, "laplace4", method, c=constants.c)
-    independent = -1j * hbar * (lap / psi(e) - contract(dl, dl))
-
-    return DivergenceResult(value, independent, lorenz,
-                            abs(lorenz) < lorenz_tol)
+    return _Chain(psi, a_field, e, method, constants, eps_psi).divergence
 
 
 def kg_residual(psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
@@ -205,40 +280,18 @@ def kg_residual(psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
     normalized=False the bare numerator is returned; callers that sit on a
     node of psi can still report something finite that way.
     """
-    hbar, c, m, q = constants.hbar, constants.c, constants.m, constants.q
-    value = psi(e)
-    grad = differentiate(psi, e, "grad4", method, c=c)
-    lap = differentiate(psi, e, "laplace4", method, c=c)
-    a = a_field.a(e)
-    div_a = _trace(_potential_gradient(a_field, e, method, c))
-    raw = (-hbar ** 2 * lap
-           + 1j * hbar * q * div_a * value
-           + 2j * hbar * q * contract(a, grad)
-           + q ** 2 * contract(a, a) * value
-           + (m * c) ** 2 * value)
-    if not normalized:
-        return raw
-    _require_nonzero(value, e, eps_psi)
-    return raw / value
+    chain = _Chain(psi, a_field, e, method, constants, eps_psi)
+    return chain.kg if normalized else chain.raw_kg
 
 
 def nonlinear_wave_residual(psi, a_field, e: Event,
                             method: DerivativeMethod = ANALYTIC, *,
                             constants: PhysicalConstants = NATURAL_UNITS,
-                            eps_psi: float = DEFAULT_EPS_PSI,
-                            kg=None) -> complex:
+                            eps_psi: float = DEFAULT_EPS_PSI) -> complex:
     """Residual of the wave equation with the hbar^2 d_mu d_mu ln psi
     correction restored; equals m^2 * mass_shell_residual identically in
-    Lorenz gauge, on shell or off. kg, if given, is kg_residual of the same
-    call and is used in place of rerunning it."""
-    hbar = constants.hbar
-    if kg is None:
-        kg = kg_residual(psi, a_field, e, method, constants=constants,
-                         eps_psi=eps_psi)
-    dl = _dlog(psi, e, method, constants, eps_psi)
-    lap = differentiate(psi, e, "laplace4", method, c=constants.c)
-    ddlog = lap / psi(e) - contract(dl, dl)  # d_mu d_mu ln psi
-    return kg + hbar ** 2 * ddlog
+    Lorenz gauge, on shell or off."""
+    return _Chain(psi, a_field, e, method, constants, eps_psi).nonlinear
 
 
 # ---------------------------------------------------------------------------

@@ -70,14 +70,6 @@ class SpinorWave(ScalarWave):
     def values(self, e: Event) -> np.ndarray:
         return self.psi(e)
 
-    def grads(self, e: Event) -> np.ndarray:
-        """Matrix [k, mu] of d_mu psi_k."""
-        return self.grad4(e)
-
-    def laplacians(self, e: Event) -> np.ndarray:
-        """laplace4 psi_k for every component k."""
-        return self.laplace4(e)
-
 
 def spinor_from_components(label: str, comps, energy: Optional[float] = None,
                            params: Optional[dict] = None) -> SpinorWave:
@@ -147,33 +139,11 @@ def plane_wave(p, constants: PhysicalConstants = NATURAL_UNITS) -> ScalarWave:
 # scalar (Klein-Gordon) Coulomb ground state
 # ---------------------------------------------------------------------------
 
-def kg_coulomb_1s(z_alpha: float,
-                  constants: PhysicalConstants = NATURAL_UNITS,
-                  energy_scale: float = 1.0) -> ScalarWave:
-    """Ground state of the scalar wave equation in the Coulomb potential.
-
-    psi = r^(gamma-1) exp(-lambda r) exp(-i E t / hbar) with
-    gamma = (1 + sqrt(1 - 4 z_alpha^2)) / 2, lambda = E z_alpha/(gamma hbar c),
-    E = m c^2 / sqrt(1 + z_alpha^2 / gamma^2). The exponent gamma is real
-    only for z_alpha < 1/2 (strict).
-
-    energy_scale != 1 multiplies E and re-derives lambda from it. That keeps
-    the 1/r^2 and 1/r structure of the radial equation satisfied while
-    breaking the constant term, so a detuned fixture fails the wave-equation
-    residual cleanly; used as a negative control.
-    """
-    if not (0.0 < z_alpha < 0.5):
-        raise ParameterError(
-            f"z_alpha = {z_alpha} outside (0, 0.5): bound-state exponent "
-            "becomes complex"
-        )
-    if not (math.isfinite(energy_scale) and energy_scale > 0):
-        raise ParameterError("energy_scale must be positive")
-    hbar, c, m = constants.hbar, constants.c, constants.m
-    gamma = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * z_alpha ** 2))
-    E0 = m * c ** 2 / math.sqrt(1.0 + (z_alpha / gamma) ** 2)
-    E = energy_scale * E0
-    lam = E * z_alpha / (gamma * hbar * c)
+def _radial_wave(label: str, gamma: float, lam: float, E: float,
+                 constants: PhysicalConstants, params: dict) -> ScalarWave:
+    """r^(gamma-1) exp(-lambda r) exp(-i E t / hbar), the radial closed form
+    of the Coulomb ground states, with its grad4, laplace4 and hess4."""
+    hbar, c = constants.hbar, constants.c
     g4 = -E / (hbar * c)  # dlog slot 3
 
     def psi(e: Event) -> complex:
@@ -211,16 +181,40 @@ def kg_coulomb_1s(z_alpha: float,
         out[..., 3, 3] = g4 ** 2 * value
         return out
 
-    return ScalarWave(
-        label=f"kg-coulomb-1s za={z_alpha:g}",
-        psi=psi,
-        grad4=grad4,
-        laplace4=laplace4,
-        hess4=hess4,
-        energy=E,
-        params={"z_alpha": z_alpha, "gamma": gamma, "lambda": lam,
-                "energy": E, "energy_scale": energy_scale},
-    )
+    return ScalarWave(label, psi, grad4, laplace4, hess4, E, params)
+
+
+def kg_coulomb_1s(z_alpha: float,
+                  constants: PhysicalConstants = NATURAL_UNITS,
+                  energy_scale: float = 1.0) -> ScalarWave:
+    """Ground state of the scalar wave equation in the Coulomb potential.
+
+    psi = r^(gamma-1) exp(-lambda r) exp(-i E t / hbar) with
+    gamma = (1 + sqrt(1 - 4 z_alpha^2)) / 2, lambda = E z_alpha/(gamma hbar c),
+    E = m c^2 / sqrt(1 + z_alpha^2 / gamma^2). The exponent gamma is real
+    only for z_alpha < 1/2 (strict).
+
+    energy_scale != 1 multiplies E and re-derives lambda from it. That keeps
+    the 1/r^2 and 1/r structure of the radial equation satisfied while
+    breaking the constant term, so a detuned fixture fails the wave-equation
+    residual cleanly; used as a negative control.
+    """
+    if not (0.0 < z_alpha < 0.5):
+        raise ParameterError(
+            f"z_alpha = {z_alpha} outside (0, 0.5): bound-state exponent "
+            "becomes complex"
+        )
+    if not (math.isfinite(energy_scale) and energy_scale > 0):
+        raise ParameterError("energy_scale must be positive")
+    hbar, c, m = constants.hbar, constants.c, constants.m
+    gamma = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * z_alpha ** 2))
+    E0 = m * c ** 2 / math.sqrt(1.0 + (z_alpha / gamma) ** 2)
+    E = energy_scale * E0
+    lam = E * z_alpha / (gamma * hbar * c)
+    return _radial_wave(f"kg-coulomb-1s za={z_alpha:g}", gamma, lam, E,
+                        constants,
+                        {"z_alpha": z_alpha, "gamma": gamma, "lambda": lam,
+                         "energy": E, "energy_scale": energy_scale})
 
 
 # ---------------------------------------------------------------------------
@@ -297,26 +291,7 @@ def dirac_coulomb_1s(z_alpha: float,
         return np.exp(-1j * (E * e.t / hbar))
 
     # large component: G(r) = r^(s-1) exp(-lam r), pure radial
-    def psi_large(e: Event) -> complex:
-        r = _radius(e)
-        return r ** (s - 1.0) * np.exp(-lam * r) * tfac(e)
-
-    def grad_large(e: Event) -> np.ndarray:
-        r = _radius(e)
-        value = psi_large(e)
-        lg = (s - 1.0) / r - lam
-        out = _zeros(e, 4)
-        out[..., :3] = _col(lg) * e.spatial / _col(r) * _col(value)
-        out[..., 3] = g4 * value
-        return out
-
-    def lap_large(e: Event) -> complex:
-        r = _radius(e)
-        radial = s * (s - 1.0) / r ** 2 - 2.0 * lam * s / r + lam ** 2
-        return (radial + g4 ** 2) * psi_large(e)
-
-    large = ScalarWave("dirac-coulomb-1s[0]", psi_large, grad_large,
-                       lap_large)
+    large = _radial_wave("dirac-coulomb-1s[0]", s, lam, E, constants, {})
     zero = ScalarWave("dirac-coulomb-1s[1]", _zeros, lambda e: _zeros(e, 4),
                       _zeros)
 

@@ -11,9 +11,10 @@ import pytest
 
 from fourvel import (ANALYTIC, Event, NATURAL_UNITS,
                      NearZeroWavefunctionError, ParameterError,
-                     SingularPointError, central, constant_potential, contract,
-                     coulomb_potential, differentiate, dirac_coulomb_1s,
-                     dirac_plane_wave, extract_u, gauge_transform,
+                     SingularPointError, canonical_momentum, central,
+                     constant_potential, contract, coulomb_potential,
+                     differentiate, dirac_coulomb_1s, dirac_plane_wave,
+                     extract_u, gauge_transform,
                      gaussian_polynomial_wave, kg_coulomb_1s, plane_wave,
                      polynomial_gauge, pure_gauge_potential,
                      random_smooth_spinor, zero_potential)
@@ -91,7 +92,7 @@ def test_scalar_fixture_evaluators_match_row_by_row(name):
 @pytest.mark.parametrize("name", sorted(_spinors()))
 def test_spinor_fixture_evaluators_match_row_by_row(name):
     spinor = _spinors()[name]
-    for evaluator in (spinor.values, spinor.grads, spinor.laplacians,
+    for evaluator in (spinor.values, spinor.grad4, spinor.laplace4,
                       spinor.hess4):
         if evaluator is not None:
             _rows_match(evaluator)
@@ -165,5 +166,6 @@ def test_near_zero_row_fails_like_its_event(method):
         with pytest.raises(NearZeroWavefunctionError) as exc:
             extract_u(wave, A0, e, method, constants=C)
         assert exc.value.event == Event(*node)
-    with pytest.raises(NearZeroWavefunctionError):
-        differentiate(wave, batch, "dlog", method)
+    with pytest.raises(NearZeroWavefunctionError) as exc:
+        canonical_momentum(wave, A0, batch, method, constants=C)
+    assert exc.value.event == Event(*node)

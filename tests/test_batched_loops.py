@@ -145,9 +145,9 @@ def test_stacked_spinor_matches_its_components(seed, e):
     comps = _oracle_slots(np.random.default_rng(seed), K)
     assert np.array_equal(spinor.values(e),
                           np.stack([c.psi(e) for c in comps], axis=-1))
-    assert np.array_equal(spinor.grads(e),
+    assert np.array_equal(spinor.grad4(e),
                           np.stack([c.grad4(e) for c in comps], axis=-2))
-    assert np.array_equal(spinor.laplacians(e),
+    assert np.array_equal(spinor.laplace4(e),
                           np.stack([c.laplace4(e) for c in comps], axis=-1))
     assert np.array_equal(spinor.hess4(e),
                           np.stack([c.hess4(e) for c in comps], axis=-3))
@@ -224,7 +224,7 @@ def test_gauge_transformed_spinor_evaluates_its_transformed_components():
 
 def test_replaced_psi_keeps_a_spinor_whose_values_read_it():
     # dataclasses.replace, as a tracer wraps an evaluator, keeps the class,
-    # and values, grads and laplacians read the replaced evaluators
+    # and values reads the replaced psi
     spinor = random_smooth_spinor(np.random.default_rng(5), C)
     other = random_smooth_spinor(np.random.default_rng(6), C)
     calls = []
@@ -237,8 +237,7 @@ def test_replaced_psi_keeps_a_spinor_whose_values_read_it():
     assert type(copy) is SpinorWave
     assert np.array_equal(copy.values(POINTS), other.values(POINTS))
     assert len(calls) == 1 and calls[0] is POINTS
-    assert np.array_equal(copy.grads(POINTS), other.grads(POINTS))
-    assert np.array_equal(copy.laplacians(POINTS), spinor.laplacians(POINTS))
+    assert copy.grad4 is other.grad4 and copy.laplace4 is spinor.laplace4
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from fourvel import (DerivativeMethod, Event, InvalidBoostError,
-                     NearZeroWavefunctionError, ParameterError,
-                     PhysicalConstants, boost_x1, central, contract,
-                     differentiate, field_strength, four_displacement,
-                     four_vector, zero_potential, constant_potential)
+                     ParameterError, PhysicalConstants, boost_x1, central,
+                     contract, differentiate, field_strength,
+                     four_displacement, four_vector, zero_potential,
+                     constant_potential)
 
 
 def test_event_accessors():
@@ -132,29 +132,6 @@ def test_richardson_extrapolation_tightens_the_estimate():
     extra = differentiate(psi, e, "grad4", central(2e-2, richardson=True), c=c)
     exact = np.array([0.9, 0.0, 0.0, -0.3 / (1j * c)]) * psi(e)
     assert np.max(np.abs(extra - exact)) < 0.02 * np.max(np.abs(plain - exact))
-
-
-def test_dlog_guards_against_near_zero_values():
-    def psi(e):
-        return e.x1  # vanishes on the x1 = 0 plane
-
-    with pytest.raises(NearZeroWavefunctionError):
-        differentiate(psi, Event(1e-15, 0, 0, 0), "dlog", central(1e-3),
-                      c=1.0)
-
-
-def test_dlog_does_not_unwrap_phase():
-    # on a plane wave the log-derivative must stay exactly linear in k even
-    # when the phase itself has wound through many turns
-    k = 5.0
-
-    def psi(e):
-        return np.exp(1j * k * e.x1)
-
-    for x in (0.1, 2.0, 40.0):
-        g = differentiate(psi, Event(x, 0, 0, 0), "dlog", central(1e-3),
-                          c=1.0)
-        assert g[0] == pytest.approx(1j * k, abs=1e-8)
 
 
 def test_analytic_mode_requires_field_evaluators():

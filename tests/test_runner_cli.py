@@ -15,7 +15,7 @@ from fourvel import (ConfigError, DerivativeMethod, InvalidBoostError,
                      ParameterError, PhysicalConstants, QuadratureError,
                      SingularPointError, config_from_dict, default_config,
                      export_report, list_scenarios, run_scenario)
-from fourvel import runner, velocityfield
+from fourvel import core4, runner, velocityfield
 from fourvel.cli import main
 from fourvel.runner import report_to_csv, report_to_json
 
@@ -174,34 +174,37 @@ def test_a_nan_magnitude_fails_its_check_wherever_it_lies():
     assert col.finalize()[0].linf == float("inf")
 
 
-def _counted(monkeypatch, name):
-    """Count every call of the velocityfield kernel name, whether it comes
-    from the runner or from another kernel."""
-    calls = []
-    kernel = getattr(velocityfield, name)
+def _counted(monkeypatch, module, name, calls):
+    """Count every call of module's own binding of name in calls[name]."""
+    stencil = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
-        return kernel(*args, **kwargs)
+        calls[name] += 1
+        return stencil(*args, **kwargs)
 
-    for module in (velocityfield, runner):
-        monkeypatch.setattr(module, name, counted, raising=False)
-    return calls
+    monkeypatch.setattr(module, name, counted)
 
 
-# the momentum gradient and the KG residual are built once per wave and
-# handed to the kernels that contract them
+# each wave is read off one residual chain: in central mode four gradient
+# stencils (psi, the momentum and, nested in it, psi at the stencil points,
+# and the potential) and one Laplacian stencil per wave, none in analytic
+# mode
 @pytest.mark.parametrize("mode", ["analytic", "central"])
 @pytest.mark.parametrize("scenario, waves", [("plane-wave", 3),
                                              ("kg-coulomb-1s", 1)])
 def test_one_momentum_gradient_and_kg_residual_per_wave(monkeypatch, scenario,
                                                         waves, mode):
-    gradients = _counted(monkeypatch, "momentum_gradient")
-    kgs = _counted(monkeypatch, "kg_residual")
+    calls = {"grad4_numeric": 0, "laplace4_numeric": 0}
+    for module, name in ((core4, "grad4_numeric"),
+                         (velocityfield, "grad4_numeric"),
+                         (core4, "laplace4_numeric")):
+        _counted(monkeypatch, module, name, calls)
     report = run_scenario(config_from_dict({"method": {"mode": mode}},
                                            scenario))
     assert report.passed
-    assert (len(gradients), len(kgs)) == (waves, waves)
+    per_wave = (4, 1) if mode == "central" else (0, 0)
+    assert (calls["grad4_numeric"], calls["laplace4_numeric"]) == (
+        per_wave[0] * waves, per_wave[1] * waves)
 
 
 @pytest.mark.parametrize("momenta", [[[0, 0, 0], [1e200, 0, 0]],

@@ -11,14 +11,16 @@ import math
 import numpy as np
 import pytest
 
-from fourvel import (ANALYTIC, Event, EventArray, NATURAL_UNITS,
-                     NearZeroWavefunctionError, ParameterError,
+from fourvel import (ANALYTIC, DEFAULT_EPS_PSI, Event, EventArray,
+                     NATURAL_UNITS, NearZeroWavefunctionError, ParameterError,
                      PhysicalConstants, QuadratureError, action_integral,
                      canonical_momentum, central, contract, coulomb_potential,
                      curl_k, differentiate, divergence_mu, extract_u,
                      gaussian_polynomial_wave, kg_coulomb_1s, kg_residual,
-                     mass_shell_residual, momentum_gradient, newton_residual,
+                     lorenz_gauge_residual, mass_shell_residual,
+                     momentum_gradient, newton_residual,
                      nonlinear_wave_residual, plane_wave, zero_potential)
+from fourvel.velocityfield import _Chain
 
 A0 = zero_potential()
 C = NATURAL_UNITS
@@ -182,9 +184,32 @@ def test_near_zero_wave_raises_with_context():
     assert exc.value.magnitude == 0.0
 
 
-# a precomputed momentum gradient or KG residual stands in for the kernel's
-# own rebuild: with gp= or kg= from the same call, every kernel returns the
-# same bits as without it
+def test_dlog_guards_against_near_zero_values():
+    def psi(e):
+        return e.x1  # vanishes on the x1 = 0 plane
+
+    with pytest.raises(NearZeroWavefunctionError):
+        canonical_momentum(psi, A0, Event(1e-15, 0, 0, 0), central(1e-3),
+                           constants=C)
+
+
+def test_dlog_does_not_unwrap_phase():
+    # on a plane wave the log-derivative must stay exactly linear in k even
+    # when the phase itself has wound through many turns
+    k = 5.0
+
+    def psi(e):
+        return np.exp(1j * k * e.x1)
+
+    for x in (0.1, 2.0, 40.0):
+        p = canonical_momentum(psi, A0, Event(x, 0, 0, 0), central(1e-3),
+                               constants=C)
+        assert p[0] == pytest.approx(C.hbar * k, abs=1e-8)
+
+
+# every public kernel is one read of a fresh residual chain: each returns
+# the same bits as the matching quantity of one chain shared by all reads,
+# which is how a scenario reads a wave
 _SHARED = [
     ("plane-wave", lambda: (plane_wave((0.6, -0.3, 0.2), C), A0)),
     ("kg-coulomb-1s", lambda: (kg_coulomb_1s(0.4, C),
@@ -203,18 +228,27 @@ def test_shared_gradient_and_kg_are_bit_identical(name, fixture, method,
                                                   points):
     wave, field = fixture()
     args = (wave, field, points, method)
-    gp = momentum_gradient(*args, constants=C)
-    kg = kg_residual(*args, constants=C)
-    assert np.array_equal(curl_k(*args, constants=C, gp=gp),
-                          curl_k(*args, constants=C))
-    assert np.array_equal(newton_residual(*args, constants=C, gp=gp),
-                          newton_residual(*args, constants=C))
-    shared = divergence_mu(*args, constants=C, gp=gp)
-    own = divergence_mu(*args, constants=C)
-    for f in dataclasses.fields(own):
-        assert np.array_equal(getattr(shared, f.name), getattr(own, f.name))
-    assert np.array_equal(nonlinear_wave_residual(*args, constants=C, kg=kg),
-                          nonlinear_wave_residual(*args, constants=C))
+    kw = {"constants": C, "eps_psi": DEFAULT_EPS_PSI}
+    chain = _Chain(*args, C, DEFAULT_EPS_PSI)
+    reads = [
+        (canonical_momentum(*args, **kw), chain.momentum),
+        (extract_u(*args, **kw), chain.u),
+        (mass_shell_residual(*args, **kw), chain.mass_shell),
+        (momentum_gradient(*args, **kw), chain.gp),
+        (curl_k(*args, **kw), chain.curl_k),
+        (newton_residual(*args, **kw), chain.newton),
+        (newton_residual(*args, normalize=False, **kw), chain.raw_newton),
+        (kg_residual(*args, **kw), chain.kg),
+        (kg_residual(*args, normalized=False, **kw), chain.raw_kg),
+        (nonlinear_wave_residual(*args, **kw), chain.nonlinear),
+        (lorenz_gauge_residual(field, points, method, c=C.c),
+         chain.divergence.lorenz_residual),
+    ]
+    own = divergence_mu(*args, **kw)
+    reads += [(getattr(own, f.name), getattr(chain.divergence, f.name))
+              for f in dataclasses.fields(own)]
+    for alone, shared in reads:
+        assert np.array_equal(alone, shared)
     # the Coulomb potential makes the d_mu A_nu term of newton live
     assert np.any(field.grad(points) != 0) == (name == "kg-coulomb-1s")
 

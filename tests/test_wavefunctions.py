@@ -206,7 +206,7 @@ def test_dirac_plane_wave_component_gradients():
         e = Event(*rng.uniform(-1, 1, 4))
         # the stencil of the whole spinor is [mu, k]
         g_num = differentiate(spinor, e, "grad4", central(1e-3), c=consts.c)
-        np.testing.assert_allclose(g_num.T, spinor.grads(e), atol=1e-9)
+        np.testing.assert_allclose(g_num.T, spinor.grad4(e), atol=1e-9)
 
 
 def test_spinor_laplacians_are_the_trace_of_their_hessians():
@@ -217,7 +217,7 @@ def test_spinor_laplacians_are_the_trace_of_their_hessians():
         hess = spinor.hess4(e)
         assert hess.shape == (4, 4, 4)   # [k, mu, nu]
         np.testing.assert_allclose(np.trace(hess, axis1=-2, axis2=-1),
-                                   spinor.laplacians(e), atol=1e-12)
+                                   spinor.laplace4(e), atol=1e-12)
 
 
 def test_spinor_from_components_needs_four():
@@ -289,7 +289,7 @@ def test_dirac_coulomb_component_gradients_match_stencils():
         x = rng.uniform(0.5, 1.5, 3) * rng.choice([-1.0, 1.0], 3)
         ev = Event(x[0], x[1], x[2], rng.uniform(-1, 1))
         g_num = differentiate(spinor, ev, "grad4", central(1e-3), c=1.0)
-        np.testing.assert_allclose(g_num.T, spinor.grads(ev), atol=1e-6)
+        np.testing.assert_allclose(g_num.T, spinor.grad4(ev), atol=1e-6)
 
 
 def test_dirac_coulomb_coupling_range():
@@ -324,4 +324,4 @@ def test_random_smooth_spinor_is_reproducible_and_consistent():
     e = Event(0.1, -0.2, 0.3, 0.05)
     np.testing.assert_array_equal(s1.values(e), s2.values(e))
     g_num = differentiate(s1, e, "grad4", central(1e-3), c=1.0)
-    np.testing.assert_allclose(g_num.T, s1.grads(e), atol=1e-7)
+    np.testing.assert_allclose(g_num.T, s1.grad4(e), atol=1e-7)

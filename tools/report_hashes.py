@@ -10,9 +10,10 @@ give 48 lines of ``<sha256> <exit code> <scenario> <mode> <format>``.
     python tools/report_hashes.py --scenario clifford
 
 With ``--extra`` the reports of the fixed non-default configs in
-``EXTRA_CONFIGS`` follow, in their scenario's default mode, each named in
-the mode column: other seeds, a failing (exit 1) report, other couplings
-and units, a near-grazing worldline, a ray whose far events have no
+``EXTRA_CONFIGS`` follow, in their scenario's default mode unless the
+config sets one, each named in the mode column: other seeds, failing
+(exit 1) reports, other couplings and units, Richardson stencils, a
+near-grazing worldline, a ray whose far events have no
 velocity sample, and integer or empty values whose echo in the report's
 config must not change (integer constants, step and tolerance, which the
 echo shows as floats, and integer cloud and fixture values, which it
@@ -83,6 +84,18 @@ EXTRA_CONFIGS = [
     ("dirac-coulomb-1s", "analytic-units",
      {"method": {"mode": "analytic"}, "constants": UNITS}),
     ("gauge-orbit", "central-units",
+     {"method": {"mode": "central"}, "constants": UNITS}),
+    # the scalar residual chain off shell (exit 1, real magnitudes), with
+    # Richardson stencils and in other units
+    ("kg-coulomb-1s", "off-shell-analytic",
+     {"fixture": {"energy_scale": 1.05}, "method": {"mode": "analytic"}}),
+    ("kg-coulomb-1s", "off-shell-central",
+     {"fixture": {"energy_scale": 1.05}, "method": {"mode": "central"}}),
+    ("plane-wave", "central-richardson",
+     {"method": {"mode": "central", "richardson": True}}),
+    ("kg-coulomb-1s", "central-richardson",
+     {"method": {"mode": "central", "richardson": True}}),
+    ("plane-wave", "central-units",
      {"method": {"mode": "central"}, "constants": UNITS}),
 ]
 
