@@ -163,8 +163,10 @@ def _first(flags, e):
 
 def _require_nonzero(values, e, eps_psi: float) -> None:
     """Raise NearZeroWavefunctionError at the first point of e where
-    |values| <= eps_psi; values holds one entry per point."""
+    |values| <= eps_psi; values holds one entry, or one spinor, per point."""
     mags = abs(values)
+    if np.ndim(mags) > (0 if isinstance(e, Event) else 1):
+        mags = np.min(mags, axis=-1)
     first = _first(mags <= eps_psi, e)
     if first:
         k, where = first

@@ -13,11 +13,10 @@ i c (-i hbar d_4 - q A_4) Psi + c alpha_n (-i hbar d_n - q A_n) Psi
 alphabeta form, so residual_gamma = M residual_alphabeta with the constant
 invertible matrix M = -(i/c) beta exposed as form_relation_matrix().
 
-The spinor residuals take one Event or a (K, 4) EventArray, like the scalar
-ones in velocityfield; each point is normalized by its own largest
-component magnitude. A SpinorWave evaluates all four components in one
-call, so each derivative a residual needs is one analytic call or one
-stencil over the spinor's values, never a loop over components.
+The spinor residuals take one Event or a (K, 4) EventArray and normalize
+each point by its own largest component magnitude. Like the scalar ones,
+each is one read of velocityfield's residual chain, which takes a spinor's
+gradient once, analytically or by one stencil, for all of its checks.
 """
 from __future__ import annotations
 
@@ -26,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
-                    NATURAL_UNITS, PhysicalConstants, _col,
-                    _first, _require_nonzero, grad4_numeric)
-from .errors import (InsufficientComponentsError, ParameterError,
-                     UnsupportedConfigurationError)
+                    NATURAL_UNITS, PhysicalConstants, _col, grad4_numeric)
+from .errors import ParameterError, UnsupportedConfigurationError
+from .fields import zero_potential
+from .velocityfield import _Chain, _normalized
 from .wavefunctions import _SIGMA, SpinorWave
 
-_I2 = np.eye(2, dtype=complex)
 _Z2 = np.zeros((2, 2), dtype=complex)
 
 
@@ -106,66 +104,17 @@ def form_relation_matrix(constants: PhysicalConstants = NATURAL_UNITS,
     return -(1j / constants.c) * g.beta
 
 
-def _grads(spinor: SpinorWave, e, method: DerivativeMethod, c: float):
-    """d_mu psi_k(e) as [..., k, mu]: the analytic evaluator, or in central
-    mode one stencil over the values of all four components."""
-    if method.mode == "analytic":
-        return spinor.grad4(e)
-    return np.swapaxes(grad4_numeric(spinor.values, e, method.h, c,
-                                     method.richardson), -1, -2)
-
-
-def _operator_values(spinor: SpinorWave, a, e, method: DerivativeMethod,
-                     constants):
-    """psi_k(e) and pop[..., mu, k] = (-i hbar d_mu - q A_mu) psi_k(e) for
-    all k, mu, given the potential's values a at e. e is one Event or a
-    (K, 4) batch."""
-    values = spinor.values(e)
-    pop = (-1j * constants.hbar * _grads(spinor, e, method, constants.c)
-           - constants.q * (values[..., :, None] * a[..., None, :]))
-    return values, np.swapaxes(pop, -1, -2)
-
-
-def _apply(mat: np.ndarray, v) -> np.ndarray:
-    """mat @ v for the spinor v of every point."""
-    return v @ mat.T
-
-
-def _gamma_form(g: GammaSet, pop, values, m: float, c: float):
-    """gamma_mu pop_mu - i m c psi at one point or a batch of points."""
-    return sum(_apply(g.gammas[mu], pop[..., mu, :]) for mu in range(4)) \
-        - 1j * m * c * values
-
-
-def _normalized(out, values, e, eps_psi: float):
-    """out divided, point by point, by the largest |psi_k| there; raises
-    NearZeroWavefunctionError at the first point where that is <= eps_psi."""
-    scale = np.max(np.abs(values), axis=-1)
-    _require_nonzero(scale, e, eps_psi)
-    return out / _col(scale)
-
-
 def dirac_residual(spinor: SpinorWave, a_field, e: Event,
                    method: DerivativeMethod = ANALYTIC, form: str = "gamma", *,
                    constants: PhysicalConstants = NATURAL_UNITS,
-                   eps_psi: float = DEFAULT_EPS_PSI,
-                   g: GammaSet | None = None) -> np.ndarray:
+                   eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
     """First-order equation residual at e, normalized at each point by
     that point's largest component magnitude. form selects the matrix
     layout; see module notes for the fixed linear map between the two."""
     if form not in ("gamma", "alphabeta"):
         raise ParameterError(f"unknown form {form!r}")
-    g = g or _STANDARD
-    m, c = constants.m, constants.c
-    values, pop = _operator_values(spinor, a_field.a(e), e, method,
-                                   constants)
-    if form == "gamma":
-        res = _gamma_form(g, pop, values, m, c)
-    else:
-        res = (1j * c * pop[..., 3, :]
-               + c * sum(_apply(g.alphas[n], pop[..., n, :]) for n in range(3))
-               + m * c ** 2 * _apply(g.beta, values))
-    return _normalized(res, values, e, eps_psi)
+    chain = _Chain(spinor, a_field, e, method, constants, eps_psi)
+    return chain.residual_gamma if form == "gamma" else chain.residual_alphabeta
 
 
 def spinor_velocity_consistency(spinor: SpinorWave, a_field, e: Event,
@@ -173,9 +122,8 @@ def spinor_velocity_consistency(spinor: SpinorWave, a_field, e: Event,
                                 constants: PhysicalConstants = NATURAL_UNITS,
                                 eps_psi: float = DEFAULT_EPS_PSI):
     """Extract u independently from every component with |psi_k| above
-    threshold and report the worst pairwise componentwise deviation. The
-    formula of extract_u is applied to all four components at once, from
-    one evaluation of the values and the gradients.
+    threshold, all four at once, and report the worst pairwise
+    componentwise deviation.
 
     Needs at least two admissible components at every point, and raises
     InsufficientComponentsError at the first point that has fewer. For
@@ -188,33 +136,8 @@ def spinor_velocity_consistency(spinor: SpinorWave, a_field, e: Event,
     one row per point (NaN where component k is below threshold) and the
     deviation is one value per point.
     """
-    values = spinor.values(e)
-    admissible = np.abs(values) > eps_psi
-    counts = np.count_nonzero(admissible, axis=-1)
-    first = _first(counts < 2, e)
-    if first:
-        k, where = first
-        raise InsufficientComponentsError(
-            f"only {np.ravel(counts)[k]} component(s) above threshold at "
-            f"{where}")
-    # extract_u of every component at once, dividing only where it is
-    # admissible; the other entries are NaN
-    dlog = (_grads(spinor, e, method, constants.c)
-            / _col(np.where(admissible, values, 1.0)))
-    u = (-1j * constants.hbar * dlog
-         - constants.q * a_field.a(e)[..., None, :]) / constants.m
-    u[~admissible] = np.nan
-    # a component enters where it is admissible at every row (an empty
-    # batch rules none out) or at some row
-    rows = admissible.reshape(-1, 4)
-    keep = np.all(rows, axis=0) | np.any(rows, axis=0)
-    per_component = [(k, u[..., k, :]) for k in range(4) if keep[k]]
-    # |u_i - u_j| over every pair of components; fmax skips the NaN pairs
-    # of rows where one of the two is below threshold
-    us = np.stack([u for _, u in per_component], axis=-2)
-    pairs = np.abs(us[..., :, None, :] - us[..., None, :, :])
-    deviation = np.fmax.reduce(pairs, axis=(-3, -2, -1))
-    return per_component, deviation
+    return _Chain(spinor, a_field, e, method, constants,
+                  eps_psi).velocity_consistency
 
 
 def kg_operator_on_spinor(spinor: SpinorWave, e: Event, *,
@@ -231,31 +154,28 @@ def kg_operator_on_spinor(spinor: SpinorWave, e: Event, *,
 def dirac_to_kg_check(spinor: SpinorWave, a_field, e: Event,
                       method: DerivativeMethod = ANALYTIC, *,
                       constants: PhysicalConstants = NATURAL_UNITS,
-                      eps_psi: float = DEFAULT_EPS_PSI,
-                      g: GammaSet | None = None) -> np.ndarray:
+                      eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
     """Apply (gamma.(-i hbar d) + i m c) to (gamma.(-i hbar d) - i m c) Psi.
 
     Free fields only (the squared operator with a potential picks up field
-    terms this toolkit does not model). The inner first-order operator uses
-    the component gradients directly; the outer derivative is taken by
-    central stencils (with the method's step and Richardson setting) over
-    that intermediate field, so the result can be compared against
-    kg_operator_on_spinor as an independent evaluation. Output normalized
-    at each point by that point's largest component magnitude.
+    terms this toolkit does not model). The inner first-order operator is
+    a chain's raw_gamma at the points asked for; the outer derivative is
+    taken by central stencils (with the method's step and Richardson
+    setting) over that intermediate field, so the result can be compared
+    against kg_operator_on_spinor as an independent evaluation. Output
+    normalized at each point by that point's largest component magnitude.
     """
     if a_field is not None and a_field.kind != "zero":
         raise UnsupportedConfigurationError(
             "squared-operator check supports only A = 0")
-    g = g or _STANDARD
     hbar, m, c = constants.hbar, constants.m, constants.c
 
     def first_order(points) -> np.ndarray:
-        values, pop = _operator_values(spinor, np.zeros(4), points, method,
-                                       constants)
-        return _gamma_form(g, pop, values, m, c)
+        return _Chain(spinor, zero_potential(), points, method, constants,
+                      eps_psi).raw_gamma
 
     # outer pass: gamma.(-i hbar d) + i m c on the intermediate field
     d = grad4_numeric(first_order, e, method.h, c, method.richardson)
-    out = sum((_apply(g.gammas[mu], -1j * hbar * d[..., mu, :])
+    out = sum((-1j * hbar * d[..., mu, :] @ _STANDARD.gammas[mu].T
                for mu in range(4)), 1j * m * c * first_order(e))
     return _normalized(out, spinor.values(e), e, eps_psi)

@@ -30,8 +30,7 @@ from .core4 import (DEFAULT_EPS_PSI, DerivativeMethod, Event, EventArray,
                     PhysicalConstants, contract, field_strength)
 from .dirac import (clifford_residual, dirac_residual, dirac_to_kg_check,
                     factorization_residual, form_relation_matrix, gamma_dot,
-                    gamma_matrices, kg_operator_on_spinor,
-                    spinor_velocity_consistency, GammaSet)
+                    gamma_matrices, kg_operator_on_spinor, GammaSet)
 from .errors import ConfigError, ParameterError
 from .fields import (coulomb_potential, gauge_transform, polynomial_gauge,
                      zero_potential)
@@ -460,15 +459,14 @@ def _scn_dirac_plane_wave(cfg: ScenarioConfig, rng, col: _Collector,
     m_rel = form_relation_matrix(cfg.constants)
     for p in cfg.fixture["momenta"]:
         spinor = dirac_plane_wave(p, spin, cfg.constants)
-        rg = dirac_residual(spinor, a0, events, meth, "gamma", **kw)
-        ra = dirac_residual(spinor, a0, events, meth, "alphabeta", **kw)
+        ch = _Chain(spinor, a0, events, meth, cfg.constants, DEFAULT_EPS_PSI)
+        rg, ra = ch.residual_gamma, ch.residual_alphabeta
         checks = [("residual_gamma", _worst(rg)),
                   ("residual_alphabeta", _worst(ra)),
                   ("form_equivalence", _worst(rg - ra @ m_rel.T))]
         if np.count_nonzero(np.abs(spinor.values(_ORIGIN)) > 1e-12) >= 2:
-            _, dev = spinor_velocity_consistency(spinor, a0, events, meth,
-                                                 **kw)
-            checks.append(("velocity_consistency", dev))
+            checks.append(("velocity_consistency",
+                           ch.velocity_consistency[1]))
         col.add_cloud(spinor.label, events, checks)
     for j in range(int(cfg.fixture["n_random_spinors"])):
         spinor = random_smooth_spinor(rng, cfg.constants)
@@ -554,21 +552,15 @@ def _fminbound(f: Callable[[float], float], lo: float, hi: float,
 def _scn_dirac_coulomb(cfg: ScenarioConfig, rng, col: _Collector, events):
     za = float(cfg.fixture["z_alpha"])
     consts = cfg.constants
-    energy = cfg.fixture.get("energy")
-    spinor = dirac_coulomb_1s(za, consts, energy)
+    spinor = dirac_coulomb_1s(za, consts, cfg.fixture.get("energy"))
     a = coulomb_potential(za, consts)
-    meth = cfg.method
+    ch = _Chain(spinor, a, events, cfg.method, consts, DEFAULT_EPS_PSI)
     # velocity deviation needs two components above threshold; other
     # events have no sample of it
-    deviation = np.zeros(len(events))
-    usable = np.count_nonzero(np.abs(spinor.values(events)) > DEFAULT_EPS_PSI,
-                              axis=-1) >= 2
-    if np.count_nonzero(usable):
-        _, deviation[usable] = spinor_velocity_consistency(
-            spinor, a, EventArray(events[usable]), meth, constants=consts)
+    usable = np.count_nonzero(ch.admissible, axis=-1) >= 2
+    deviation = np.where(usable, ch.velocity_deviation, 0.0)
     col.add_cloud(spinor.label, events, [
-        ("residual_gamma", _worst(dirac_residual(spinor, a, events, meth,
-                                                 "gamma", constants=consts))),
+        ("residual_gamma", _worst(ch.residual_gamma)),
         ("velocity_deviation", deviation, usable),
     ])
 

@@ -26,11 +26,11 @@ import numpy as np
 
 from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
                     EventArray, NATURAL_UNITS, PhysicalConstants, _col,
-                    _potential_gradient, _require_nonzero, contract,
+                    _first, _potential_gradient, _require_nonzero, contract,
                     differentiate, four_displacement, grad4_numeric)
-from .errors import (NearZeroWavefunctionError, ParameterError,
-                     QuadratureError)
-from .wavefunctions import _outer
+from .errors import (InsufficientComponentsError, NearZeroWavefunctionError,
+                     ParameterError, QuadratureError)
+from .wavefunctions import SpinorWave, _outer
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
@@ -43,6 +43,14 @@ def _trace(m) -> np.ndarray:
 def _matvec(m, v) -> np.ndarray:
     """m @ v for one matrix and one vector per point."""
     return (m @ v[..., None])[..., 0]
+
+
+def _normalized(out, values, e, eps_psi: float):
+    """out divided, point by point, by the largest |psi_k| there; raises
+    NearZeroWavefunctionError at the first point where that is <= eps_psi."""
+    scale = np.max(np.abs(values), axis=-1)
+    _require_nonzero(scale, e, eps_psi)
+    return out / _col(scale)
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,10 @@ class _Chain:
     d psi and laplace4 psi, and each is evaluated at most once, on first
     read. A chain lives for one kernel call or one wave of a scenario.
 
+    The wave is a ScalarWave or a SpinorWave, whose components sit on the
+    axis after the point axis (psi [..., k], grad [..., k, mu] in both
+    modes); A is lifted over that axis, so u has one row per component.
+
     dlog = (d_mu psi)/psi is formed from the gradient, never through a
     complex logarithm (branch cuts), and raises NearZeroWavefunctionError
     at the first point where |psi| <= eps_psi.
@@ -84,8 +96,11 @@ class _Chain:
 
     @cached_property
     def grad(self):
-        return differentiate(self.psi, self.e, "grad4", self.method,
+        grad = differentiate(self.psi, self.e, "grad4", self.method,
                              c=self.constants.c)
+        if self.method.mode == "central" and isinstance(self.psi, SpinorWave):
+            return np.swapaxes(grad, -1, -2)  # the stencil's [..., mu, k]
+        return grad
 
     @cached_property
     def lap(self):
@@ -105,7 +120,8 @@ class _Chain:
 
     @cached_property
     def a(self):
-        return self.a_field.a(self.e)
+        a = self.a_field.a(self.e)
+        return a[..., None, :] if isinstance(self.psi, SpinorWave) else a
 
     @cached_property
     def ga(self):
@@ -196,6 +212,74 @@ class _Chain:
     @cached_property
     def nonlinear(self):
         return self.kg + self.constants.hbar ** 2 * self.ddlog
+
+    # spinor waves only (see dirac); the residuals are normalized at each
+    # point by that point's largest component magnitude
+
+    @cached_property
+    def pop(self):
+        """pop[..., mu, k] = (-i hbar d_mu - q A_mu) psi_k."""
+        a, value = self.a, self.value
+        return np.swapaxes(-1j * self.constants.hbar * self.grad
+                           - self.constants.q * (value[..., :, None] * a),
+                           -1, -2)
+
+    @cached_property
+    def raw_gamma(self):
+        """gamma_mu pop_mu - i m c psi."""
+        from .dirac import _STANDARD as g  # dirac builds on this module
+        pop, m, c = self.pop, self.constants.m, self.constants.c
+        return sum(pop[..., mu, :] @ g.gammas[mu].T
+                   for mu in range(4)) - 1j * m * c * self.value
+
+    @cached_property
+    def residual_gamma(self):
+        return _normalized(self.raw_gamma, self.value, self.e, self.eps_psi)
+
+    @cached_property
+    def residual_alphabeta(self):
+        from .dirac import _STANDARD as g
+        pop, m, c = self.pop, self.constants.m, self.constants.c
+        res = (1j * c * pop[..., 3, :]
+               + c * sum(pop[..., n, :] @ g.alphas[n].T for n in range(3))
+               + m * c ** 2 * (self.value @ g.beta.T))
+        return _normalized(res, self.value, self.e, self.eps_psi)
+
+    @cached_property
+    def admissible(self):
+        return np.abs(self.value) > self.eps_psi
+
+    @cached_property
+    def component_u(self):
+        """u of every component, NaN where it is not admissible."""
+        dlog = self.grad / _col(np.where(self.admissible, self.value, 1.0))
+        u = (-1j * self.constants.hbar * dlog
+             - self.constants.q * self.a) / self.constants.m
+        u[~self.admissible] = np.nan
+        return u
+
+    @cached_property
+    def velocity_deviation(self):
+        """Worst |u_i - u_j| per point; fmax skips the NaN pairs."""
+        u = self.component_u
+        return np.fmax.reduce(np.abs(u[..., :, None, :] - u[..., None, :, :]),
+                              axis=(-3, -2, -1))
+
+    @cached_property
+    def velocity_consistency(self):
+        """What spinor_velocity_consistency returns."""
+        counts = np.count_nonzero(self.admissible, axis=-1)
+        first = _first(counts < 2, self.e)
+        if first:
+            raise InsufficientComponentsError(
+                f"only {np.ravel(counts)[first[0]]} component(s) above "
+                f"threshold at {first[1]}")
+        # a component enters where it is admissible at some row, or at
+        # every row of an empty batch
+        rows = self.admissible.reshape(-1, 4)
+        keep = np.all(rows, axis=0) | np.any(rows, axis=0)
+        return ([(k, self.component_u[..., k, :]) for k in range(4)
+                 if keep[k]], self.velocity_deviation)
 
 
 def canonical_momentum(psi, a_field, e: Event,

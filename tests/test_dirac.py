@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from fourvel import (ANALYTIC, Event, InsufficientComponentsError,
-                     NATURAL_UNITS, ParameterError, PhysicalConstants,
-                     UnsupportedConfigurationError, central,
+from fourvel import (ANALYTIC, DEFAULT_EPS_PSI, Event, EventArray,
+                     InsufficientComponentsError, NATURAL_UNITS,
+                     NearZeroWavefunctionError, ParameterError,
+                     PhysicalConstants, UnsupportedConfigurationError, central,
                      clifford_residual, constant_potential, coulomb_potential,
                      dirac_coulomb_1s, dirac_plane_wave, dirac_residual,
                      dirac_to_kg_check, factorization_residual,
                      form_relation_matrix, gamma_dot, gamma_matrices,
                      kg_operator_on_spinor, random_smooth_spinor,
-                     spinor_velocity_consistency, zero_potential)
+                     extract_u, spinor_velocity_consistency, zero_potential)
+from fourvel.runner import _build_cloud
+from fourvel.velocityfield import _Chain
 
 A0 = zero_potential()
 C = NATURAL_UNITS
@@ -187,3 +190,82 @@ def test_residuals_reuse_one_read_only_gamma_set(monkeypatch):
     with pytest.raises(ValueError):
         shared.gammas[0][0, 0] = 1.0
     assert clifford_residual(shared) == 0.0
+
+
+# the spinor kernels are reads of one residual chain, as the scalar ones are
+@pytest.mark.parametrize("points", [E0, EventArray([[0.5, 0.3, -0.2, 0.1],
+                                                    [1.2, -0.4, 0.6, -0.3]])],
+                         ids=["event", "batch"])
+@pytest.mark.parametrize("method", [ANALYTIC, central(1e-3)],
+                         ids=lambda m: m.mode)
+def test_spinor_kernels_are_reads_of_one_chain(method, points):
+    spinor = dirac_plane_wave((0.3, -0.2, 0.1), "up", C)
+    field = constant_potential((0.2, -0.1, 0.3, 0.15j))
+    args = (spinor, field, points, method)
+    chain = _Chain(*args, C, DEFAULT_EPS_PSI)
+    assert np.array_equal(dirac_residual(*args, constants=C),
+                          chain.residual_gamma)
+    assert np.array_equal(dirac_residual(*args, "alphabeta", constants=C),
+                          chain.residual_alphabeta)
+    per_comp, dev = spinor_velocity_consistency(*args, constants=C)
+    shared, shared_dev = chain.velocity_consistency
+    assert np.array_equal(dev, shared_dev)
+    assert [k for k, _ in per_comp] == [k for k, _ in shared] == [0, 2, 3]
+    for (_, u), (_, v) in zip(per_comp, shared):
+        assert np.array_equal(u, v)
+
+
+_SPINOR_POINTS = [[0.5, 0.3, -0.2, 0.1], [1.2, -0.4, 0.6, -0.3],
+                  [-0.7, 0.9, 0.1, 0.4], [0.3, -0.6, 0.8, -0.2],
+                  [-0.4, -0.5, -0.9, 0.6]]
+
+
+@pytest.mark.parametrize("k", [1, 4, 5])
+def test_spinor_u_lifts_the_potential_over_the_components(k):
+    # A has one 4-vector per point, the spinor's u one per point and
+    # component; with K = 4 points an unlifted A would line its point axis
+    # up with the component axis, and with K = 5 it would not broadcast
+    spinor = random_smooth_spinor(np.random.default_rng(83), C)
+    field = coulomb_potential(0.3, C)
+    points = EventArray(_SPINOR_POINTS[:k])
+    u = extract_u(spinor, field, points, constants=C)
+    per_comp, _ = spinor_velocity_consistency(spinor, field, points,
+                                              constants=C)
+    assert [c for c, _ in per_comp] == [0, 1, 2, 3]
+    for c, uc in per_comp:
+        assert np.array_equal(u[:, c], uc)
+
+
+def test_spinor_near_zero_guard_names_the_point():
+    # component 1 of the spin-up 1s state vanishes everywhere; the guard
+    # must blame the first point, not the flat index of the component
+    spinor = dirac_coulomb_1s(0.3, C)
+    field = coulomb_potential(0.3, C)
+    rows = [[0.6, 0.7, 0.8, 0.0], [0.2, -0.5, 0.4, 0.3]]
+    for k in (2, 1):
+        with pytest.raises(NearZeroWavefunctionError) as info:
+            extract_u(spinor, field, EventArray(rows[:k]), constants=C)
+        assert info.value.event == Event(*rows[0])
+        assert info.value.magnitude == 0.0
+
+
+@pytest.mark.parametrize("method", [ANALYTIC, central(1e-3)],
+                         ids=lambda m: m.mode)
+@pytest.mark.parametrize("cloud", [
+    {"kind": "ray", "r_min": 0.5, "r_max": 5.0, "count": 50, "t": 0.0},
+    {"kind": "ray", "r_min": 0.5, "r_max": 68.0, "count": 40, "t": 0.0}],
+    ids=["default-ray", "far-ray"])
+def test_full_cloud_velocity_deviation_matches_the_usable_subset(cloud,
+                                                                 method):
+    # a stencil at one point never reads another base point, so the
+    # deviation of a chain on the whole cloud, taken at the points with two
+    # admissible components, is the deviation of the kernel on those points
+    events = _build_cloud(cloud, np.random.default_rng(0), 0.25)
+    spinor = dirac_coulomb_1s(0.4, C)
+    field = coulomb_potential(0.4, C)
+    chain = _Chain(spinor, field, events, method, C, DEFAULT_EPS_PSI)
+    usable = np.count_nonzero(chain.admissible, axis=-1) >= 2
+    assert 0 < np.count_nonzero(usable) <= len(events)
+    _, dev = spinor_velocity_consistency(
+        spinor, field, EventArray(events[usable]), method, constants=C)
+    assert np.array_equal(chain.velocity_deviation[usable], dev)

@@ -15,7 +15,7 @@ from fourvel import (ConfigError, DerivativeMethod, InvalidBoostError,
                      ParameterError, PhysicalConstants, QuadratureError,
                      SingularPointError, config_from_dict, default_config,
                      export_report, list_scenarios, run_scenario)
-from fourvel import core4, runner, velocityfield
+from fourvel import core4, dirac, runner, velocityfield
 from fourvel.cli import main
 from fourvel.runner import report_to_csv, report_to_json
 
@@ -175,36 +175,47 @@ def test_a_nan_magnitude_fails_its_check_wherever_it_lies():
 
 
 def _counted(monkeypatch, module, name, calls):
-    """Count every call of module's own binding of name in calls[name]."""
+    """Append the number of base points of every call of module's own
+    binding of name to calls[name]."""
     stencil = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls[name] += 1
-        return stencil(*args, **kwargs)
+    def counted(f, e, *args, **kwargs):
+        calls[name].append(1 if isinstance(e, core4.Event) else len(e))
+        return stencil(f, e, *args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
 
 
-# each wave is read off one residual chain: in central mode four gradient
-# stencils (psi, the momentum and, nested in it, psi at the stencil points,
-# and the potential) and one Laplacian stencil per wave, none in analytic
-# mode
+# each wave is read off one residual chain. In central mode a scalar wave
+# takes four gradient stencils (psi, the momentum and, nested in it, psi at
+# the stencil points, and the potential) and one Laplacian stencil, and a
+# spinor one gradient stencil for all of its checks; analytic mode takes
+# none. Counted are the stencils over the scenario's cloud or over the
+# stencil points around it, not those over dirac-plane-wave's random points
+_STENCILS_PER_WAVE = {"plane-wave": (4, 1), "kg-coulomb-1s": (4, 1),
+                      "dirac-plane-wave": (1, 0), "dirac-coulomb-1s": (1, 0)}
+
+
 @pytest.mark.parametrize("mode", ["analytic", "central"])
 @pytest.mark.parametrize("scenario, waves", [("plane-wave", 3),
-                                             ("kg-coulomb-1s", 1)])
+                                             ("kg-coulomb-1s", 1),
+                                             ("dirac-plane-wave", 3),
+                                             ("dirac-coulomb-1s", 1)])
 def test_one_momentum_gradient_and_kg_residual_per_wave(monkeypatch, scenario,
                                                         waves, mode):
-    calls = {"grad4_numeric": 0, "laplace4_numeric": 0}
+    calls = {"grad4_numeric": [], "laplace4_numeric": []}
     for module, name in ((core4, "grad4_numeric"),
                          (velocityfield, "grad4_numeric"),
+                         (dirac, "grad4_numeric"),
                          (core4, "laplace4_numeric")):
         _counted(monkeypatch, module, name, calls)
-    report = run_scenario(config_from_dict({"method": {"mode": mode}},
-                                           scenario))
-    assert report.passed
-    per_wave = (4, 1) if mode == "central" else (0, 0)
-    assert (calls["grad4_numeric"], calls["laplace4_numeric"]) == (
-        per_wave[0] * waves, per_wave[1] * waves)
+    cfg = config_from_dict({"method": {"mode": mode}}, scenario)
+    assert run_scenario(cfg).passed
+    cloud = cfg.cloud["count"]
+    counts = tuple(sum(n in (cloud, 16 * cloud) for n in calls[name])
+                   for name in ("grad4_numeric", "laplace4_numeric"))
+    per_wave = _STENCILS_PER_WAVE[scenario] if mode == "central" else (0, 0)
+    assert counts == (per_wave[0] * waves, per_wave[1] * waves)
 
 
 @pytest.mark.parametrize("momenta", [[[0, 0, 0], [1e200, 0, 0]],

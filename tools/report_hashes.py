@@ -97,6 +97,13 @@ EXTRA_CONFIGS = [
      {"method": {"mode": "central", "richardson": True}}),
     ("plane-wave", "central-units",
      {"method": {"mode": "central"}, "constants": UNITS}),
+    # the spinor checks' nested stencils with Richardson extrapolation
+    ("dirac-plane-wave", "central-richardson",
+     {"method": {"mode": "central", "richardson": True}}),
+    ("dirac-coulomb-1s", "central-richardson",
+     {"method": {"mode": "central", "richardson": True}}),
+    ("gauge-orbit", "central-richardson",
+     {"method": {"mode": "central", "richardson": True}}),
 ]
 
 
