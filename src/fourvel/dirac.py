@@ -16,7 +16,9 @@ invertible matrix M = -(i/c) beta exposed as form_relation_matrix().
 The spinor residuals take one Event or a (K, 4) EventArray and normalize
 each point by its own largest component magnitude. Like the scalar ones,
 each is one read of velocityfield's residual chain, which takes a spinor's
-gradient once, analytically or by one stencil, for all of its checks.
+gradient once, analytically or by one stencil, for all of its checks, and
+also the outer stencil of dirac_to_kg_check; every stencil of the chain
+puts the component axis before mu.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
-                    NATURAL_UNITS, PhysicalConstants, _col, grad4_numeric)
+                    NATURAL_UNITS, PhysicalConstants, _col)
 from .errors import ParameterError, UnsupportedConfigurationError
 from .fields import zero_potential
 from .velocityfield import _Chain, _normalized
@@ -160,8 +162,8 @@ def dirac_to_kg_check(spinor: SpinorWave, a_field, e: Event,
     Free fields only (the squared operator with a potential picks up field
     terms this toolkit does not model). The inner first-order operator is
     a chain's raw_gamma at the points asked for; the outer derivative is
-    taken by central stencils (with the method's step and Richardson
-    setting) over that intermediate field, so the result can be compared
+    that chain's central stencil (with the method's step and Richardson
+    setting) over raw_gamma on the stencil points, so it can be compared
     against kg_operator_on_spinor as an independent evaluation. Output
     normalized at each point by that point's largest component magnitude.
     """
@@ -169,13 +171,9 @@ def dirac_to_kg_check(spinor: SpinorWave, a_field, e: Event,
         raise UnsupportedConfigurationError(
             "squared-operator check supports only A = 0")
     hbar, m, c = constants.hbar, constants.m, constants.c
-
-    def first_order(points) -> np.ndarray:
-        return _Chain(spinor, zero_potential(), points, method, constants,
-                      eps_psi).raw_gamma
-
+    chain = _Chain(spinor, zero_potential(), e, method, constants, eps_psi)
     # outer pass: gamma.(-i hbar d) + i m c on the intermediate field
-    d = grad4_numeric(first_order, e, method.h, c, method.richardson)
-    out = sum((-1j * hbar * d[..., mu, :] @ _STANDARD.gammas[mu].T
-               for mu in range(4)), 1j * m * c * first_order(e))
-    return _normalized(out, spinor.values(e), e, eps_psi)
+    d = chain.stencil("raw_gamma")  # [..., k, mu]
+    out = sum((-1j * hbar * d[..., mu] @ _STANDARD.gammas[mu].T
+               for mu in range(4)), 1j * m * c * chain.raw_gamma)
+    return _normalized(out, chain.value, e, eps_psi)

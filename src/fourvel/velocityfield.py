@@ -57,7 +57,8 @@ def _normalized(out, values, e, eps_psi: float):
 class DivergenceResult:
     """Two independent evaluations of d_mu (m u_mu) plus the gauge check.
 
-    For a (K, 4) batch each field holds one entry per point.
+    For a (K, 4) batch each field holds one entry per point; for a spinor,
+    one per component, and the Lorenz fields one on a unit component axis.
     """
 
     value: complex              # trace of the momentum gradient, A removed
@@ -76,9 +77,9 @@ class _Chain:
     d psi and laplace4 psi, and each is evaluated at most once, on first
     read. A chain lives for one kernel call or one wave of a scenario.
 
-    The wave is a ScalarWave or a SpinorWave, whose components sit on the
-    axis after the point axis (psi [..., k], grad [..., k, mu] in both
-    modes); A is lifted over that axis, so u has one row per component.
+    The wave is a ScalarWave or a SpinorWave, whose component axis follows
+    the point axis in both modes (grad [..., k, mu], gp [..., k, mu, nu]);
+    A and dA are lifted over it, so each component reads as a scalar wave.
 
     dlog = (d_mu psi)/psi is formed from the gradient, never through a
     complex logarithm (branch cuts), and raises NearZeroWavefunctionError
@@ -94,13 +95,26 @@ class _Chain:
     def value(self):
         return self.psi(self.e)
 
+    def stencil(self, read: str | None = None):
+        """Central first-derivative stencil over e of psi or, given read, of
+        that property of a chain on the stencil points; a spinor's component
+        axis goes before mu, as in analytic mode: [..., k, mu, ...]."""
+        psi, method, constants = self.psi, self.method, self.constants
+
+        def chain_read(points) -> np.ndarray:
+            return getattr(_Chain(psi, self.a_field, points, method, constants,
+                                  self.eps_psi), read)
+
+        d = grad4_numeric(chain_read if read else psi, self.e, method.h,
+                          constants.c, method.richardson)
+        mu = 0 if isinstance(self.e, Event) else 1  # the stencil's mu axis
+        return np.swapaxes(d, mu, mu + 1) if isinstance(psi, SpinorWave) else d
+
     @cached_property
     def grad(self):
-        grad = differentiate(self.psi, self.e, "grad4", self.method,
-                             c=self.constants.c)
-        if self.method.mode == "central" and isinstance(self.psi, SpinorWave):
-            return np.swapaxes(grad, -1, -2)  # the stencil's [..., mu, k]
-        return grad
+        if self.method.mode == "central":
+            return self.stencil()
+        return differentiate(self.psi, self.e, "grad4", self.method)
 
     @cached_property
     def lap(self):
@@ -126,8 +140,9 @@ class _Chain:
     @cached_property
     def ga(self):
         """d_mu A_nu."""
-        return _potential_gradient(self.a_field, self.e, self.method,
-                                   self.constants.c)
+        ga = _potential_gradient(self.a_field, self.e, self.method,
+                                 self.constants.c)
+        return ga[..., None, :, :] if isinstance(self.psi, SpinorWave) else ga
 
     @cached_property
     def momentum(self):
@@ -147,14 +162,9 @@ class _Chain:
         mode nests first-derivative stencils over the momentum of a chain on
         the stencil points instead, so the two paths are independent.
         """
-        psi, method, constants = self.psi, self.method, self.constants
-        if method.mode == "central":
-            def p_of(points) -> np.ndarray:
-                return _Chain(psi, self.a_field, points, method, constants,
-                              self.eps_psi).momentum
-
-            return grad4_numeric(p_of, self.e, method.h, constants.c,
-                                 method.richardson)
+        psi, constants = self.psi, self.constants
+        if self.method.mode == "central":
+            return self.stencil("momentum")
         if psi.hess4 is None:
             raise ParameterError(
                 f"{psi.label}: no analytic second derivatives; use central mode")
@@ -426,7 +436,11 @@ def action_integral(psi, a_field, path, method: DerivativeMethod = ANALYTIC, *,
     adaptively until the segment estimate moves by less than seg_tol.
     The returned theta makes exp(i (phi + theta)/hbar) a prediction of
     psi at the path end; the relative error of that prediction is reported.
+    psi is a scalar wave: a SpinorWave raises ParameterError.
     """
+    if isinstance(psi, SpinorWave):
+        raise ParameterError(f"{psi.label}: the action integral needs a "
+                             "scalar wave, not a spinor")
     path = list(path)
     if len(path) < 2:
         raise ParameterError("path needs at least two events")

@@ -65,7 +65,8 @@ class SpinorWave(ScalarWave):
     """4-component wave: a ScalarWave whose evaluators carry the components
     on the axis after the point axis, psi [..., k], grad4 [..., k, mu],
     laplace4 [..., k] and hess4 [..., k, mu, nu], so one call evaluates all
-    four."""
+    four. The residual chain keeps that layout in both modes, and each
+    scalar kernel reads component k as a scalar wave of its own."""
 
     def values(self, e: Event) -> np.ndarray:
         return self.psi(e)

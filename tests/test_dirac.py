@@ -12,7 +12,11 @@ from fourvel import (ANALYTIC, DEFAULT_EPS_PSI, Event, EventArray,
                      dirac_to_kg_check, factorization_residual,
                      form_relation_matrix, gamma_dot, gamma_matrices,
                      kg_operator_on_spinor, random_smooth_spinor,
-                     extract_u, spinor_velocity_consistency, zero_potential)
+                     extract_u, spinor_velocity_consistency, zero_potential,
+                     SpinorWave, curl_k, divergence_mu,
+                     gaussian_polynomial_wave, kg_residual, momentum_gradient,
+                     newton_residual, nonlinear_wave_residual,
+                     polynomial_gauge, pure_gauge_potential)
 from fourvel.runner import _build_cloud
 from fourvel.velocityfield import _Chain
 
@@ -220,20 +224,72 @@ _SPINOR_POINTS = [[0.5, 0.3, -0.2, 0.1], [1.2, -0.4, 0.6, -0.3],
                   [-0.4, -0.5, -0.9, 0.6]]
 
 
-@pytest.mark.parametrize("k", [1, 4, 5])
+def _spinor_and_components(rng):
+    """A spinor of four gaussian-polynomial parameter rows, built as
+    random_smooth_spinor builds one, and each row's scalar wave, built on
+    its own by gaussian_polynomial_wave from the same row."""
+    lin = np.column_stack([rng.uniform(0.5, 1.5, 4)
+                           * np.exp(1j * rng.uniform(0, 2 * math.pi, 4)),
+                           rng.uniform(-0.3, 0.3, (4, 4))
+                           + 1j * rng.uniform(-0.3, 0.3, (4, 4))])
+    center = rng.uniform(-0.5, 0.5, (4, 4))
+    widths = rng.uniform(0.1, 0.4, (4, 4))
+    spinor = SpinorWave(**vars(gaussian_polynomial_wave(lin, center, widths,
+                                                        C)))
+    return spinor, [gaussian_polynomial_wave(lin[k], center[k], widths[k], C)
+                    for k in range(4)]
+
+
+# a cubic gauge: its div A and dA vary from point to point, so an unlifted
+# potential term lined up with the component axis would show at K = 4
+_CUBIC_GAUGE = pure_gauge_potential(polynomial_gauge(
+    {(3, 0, 0, 0): 0.4, (1, 2, 0, 0): -0.3, (0, 0, 1, 1): 0.2}, C.c))
+
+
+@pytest.mark.parametrize("k", [1, 4, 5, "event"])
 def test_spinor_u_lifts_the_potential_over_the_components(k):
     # A has one 4-vector per point, the spinor's u one per point and
     # component; with K = 4 points an unlifted A would line its point axis
     # up with the component axis, and with K = 5 it would not broadcast
     spinor = random_smooth_spinor(np.random.default_rng(83), C)
     field = coulomb_potential(0.3, C)
-    points = EventArray(_SPINOR_POINTS[:k])
+    points = (Event(*_SPINOR_POINTS[0]) if k == "event"
+              else EventArray(_SPINOR_POINTS[:k]))
     u = extract_u(spinor, field, points, constants=C)
     per_comp, _ = spinor_velocity_consistency(spinor, field, points,
                                               constants=C)
     assert [c for c, _ in per_comp] == [0, 1, 2, 3]
     for c, uc in per_comp:
-        assert np.array_equal(u[:, c], uc)
+        assert np.array_equal(u[..., c, :], uc)
+    # every kernel of the chain gives, at component c of a spinor, what the
+    # scalar kernel gives on that component alone, in both modes and with
+    # the component axis before mu: gp and curl_k [..., c, mu, nu]
+    spinor, comps = _spinor_and_components(np.random.default_rng(84))
+    pick = ((lambda r, c: r[c]) if k == "event"
+            else (lambda r, c: r[:, c]))
+    for method in (central(1e-3), ANALYTIC):
+        for kernel in (momentum_gradient, curl_k, newton_residual,
+                       kg_residual, nonlinear_wave_residual, divergence_mu):
+            whole = kernel(spinor, _CUBIC_GAUGE, points, method, constants=C)
+            for c, comp in enumerate(comps):
+                alone = kernel(comp, _CUBIC_GAUGE, points, method,
+                               constants=C)
+                if kernel is divergence_mu:
+                    # one Lorenz residual per point, on a unit component axis
+                    assert whole.lorenz_residual.shape == (
+                        np.shape(alone.lorenz_residual) + (1,))
+                    pairs = [(pick(whole.value, c), alone.value),
+                             (pick(whole.independent, c), alone.independent),
+                             (whole.lorenz_residual[..., 0],
+                              alone.lorenz_residual)]
+                else:
+                    pairs = [(pick(whole, c), alone)]
+                for got, want in pairs:
+                    assert np.shape(got) == np.shape(want)
+                    if method is ANALYTIC:
+                        assert np.array_equal(got, want)
+                    else:
+                        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_spinor_near_zero_guard_names_the_point():

@@ -1,4 +1,5 @@
 """Scenario runner configs, report shape, and the command line contract."""
+import collections
 import csv
 import hashlib
 import dataclasses
@@ -15,7 +16,7 @@ from fourvel import (ConfigError, DerivativeMethod, InvalidBoostError,
                      ParameterError, PhysicalConstants, QuadratureError,
                      SingularPointError, config_from_dict, default_config,
                      export_report, list_scenarios, run_scenario)
-from fourvel import core4, dirac, runner, velocityfield
+from fourvel import core4, runner, velocityfield
 from fourvel.cli import main
 from fourvel.runner import report_to_csv, report_to_json
 
@@ -176,11 +177,13 @@ def test_a_nan_magnitude_fails_its_check_wherever_it_lies():
 
 def _counted(monkeypatch, module, name, calls):
     """Append the number of base points of every call of module's own
-    binding of name to calls[name]."""
+    binding of name to calls[name] and to calls[(module, name)]."""
     stencil = getattr(module, name)
 
     def counted(f, e, *args, **kwargs):
-        calls[name].append(1 if isinstance(e, core4.Event) else len(e))
+        n = 1 if isinstance(e, core4.Event) else len(e)
+        calls[name].append(n)
+        calls[module, name].append(n)
         return stencil(f, e, *args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -203,10 +206,9 @@ _STENCILS_PER_WAVE = {"plane-wave": (4, 1), "kg-coulomb-1s": (4, 1),
                                              ("dirac-coulomb-1s", 1)])
 def test_one_momentum_gradient_and_kg_residual_per_wave(monkeypatch, scenario,
                                                         waves, mode):
-    calls = {"grad4_numeric": [], "laplace4_numeric": []}
+    calls = collections.defaultdict(list)
     for module, name in ((core4, "grad4_numeric"),
                          (velocityfield, "grad4_numeric"),
-                         (dirac, "grad4_numeric"),
                          (core4, "laplace4_numeric")):
         _counted(monkeypatch, module, name, calls)
     cfg = config_from_dict({"method": {"mode": mode}}, scenario)
@@ -216,6 +218,16 @@ def test_one_momentum_gradient_and_kg_residual_per_wave(monkeypatch, scenario,
                    for name in ("grad4_numeric", "laplace4_numeric"))
     per_wave = _STENCILS_PER_WAVE[scenario] if mode == "central" else (0, 0)
     assert counts == (per_wave[0] * waves, per_wave[1] * waves)
+    if scenario == "dirac-plane-wave" and mode == "central":
+        # each random spinor's dirac_to_kg_check takes three, all through
+        # the chain: the outer pass over its 3 points, the gradient nested
+        # in it over their 48 stencil points, and the gradient at the 3
+        # points themselves
+        spinor_stencils = [sum(n in (3, 48)
+                               for n in calls[module, "grad4_numeric"])
+                           for module in (core4, velocityfield)]
+        assert (spinor_stencils == [0, 3 * cfg.fixture["n_random_spinors"]]
+                == [0, 60])
 
 
 @pytest.mark.parametrize("momenta", [[[0, 0, 0], [1e200, 0, 0]],

@@ -19,7 +19,8 @@ from fourvel import (ANALYTIC, DEFAULT_EPS_PSI, Event, EventArray,
                      gaussian_polynomial_wave, kg_coulomb_1s, kg_residual,
                      lorenz_gauge_residual, mass_shell_residual,
                      momentum_gradient, newton_residual,
-                     nonlinear_wave_residual, plane_wave, zero_potential)
+                     nonlinear_wave_residual, plane_wave,
+                     random_smooth_spinor, zero_potential)
 from fourvel.velocityfield import _Chain
 
 A0 = zero_potential()
@@ -321,6 +322,15 @@ def test_action_rejects_degenerate_paths():
     wave = plane_wave((1, 0, 0), C)
     with pytest.raises(ParameterError):
         action_integral(wave, A0, [Event(0, 0, 0, 0)], ANALYTIC, constants=C)
+
+
+def test_action_refuses_a_spinor():
+    # the phase of one wave is integrated; a spinor has one per component
+    spinor = random_smooth_spinor(np.random.default_rng(0), C)
+    with pytest.raises(ParameterError, match="spinor"):
+        action_integral(spinor, A0,
+                        [Event(1, 0, 0, 0), Event(1.2, 0.1, 0, 0.1)],
+                        ANALYTIC, constants=C)
 
 
 def test_action_quadrature_failure_is_reported():
