@@ -35,7 +35,7 @@ from .velocityfield import (ActionResult, DivergenceResult, action_integral,
 from .wavefunctions import (ScalarWave, SpinorWave, dirac_coulomb_1s,
                             dirac_plane_wave, gaussian_polynomial_wave,
                             kg_coulomb_1s, plane_wave, random_smooth_spinor,
-                            spinor_from_components)
+                            random_spinor_family, spinor_from_components)
 from .worldline import (PiercePoint, Worldline, boost_worldline,
                         classify_speed, four_velocity, make_worldline,
                         pierce_points, write_pierce_csv)

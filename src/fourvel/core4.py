@@ -268,31 +268,31 @@ def _stencil_values(f, e, steps, center: bool = False):
 
     e is one Event or a (K, 4) batch of base points. The field is called a
     single time on an EventArray of K * 4 axes * len(steps) * 4 nodes rows
-    (plus the K base points when center is set) and must return one value,
-    of any shape, per row. Returns (values of shape (K, 4, len(steps), 4,
-    *S), centre values of shape (K, *S) or None, single).
+    per base point, then the point itself when center is set, base-major,
+    and must return one value, of any shape, per row. Returns (values of
+    shape (K, 4, len(steps), 4, *S), centre values (K, *S) or None, single).
     """
     single = isinstance(e, Event)
     base = (np.array([[e.x1, e.x2, e.x3, e.t]]) if single
             else EventArray(e).as_array())
-    k = len(base)
+    k, n = len(base), 4 * len(steps) * 4
     # shifts[axis, level, node] moves one coordinate by node * step; the
     # other coordinates get + 0.0, so every point is the Event.shifted one
     offsets = np.multiply.outer(np.asarray(steps, dtype=float), _NODES)
     shifts = np.eye(4)[:, None, None, :] * offsets[None, :, :, None]
-    points = (base[:, None, None, None, :] + shifts).reshape(-1, 4)
+    points = (base[:, None, None, None, :] + shifts).reshape(k, n, 4)
     if center:
-        points = np.concatenate([points, base])
+        points = np.concatenate([points, base[:, None]], axis=1)
+    points = points.reshape(-1, 4)
     values = np.asarray(f(points.view(EventArray)), dtype=complex)
     if values.ndim == 0 or values.shape[0] != len(points):
         raise ParameterError(
             f"field returned shape {values.shape} for {len(points)} points; "
             "central differences need a field that evaluates a (K, 4) "
             "point array row by row")
-    stencil = values[:k * 4 * len(steps) * 4]
-    stencil = stencil.reshape((k, 4, len(steps), 4) + values.shape[1:])
-    mid = values[-k:] if center else None
-    return stencil, mid, single
+    values = values.reshape((k, n + center) + values.shape[1:])
+    stencil = values[:, :n].reshape((k, 4, len(steps), 4) + values.shape[2:])
+    return stencil, values[:, n] if center else None, single
 
 
 def _richardson(coarse, fine):

@@ -35,8 +35,8 @@ from .errors import ConfigError, ParameterError
 from .fields import (coulomb_potential, gauge_transform, polynomial_gauge,
                      zero_potential)
 from .velocityfield import _Chain, action_integral, extract_u
-from .wavefunctions import (dirac_coulomb_1s, dirac_plane_wave, kg_coulomb_1s,
-                            plane_wave, random_smooth_spinor)
+from .wavefunctions import (_SPINOR_DRAW, dirac_coulomb_1s, dirac_plane_wave,
+                            kg_coulomb_1s, plane_wave, random_spinor_family)
 from .worldline import (boost_worldline, classify_speed, make_worldline,
                         pierce_points)
 
@@ -327,16 +327,16 @@ class _Collector:
         for _, _, _, columns in self.rows.blocks:
             for check, values, keep in sorted(columns, key=lambda col: (
                     0 if col[2] is None else np.argmax(col[2]))):
-                samples.setdefault(check, []).extend(
-                    (values if keep is None else values[keep]).tolist())
+                samples.setdefault(check, []).append(
+                    values if keep is None else values[keep])
         checks = []
-        for name, mags in samples.items():
+        for name, blocks in samples.items():   # every check has a row
             tol = self.overrides.get(name,
                                      self.tolerances[name][self.mode_index])
-            # max() keeps a NaN only in first place; any NaN must fail
-            linf = math.nan if any(m != m for m in mags) \
-                else max(mags, default=0.0)
-            l2 = math.sqrt(sum(m * m for m in mags))
+            mags = np.concatenate(blocks)
+            linf = float(mags[np.argmax(mags)])   # max()'s, or the first NaN
+            with np.errstate(over="ignore"):   # in row order on any Python
+                l2 = math.sqrt(np.cumsum(mags * mags)[-1])
             passed = True if tol is None else linf <= tol
             checks.append(CheckResult(name, linf, l2, tol, passed, len(mags)))
         return tuple(checks)
@@ -468,14 +468,17 @@ def _scn_dirac_plane_wave(cfg: ScenarioConfig, rng, col: _Collector,
             checks.append(("velocity_consistency",
                            ch.velocity_consistency[1]))
         col.add_cloud(spinor.label, events, checks)
-    for j in range(int(cfg.fixture["n_random_spinors"])):
-        spinor = random_smooth_spinor(rng, cfg.constants)
-        # one (3, 4) draw takes the same numbers as three draws of 4
-        points = EventArray(rng.uniform(-0.5, 0.5, (3, 4)))
+    n = int(cfg.fixture["n_random_spinors"])
+    for first in range(0, n, _SPINOR_BLOCK):
+        # per spinor its numbers, then one (3, 4) draw for its 3 points
+        u, x = zip(*[(rng.random(_SPINOR_DRAW), rng.uniform(-0.5, 0.5, (3, 4)))
+                     for _ in range(min(_SPINOR_BLOCK, n - first))])
+        spinor = random_spinor_family(u, cfg.constants)
+        points = EventArray(np.concatenate(x))
         sq = dirac_to_kg_check(spinor, a0, points, meth, **kw)
-        direct = kg_operator_on_spinor(spinor, points, **kw)
-        col.add_cloud(f"random-spinor-{j}", points,
-                      [("dirac_to_kg", _worst(sq - direct))])
+        worst = _worst(sq - kg_operator_on_spinor(spinor, points, **kw))
+        for j, (rows, w) in enumerate(zip(x, np.split(worst, len(x))), first):
+            col.add_cloud(f"random-spinor-{j}", rows, [("dirac_to_kg", w)])
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)
@@ -776,6 +779,7 @@ _BALL = {"kind": "random-ball", "center": [0, 0, 0, 0], "radius": 2.0,
          "count": 100}
 _RAY = {"kind": "ray", "r_min": 0.5, "r_max": 5.0, "count": 50, "t": 0.0}
 _MOMENTA = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, -0.2, 0.1]]
+_SPINOR_BLOCK = 4   # random spinors per family; bounds nested-stencil memory
 
 # the Coulomb clouds keep min_r = 0.25 away from the singularity, and the
 # hard Dirac bound state is certified by central differences by default

@@ -19,7 +19,7 @@ the point axis, so every evaluator of a spinor is one call as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -341,63 +341,72 @@ def dirac_coulomb_1s(z_alpha: float,
 
 def gaussian_polynomial_wave(linear, center, widths,
                              constants: PhysicalConstants = NATURAL_UNITS,
-                             label: str = "gaussian-poly") -> ScalarWave:
+                             label: str = "gaussian-poly",
+                             members: bool = False) -> ScalarWave:
     """(c0 + c.x) * exp(-sum a_i (x_i - b_i)^2) over all four coordinates.
 
     Not a solution of anything; a smooth field with exact derivatives for
     exercising operator identities off shell. Parameters with leading axes
     (linear (..., 5), center and widths (..., 4)) give one wave per
     parameter row, evaluated together: the values then carry those axes
-    after the point axis, before any derivative axes.
+    after the point axis, before any derivative axes. With members set, the
+    first of those axes pairs with the points: member j of M takes the j-th
+    of M equal blocks of rows, so also of every base-major stencil's rows.
     """
     lin = np.asarray(linear, dtype=complex)
     b = np.asarray(center, dtype=float)
     a = np.asarray(widths, dtype=float)
     if (lin.shape[-1:] != (5,) or b.shape != lin.shape[:-1] + (4,)
-            or a.shape != b.shape):
+            or a.shape != b.shape or lin.ndim < 1 + members):
         raise ParameterError("need 5 linear coeffs, 4 centers, 4 widths")
     if np.any(a <= 0):
         raise ParameterError("widths must be positive")
     c = constants.c
     fold = np.array([1, 1, 1, 1 / (1j * c)], dtype=complex)
-    param_axes = tuple(range(-lin.ndim, -1))   # after the point axis
+    params = {"center": tuple(b.tolist()), "widths": tuple(a.tolist())}
+    # [member, row of its block, parameter axes]; unpaired: one member
+    lin, b, a = (v[:, None] if members else v[None, None] for v in (lin, b, a))
+    param_axes = tuple(range(2 - lin.ndim, -1))
     lin0, lin1 = lin[..., 0], lin[..., 1:]
 
-    def parts(e: Event):
-        x = np.expand_dims(e.as_array(), param_axes)
-        d = x - b
-        poly = lin0 + np.sum(lin1 * x, axis=-1)
+    def parts(e: Event):   # also the map from member blocks to the points
+        x = e.as_array()
+        rows = x.reshape(-1, 4)   # one Event is one row
+        if len(rows) % len(lin):
+            raise ParameterError(f"{len(rows)} points do not split into "
+                                 f"{len(lin)} equal blocks")
+        g = np.expand_dims(rows.reshape(len(lin), -1, 4), param_axes)
+        d = g - b
+        poly = lin0 + np.sum(lin1 * g, axis=-1)
         gauss = np.exp(-np.sum(a * d * d, axis=-1))
-        return d, poly, gauss
+        return d, poly, gauss, lambda v: v.reshape(
+            x.shape[:-1] + v.shape[2:])[()]
 
     def psi(e: Event) -> complex:
-        _, poly, gauss = parts(e)
-        return poly * gauss
+        _, poly, gauss, shaped = parts(e)
+        return shaped(poly * gauss)
 
     def grad4(e: Event) -> np.ndarray:
-        d, poly, gauss = parts(e)
+        d, poly, gauss, shaped = parts(e)
         raw = (lin1 - 2.0 * a * d * _col(poly)) * _col(gauss)  # d/dx_i
-        return raw * fold
+        return shaped(raw * fold)
 
     def laplace4(e: Event) -> complex:
-        d, poly, gauss = parts(e)
+        d, poly, gauss, shaped = parts(e)
         raw = (-2.0 * a * d * lin1 * 2.0
                + _col(poly) * (4.0 * a ** 2 * d * d - 2.0 * a)) * _col(gauss)
         # slot 3 is a plain t-derivative; fold^2 = -1/c^2 for that slot
-        return np.sum(raw[..., :3], axis=-1) - raw[..., 3] / c ** 2
+        return shaped(np.sum(raw[..., :3], axis=-1) - raw[..., 3] / c ** 2)
 
     def hess4(e: Event) -> np.ndarray:
-        d, poly, gauss = parts(e)
+        d, poly, gauss, shaped = parts(e)
         ad = a * d
         raw = (-2.0 * (a[..., None] * np.eye(4)) * _col(poly, 2)
                - 2.0 * _outer(ad, lin1) - 2.0 * _outer(lin1, ad)
                + 4.0 * _outer(ad, ad) * _col(poly, 2)) * _col(gauss, 2)
-        return raw * np.outer(fold, fold)
+        return shaped(raw * np.outer(fold, fold))
 
-    return ScalarWave(label=label, psi=psi, grad4=grad4, laplace4=laplace4,
-                      hess4=hess4,
-                      params={"center": tuple(b.tolist()),
-                              "widths": tuple(a.tolist())})
+    return ScalarWave(label, psi, grad4, laplace4, hess4, params=params)
 
 
 # (low, high) of the uniform slots of a random spinor component: magnitude,
@@ -405,18 +414,25 @@ def gaussian_polynomial_wave(linear, center, widths,
 _SPINOR_LOW, _SPINOR_HIGH = np.repeat([[0.5, 0.0, -0.3, -0.3, -0.5, 0.1],
                                        [1.5, 2 * math.pi, 0.3, 0.3, 0.5, 0.4]],
                                       [1, 1, 4, 4, 4, 4], axis=1)
+_SPINOR_DRAW = (4, 18)   # one random spinor's uniform [0, 1) numbers
+
+
+def random_spinor_family(draws,
+                         constants: PhysicalConstants = NATURAL_UNITS) -> SpinorWave:
+    """Non-solution spinors, one member of a gaussian_polynomial_wave per
+    (4, 18) uniform draw in draws, scaled per slot as rng.uniform scales it:
+    four components with O(1) constant terms, so no zero near the ball."""
+    u = _SPINOR_LOW + (_SPINOR_HIGH - _SPINOR_LOW) * np.reshape(
+        draws, (-1,) + _SPINOR_DRAW)   # one (4, 18) draw is one member
+    lin = np.concatenate([u[..., :1] * np.exp(1j * u[..., 1:2]),
+                          u[..., 2:6] + 1j * u[..., 6:10]], axis=-1)
+    return SpinorWave(**vars(gaussian_polynomial_wave(
+        lin, u[..., 10:14], u[..., 14:], constants,
+        label="random-smooth-spinor", members=True)))
 
 
 def random_smooth_spinor(rng: np.random.Generator,
                          constants: PhysicalConstants = NATURAL_UNITS) -> SpinorWave:
-    """Seeded non-solution spinor: four independent gaussian-polynomial
-    components, one parameter row each of a single gaussian_polynomial_wave,
-    with O(1) constant terms so the field has no zero near the sampling
-    ball. One draw, scaled as rng.uniform scales it, takes the numbers of
-    per-slot uniform draws."""
-    u = _SPINOR_LOW + (_SPINOR_HIGH - _SPINOR_LOW) * rng.random((4, 18))
-    lin = np.column_stack([u[:, 0] * np.exp(1j * u[:, 1]),
-                           u[:, 2:6] + 1j * u[:, 6:10]])
-    return SpinorWave(**vars(gaussian_polynomial_wave(
-        lin, u[:, 10:14], u[:, 14:], constants,
-        label="random-smooth-spinor")))
+    """The one-member random_spinor_family of one rng.random((4, 18)) draw."""
+    one = random_spinor_family(rng.random(_SPINOR_DRAW), constants)
+    return replace(one, params={k: v[0] for k, v in one.params.items()})

@@ -11,6 +11,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -267,9 +268,40 @@ def test_random_blocks_match_the_oracles(seed):
     for c in checks:
         m = mags[c.name]
         linf = math.nan if any(v != v for v in m) else max(m)
-        l2 = math.sqrt(sum(v * v for v in m))
         assert (c.count, repr(c.linf), repr(c.l2)) == (len(m), repr(linf),
-                                                      repr(l2))
+                                                      repr(_l2_oracle(m)))
+
+
+def _squares_in_order(mags) -> float:
+    """The squares summed one at a time in row order."""
+    s = 0.0
+    for m in mags:
+        s += m * m
+    return s
+
+
+def _l2_oracle(mags) -> float:
+    return math.sqrt(_squares_in_order(mags))
+
+
+def test_l2_sums_the_squares_in_row_order():
+    # 4000 magnitudes over many scales, whose exactly rounded sum of squares
+    # differs from the sequential one, as the builtin sum's compensated
+    # summation (Python 3.12 on) would give it; one row per magnitude
+    mags = np.random.default_rng(0).lognormal(0.0, 3.0, 4000)
+    assert math.fsum(mags * mags) != _squares_in_order(mags.tolist())
+    col = _Collector({"chk": (None, None)}, "analytic", {})
+    col.add_cloud("case", np.zeros((len(mags), 4)), [("chk", mags)])
+    (chk,) = col.finalize()
+    assert (chk.count, chk.linf, chk.l2) == (4000, max(mags),
+                                             _l2_oracle(mags.tolist()))
+    # a magnitude whose square overflows gives an infinite l2, silently
+    col = _Collector({"chk": (None, None)}, "analytic", {})
+    col.add_cloud("case", np.zeros((2, 4)), [("chk", [1e200, 1.0])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (chk,) = col.finalize()
+    assert (chk.linf, chk.l2) == (1e200, math.inf)
 
 
 def test_row_count_does_not_walk_the_rows(monkeypatch):

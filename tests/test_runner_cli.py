@@ -219,15 +219,17 @@ def test_one_momentum_gradient_and_kg_residual_per_wave(monkeypatch, scenario,
     per_wave = _STENCILS_PER_WAVE[scenario] if mode == "central" else (0, 0)
     assert counts == (per_wave[0] * waves, per_wave[1] * waves)
     if scenario == "dirac-plane-wave" and mode == "central":
-        # each random spinor's dirac_to_kg_check takes three, all through
-        # the chain: the outer pass over its 3 points, the gradient nested
-        # in it over their 48 stencil points, and the gradient at the 3
-        # points themselves
-        spinor_stencils = [sum(n in (3, 48)
+        # the random spinors are certified a block of B at a time, and each
+        # block's dirac_to_kg_check takes three, all through the chain: the
+        # outer pass over its 3 B points, the gradient nested in it over
+        # their 48 B stencil points, and the gradient at the 3 B points
+        # themselves
+        block = runner._SPINOR_BLOCK
+        spinor_stencils = [sum(n in (3 * block, 48 * block)
                                for n in calls[module, "grad4_numeric"])
                            for module in (core4, velocityfield)]
-        assert (spinor_stencils == [0, 3 * cfg.fixture["n_random_spinors"]]
-                == [0, 60])
+        blocks = -(-cfg.fixture["n_random_spinors"] // block)
+        assert 20 % block == 0 and spinor_stencils == [0, 3 * blocks]
 
 
 @pytest.mark.parametrize("momenta", [[[0, 0, 0], [1e200, 0, 0]],

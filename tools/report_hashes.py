@@ -13,8 +13,9 @@ With ``--extra`` the reports of the fixed non-default configs in
 ``EXTRA_CONFIGS`` follow, in their scenario's default mode unless the
 config sets one, each named in the mode column: other seeds, failing
 (exit 1) reports, other couplings and units, Richardson stencils, a
-near-grazing worldline, a ray whose far events have no
-velocity sample, and integer or empty values whose echo in the report's
+near-grazing worldline, a ray whose far events have no velocity sample,
+random-spinor counts that fill no whole block (7 in central mode, 1 in
+analytic mode), and integer or empty values whose echo in the report's
 config must not change (integer constants, step and tolerance, which the
 echo shows as floats, and integer cloud and fixture values, which it
 shows as given).
@@ -104,6 +105,12 @@ EXTRA_CONFIGS = [
      {"method": {"mode": "central", "richardson": True}}),
     ("gauge-orbit", "central-richardson",
      {"method": {"mode": "central", "richardson": True}}),
+    # random spinors: a count that is not a multiple of the block size, and
+    # a single spinor in analytic mode
+    ("dirac-plane-wave", "seven-spinors-central",
+     {"fixture": {"n_random_spinors": 7}, "method": {"mode": "central"}}),
+    ("dirac-plane-wave", "one-spinor-analytic",
+     {"fixture": {"n_random_spinors": 1}, "method": {"mode": "analytic"}}),
 ]
 
 
