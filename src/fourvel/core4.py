@@ -275,7 +275,8 @@ def _stencil_values(f, e, steps, center: bool = False):
     single = isinstance(e, Event)
     base = (np.array([[e.x1, e.x2, e.x3, e.t]]) if single
             else EventArray(e).as_array())
-    k, n = len(base), 4 * len(steps) * 4
+    k = len(base)
+    n = 4 * len(steps) * 4   # stencil rows per base point
     # shifts[axis, level, node] moves one coordinate by node * step; the
     # other coordinates get + 0.0, so every point is the Event.shifted one
     offsets = np.multiply.outer(np.asarray(steps, dtype=float), _NODES)
@@ -292,7 +293,8 @@ def _stencil_values(f, e, steps, center: bool = False):
             "point array row by row")
     values = values.reshape((k, n + center) + values.shape[1:])
     stencil = values[:, :n].reshape((k, 4, len(steps), 4) + values.shape[2:])
-    return stencil, values[:, n] if center else None, single
+    mid = values[:, n] if center else None
+    return stencil, mid, single
 
 
 def _richardson(coarse, fine):

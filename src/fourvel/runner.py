@@ -476,7 +476,8 @@ def _scn_dirac_plane_wave(cfg: ScenarioConfig, rng, col: _Collector,
         spinor = random_spinor_family(u, cfg.constants)
         points = EventArray(np.concatenate(x))
         sq = dirac_to_kg_check(spinor, a0, points, meth, **kw)
-        worst = _worst(sq - kg_operator_on_spinor(spinor, points, **kw))
+        direct = kg_operator_on_spinor(spinor, points, **kw)
+        worst = _worst(sq - direct)
         for j, (rows, w) in enumerate(zip(x, np.split(worst, len(x))), first):
             col.add_cloud(f"random-spinor-{j}", rows, [("dirac_to_kg", w)])
 

@@ -341,31 +341,35 @@ def dirac_coulomb_1s(z_alpha: float,
 
 def gaussian_polynomial_wave(linear, center, widths,
                              constants: PhysicalConstants = NATURAL_UNITS,
-                             label: str = "gaussian-poly",
-                             members: bool = False) -> ScalarWave:
+                             label: str = "gaussian-poly") -> ScalarWave:
     """(c0 + c.x) * exp(-sum a_i (x_i - b_i)^2) over all four coordinates.
 
     Not a solution of anything; a smooth field with exact derivatives for
     exercising operator identities off shell. Parameters with leading axes
     (linear (..., 5), center and widths (..., 4)) give one wave per
     parameter row, evaluated together: the values then carry those axes
-    after the point axis, before any derivative axes. With members set, the
-    first of those axes pairs with the points: member j of M takes the j-th
-    of M equal blocks of rows, so also of every base-major stencil's rows.
+    after the point axis, before any derivative axes.
     """
     lin = np.asarray(linear, dtype=complex)
     b = np.asarray(center, dtype=float)
     a = np.asarray(widths, dtype=float)
     if (lin.shape[-1:] != (5,) or b.shape != lin.shape[:-1] + (4,)
-            or a.shape != b.shape or lin.ndim < 1 + members):
+            or a.shape != b.shape):
         raise ParameterError("need 5 linear coeffs, 4 centers, 4 widths")
     if np.any(a <= 0):
         raise ParameterError("widths must be positive")
-    c = constants.c
+    return _one_member(_gaussian_polynomial_members(
+        lin[None], b[None], a[None], constants.c, label))
+
+
+def _gaussian_polynomial_members(lin, b, a, c: float,
+                                 label: str) -> ScalarWave:
+    """gaussian_polynomial_wave of parameters whose first axis pairs with the
+    points: member j of M takes the j-th of M equal, contiguous blocks of
+    rows (so of every base-major stencil), and K % M != 0 is refused."""
     fold = np.array([1, 1, 1, 1 / (1j * c)], dtype=complex)
-    params = {"center": tuple(b.tolist()), "widths": tuple(a.tolist())}
-    # [member, row of its block, parameter axes]; unpaired: one member
-    lin, b, a = (v[:, None] if members else v[None, None] for v in (lin, b, a))
+    # [member, row of its block, parameter axes]
+    lin, b, a = (v[:, None] for v in (lin, b, a))
     param_axes = tuple(range(2 - lin.ndim, -1))
     lin0, lin1 = lin[..., 0], lin[..., 1:]
 
@@ -406,7 +410,15 @@ def gaussian_polynomial_wave(linear, center, widths,
                + 4.0 * _outer(ad, ad) * _col(poly, 2)) * _col(gauss, 2)
         return shaped(raw * np.outer(fold, fold))
 
-    return ScalarWave(label, psi, grad4, laplace4, hess4, params=params)
+    return ScalarWave(label=label, psi=psi, grad4=grad4, laplace4=laplace4,
+                      hess4=hess4,
+                      params={"center": tuple(b[:, 0].tolist()),
+                              "widths": tuple(a[:, 0].tolist())})
+
+
+def _one_member(wave: ScalarWave) -> ScalarWave:
+    """A one-member wave, its params without the member axis."""
+    return replace(wave, params={k: tuple(v[0]) for k, v in wave.params.items()})
 
 
 # (low, high) of the uniform slots of a random spinor component: magnitude,
@@ -419,20 +431,19 @@ _SPINOR_DRAW = (4, 18)   # one random spinor's uniform [0, 1) numbers
 
 def random_spinor_family(draws,
                          constants: PhysicalConstants = NATURAL_UNITS) -> SpinorWave:
-    """Non-solution spinors, one member of a gaussian_polynomial_wave per
-    (4, 18) uniform draw in draws, scaled per slot as rng.uniform scales it:
-    four components with O(1) constant terms, so no zero near the ball."""
+    """Non-solution spinors paired with the points, one member per (4, 18)
+    uniform draw, scaled per slot as rng.uniform scales it: four
+    gaussian-polynomial components with O(1) constant terms, so no zero near
+    the ball."""
     u = _SPINOR_LOW + (_SPINOR_HIGH - _SPINOR_LOW) * np.reshape(
         draws, (-1,) + _SPINOR_DRAW)   # one (4, 18) draw is one member
     lin = np.concatenate([u[..., :1] * np.exp(1j * u[..., 1:2]),
                           u[..., 2:6] + 1j * u[..., 6:10]], axis=-1)
-    return SpinorWave(**vars(gaussian_polynomial_wave(
-        lin, u[..., 10:14], u[..., 14:], constants,
-        label="random-smooth-spinor", members=True)))
+    return SpinorWave(**vars(_gaussian_polynomial_members(
+        lin, u[..., 10:14], u[..., 14:], constants.c, "random-smooth-spinor")))
 
 
 def random_smooth_spinor(rng: np.random.Generator,
                          constants: PhysicalConstants = NATURAL_UNITS) -> SpinorWave:
     """The one-member random_spinor_family of one rng.random((4, 18)) draw."""
-    one = random_spinor_family(rng.random(_SPINOR_DRAW), constants)
-    return replace(one, params={k: v[0] for k, v in one.params.items()})
+    return _one_member(random_spinor_family(rng.random(_SPINOR_DRAW), constants))

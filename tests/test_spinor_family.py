@@ -19,7 +19,8 @@ from fourvel import (ANALYTIC, Event, EventArray, NATURAL_UNITS,
                      random_smooth_spinor, random_spinor_family, run_scenario,
                      zero_potential)
 from fourvel.runner import _SPINOR_BLOCK, _build_cloud
-from fourvel.wavefunctions import _SPINOR_DRAW
+from fourvel.wavefunctions import (_SPINOR_DRAW, _SPINOR_HIGH, _SPINOR_LOW,
+                                   _gaussian_polynomial_members)
 
 A0 = zero_potential()
 C = NATURAL_UNITS
@@ -121,21 +122,39 @@ def test_a_point_count_that_does_not_split_is_refused(members, points):
 
 def test_a_scalar_family_pairs_its_rows():
     # members without component axes: member j is the j-th scalar wave
-    lin = [[1.0, 0.2, 0, 0, 0], [0.5j, 0, -0.1, 0, 0.3]]
-    center, widths = [[0, 0, 0, 0], [0.1, 0.2, 0, 0]], [[0.3] * 4, [0.2] * 4]
-    family = gaussian_polynomial_wave(lin, center, widths, members=True)
+    lin = np.array([[1.0, 0.2, 0, 0, 0], [0.5j, 0, -0.1, 0, 0.3]])
+    center = np.array([[0, 0, 0, 0], [0.1, 0.2, 0, 0]])
+    widths = np.array([[0.3] * 4, [0.2] * 4])
+    family = _gaussian_polynomial_members(lin, center, widths, C.c, "pair")
     points = EventArray(np.linspace(-0.4, 0.4, 16).reshape(4, 4))
     for j in range(2):
         one = gaussian_polynomial_wave(lin[j], center[j], widths[j])
         assert np.array_equal(family.grad4(points)[2 * j:2 * j + 2],
                               one.grad4(points[2 * j:2 * j + 2]))
-    # one Event on one member gives a numpy scalar, as without members
-    one = gaussian_polynomial_wave(lin[:1], center[:1], widths[:1],
-                                   members=True)
+    # one Event gives a numpy scalar, as before the closed form was paired
+    one = gaussian_polynomial_wave(lin[0], center[0], widths[0])
     value = one.psi(points.event(2))
     assert type(value) is np.complex128 and value == one.psi(points)[2]
-    with pytest.raises(ParameterError):
-        gaussian_polynomial_wave(lin[0], center[0], widths[0], members=True)
+    with pytest.raises(ParameterError, match="3 points do not split into 2"):
+        family.psi(points[:3])
+
+
+def test_params_keep_their_unpaired_form():
+    # tuples over the parameter rows, without a member axis
+    lin, center, widths = [1.0, 0.2, 0, 0, 0], [0.1, 0, 0, 0.2], [0.3] * 4
+    assert gaussian_polynomial_wave(lin, center, widths).params == {
+        "center": (0.1, 0.0, 0.0, 0.2), "widths": (0.3, 0.3, 0.3, 0.3)}
+    stacked = gaussian_polynomial_wave([lin] * 2, [center] * 2, [widths] * 2)
+    assert stacked.params == {"center": ([0.1, 0.0, 0.0, 0.2],) * 2,
+                              "widths": ([0.3] * 4,) * 2}
+    u = _SPINOR_LOW + (_SPINOR_HIGH - _SPINOR_LOW) * np.random.default_rng(
+        8).random(_SPINOR_DRAW)
+    spinor = random_smooth_spinor(np.random.default_rng(8), C)
+    assert spinor.params == {"center": tuple(u[:, 10:14].tolist()),
+                             "widths": tuple(u[:, 14:].tolist())}
+    assert all(type(v) is tuple for v in spinor.params.values())
+    family = random_spinor_family([u, u], C)
+    assert len(family.params["center"]) == 2
 
 
 def _traced_peak(n):
