@@ -146,6 +146,25 @@ def polynomial_gauge(terms: dict, c: float = 1.0) -> GaugeFunction:
             raise ParameterError(f"bad gauge term {key!r}: {coeff!r}; need 4 "
                                  "integer exponents >= 0 and a finite real")
         table[expo] = z.real
+    return _polynomial_gauge_members(list(table), [list(table.values())], c)
+
+
+def _polynomial_gauge_members(expos: list, coeffs, c: float) -> GaugeFunction:
+    """polynomial_gauge of the monomials expos with a (M, len(expos)) table
+    of finite real coefficients, one row per member. The member axis pairs
+    with the points: member j of M takes the j-th of M equal, contiguous
+    blocks of rows (so of every base-major stencil), and K % M != 0 is
+    refused."""
+    coeffs = np.asarray(coeffs)
+    if (coeffs.shape[1:] != (len(expos),) or len(coeffs) == 0
+            or coeffs.dtype.kind not in "iuf"
+            or not np.all(np.isfinite(coeffs))):
+        raise ParameterError("gauge coefficients must be a finite real table "
+                             "of one row per member and one column per term")
+    members = len(coeffs)
+    # [member, row of its block]: each coefficient column broadcasts over
+    # its member's rows
+    table = dict(zip(expos, coeffs.astype(float).T[:, :, None]))
 
     def diff(poly: dict, axis: int) -> dict:
         # d/dx_axis term by term; a term free of x_axis drops out, and no
@@ -153,7 +172,7 @@ def polynomial_gauge(terms: dict, c: float = 1.0) -> GaugeFunction:
         return {ex[:axis] + (ex[axis] - 1,) + ex[axis + 1:]: co * ex[axis]
                 for ex, co in poly.items() if ex[axis]}
 
-    def evaluate(poly: dict, n_t: int, x: tuple):
+    def evaluate(poly: dict, n_t: int, x: tuple, shaped: Callable):
         # the terms summed left to right, zero powers skipped (exact, as
         # x**0 == 1.0 and 1.0 * v == v), then divided by (i c)^n_t with
         # each division rounded as for a Python complex
@@ -163,7 +182,8 @@ def polynomial_gauge(terms: dict, c: float = 1.0) -> GaugeFunction:
             for base, n in zip(x, ex):
                 if n:
                     v = v * base ** n
-            acc += co * v
+            acc = acc + co * v
+        acc = shaped(acc)
         if n_t == 1:
             return -1j * (acc / c)
         return -(acc / c) / c if n_t == 2 else acc
@@ -171,6 +191,18 @@ def polynomial_gauge(terms: dict, c: float = 1.0) -> GaugeFunction:
     first = [diff(table, ax) for ax in range(4)]
     second = {(a1, a2): diff(first[a1], a2)
               for a1 in range(4) for a2 in range(a1, 4)}
+
+    def split(arr: np.ndarray, one: bool) -> tuple:
+        # the coordinates per member block, Python floats for one Event, and
+        # the map from per-member values back to one value per point
+        rows = arr.reshape(-1, 4)
+        if len(rows) % members:
+            raise ParameterError(f"{len(rows)} points do not split into "
+                                 f"{members} equal blocks")
+        block = (members, len(rows) // members)
+        x = (tuple(arr.tolist()) if one
+             else tuple(np.moveaxis(rows.reshape(block + (4,)), -1, 0)))
+        return x, lambda v: np.broadcast_to(v, block).reshape(arr.shape[:-1])
 
     def memo(body: Callable) -> Callable:
         # one-entry memo keyed on the float64 bytes of the points, which are
@@ -185,34 +217,33 @@ def polynomial_gauge(terms: dict, c: float = 1.0) -> GaugeFunction:
             key = (one, arr.shape, arr.tobytes())
             seen, out = last
             if key != seen:
-                out = body(e, tuple(arr.tolist()) if one
-                           else tuple(np.moveaxis(arr, -1, 0)))
+                out = body(e, *split(arr, one))
                 last = key, out
             # the caller owns what it receives; a numpy scalar is immutable
             return out.copy() if isinstance(out, np.ndarray) else out
         return evaluator
 
     @memo
-    def chi(e: Event, x: tuple) -> float:
-        # + zeros keeps a batch's shape when every term is a constant
-        return evaluate(table, 0, x) + _zeros(e, dtype=float)
+    def chi(e: Event, x: tuple, shaped: Callable) -> float:
+        # + zeros gives a batch a float array and turns -0.0 into 0.0
+        return evaluate(table, 0, x, shaped) + _zeros(e, dtype=float)
 
     @memo
-    def grad4(e: Event, x: tuple) -> np.ndarray:
+    def grad4(e: Event, x: tuple, shaped: Callable) -> np.ndarray:
         out = _zeros(e, 4)
         for ax, poly in enumerate(first):
-            out[..., ax] = evaluate(poly, ax == 3, x)
+            out[..., ax] = evaluate(poly, ax == 3, x, shaped)
         return out
 
     @memo
-    def hess4(e: Event, x: tuple) -> np.ndarray:
+    def hess4(e: Event, x: tuple, shaped: Callable) -> np.ndarray:
         out = _zeros(e, 4, 4)
         for (a1, a2), poly in second.items():
             out[..., a1, a2] = out[..., a2, a1] = evaluate(
-                poly, (a1 == 3) + (a2 == 3), x)
+                poly, (a1 == 3) + (a2 == 3), x, shaped)
         return out
 
-    return GaugeFunction(chi, grad4, hess4, max(map(sum, table), default=0))
+    return GaugeFunction(chi, grad4, hess4, max(map(sum, expos), default=0))
 
 
 def pure_gauge_potential(chi: GaugeFunction) -> PotentialField:

@@ -32,8 +32,8 @@ from .dirac import (clifford_residual, dirac_residual, dirac_to_kg_check,
                     factorization_residual, form_relation_matrix, gamma_dot,
                     gamma_matrices, kg_operator_on_spinor, GammaSet)
 from .errors import ConfigError, ParameterError
-from .fields import (coulomb_potential, gauge_transform, polynomial_gauge,
-                     zero_potential)
+from .fields import (_polynomial_gauge_members, coulomb_potential,
+                     gauge_transform, zero_potential)
 from .velocityfield import _Chain, action_integral, extract_u
 from .wavefunctions import (_SPINOR_DRAW, dirac_coulomb_1s, dirac_plane_wave,
                             kg_coulomb_1s, plane_wave, random_spinor_family)
@@ -604,24 +604,36 @@ def _scn_gauge_orbit(cfg: ScenarioConfig, rng, col: _Collector, events):
     u0 = extract_u(wave, a0, events, meth, constants=consts)
     r0 = _worst(dirac_residual(spinor, a0, events, meth, constants=consts))
     f0 = field_strength(a0, events, meth, c=consts.c)
-    for j in range(int(cfg.fixture["n_gauges"])):
-        terms = {m: float(rng.uniform(-0.5, 0.5)) for m in monos}
-        chi = polynomial_gauge(terms, consts.c)
-        neg = polynomial_gauge({m: -v for m, v in terms.items()}, consts.c)
+
+    def family(terms: np.ndarray) -> list:
+        # the checks of each gauge of a (B, terms) coefficient table, gauge
+        # j on the j-th copy of the cloud; the tiled arrays die on return
+        chi = _polynomial_gauge_members(monos, terms, consts.c)
+        neg = _polynomial_gauge_members(monos, -terms, consts.c)
+        tiled = EventArray(np.tile(events, (len(terms), 1)))
         a1, wave1 = gauge_transform(a0, wave, chi, consts)
         _, spinor1 = gauge_transform(a0, spinor, chi, consts)
         a2, wave2 = gauge_transform(a1, wave1, neg, consts)
-        u1 = extract_u(wave1, a1, events, meth, constants=consts)
-        r1 = _worst(dirac_residual(spinor1, a1, events, meth,
+        u1 = extract_u(wave1, a1, tiled, meth, constants=consts)
+        r1 = _worst(dirac_residual(spinor1, a1, tiled, meth,
                                    constants=consts))
-        f1 = field_strength(a1, events, meth, c=consts.c)
-        u2 = extract_u(wave2, a2, events, meth, constants=consts)
-        col.add_cloud(f"chi-{j}", events, [
-            ("u_invariance", _worst(u1 - u0)),
-            ("dirac_invariance", np.abs(r1 - r0)),
-            ("field_strength_invariance", _worst(f1 - f0)),
-            ("roundtrip", _worst(u2 - u0)),
-        ])
+        f1 = field_strength(a1, tiled, meth, c=consts.c)
+        u2 = extract_u(wave2, a2, tiled, meth, constants=consts)
+        return [[("u_invariance", _worst(u1_j - u0)),
+                 ("dirac_invariance", np.abs(r1_j - r0)),
+                 ("field_strength_invariance", _worst(f1_j - f0)),
+                 ("roundtrip", _worst(u2_j - u0))]
+                for u1_j, r1_j, f1_j, u2_j in zip(*(
+                    np.split(v, len(terms)) for v in (u1, r1, f1, u2)))]
+
+    n = int(cfg.fixture["n_gauges"])
+    block = max(1, _GAUGE_ROWS // max(len(events), 1))
+    for first in range(0, n, block):
+        # one (B, terms) draw takes the same numbers as B gauges' draws of
+        # one number per term
+        terms = rng.uniform(-0.5, 0.5, (min(block, n - first), len(monos)))
+        for j, checks in enumerate(family(terms), first):
+            col.add_cloud(f"chi-{j}", events, checks)
 
 
 def _scaled_gammas(scale: float) -> GammaSet:
@@ -781,6 +793,7 @@ _BALL = {"kind": "random-ball", "center": [0, 0, 0, 0], "radius": 2.0,
 _RAY = {"kind": "ray", "r_min": 0.5, "r_max": 5.0, "count": 50, "t": 0.0}
 _MOMENTA = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, -0.2, 0.1]]
 _SPINOR_BLOCK = 4   # random spinors per family; bounds nested-stencil memory
+_GAUGE_ROWS = 1000  # tiled rows per gauge family (at least one gauge)
 
 # the Coulomb clouds keep min_r = 0.25 away from the singularity, and the
 # hard Dirac bound state is certified by central differences by default

@@ -15,7 +15,8 @@ config sets one, each named in the mode column: other seeds, failing
 (exit 1) reports, other couplings and units, Richardson stencils, a
 near-grazing worldline, a ray whose far events have no velocity sample,
 random-spinor counts that fill no whole block (7 in central mode, 1 in
-analytic mode), and integer or empty values whose echo in the report's
+analytic mode), gauge counts, degrees and clouds that give several gauge
+blocks, one gauge in central mode or one gauge per block, and integer or empty values whose echo in the report's
 config must not change (integer constants, step and tolerance, which the
 echo shows as floats, and integer cloud and fixture values, which it
 shows as given).
@@ -111,6 +112,14 @@ EXTRA_CONFIGS = [
      {"fixture": {"n_random_spinors": 7}, "method": {"mode": "central"}}),
     ("dirac-plane-wave", "one-spinor-analytic",
      {"fixture": {"n_random_spinors": 1}, "method": {"mode": "analytic"}}),
+    # gauge families: several row blocks, a single gauge in central mode,
+    # degree-1 gauges, and a cloud large enough for one gauge per block
+    ("gauge-orbit", "25-gauges", {"fixture": {"n_gauges": 25}}),
+    ("gauge-orbit", "one-gauge-central",
+     {"fixture": {"n_gauges": 1}, "method": {"mode": "central"}}),
+    ("gauge-orbit", "degree-1", {"fixture": {"degree": 1}}),
+    ("gauge-orbit", "ball-1000", {"cloud": {"kind": "random-ball",
+                                            "radius": 1.5, "count": 1000}}),
 ]
 
 
