@@ -225,7 +225,7 @@ def _polynomial_gauge_members(expos: list, coeffs, c: float) -> GaugeFunction:
 
     @memo
     def chi(e: Event, x: tuple, shaped: Callable) -> float:
-        # + zeros gives a batch a float array and turns -0.0 into 0.0
+        # + zeros turns -0.0 into 0.0, and one Event's value into a scalar
         return evaluate(table, 0, x, shaped) + _zeros(e, dtype=float)
 
     @memo

@@ -70,8 +70,8 @@ def _one_gauge_at_a_time(cfg, events):
             mags[name].append(values)
     summaries = []
     for name, blocks in mags.items():
-        m = np.concatenate(blocks) if blocks else np.empty(0)
-        if len(m):
+        if blocks:   # a check with no rows has no summary
+            m = np.concatenate(blocks)
             summaries.append((name, float(m.max()),
                               math.sqrt(np.cumsum(m * m)[-1]), len(m)))
     return rows, summaries
