@@ -37,8 +37,8 @@ from .fields import (_polynomial_gauge_members, coulomb_potential,
 from .velocityfield import _Chain, action_integral, extract_u
 from .wavefunctions import (_SPINOR_DRAW, dirac_coulomb_1s, dirac_plane_wave,
                             kg_coulomb_1s, plane_wave, random_spinor_family)
-from .worldline import (boost_worldline, classify_speed, make_worldline,
-                        pierce_points)
+from .worldline import (_boost_family, _pierce_members, classify_speed,
+                        make_worldline, pierce_points)
 
 DEFAULT_SEED = 20240817
 
@@ -180,7 +180,7 @@ def _validate(cfg: ScenarioConfig, document: bool = False) -> Scenario:
     _require(method["h"] > 0, "method h must be positive")
 
     _check_keys("fixture", cfg.fixture, spec.fixture, spec.optional)
-    spec.limits(cfg.fixture)
+    spec.limits(cfg.fixture, c)
 
     if spec.cloud is None:
         _require(cfg.cloud is None, f"scenario {cfg.scenario} samples no "
@@ -627,7 +627,9 @@ def _scn_gauge_orbit(cfg: ScenarioConfig, rng, col: _Collector, events):
                     np.split(v, len(terms)) for v in (u1, r1, f1, u2)))]
 
     n = int(cfg.fixture["n_gauges"])
-    block = max(1, _GAUGE_ROWS // max(len(events), 1))
+    # evaluated rows per point: 4 axes x 4 nodes per stencil step
+    stencil = 1 if meth.mode == "analytic" else 16 * (1 + meth.richardson)
+    block = max(1, _GAUGE_ROWS // max(len(events) * stencil, 1))
     for first in range(0, n, block):
         # one (B, terms) draw takes the same numbers as B gauges' draws of
         # one number per term
@@ -728,20 +730,22 @@ def _scn_worldline(cfg: ScenarioConfig, rng, col: _Collector, events):
 
     line = make_worldline("line", v=cfg.fixture["line_v"], c=c)
     vmax = float(cfg.fixture["max_boost"]) * c
-    speeds = np.linspace(-vmax, vmax, int(cfg.fixture["n_boosts"]))
-    for i, v in enumerate(speeds):
-        boosted = boost_worldline(line, float(v))
-        bpts = pierce_points(boosted, 0.0)
-        ev = bpts[0].event if bpts else boosted.position(0.0)
-        col.add("line_boost_count", "boosted-line", i, ev,
-                float(abs(len(bpts) - 1)))
-        for pt in bpts:
-            if pt.u is not None:
-                col.add("timelike_onshell", "boosted-line", i, pt.event,
-                        abs(contract(pt.u, pt.u) + c ** 2))
+    speeds = np.linspace(-vmax, vmax, int(cfg.fixture["n_boosts"])).tolist()
+    for first in range(0, len(speeds), _BOOST_BLOCK):   # one scan per block
+        boosted, times = _boost_family(line,
+                                       speeds[first:first + _BOOST_BLOCK])
+        for i, (w, bpts) in enumerate(
+                zip(boosted, _pierce_members(boosted, 0.0, times)), first):
+            ev = bpts[0].event if bpts else w.position(0.0)
+            col.add("line_boost_count", "boosted-line", i, ev,
+                    float(abs(len(bpts) - 1)))
+            for pt in bpts:
+                if pt.u is not None:
+                    col.add("timelike_onshell", "boosted-line", i, pt.event,
+                            abs(contract(pt.u, pt.u) + c ** 2))
 
 
-def _dirac_coulomb_limits(fixture: dict):
+def _dirac_coulomb_limits(fixture: dict, c: float):
     _require(fixture["scan_points"] >= 1, "fixture scan_points must be >= 1")
     lo, hi, za = fixture["scan_lo"], fixture["scan_hi"], fixture["z_alpha"]
     _require(lo < hi, "fixture scan_lo must lie below scan_hi")
@@ -753,14 +757,19 @@ def _dirac_coulomb_limits(fixture: dict):
                  f"expected energy sqrt(1 - z_alpha^2) = {energy!r} m c^2")
 
 
-def _gauge_orbit_limits(fixture: dict):
+def _gauge_orbit_limits(fixture: dict, c: float):
     _require(1 <= fixture["degree"] <= 2, "fixture degree must be 1 or 2")
 
 
-def _worldline_limits(fixture: dict):
+def _worldline_limits(fixture: dict, c: float):
     radius = float(fixture["radius"])   # an integer's square may not convert
     _require(math.isfinite(radius * radius),
              "fixture radius must have a finite square")
+    # a line faster than light has no 4-velocity, and if v1 > c, all of it
+    # lies at t = 0 in the frame at c^2 / v1
+    speed = math.hypot(*fixture["line_v"])
+    _require(speed <= c, f"fixture line_v must not be faster than light: "
+                         f"|line_v| = {speed!r} > c = {c!r}")
     _require(0 <= fixture["max_boost"] < 1,
              "fixture max_boost must lie in [0, 1) (a fraction of c)")
     _require(abs(fixture["ct0"]) < fixture["radius"],
@@ -774,8 +783,8 @@ class Scenario:
     None. tolerances maps every check it reports to (analytic, central),
     None for a check that never fails. The fixture defaults' types and
     shapes are the fixture schema, optional holds an example value of each
-    key without a default, limits(fixture) raises ConfigError for a value
-    out of range, and no cloud point may lie closer than min_r to the
+    key without a default, limits(fixture, c) raises ConfigError for a
+    value out of range, and no cloud point may lie closer than min_r to the
     spatial origin."""
 
     build: Callable
@@ -785,7 +794,7 @@ class Scenario:
     mode: str = "analytic"
     min_r: float = 0.0
     optional: dict = dc_field(default_factory=dict)
-    limits: Callable = lambda fixture: None
+    limits: Callable = lambda fixture, c: None
 
 
 _BALL = {"kind": "random-ball", "center": [0, 0, 0, 0], "radius": 2.0,
@@ -793,7 +802,8 @@ _BALL = {"kind": "random-ball", "center": [0, 0, 0, 0], "radius": 2.0,
 _RAY = {"kind": "ray", "r_min": 0.5, "r_max": 5.0, "count": 50, "t": 0.0}
 _MOMENTA = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, -0.2, 0.1]]
 _SPINOR_BLOCK = 4   # random spinors per family; bounds nested-stencil memory
-_GAUGE_ROWS = 1000  # tiled rows per gauge family (at least one gauge)
+_GAUGE_ROWS = 1000  # evaluated rows per gauge family (at least one gauge)
+_BOOST_BLOCK = 4    # boosted lines per scan; bounds its grid memory
 
 # the Coulomb clouds keep min_r = 0.25 away from the singularity, and the
 # hard Dirac bound state is certified by central differences by default

@@ -142,21 +142,38 @@ def make_worldline(kind: str, *, c: float = 1.0, **params) -> Worldline:
 
 def boost_worldline(w: Worldline, v: float) -> Worldline:
     """Same curve seen from a frame moving at v along x1."""
+    return _boost_family(w, [v])[0][0]
+
+
+def _boost_family(w: Worldline, speeds: list) -> tuple:
+    """boost_worldline(w, v) for each of M speeds, and times(lams), all
+    their t on a lambda array as one (M, K) array: w is evaluated once, and
+    row j boosted by boost_x1's arithmetic, its gamma on Python floats."""
     c = w.c
-    if not math.isfinite(v) or abs(v) >= c:
-        raise InvalidBoostError(f"boost speed {v} not below c = {c}")
-    gamma = 1.0 / math.sqrt(1.0 - (v / c) ** 2)
+    for v in speeds:
+        if not math.isfinite(v) or abs(v) >= c:
+            raise InvalidBoostError(f"boost speed {v} not below c = {c}")
+    gammas = [1.0 / math.sqrt(1.0 - (v / c) ** 2) for v in speeds]
 
-    def position(lam):
-        return boost_x1(w.position(lam), v, c)
+    def member(v: float, gamma: float) -> Worldline:
+        def position(lam):
+            return boost_x1(w.position(lam), v, c)
 
-    def velocity(lam: float) -> np.ndarray:
-        d = np.asarray(w.velocity(lam), dtype=float)
-        return np.array([gamma * (d[0] - v * d[3]), d[1], d[2],
-                         gamma * (d[3] - v * d[0] / c ** 2)])
+        def velocity(lam: float) -> np.ndarray:
+            d = np.asarray(w.velocity(lam), dtype=float)
+            return np.array([gamma * (d[0] - v * d[3]), d[1], d[2],
+                             gamma * (d[3] - v * d[0] / c ** 2)])
 
-    return Worldline(w.kind, position, velocity, w.lam_range, c,
-                     {**w.params, "boost": v})
+        return Worldline(w.kind, position, velocity, w.lam_range, c,
+                         {**w.params, "boost": v})
+
+    def times(lams: np.ndarray) -> np.ndarray:
+        p = w.position(lams)
+        v_col, g_col = (np.array(x, dtype=float)[:, None]
+                        for x in (speeds, gammas))
+        return g_col * (p.t - v_col * p.x1 / c ** 2)
+
+    return [member(v, gamma) for v, gamma in zip(speeds, gammas)], times
 
 
 def classify_speed(w: Worldline, lam: float, *,
@@ -206,16 +223,37 @@ def pierce_points(w: Worldline, t0: float, *, grid: int = 4096,
     is relative to the grid's largest |dt/dlambda|, which a shift in t
     leaves unchanged. Results sorted by lambda.
     """
-    lo, hi = w.lam_range
+    return _pierce_members([w], t0, lambda lams: w.position(lams).t[None],
+                           grid=grid, lam_tol=lam_tol, tangent_tol=tangent_tol,
+                           tangent_slope_tol=tangent_slope_tol)[0]
+
+
+def _pierce_members(members: list, t0: float, times: Callable, *,
+                    grid: int = 4096, lam_tol: float = 1e-12,
+                    tangent_tol: float = 1e-10,
+                    tangent_slope_tol: float = 1e-6) -> list:
+    """pierce_points of M worldlines on members[0]'s lam_range from one grid
+    scan of times(lams), their t as an (M, len(lams)) array. Member j's
+    tolerances come from row j, and its roots are refined and assembled on
+    members[j] alone, so its list has the bits of its pierce_points."""
+    if not (isinstance(grid, (int, np.integer)) and grid is not True
+            and grid >= 1 and math.isfinite(t0)):
+        raise ParameterError(f"pierce_points needs a positive integer grid "
+                             f"and a finite t0, not {grid!r} and {t0!r}")
+    lo, hi = members[0].lam_range
     lams = np.linspace(lo, hi, grid + 1)
     cell = (hi - lo) / grid
-    t = w.position(lams).t
-    tangent_tol *= max(abs(t0), float(np.max(np.abs(t)))) or 1.0
-    tangent_slope_tol *= float(np.max(np.abs(np.diff(t)))) / cell or 1.0
+    t = times(lams)   # [member, grid point]
+    peaks, steps = (np.abs(x).max(axis=1).tolist()
+                    for x in (t, np.diff(t, axis=1)))
     f = t - t0
     sign = np.sign(f)   # a product of two f values may overflow or underflow
+    cross = sign[:, :-1] * sign[:, 1:] < 0.0
+    df = np.diff(f, axis=1)
+    row, col = np.divmod(np.flatnonzero(   # a flat index is cheap to find
+        (df[:, :-1] != 0.0) & ((df[:, :-1] < 0) != (df[:, 1:] < 0))), grid - 1)
 
-    def bisect(a: float, b: float) -> float:
+    def bisect(w: Worldline, a: float, b: float) -> float:
         fa = w.position(a).t - t0
         while b - a > lam_tol:
             mid = 0.5 * (a + b)
@@ -228,44 +266,46 @@ def pierce_points(w: Worldline, t0: float, *, grid: int = 4096,
                 a, fa = mid, fm
         return 0.5 * (a + b)
 
-    roots = [float(lams[i]) for i in np.flatnonzero(f == 0.0)]
-    roots += [bisect(float(lams[i]), float(lams[i + 1]))
-              for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
+    found = []
+    for j, (w, peak, step) in enumerate(zip(members, peaks, steps)):
+        tol = tangent_tol * (max(abs(t0), peak) or 1.0)
+        roots = [float(lams[i]) for i in np.flatnonzero(f[j] == 0.0)]
+        roots += [bisect(w, float(lams[i]), float(lams[i + 1]))
+                  for i in np.flatnonzero(cross[j])]
+        # double roots: refine each discrete extremum of f, keep those
+        # touching 0; around one, f stays within its two steps of f[i] (a
+        # quadratic's extremum within an eighth of that), so a larger |f[i]|
+        # is skipped
+        for i in col[row == j] + 1:
+            if abs(f[j, i]) - (abs(df[j, i - 1]) + abs(df[j, i])) > tol:
+                continue
+            a, b = float(lams[i - 1]), float(lams[i + 1])
+            for _ in range(200):  # ternary search on |f|
+                m1 = a + (b - a) / 3
+                m2 = b - (b - a) / 3
+                if abs(w.position(m1).t - t0) < abs(w.position(m2).t - t0):
+                    b = m2
+                else:
+                    a = m1
+                if b - a < lam_tol:
+                    break
+            lam_star = 0.5 * (a + b)
+            f_star = w.position(lam_star).t - t0
+            if abs(f_star) < tol:
+                if not any(abs(lam_star - l) < 2 * cell for l in roots):
+                    roots.append(lam_star)
 
-    # double roots: refine each discrete extremum of f, keep those touching
-    # 0; around one, f stays within its two steps of f[i] (a quadratic's
-    # extremum within an eighth of that), so a larger |f[i]| is skipped
-    df = np.diff(f)
-    turns = (df[:-1] != 0.0) & ((df[:-1] < 0) != (df[1:] < 0))
-    idx = np.flatnonzero(turns) + 1
-    near = (np.abs(f[idx]) - (np.abs(df[idx - 1]) + np.abs(df[idx]))
-            <= tangent_tol)
-    for i in idx[near]:
-        a, b = float(lams[i - 1]), float(lams[i + 1])
-        for _ in range(200):  # ternary search on |f|
-            m1 = a + (b - a) / 3
-            m2 = b - (b - a) / 3
-            if abs(w.position(m1).t - t0) < abs(w.position(m2).t - t0):
-                b = m2
-            else:
-                a = m1
-            if b - a < lam_tol:
-                break
-        lam_star = 0.5 * (a + b)
-        f_star = w.position(lam_star).t - t0
-        if abs(f_star) < tangent_tol:
-            if not any(abs(lam_star - l) < 2 * cell for l in roots):
-                roots.append(lam_star)
-
-    points = []
-    for lam in sorted(roots):
-        cls = classify_speed(w, lam)
-        u = four_velocity(w, lam) if cls == "timelike" else None
-        slope = abs(float(np.asarray(w.velocity(lam), dtype=float)[3]))
-        points.append(PiercePoint(lam=lam, event=w.position(lam),
-                                  classification=cls, u=u,
-                                  tangent=slope < tangent_slope_tol))
-    return points
+        slope_tol = tangent_slope_tol * (step / cell or 1.0)
+        points = []
+        for lam in sorted(roots):
+            cls = classify_speed(w, lam)
+            u = four_velocity(w, lam) if cls == "timelike" else None
+            slope = abs(float(np.asarray(w.velocity(lam), dtype=float)[3]))
+            points.append(PiercePoint(lam=lam, event=w.position(lam),
+                                      classification=cls, u=u,
+                                      tangent=slope < slope_tol))
+        found.append(points)
+    return found
 
 
 PIERCE_CSV_HEADER = ("lambda", "x1", "x2", "x3", "t", "class")

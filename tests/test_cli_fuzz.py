@@ -84,7 +84,8 @@ FIXTURES = {
     "worldline-pierce": st.fixed_dictionaries(
         {"n_boosts": st.integers(0, 6)},
         optional={"radius": _floats(0.1, 10), "ct0": _floats(-2, 2),
-                  "line_v": _vector(3, -0.5, 0.5),
+                  # past c, so that a line faster than light is drawn
+                  "line_v": _vector(3, -1.5, 1.5),
                   "max_boost": _floats(0, 0.999)}),
 }
 # the scenarios that sample no cloud and refuse a cloud key

@@ -452,6 +452,31 @@ def test_worldline_radius_with_an_infinite_square_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# a line faster than light is a bad input: seen from the frame at v = 0.5 the
+# first one lies in t = 0, so every grid point would be a root; the others
+# are faster than light in other units or along other axes
+@pytest.mark.parametrize("doc", [
+    {"fixture": {"line_v": [2.0, 0, 0], "n_boosts": 3, "max_boost": 0.5}},
+    {"fixture": {"line_v": [0, 0.8, 0.8]}},
+    {"constants": {"c": 0.5}, "fixture": {"line_v": [0.3, 0.3, 0.3]}},
+    {"fixture": {"line_v": [1e300, 1e300, 0]}}],
+    ids=["frame-at-half-c", "diagonal", "c=0.5", "huge"])
+def test_worldline_line_faster_than_light_exits_two(tmp_path, capsys, doc):
+    with pytest.raises(ConfigError, match="faster than light"):
+        config_from_dict(doc, "worldline-pierce")
+    assert _run_config(tmp_path, "worldline-pierce", doc) == 2
+    assert "faster than light" in capsys.readouterr().err
+
+
+# a line at or below light speed still runs, in other units too
+@pytest.mark.parametrize("doc", [
+    {"fixture": {"line_v": [1.0, 0, 0]}},
+    {"constants": {"c": 2.0}, "fixture": {"line_v": [1.5, 0, 0]}}],
+    ids=["null", "c=2"])
+def test_worldline_line_up_to_light_speed_runs(tmp_path, doc):
+    assert _run_config(tmp_path, "worldline-pierce", doc) == 0
+
+
 # the grazing slice at ct0 = radius is flagged tangent at every scale whose
 # square is finite, not only where dt/dlambda is small in absolute terms
 @pytest.mark.parametrize("radius", [10.0, 1e6, 1e10, 1e12, 1e20, 1e50, 1e100,

@@ -16,7 +16,10 @@ config sets one, each named in the mode column: other seeds, failing
 near-grazing worldline, a ray whose far events have no velocity sample,
 random-spinor counts that fill no whole block (7 in central mode, 1 in
 analytic mode), gauge counts, degrees and clouds that give several gauge
-blocks, one gauge in central mode or one gauge per block, and integer or empty values whose echo in the report's
+blocks, one gauge in central mode or one gauge per block, boosted-line
+counts and speeds that fill one, part of or no whole family (one line, the
+speeds -0.0 and 0.0, nine lines, seven lines in other units, a line at
+rest), and integer or empty values whose echo in the report's
 config must not change (integer constants, step and tolerance, which the
 echo shows as floats, and integer cloud and fixture values, which it
 shows as given).
@@ -120,6 +123,14 @@ EXTRA_CONFIGS = [
     ("gauge-orbit", "degree-1", {"fixture": {"degree": 1}}),
     ("gauge-orbit", "ball-1000", {"cloud": {"kind": "random-ball",
                                             "radius": 1.5, "count": 1000}}),
+    # boosted-line families: one line, the speeds +-0.0, a count that fills
+    # no whole block, other units, and a line at rest
+    ("worldline-pierce", "one-boost", {"fixture": {"n_boosts": 1}}),
+    ("worldline-pierce", "zero-boosts", {"fixture": {"max_boost": 0.0}}),
+    ("worldline-pierce", "nine-boosts", {"fixture": {"n_boosts": 9}}),
+    ("worldline-pierce", "c-2-seven-boosts",
+     {"constants": {"c": 2.0}, "fixture": {"n_boosts": 7}}),
+    ("worldline-pierce", "line-at-rest", {"fixture": {"line_v": [0, 0, 0]}}),
 ]
 
 
