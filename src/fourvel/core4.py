@@ -146,6 +146,14 @@ def _zeros(e, *shape, dtype=complex) -> np.ndarray:
     return np.zeros(lead + shape, dtype=dtype)
 
 
+def _member_blocks(rows, members: int) -> np.ndarray:
+    """rows (K, ...) as (members, K / members, ...): block j is member j's."""
+    if len(rows) % members:
+        raise ParameterError(f"{len(rows)} points do not split into "
+                             f"{members} equal blocks")
+    return rows.reshape((members, len(rows) // members) + rows.shape[1:])
+
+
 def _col(x, depth: int = 1) -> np.ndarray:
     """x with depth trailing unit axes, so a per-point scalar broadcasts
     against per-point vectors (depth 1) or matrices (depth 2)."""

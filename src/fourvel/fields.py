@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .core4 import (ANALYTIC, Event, NATURAL_UNITS, PhysicalConstants, _col,
-                    _potential_gradient, _zeros)
+                    _member_blocks, _potential_gradient, _zeros)
 from .errors import ParameterError
 from .wavefunctions import ScalarWave, _outer, _radius
 
@@ -195,14 +195,10 @@ def _polynomial_gauge_members(expos: list, coeffs, c: float) -> GaugeFunction:
     def split(arr: np.ndarray, one: bool) -> tuple:
         # the coordinates per member block, Python floats for one Event, and
         # the map from per-member values back to one value per point
-        rows = arr.reshape(-1, 4)
-        if len(rows) % members:
-            raise ParameterError(f"{len(rows)} points do not split into "
-                                 f"{members} equal blocks")
-        block = (members, len(rows) // members)
-        x = (tuple(arr.tolist()) if one
-             else tuple(np.moveaxis(rows.reshape(block + (4,)), -1, 0)))
-        return x, lambda v: np.broadcast_to(v, block).reshape(arr.shape[:-1])
+        blocks = _member_blocks(arr.reshape(-1, 4), members)
+        x = tuple(arr.tolist()) if one else tuple(np.moveaxis(blocks, -1, 0))
+        return x, lambda v: np.broadcast_to(v, blocks.shape[:2]).reshape(
+            arr.shape[:-1])
 
     def memo(body: Callable) -> Callable:
         # one-entry memo keyed on the float64 bytes of the points, which are

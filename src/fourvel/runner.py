@@ -1,14 +1,14 @@
 """Named verification scenarios and machine-readable reports.
 
-Each scenario is one Scenario record: its defaults, the tolerances of the
-fixed set of named checks it scores, and a builder that evaluates every
-residual kernel once on the whole sample cloud (a (K, 4) EventArray). Rows
-are reported event-major, one per event and check, in the order a
-per-event sweep would give them. Reports are deterministic for a given
-configuration and seed: sample order is fixed, all randomness flows
-through one seeded generator, and JSON keys are sorted. The timestamp and
-wall-clock duration are the only nondeterministic fields and can be
-suppressed together for byte-identical comparisons.
+Each scenario is one Scenario record: its defaults, one table of the named
+checks it scores, and a builder that yields cases, each a wave or a family
+on a (K, 4) EventArray, whose checks the runner reads at once. Rows are
+reported event-major, one per event and check, in the order a per-event
+sweep would give them. Reports are deterministic for a given configuration
+and seed: sample order is fixed, all randomness flows through one seeded
+generator, and JSON keys are sorted. The timestamp and wall-clock duration
+are the only nondeterministic fields and can be suppressed together for
+byte-identical comparisons.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
@@ -27,7 +28,8 @@ import numpy as np
 
 from . import __version__
 from .core4 import (DEFAULT_EPS_PSI, DerivativeMethod, Event, EventArray,
-                    PhysicalConstants, contract, field_strength)
+                    PhysicalConstants, _member_blocks, contract,
+                    field_strength)
 from .dirac import (clifford_residual, dirac_residual, dirac_to_kg_check,
                     factorization_residual, form_relation_matrix, gamma_dot,
                     gamma_matrices, kg_operator_on_spinor, GammaSet)
@@ -195,7 +197,7 @@ def _validate(cfg: ScenarioConfig, document: bool = False) -> Scenario:
                     optional)
 
     _check_keys("tolerances", cfg.tolerances, {},
-                dict.fromkeys(spec.tolerances, 0.0))
+                dict.fromkeys(spec.checks, 0.0))
     _require(all(v >= 0 for v in cfg.tolerances.values()),
              "tolerances must be nonnegative")
     _require(type(cfg.seed) is int and 0 <= cfg.seed < 2 ** 64,
@@ -296,8 +298,8 @@ class _Rows:
 
 
 class _Collector:
-    def __init__(self, tolerances: dict, mode: str, overrides: dict):
-        self.tolerances = tolerances
+    def __init__(self, checks: dict, mode: str, overrides: dict):
+        self.checks = checks   # name: (analytic tolerance, central, ...)
         self.mode_index = 1 if mode == "central" else 0
         self.overrides = overrides
         self.rows = _Rows()
@@ -322,6 +324,20 @@ class _Collector:
         if columns:
             self.rows.blocks.append((case, start, points, columns))
 
+    def add_case(self, labels: list, points, make: Callable):
+        """One block per member of a case: each check its reader reads off
+        make(points), a point's magnitude the largest |entry| of its value."""
+        made, columns = make(points), []
+        for name, (_, _, read) in self.checks.items():
+            out = read and read(made)
+            if out is not None:
+                value, *present = out if type(out) is tuple else (out,)
+                columns.append((name, [_member_blocks(v, len(labels))
+                                       for v in (_worst(value), *present)]))
+        for j, rows in enumerate(_member_blocks(points, len(labels))):
+            self.add_cloud(labels[j], rows, [(name, *(v[j] for v in values))
+                                             for name, values in columns])
+
     def finalize(self) -> tuple:
         samples = {}   # in the order of the checks' first rows
         for _, _, _, columns in self.rows.blocks:
@@ -331,8 +347,7 @@ class _Collector:
                     values if keep is None else values[keep])
         checks = []
         for name, blocks in samples.items():   # every check has a row
-            tol = self.overrides.get(name,
-                                     self.tolerances[name][self.mode_index])
+            tol = self.overrides.get(name, self.checks[name][self.mode_index])
             mags = np.concatenate(blocks)
             linf = float(mags[np.argmax(mags)])   # max()'s, or the first NaN
             with np.errstate(over="ignore"):   # in row order on any Python
@@ -400,9 +415,9 @@ def _build_cloud(spec: dict, rng: np.random.Generator,
     return cloud
 
 
-def _worst(x) -> np.ndarray:
-    """Largest |entry| of each point's value; x has a leading point axis."""
-    return np.max(np.abs(x), axis=tuple(range(1, np.ndim(x))))
+def _worst(x, lead: int = 1) -> np.ndarray:
+    """Largest |entry| of each point's value; x has lead point axes."""
+    return np.max(np.abs(x), axis=tuple(range(lead, np.ndim(x)))).ravel()
 
 
 def _eps_for(waves, events) -> float:
@@ -415,71 +430,48 @@ def _eps_for(waves, events) -> float:
 # scenario builders
 # ---------------------------------------------------------------------------
 
+def _chains(cfg: ScenarioConfig, wave, a_field, eps=DEFAULT_EPS_PSI):
+    """make of a case: the _Chain of wave, or of a family, on its points."""
+    return partial(_Chain, wave, a_field, method=cfg.method,
+                   constants=cfg.constants, eps_psi=eps)
+
+
 def _scn_plane_wave(cfg: ScenarioConfig, rng, col: _Collector, events):
     a0 = zero_potential()
     waves = [plane_wave(p, cfg.constants) for p in cfg.fixture["momenta"]]
     eps = _eps_for(waves, events)
     for wave in waves:
-        ch = _Chain(wave, a0, events, cfg.method, cfg.constants, eps)
-        col.add_cloud(wave.label, events, [
-            ("kg", np.abs(ch.kg)),
-            ("mass_shell", np.abs(ch.mass_shell)),
-            ("newton", _worst(ch.newton)),
-            ("curl_k", _worst(ch.curl_k)),
-            ("divergence", np.abs(ch.divergence.value)),
-            ("nonlinear", np.abs(ch.nonlinear)),
-        ])
+        yield [wave.label], events, _chains(cfg, wave, a0, eps)
 
 
 def _scn_kg_coulomb(cfg: ScenarioConfig, rng, col: _Collector, events):
     za = float(cfg.fixture["z_alpha"])
     wave = kg_coulomb_1s(za, cfg.constants,
                          float(cfg.fixture["energy_scale"]))
-    ch = _Chain(wave, coulomb_potential(za, cfg.constants), events,
-                cfg.method, cfg.constants, _eps_for([wave], events))
-    col.add_cloud(wave.label, events, [
-        ("kg", np.abs(ch.kg)),
-        ("divergence_identity", ch.divergence.mismatch),
-        ("nonlinear_vs_mass_shell",
-         np.abs(ch.nonlinear - cfg.constants.m ** 2 * ch.mass_shell)),
-        ("curl_k", _worst(ch.curl_k)),
-        ("u_contract_k", _worst(ch.curl_k @ ch.u[..., None])),
-        ("lorenz_gauge", np.abs(ch.divergence.lorenz_residual)),
-        ("mass_shell", np.abs(ch.mass_shell)),
-        ("newton", _worst(ch.newton)),
-    ])
+    yield [wave.label], events, _chains(
+        cfg, wave, coulomb_potential(za, cfg.constants),
+        _eps_for([wave], events))
 
 
 def _scn_dirac_plane_wave(cfg: ScenarioConfig, rng, col: _Collector,
                           events):
     a0 = zero_potential()
-    spin = cfg.fixture["spin"]
-    meth = cfg.method
-    kw = {"constants": cfg.constants}
-    m_rel = form_relation_matrix(cfg.constants)
     for p in cfg.fixture["momenta"]:
-        spinor = dirac_plane_wave(p, spin, cfg.constants)
-        ch = _Chain(spinor, a0, events, meth, cfg.constants, DEFAULT_EPS_PSI)
-        rg, ra = ch.residual_gamma, ch.residual_alphabeta
-        checks = [("residual_gamma", _worst(rg)),
-                  ("residual_alphabeta", _worst(ra)),
-                  ("form_equivalence", _worst(rg - ra @ m_rel.T))]
-        if np.count_nonzero(np.abs(spinor.values(_ORIGIN)) > 1e-12) >= 2:
-            checks.append(("velocity_consistency",
-                           ch.velocity_consistency[1]))
-        col.add_cloud(spinor.label, events, checks)
+        spinor = dirac_plane_wave(p, cfg.fixture["spin"], cfg.constants)
+        yield [spinor.label], events, _chains(cfg, spinor, a0)
     n = int(cfg.fixture["n_random_spinors"])
     for first in range(0, n, _SPINOR_BLOCK):
         # per spinor its numbers, then one (3, 4) draw for its 3 points
         u, x = zip(*[(rng.random(_SPINOR_DRAW), rng.uniform(-0.5, 0.5, (3, 4)))
                      for _ in range(min(_SPINOR_BLOCK, n - first))])
-        spinor = random_spinor_family(u, cfg.constants)
-        points = EventArray(np.concatenate(x))
-        sq = dirac_to_kg_check(spinor, a0, points, meth, **kw)
-        direct = kg_operator_on_spinor(spinor, points, **kw)
-        worst = _worst(sq - direct)
-        for j, (rows, w) in enumerate(zip(x, np.split(worst, len(x))), first):
-            col.add_cloud(f"random-spinor-{j}", rows, [("dirac_to_kg", w)])
+        yield ([f"random-spinor-{j}" for j in range(first, first + len(u))],
+               EventArray(np.concatenate(x)),
+               _chains(cfg, random_spinor_family(u, cfg.constants), a0))
+
+
+def _solved(read: Callable) -> Callable:
+    # a random spinor family solves no equation, and has no energy
+    return lambda ch: read(ch) if ch.psi.energy else None
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)
@@ -558,15 +550,7 @@ def _scn_dirac_coulomb(cfg: ScenarioConfig, rng, col: _Collector, events):
     consts = cfg.constants
     spinor = dirac_coulomb_1s(za, consts, cfg.fixture.get("energy"))
     a = coulomb_potential(za, consts)
-    ch = _Chain(spinor, a, events, cfg.method, consts, DEFAULT_EPS_PSI)
-    # velocity deviation needs two components above threshold; other
-    # events have no sample of it
-    usable = np.count_nonzero(ch.admissible, axis=-1) >= 2
-    deviation = np.where(usable, ch.velocity_deviation, 0.0)
-    col.add_cloud(spinor.label, events, [
-        ("residual_gamma", _worst(ch.residual_gamma)),
-        ("velocity_deviation", deviation, usable),
-    ])
+    yield [spinor.label], events, _chains(cfg, spinor, a)
 
     # independent oracle: residual norm over a coarse ray as a function of a
     # trial energy must bottom out at the bound-state eigenvalue
@@ -594,37 +578,35 @@ _DEG2_MONOMIALS = [
 
 
 def _scn_gauge_orbit(cfg: ScenarioConfig, rng, col: _Collector, events):
-    consts = cfg.constants
+    consts, meth = cfg.constants, cfg.method
     a0 = zero_potential()
     wave = plane_wave(cfg.fixture["p"], consts)
     spinor = dirac_plane_wave(cfg.fixture["p"], "up", consts)
-    meth = cfg.method
     monos = [m for m in _DEG2_MONOMIALS if sum(m) <= cfg.fixture["degree"]]
-    # the untransformed side is the same for every gauge
-    u0 = extract_u(wave, a0, events, meth, constants=consts)
-    r0 = _worst(dirac_residual(spinor, a0, events, meth, constants=consts))
-    f0 = field_strength(a0, events, meth, c=consts.c)
+    untransformed = {}   # by the bytes of the cloud: the same for every gauge
 
-    def family(terms: np.ndarray) -> list:
-        # the checks of each gauge of a (B, terms) coefficient table, gauge
-        # j on the j-th copy of the cloud; the tiled arrays die on return
+    def sides(a, wave, spinor, points) -> list:
+        return [extract_u(wave, a, points, meth, constants=consts),
+                _worst(dirac_residual(spinor, a, points, meth,
+                                      constants=consts)),
+                field_strength(a, points, meth, c=consts.c)]
+
+    def make(terms: np.ndarray, points: EventArray) -> dict:
+        # gauge j of a (B, terms) coefficient table on the j-th of B equal
+        # blocks of points; its quantities as (B, rows of a block, ...)
+        cloud = points[:len(points) // len(terms)]
+        if (key := cloud.tobytes()) not in untransformed:
+            untransformed[key] = sides(a0, wave, spinor, cloud)
         chi = _polynomial_gauge_members(monos, terms, consts.c)
         neg = _polynomial_gauge_members(monos, -terms, consts.c)
-        tiled = EventArray(np.tile(events, (len(terms), 1)))
         a1, wave1 = gauge_transform(a0, wave, chi, consts)
         _, spinor1 = gauge_transform(a0, spinor, chi, consts)
         a2, wave2 = gauge_transform(a1, wave1, neg, consts)
-        u1 = extract_u(wave1, a1, tiled, meth, constants=consts)
-        r1 = _worst(dirac_residual(spinor1, a1, tiled, meth,
-                                   constants=consts))
-        f1 = field_strength(a1, tiled, meth, c=consts.c)
-        u2 = extract_u(wave2, a2, tiled, meth, constants=consts)
-        return [[("u_invariance", _worst(u1_j - u0)),
-                 ("dirac_invariance", np.abs(r1_j - r0)),
-                 ("field_strength_invariance", _worst(f1_j - f0)),
-                 ("roundtrip", _worst(u2_j - u0))]
-                for u1_j, r1_j, f1_j, u2_j in zip(*(
-                    np.split(v, len(terms)) for v in (u1, r1, f1, u2)))]
+        gauged = sides(a1, wave1, spinor1, points) + [
+            extract_u(wave2, a2, points, meth, constants=consts)]
+        return dict(zip(("u0", "r0", "f0", "u1", "r1", "f1", "u2"),
+                        untransformed[key] + [_member_blocks(v, len(terms))
+                                              for v in gauged]))
 
     n = int(cfg.fixture["n_gauges"])
     # evaluated rows per point: 4 axes x 4 nodes per stencil step
@@ -634,8 +616,9 @@ def _scn_gauge_orbit(cfg: ScenarioConfig, rng, col: _Collector, events):
         # one (B, terms) draw takes the same numbers as B gauges' draws of
         # one number per term
         terms = rng.uniform(-0.5, 0.5, (min(block, n - first), len(monos)))
-        for j, checks in enumerate(family(terms), first):
-            col.add_cloud(f"chi-{j}", events, checks)
+        yield ([f"chi-{j}" for j in range(first, first + len(terms))],
+               EventArray(np.tile(events, (len(terms), 1))),
+               partial(make, terms))
 
 
 def _scaled_gammas(scale: float) -> GammaSet:
@@ -778,17 +761,19 @@ def _worldline_limits(fixture: dict, c: float):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One scenario. build(cfg, rng, col, events) adds its rows to col;
-    events is the sample cloud, drawn first from rng, or None when cloud is
-    None. tolerances maps every check it reports to (analytic, central),
-    None for a check that never fails. The fixture defaults' types and
-    shapes are the fixture schema, optional holds an example value of each
-    key without a default, limits(fixture, c) raises ConfigError for a
-    value out of range, and no cloud point may lie closer than min_r to the
-    spatial origin."""
+    """One scenario. build(cfg, rng, col, events) adds its single rows to
+    col and yields cases (labels, points, make), member j of len(labels) on
+    the j-th equal block of points, whose readers read make(points); events
+    is the cloud, drawn first from rng, or None. checks maps each check, in
+    row order, to (analytic, central tolerance, reader): a tolerance None
+    never fails, and a single-row check has no reader. The fixture defaults'
+    types and shapes are the fixture schema, optional holds an example value
+    of each key without a default, limits(fixture, c) raises ConfigError for
+    a value out of range, and no cloud point may lie closer than min_r to
+    the spatial origin."""
 
     build: Callable
-    tolerances: dict
+    checks: dict
     fixture: dict
     cloud: Optional[dict] = None
     mode: str = "analytic"
@@ -808,71 +793,83 @@ _BOOST_BLOCK = 4    # boosted lines per scan; bounds its grid memory
 # the Coulomb clouds keep min_r = 0.25 away from the singularity, and the
 # hard Dirac bound state is certified by central differences by default
 _SCENARIOS = {
-    "plane-wave": Scenario(
-        _scn_plane_wave,
-        tolerances={"kg": (1e-12, 1e-6), "mass_shell": (1e-12, 1e-6),
-                    "newton": (1e-12, 1e-6), "curl_k": (1e-12, 1e-6),
-                    "divergence": (1e-12, 1e-6), "nonlinear": (1e-12, 1e-6)},
-        fixture={"momenta": _MOMENTA}, cloud=_BALL),
-    "kg-coulomb-1s": Scenario(
-        _scn_kg_coulomb,
-        tolerances={"kg": (1e-8, 1e-5), "divergence_identity": (1e-8, 1e-5),
-                    "nonlinear_vs_mass_shell": (1e-8, 1e-5),
-                    "curl_k": (1e-8, 1e-5), "u_contract_k": (1e-10, 1e-6),
-                    "lorenz_gauge": (1e-12, 1e-8),
-                    "mass_shell": (None, None), "newton": (None, None)},
-        fixture={"z_alpha": 0.4, "energy_scale": 1.0}, cloud=_RAY,
-        min_r=0.25),
-    "dirac-plane-wave": Scenario(
-        _scn_dirac_plane_wave,
-        tolerances={"residual_gamma": (1e-12, 1e-6),
-                    "residual_alphabeta": (1e-12, 1e-6),
-                    "form_equivalence": (1e-12, 1e-12),
-                    "velocity_consistency": (1e-12, 1e-8),
-                    "dirac_to_kg": (1e-8, 1e-8)},
-        fixture={"momenta": _MOMENTA, "spin": "up", "n_random_spinors": 20},
+    "plane-wave": Scenario(_scn_plane_wave, checks={
+        "kg": (1e-12, 1e-6, lambda ch: ch.kg),
+        "mass_shell": (1e-12, 1e-6, lambda ch: ch.mass_shell),
+        "newton": (1e-12, 1e-6, lambda ch: ch.newton),
+        "curl_k": (1e-12, 1e-6, lambda ch: ch.curl_k),
+        "divergence": (1e-12, 1e-6, lambda ch: ch.divergence.value),
+        "nonlinear": (1e-12, 1e-6, lambda ch: ch.nonlinear),
+    }, fixture={"momenta": _MOMENTA}, cloud=_BALL),
+    "kg-coulomb-1s": Scenario(_scn_kg_coulomb, checks={
+        "kg": (1e-8, 1e-5, lambda ch: ch.kg),
+        "divergence_identity": (1e-8, 1e-5, lambda ch: ch.divergence.mismatch),
+        "nonlinear_vs_mass_shell": (1e-8, 1e-5, lambda ch: (
+            ch.nonlinear - ch.constants.m ** 2 * ch.mass_shell)),
+        "curl_k": (1e-8, 1e-5, lambda ch: ch.curl_k),
+        "u_contract_k": (1e-10, 1e-6, lambda ch: ch.curl_k @ ch.u[..., None]),
+        "lorenz_gauge": (1e-12, 1e-8,
+                         lambda ch: ch.divergence.lorenz_residual),
+        "mass_shell": (None, None, lambda ch: ch.mass_shell),
+        "newton": (None, None, lambda ch: ch.newton),
+    }, fixture={"z_alpha": 0.4, "energy_scale": 1.0}, cloud=_RAY, min_r=0.25),
+    "dirac-plane-wave": Scenario(_scn_dirac_plane_wave, checks={
+        "residual_gamma": (1e-12, 1e-6, _solved(lambda ch: ch.residual_gamma)),
+        "residual_alphabeta": (1e-12, 1e-6,
+                               _solved(lambda ch: ch.residual_alphabeta)),
+        "form_equivalence": (1e-12, 1e-12, _solved(lambda ch: ch.residual_gamma
+            - ch.residual_alphabeta @ form_relation_matrix(ch.constants).T)),
+        # a spinor needs two nonzero components for a sample
+        "velocity_consistency": (1e-12, 1e-8, _solved(lambda ch: (
+            ch.velocity_consistency[1] if np.count_nonzero(np.abs(
+                ch.psi.values(_ORIGIN)) > 1e-12) >= 2 else None))),
+        "dirac_to_kg": (1e-8, 1e-8, lambda ch: None if ch.psi.energy else (
+            dirac_to_kg_check(ch.psi, ch.a_field, ch.e, ch.method,
+                              constants=ch.constants)
+            - kg_operator_on_spinor(ch.psi, ch.e, constants=ch.constants))),
+    }, fixture={"momenta": _MOMENTA, "spin": "up", "n_random_spinors": 20},
         cloud=_BALL),
-    "dirac-coulomb-1s": Scenario(
-        _scn_dirac_coulomb,
-        tolerances={"residual_gamma": (1e-10, 1e-6),
-                    "energy_scan": (1e-6, 1e-6),
-                    "velocity_deviation": (None, None)},
-        fixture={"z_alpha": 0.4, "scan_lo": 0.85, "scan_hi": 0.95,
-                 "scan_points": 25},
-        cloud=_RAY, mode="central", min_r=0.25,
+    "dirac-coulomb-1s": Scenario(_scn_dirac_coulomb, checks={
+        "residual_gamma": (1e-10, 1e-6, lambda ch: ch.residual_gamma),
+        # an event needs two components above threshold for a sample
+        "velocity_deviation": (None, None, lambda ch: (
+            ch.velocity_deviation,
+            np.count_nonzero(ch.admissible, axis=-1) >= 2)),
+        "energy_scan": (1e-6, 1e-6, None),
+    }, fixture={"z_alpha": 0.4, "scan_lo": 0.85, "scan_hi": 0.95,
+                "scan_points": 25}, cloud=_RAY, mode="central", min_r=0.25,
         optional={"energy": 0.0},   # a trial energy for the eigenvalue
         limits=_dirac_coulomb_limits),
-    "gauge-orbit": Scenario(
-        _scn_gauge_orbit,
-        tolerances={"u_invariance": (1e-9, 1e-6),
-                    "dirac_invariance": (1e-10, 1e-6),
-                    "field_strength_invariance": (1e-10, 1e-10),
-                    "roundtrip": (1e-12, 1e-11)},
-        fixture={"p": [1.0, 0.0, 0.0], "n_gauges": 10, "degree": 2},
+    "gauge-orbit": Scenario(_scn_gauge_orbit, checks={
+        "u_invariance": (1e-9, 1e-6, lambda g: _worst(g["u1"] - g["u0"], 2)),
+        "dirac_invariance": (1e-10, 1e-6,
+                             lambda g: _worst(g["r1"] - g["r0"], 2)),
+        "field_strength_invariance": (1e-10, 1e-10,
+                                      lambda g: _worst(g["f1"] - g["f0"], 2)),
+        "roundtrip": (1e-12, 1e-11, lambda g: _worst(g["u2"] - g["u0"], 2)),
+    }, fixture={"p": [1.0, 0.0, 0.0], "n_gauges": 10, "degree": 2},
         cloud={**_BALL, "radius": 1.5}, limits=_gauge_orbit_limits),
-    "clifford": Scenario(
-        _scn_clifford,
-        tolerances={"clifford": (0.0, 0.0), "fixed_entries": (0.0, 0.0),
-                    "gamma_square": (1e-12, 1e-12),
-                    "factorization": (1e-12, 1e-12)},
-        fixture={"n_random_p": 100, "gamma_scale": 1.0}),
-    "action-path": Scenario(
-        _scn_action_path,
-        tolerances={"plane_phi": (1e-12, 1e-12),
-                    "plane_reconstruction": (1e-12, 1e-12),
-                    "closed_loop": (1e-8, 1e-8),
-                    "two_path_delta": (1e-8, 1e-8)},
-        fixture={"p": [1.0, 0.0, 0.0], "z_alpha": 0.4}),
-    "worldline-pierce": Scenario(
-        _scn_worldline,
-        tolerances={"circle_count": (0.0, 0.0),
-                    "circle_position": (1e-9, 1e-9),
-                    "line_boost_count": (0.0, 0.0),
-                    "timelike_onshell": (1e-10, 1e-10),
-                    "tangent_flag": (0.0, 0.0), "classification": (0.0, 0.0)},
-        fixture={"radius": 1.0, "ct0": 0.5, "line_v": [0.3, 0.1, -0.2],
-                 "n_boosts": 20, "max_boost": 0.99},
-        limits=_worldline_limits),
+    "clifford": Scenario(_scn_clifford, checks={
+        "clifford": (0.0, 0.0, None),
+        "fixed_entries": (0.0, 0.0, None),
+        "gamma_square": (1e-12, 1e-12, None),
+        "factorization": (1e-12, 1e-12, None),
+    }, fixture={"n_random_p": 100, "gamma_scale": 1.0}),
+    "action-path": Scenario(_scn_action_path, checks={
+        "plane_phi": (1e-12, 1e-12, None),
+        "plane_reconstruction": (1e-12, 1e-12, None),
+        "closed_loop": (1e-8, 1e-8, None),
+        "two_path_delta": (1e-8, 1e-8, None),
+    }, fixture={"p": [1.0, 0.0, 0.0], "z_alpha": 0.4}),
+    "worldline-pierce": Scenario(_scn_worldline, checks={
+        "circle_count": (0.0, 0.0, None),
+        "circle_position": (1e-9, 1e-9, None),
+        "line_boost_count": (0.0, 0.0, None),
+        "timelike_onshell": (1e-10, 1e-10, None),
+        "tangent_flag": (0.0, 0.0, None),
+        "classification": (0.0, 0.0, None),
+    }, fixture={"radius": 1.0, "ct0": 0.5, "line_v": [0.3, 0.1, -0.2],
+                "n_boosts": 20, "max_boost": 0.99}, limits=_worldline_limits),
 }
 
 
@@ -892,7 +889,7 @@ def run_scenario(cfg: ScenarioConfig) -> ResidualReport:
     spec = _validate(cfg)
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    col = _Collector(spec.tolerances, cfg.method.mode, cfg.tolerances)
+    col = _Collector(spec.checks, cfg.method.mode, cfg.tolerances)
     # numpy warns, and goes on with inf or NaN, where an input's arithmetic
     # overflows; such an input is refused instead of certified
     with warnings.catch_warnings():
@@ -900,7 +897,8 @@ def run_scenario(cfg: ScenarioConfig) -> ResidualReport:
         try:
             events = (None if spec.cloud is None
                       else _build_cloud(cfg.cloud, rng, spec.min_r))
-            spec.build(cfg, rng, col, events)
+            for case in spec.build(cfg, rng, col, events) or ():
+                col.add_case(*case)
         except RuntimeWarning as exc:
             raise ParameterError(f"arithmetic out of range: {exc}") from exc
     checks = col.finalize()

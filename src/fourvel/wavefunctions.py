@@ -24,7 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core4 import Event, NATURAL_UNITS, PhysicalConstants, _col, _zeros
+from .core4 import (Event, NATURAL_UNITS, PhysicalConstants, _col,
+                    _member_blocks, _zeros)
 from .errors import ParameterError, SingularPointError
 
 _SINGULAR_R = 1e-12
@@ -374,12 +375,9 @@ def _gaussian_polynomial_members(lin, b, a, c: float,
     lin0, lin1 = lin[..., 0], lin[..., 1:]
 
     def parts(e: Event):   # also the map from member blocks to the points
-        x = e.as_array()
-        rows = x.reshape(-1, 4)   # one Event is one row
-        if len(rows) % len(lin):
-            raise ParameterError(f"{len(rows)} points do not split into "
-                                 f"{len(lin)} equal blocks")
-        g = np.expand_dims(rows.reshape(len(lin), -1, 4), param_axes)
+        x = e.as_array()   # one Event is one row
+        g = np.expand_dims(_member_blocks(x.reshape(-1, 4), len(lin)),
+                           param_axes)
         d = g - b
         poly = lin0 + np.sum(lin1 * g, axis=-1)
         gauss = np.exp(-np.sum(a * d * d, axis=-1))

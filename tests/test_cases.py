@@ -1,0 +1,62 @@
+"""Cases of the cloud scenarios, rerun on part of their points.
+
+A stencil at one point never reads another base point, and a family member
+reads only its own block of points, so a case's make run on a subset of its
+points, or on the same rows of every member's block, must score those rows
+of the full run bit for bit.
+"""
+import numpy as np
+import pytest
+
+from fourvel import EventArray, config_from_dict
+from fourvel import runner
+from fourvel.core4 import _member_blocks
+
+# each kind of case: the single waves of four scenarios, and the families
+# of random spinors and of gauges, whose members' labels start with these
+FAMILIES = ("random-spinor-", "chi-")
+KINDS = {"plane-wave": "plane-wave", "kg-coulomb-1s": "kg-coulomb-1s",
+         "dirac-plane-wave": "dirac-plane-wave",
+         "dirac-coulomb-1s": "dirac-coulomb-1s",
+         "random-spinor-family": "dirac-plane-wave",
+         "gauge-family": "gauge-orbit"}
+
+
+def _scored(spec, mode, labels, points, make) -> dict:
+    """{(label, check): (magnitudes, mask)} as the runner collects them."""
+    col = runner._Collector(spec.checks, mode, {})
+    col.add_case(labels, points, make)
+    return {(label, check): (values, keep)
+            for label, _, _, columns in col.rows.blocks
+            for check, values, keep in columns}
+
+
+@pytest.mark.parametrize("mode", ["analytic", "central"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_case_rerun_on_a_subset_gives_its_rows(kind, mode):
+    scenario = KINDS[kind]
+    cfg = config_from_dict({"method": {"mode": mode}}, scenario)
+    spec = runner._SCENARIOS[scenario]
+    rng = np.random.default_rng(cfg.seed)
+    events = runner._build_cloud(cfg.cloud, rng, spec.min_r)
+    cases = [case for case in spec.build(
+        cfg, rng, runner._Collector(spec.checks, mode, {}), events)
+        if case[0][0].startswith(FAMILIES) == kind.endswith("family")]
+    assert cases
+    pick = np.random.default_rng(3)
+    for labels, points, make in cases:
+        blocks = _member_blocks(points, len(labels))
+        rows = np.sort(pick.choice(blocks.shape[1],
+                                   max(1, blocks.shape[1] // 3),
+                                   replace=False))
+        full = _scored(spec, mode, labels, points, make)
+        part = _scored(spec, mode, labels,
+                       EventArray(blocks[:, rows].reshape(-1, 4)), make)
+        assert part.keys() == {key for key, (_, keep) in full.items()
+                               if keep is None or keep[rows].any()}
+        for key, (values, keep) in part.items():
+            want, want_keep = full[key]
+            assert values.tobytes() == want[rows].tobytes()
+            assert (keep is None) == (want_keep is None)
+            if keep is not None:
+                assert np.array_equal(keep, want_keep[rows])

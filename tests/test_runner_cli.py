@@ -740,7 +740,7 @@ def test_reported_checks_are_the_records_tolerance_keys(scenario, mode):
     cfg = dataclasses.replace(cfg, method=DerivativeMethod(mode))
     report = run_scenario(cfg)
     assert ({c.name for c in report.checks}
-            == set(runner._SCENARIOS[scenario].tolerances))
+            == set(runner._SCENARIOS[scenario].checks))
 
 
 # ---------------------------------------------------------------------------

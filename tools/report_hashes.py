@@ -19,10 +19,10 @@ analytic mode), gauge counts, degrees and clouds that give several gauge
 blocks, one gauge in central mode or one gauge per block, boosted-line
 counts and speeds that fill one, part of or no whole family (one line, the
 speeds -0.0 and 0.0, nine lines, seven lines in other units, a line at
-rest), and integer or empty values whose echo in the report's
-config must not change (integer constants, step and tolerance, which the
-echo shows as floats, and integer cloud and fixture values, which it
-shows as given).
+rest), families of no spinors or no gauges, clouds of no events, and
+integer or empty values whose echo in the report's config must not change
+(integer constants, step and tolerance, which the echo shows as floats,
+and integer cloud and fixture values, which it shows as given).
 
     python tools/report_hashes.py --extra > hashes.txt
     python tools/report_hashes.py --extra --check hashes.txt
@@ -131,6 +131,16 @@ EXTRA_CONFIGS = [
     ("worldline-pierce", "c-2-seven-boosts",
      {"constants": {"c": 2.0}, "fixture": {"n_boosts": 7}}),
     ("worldline-pierce", "line-at-rest", {"fixture": {"line_v": [0, 0, 0]}}),
+    # the case loop's empty paths: a family of no members, and clouds of
+    # no events, where only dirac-plane-wave's random spinors give rows
+    ("dirac-plane-wave", "no-spinors", {"fixture": {"n_random_spinors": 0}}),
+    ("gauge-orbit", "no-gauges", {"fixture": {"n_gauges": 0}}),
+    ("plane-wave", "empty-events", {"cloud": {"kind": "events",
+                                              "events": []}}),
+    ("dirac-plane-wave", "empty-events", {"cloud": {"kind": "events",
+                                                    "events": []}}),
+    ("gauge-orbit", "empty-events", {"cloud": {"kind": "events",
+                                               "events": []}}),
 ]
 
 
