@@ -417,7 +417,8 @@ def _build_cloud(spec: dict, rng: np.random.Generator,
 
 def _worst(x, lead: int = 1) -> np.ndarray:
     """Largest |entry| of each point's value; x has lead point axes."""
-    return np.max(np.abs(x), axis=tuple(range(lead, np.ndim(x)))).ravel()
+    axes = tuple(range(lead, np.ndim(x)))   # none for a scalar per point
+    return (np.max(np.abs(x), axis=axes) if axes else np.abs(x)).ravel()
 
 
 def _eps_for(waves, events) -> float:

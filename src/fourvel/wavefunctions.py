@@ -14,7 +14,8 @@ Every evaluator takes one Event or a (K, 4) EventArray and works elementwise
 with numpy, so the central-difference engine can evaluate all its stencil
 points in one call; batch results carry a leading K axis. A spinor is a
 ScalarWave whose values carry its four components on one more axis after
-the point axis, so every evaluator of a spinor is one call as well.
+the point axis, so every evaluator of a spinor is one call as well. A
+closed-form fixture computes what its evaluators share once per call.
 """
 from __future__ import annotations
 
@@ -141,51 +142,6 @@ def plane_wave(p, constants: PhysicalConstants = NATURAL_UNITS) -> ScalarWave:
 # scalar (Klein-Gordon) Coulomb ground state
 # ---------------------------------------------------------------------------
 
-def _radial_wave(label: str, gamma: float, lam: float, E: float,
-                 constants: PhysicalConstants, params: dict) -> ScalarWave:
-    """r^(gamma-1) exp(-lambda r) exp(-i E t / hbar), the radial closed form
-    of the Coulomb ground states, with its grad4, laplace4 and hess4."""
-    hbar, c = constants.hbar, constants.c
-    g4 = -E / (hbar * c)  # dlog slot 3
-
-    def psi(e: Event) -> complex:
-        r = _radius(e)
-        return r ** (gamma - 1.0) * np.exp(-lam * r) * np.exp(
-            -1j * (E * e.t / hbar))
-
-    def grad4(e: Event) -> np.ndarray:
-        r = _radius(e)
-        value = psi(e)
-        lr = (gamma - 1.0) / r - lam  # radial log-derivative
-        out = _zeros(e, 4)
-        out[..., :3] = _col(lr) * e.spatial / _col(r) * _col(value)
-        out[..., 3] = g4 * value
-        return out
-
-    def laplace4(e: Event) -> complex:
-        r = _radius(e)
-        radial = (gamma * (gamma - 1.0) / r ** 2
-                  - 2.0 * lam * gamma / r + lam ** 2)
-        return (radial + (E / (hbar * c)) ** 2) * psi(e)
-
-    def hess4(e: Event) -> np.ndarray:
-        r = _radius(e)
-        value = psi(e)
-        n = e.spatial / _col(r)
-        lr = (gamma - 1.0) / r - lam
-        rpp = lr ** 2 - (gamma - 1.0) / r ** 2  # R''/R
-        out = _zeros(e, 4, 4)
-        out[..., :3, :3] = (_col(rpp, 2) * _outer(n, n)
-                            + _col(lr, 2) * (np.eye(3) - _outer(n, n))
-                            / _col(r, 2)) * _col(value, 2)
-        out[..., :3, 3] = _col(lr) * n * g4 * _col(value)
-        out[..., 3, :3] = out[..., :3, 3]
-        out[..., 3, 3] = g4 ** 2 * value
-        return out
-
-    return ScalarWave(label, psi, grad4, laplace4, hess4, E, params)
-
-
 def kg_coulomb_1s(z_alpha: float,
                   constants: PhysicalConstants = NATURAL_UNITS,
                   energy_scale: float = 1.0) -> ScalarWave:
@@ -213,10 +169,45 @@ def kg_coulomb_1s(z_alpha: float,
     E0 = m * c ** 2 / math.sqrt(1.0 + (z_alpha / gamma) ** 2)
     E = energy_scale * E0
     lam = E * z_alpha / (gamma * hbar * c)
-    return _radial_wave(f"kg-coulomb-1s za={z_alpha:g}", gamma, lam, E,
-                        constants,
-                        {"z_alpha": z_alpha, "gamma": gamma, "lambda": lam,
-                         "energy": E, "energy_scale": energy_scale})
+    g4 = -E / (hbar * c)  # dlog slot 3
+
+    def parts(e: Event):
+        """r and psi at each point."""
+        r = _radius(e)
+        return r, r ** (gamma - 1.0) * np.exp(-lam * r) * np.exp(
+            -1j * (E * e.t / hbar))
+
+    def grad4(e: Event) -> np.ndarray:
+        r, value = parts(e)
+        lr = (gamma - 1.0) / r - lam  # radial log-derivative R'/R
+        out = _zeros(e, 4)
+        out[..., :3] = _col(lr) * e.spatial / _col(r) * _col(value)
+        out[..., 3] = g4 * value
+        return out
+
+    def laplace4(e: Event) -> complex:
+        r, value = parts(e)
+        return (gamma * (gamma - 1.0) / r ** 2 - 2.0 * lam * gamma / r
+                + lam ** 2 + g4 ** 2) * value
+
+    def hess4(e: Event) -> np.ndarray:
+        r, value = parts(e)
+        n = e.spatial / _col(r)
+        lr = (gamma - 1.0) / r - lam
+        rpp = lr ** 2 - (gamma - 1.0) / r ** 2  # R''/R
+        out = _zeros(e, 4, 4)
+        out[..., :3, :3] = (_col(rpp, 2) * _outer(n, n)
+                            + _col(lr, 2) * (np.eye(3) - _outer(n, n))
+                            / _col(r, 2)) * _col(value, 2)
+        out[..., :3, 3] = _col(lr) * n * g4 * _col(value)
+        out[..., 3, :3] = out[..., :3, 3]
+        out[..., 3, 3] = g4 ** 2 * value
+        return out
+
+    return ScalarWave(f"kg-coulomb-1s za={z_alpha:g}", lambda e: parts(e)[1],
+                      grad4, laplace4, hess4, E,
+                      {"z_alpha": z_alpha, "gamma": gamma, "lambda": lam,
+                       "energy": E, "energy_scale": energy_scale})
 
 
 # ---------------------------------------------------------------------------
@@ -288,50 +279,48 @@ def dirac_coulomb_1s(z_alpha: float,
     lam = math.sqrt((m * c ** 2) ** 2 - E ** 2) / (hbar * c)
     ratio = lam * hbar * c / (E + m * c ** 2)
     g4 = -E / (hbar * c)
+    harm_grad = np.array([[0, 0, 1], [1, 1j, 0]], dtype=complex)
 
-    def tfac(e: Event) -> complex:
-        return np.exp(-1j * (E * e.t / hbar))
+    # components (G, 0, i ratio H x3, i ratio H (x1 + i x2)) T with
+    # G = r^(s-1) exp(-lam r), H = r^(s-2) exp(-lam r) and T the time factor;
+    # for a degree-1 solid harmonic Y, lap3(H Y) = Y H ((s-2)(s+1)/r^2
+    # - 2 lam s / r + lam^2)
+    def parts(e: Event):
+        """r, G T, i ratio H T and each small component's (Y, grad Y)."""
+        r = _radius(e)
+        decay = np.exp(-lam * r)
+        tf = np.exp(-1j * (E * e.t / hbar))
+        return (r, r ** (s - 1.0) * decay * tf,
+                1j * ratio * r ** (s - 2.0) * decay * tf,
+                tuple(zip((e.x3 + 0j, e.x1 + 1j * e.x2), harm_grad)))
 
-    # large component: G(r) = r^(s-1) exp(-lam r), pure radial
-    large = _radial_wave("dirac-coulomb-1s[0]", s, lam, E, constants, {})
-    zero = ScalarWave("dirac-coulomb-1s[1]", _zeros, lambda e: _zeros(e, 4),
-                      _zeros)
+    def psi(e: Event) -> np.ndarray:
+        _, large, small, harms = parts(e)
+        return np.stack([large, _zeros(e)] + [small * y for y, _ in harms],
+                        axis=-1)
 
-    # small components: i * ratio * H(r) * Y(x) with H(r) = r^(s-2) e^(-lam r)
-    # and Y a degree-1 solid harmonic (x3, or x1 + i x2). For those Y:
-    # lap3(H Y) = Y H ((s-2)(s+1)/r^2 - 2 lam s / r + lam^2).
-    def make_small(label: str, harm, harm_grad) -> ScalarWave:
-        def hfac(e: Event, r: float) -> complex:
-            return 1j * ratio * r ** (s - 2.0) * np.exp(-lam * r) * tfac(e)
+    def grad4(e: Event) -> np.ndarray:
+        r, large, small, harms = parts(e)
+        out = _zeros(e, 4, 4)
+        out[..., 0, :3] = (_col((s - 1.0) / r - lam) * e.spatial / _col(r)
+                           * _col(large))
+        out[..., 0, 3] = g4 * large
+        lh = (s - 2.0) / r - lam  # H'/H
+        for k, (y, dy) in enumerate(harms, 2):
+            out[..., k, :3] = _col(small) * (dy + _col(y * lh) * e.spatial
+                                             / _col(r))
+            out[..., k, 3] = g4 * small * y
+        return out
 
-        def psi_s(e: Event) -> complex:
-            r = _radius(e)
-            return hfac(e, r) * harm(e)
+    def laplace4(e: Event) -> np.ndarray:
+        r, large, small, harms = parts(e)
+        k_large, k_small = (a / r ** 2 - 2.0 * lam * s / r + lam ** 2 + g4 ** 2
+                            for a in (s * (s - 1.0), (s - 2.0) * (s + 1.0)))
+        return np.stack([k_large * large, _zeros(e)]
+                        + [k_small * small * y for y, _ in harms], axis=-1)
 
-        def grad_s(e: Event) -> np.ndarray:
-            r = _radius(e)
-            h = hfac(e, r)
-            lh = (s - 2.0) / r - lam  # H'/H
-            out = _zeros(e, 4)
-            out[..., :3] = _col(h) * (harm_grad(e) + _col(harm(e) * lh)
-                                      * e.spatial / _col(r))
-            out[..., 3] = g4 * h * harm(e)
-            return out
-
-        def lap_s(e: Event) -> complex:
-            r = _radius(e)
-            radial = ((s - 2.0) * (s + 1.0) / r ** 2
-                      - 2.0 * lam * s / r + lam ** 2)
-            return (radial + g4 ** 2) * hfac(e, r) * harm(e)
-
-        return ScalarWave(label, psi_s, grad_s, lap_s)
-
-    comp3 = make_small("dirac-coulomb-1s[2]", lambda e: e.x3 + 0j,
-                       lambda e: np.array([0, 0, 1], dtype=complex))
-    comp4 = make_small("dirac-coulomb-1s[3]", lambda e: e.x1 + 1j * e.x2,
-                       lambda e: np.array([1, 1j, 0], dtype=complex))
-    return spinor_from_components(
-        f"dirac-coulomb-1s za={z_alpha:g}", (large, zero, comp3, comp4), E,
+    return SpinorWave(
+        f"dirac-coulomb-1s za={z_alpha:g}", psi, grad4, laplace4, None, E,
         {"z_alpha": z_alpha, "s": s, "lambda": lam, "ratio": ratio,
          "energy": E})
 

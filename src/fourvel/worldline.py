@@ -43,8 +43,12 @@ class Worldline:
 
     def tangent4(self, lam: float) -> np.ndarray:
         """Tangent as a 4-vector, fourth slot i*c*dt/dlambda."""
-        v = np.asarray(self.velocity(lam), dtype=float)
-        return four_vector(v[0], v[1], v[2], 1j * self.c * v[3])
+        return _tangent4(np.asarray(self.velocity(lam), dtype=float), self.c)
+
+
+def _tangent4(v: np.ndarray, c: float) -> np.ndarray:
+    """The tangent 4-vector of the velocity v = (dx1, dx2, dx3, dt)/dlambda."""
+    return four_vector(v[0], v[1], v[2], 1j * c * v[3])
 
 
 def _lib(lam):
@@ -179,13 +183,17 @@ def _boost_family(w: Worldline, speeds: list) -> tuple:
 def classify_speed(w: Worldline, lam: float, *,
                    null_tol: float = _NULL_TOL) -> str:
     """'timelike' | 'null' | 'spacelike' from the tangent self-contraction."""
-    t4 = w.tangent4(lam)
+    return _speed_class(w.tangent4(lam), lam, null_tol)[0]
+
+
+def _speed_class(t4: np.ndarray, lam: float, null_tol: float = _NULL_TOL):
+    """classify_speed of the tangent t4 at lam, and t4's self-contraction."""
     if float(np.max(np.abs(t4))) < _CUSP_TOL:
         raise DegenerateParameterError(f"vanishing tangent at lambda = {lam}")
     s2 = contract(t4, t4).real
     if abs(s2) < null_tol:
-        return "null"
-    return "timelike" if s2 < 0 else "spacelike"
+        return "null", s2
+    return ("timelike" if s2 < 0 else "spacelike"), s2
 
 
 def four_velocity(w: Worldline, lam: float) -> np.ndarray:
@@ -297,13 +305,14 @@ def _pierce_members(members: list, t0: float, times: Callable, *,
 
         slope_tol = tangent_slope_tol * (step / cell or 1.0)
         points = []
-        for lam in sorted(roots):
-            cls = classify_speed(w, lam)
-            u = four_velocity(w, lam) if cls == "timelike" else None
-            slope = abs(float(np.asarray(w.velocity(lam), dtype=float)[3]))
+        for lam in sorted(roots):   # one tangent read per root
+            v = np.asarray(w.velocity(lam), dtype=float)
+            t4 = _tangent4(v, w.c)
+            cls, s2 = _speed_class(t4, lam)   # then four_velocity's u
+            u = t4 / (math.sqrt(-s2) / w.c) if cls == "timelike" else None
             points.append(PiercePoint(lam=lam, event=w.position(lam),
                                       classification=cls, u=u,
-                                      tangent=slope < slope_tol))
+                                      tangent=abs(float(v[3])) < slope_tol))
         found.append(points)
     return found
 

@@ -1,0 +1,171 @@
+"""Symbolic oracles for the Coulomb fixtures.
+
+sympy differentiates each fixture's defining formula (the docstrings of
+kg_coulomb_1s and dirac_coulomb_1s) with the coordinates and the fixture
+constants as symbols, and mpmath evaluates the result at 40 digits, with the
+constants re-derived from z_alpha, hbar, c and m at that precision. Slot 3
+is d/dx4 with x4 = i c t, so d_4 = d_t / (i c). The oracles share no code
+with the library: every evaluator must agree with its oracle to 1e-13 of
+its largest |entry| at the point, in natural units and in other units
+(where the c in the folded x4 shows), on and off the bound state.
+
+See code verification by manufactured solutions: Salari & Knupp, Sandia
+report SAND2000-1444 (2000); for SymPy, Meurer et al., PeerJ Comput. Sci.
+3 (2017) e103.
+"""
+import mpmath
+import numpy as np
+import pytest
+import sympy as sp
+
+from fourvel import (Event, EventArray, NATURAL_UNITS, PhysicalConstants,
+                     dirac_coulomb_1s, kg_coulomb_1s)
+
+UNITS = PhysicalConstants(hbar=1.3, c=1.7, m=0.8, q=-0.6)
+DIGITS = 40
+REL_TOL = 1e-13
+ZA = 0.4   # both Coulomb scenarios' default coupling
+
+X = sp.symbols("x1 x2 x3 t", real=True)
+# P is the radial exponent: gamma of the KG state, s of the Dirac one
+HBAR, C, LAM, E, P = sp.symbols("hbar c lambda E p", positive=True)
+R = sp.sqrt(X[0] ** 2 + X[1] ** 2 + X[2] ** 2)
+T = sp.exp(-sp.I * E * X[3] / HBAR)   # the time factor
+
+
+def _d(f, mu: int):
+    """d/dx_mu of f, slot 3 folded: d_4 = d_t / (i c)."""
+    return sp.diff(f, X[mu]) / (sp.I * C) if mu == 3 else sp.diff(f, X[mu])
+
+
+def _lambdify(exprs, extra):
+    """One mpmath function of the coordinates, hbar, c and the fixture
+    constants extra, giving the flat list exprs."""
+    return sp.lambdify((*X, HBAR, C, *extra), exprs, modules="mpmath",
+                       cse=True)
+
+
+def _points(count: int = 6, seed: int = 11) -> np.ndarray:
+    """Events at 0.25 <= r <= 3 and |t| <= 2."""
+    rng = np.random.default_rng(seed)
+    n = rng.normal(size=(count, 3))
+    n *= (rng.uniform(0.25, 3.0, count) / np.linalg.norm(n, axis=1))[:, None]
+    return np.column_stack([n, rng.uniform(-2.0, 2.0, count)])
+
+
+POINTS = _points()
+
+
+def _evaluate(fn, consts, params) -> np.ndarray:
+    """fn at every point of POINTS at DIGITS digits, rounded to complex."""
+    with mpmath.workdps(DIGITS):
+        k = [mpmath.mpf(consts.hbar), mpmath.mpf(consts.c)]
+        rows = [fn(*map(mpmath.mpf, p), *k, *params(consts)) for p in POINTS]
+        return np.array([[complex(v) for v in row] for row in rows])
+
+
+def _assert_close(got, want, what: str) -> None:
+    """got within REL_TOL of want's largest |entry|, point by point."""
+    got = np.asarray(got).reshape(len(want), -1)
+    want = want.reshape(len(want), -1)
+    scale = np.max(np.abs(want), axis=1)
+    err = np.max(np.abs(got - want), axis=1) / scale
+    assert np.all(scale > 0) and np.max(err) < REL_TOL, (what, err)
+
+
+def _check(wave, oracle, shapes) -> None:
+    """Each evaluator of wave on the POINTS batch and on one Event against
+    its columns of the oracle table."""
+    start = 0
+    for name, shape in shapes:
+        size = int(np.prod(shape))
+        want = oracle[:, start:start + size]
+        start += size
+        f = getattr(wave, name)
+        _assert_close(f(EventArray(POINTS)), want, (wave.label, name))
+        _assert_close(f(Event(*map(float, POINTS[0]))), want[:1],
+                      (wave.label, name, "Event"))
+    assert start == oracle.shape[1]
+
+
+# ---------------------------------------------------------------------------
+# kg_coulomb_1s: psi = r^(gamma-1) exp(-lambda r) exp(-i E t / hbar)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def kg_oracle():
+    """psi, grad4, laplace4 and hess4, flat, as one function."""
+    gamma = P
+    psi = R ** (gamma - 1) * sp.exp(-LAM * R) * T
+    grad = [_d(psi, mu) for mu in range(4)]
+    hess = [_d(g, nu) for g in grad for nu in range(4)]
+    lap = sum(hess[5 * mu] for mu in range(4))
+    return _lambdify([psi, *grad, lap, *hess], (P, LAM, E))
+
+
+def _kg_params(energy_scale: float):
+    """gamma, lambda and E of kg_coulomb_1s's docstring at DIGITS digits."""
+    def params(consts):
+        za, hbar, c, m = (mpmath.mpf(v) for v in (
+            ZA, consts.hbar, consts.c, consts.m))
+        gamma = (1 + mpmath.sqrt(1 - 4 * za ** 2)) / 2
+        energy = (mpmath.mpf(energy_scale) * m * c ** 2
+                  / mpmath.sqrt(1 + (za / gamma) ** 2))
+        return gamma, energy * za / (gamma * hbar * c), energy
+    return params
+
+
+@pytest.mark.parametrize("consts", [NATURAL_UNITS, UNITS],
+                         ids=["natural", "units"])
+@pytest.mark.parametrize("energy_scale", [1.0, 1.05])
+def test_kg_coulomb_1s_matches_sympy(kg_oracle, consts, energy_scale):
+    wave = kg_coulomb_1s(ZA, consts, energy_scale)
+    oracle = _evaluate(kg_oracle, consts, _kg_params(energy_scale))
+    _check(wave, oracle, [("psi", ()), ("grad4", (4,)), ("laplace4", ()),
+                          ("hess4", (4, 4))])
+
+
+# ---------------------------------------------------------------------------
+# dirac_coulomb_1s: (G, 0, i ratio H x3, i ratio H (x1 + i x2)) exp(-i E t /
+# hbar), G = r^(s-1) exp(-lambda r), H = r^(s-2) exp(-lambda r)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def dirac_oracle():
+    """psi, grad4 and laplace4, flat, as one function."""
+    s, ratio = P, sp.Symbol("ratio", positive=True)
+    decay = sp.exp(-LAM * R)
+    small = sp.I * ratio * R ** (s - 2) * decay * T
+    psi = [R ** (s - 1) * decay * T, sp.Integer(0),
+           small * X[2], small * (X[0] + sp.I * X[1])]
+    grad = [_d(comp, mu) for comp in psi for mu in range(4)]
+    lap = [sum(_d(_d(comp, mu), mu) for mu in range(4)) for comp in psi]
+    return _lambdify([*psi, *grad, *lap], (P, ratio, LAM, E))
+
+
+def _dirac_params(energy):
+    """s, ratio, lambda and E of dirac_coulomb_1s's docstring at DIGITS
+    digits; energy None is the bound state E = m c^2 sqrt(1 - z_alpha^2)."""
+    def params(consts):
+        za, hbar, c, m = (mpmath.mpf(v) for v in (
+            ZA, consts.hbar, consts.c, consts.m))
+        s = mpmath.sqrt(1 - za ** 2)
+        e = s * m * c ** 2 if energy is None else mpmath.mpf(energy)
+        lam = mpmath.sqrt((m * c ** 2) ** 2 - e ** 2) / (hbar * c)
+        return s, lam * hbar * c / (e + m * c ** 2), lam, e
+    return params
+
+
+@pytest.mark.parametrize("consts, trial", [(NATURAL_UNITS, 0.9),
+                                           (UNITS, 2.0)],
+                         ids=["natural", "units"])
+@pytest.mark.parametrize("at_bound_state", [True, False],
+                         ids=["bound", "trial"])
+def test_dirac_coulomb_1s_matches_sympy(dirac_oracle, consts, trial,
+                                        at_bound_state):
+    energy = None if at_bound_state else trial
+    wave = dirac_coulomb_1s(ZA, consts, energy)
+    oracle = _evaluate(dirac_oracle, consts, _dirac_params(energy))
+    assert wave.hess4 is None
+    _check(wave, oracle, [("psi", (4,)), ("grad4", (4, 4)),
+                          ("laplace4", (4,))])

@@ -90,12 +90,16 @@ EXTRA_CONFIGS = [
      {"method": {"mode": "analytic"}, "constants": UNITS}),
     ("gauge-orbit", "central-units",
      {"method": {"mode": "central"}, "constants": UNITS}),
-    # the scalar residual chain off shell (exit 1, real magnitudes), with
+    # the residual chains off shell (exit 1, real magnitudes), with
     # Richardson stencils and in other units
     ("kg-coulomb-1s", "off-shell-analytic",
      {"fixture": {"energy_scale": 1.05}, "method": {"mode": "analytic"}}),
     ("kg-coulomb-1s", "off-shell-central",
      {"fixture": {"energy_scale": 1.05}, "method": {"mode": "central"}}),
+    ("kg-coulomb-1s", "off-shell-units",
+     {"fixture": {"energy_scale": 1.05}, "constants": UNITS}),
+    ("dirac-coulomb-1s", "energy-units",
+     {"fixture": {"energy": 2.0}, "constants": UNITS}),
     ("plane-wave", "central-richardson",
      {"method": {"mode": "central", "richardson": True}}),
     ("kg-coulomb-1s", "central-richardson",
