@@ -459,7 +459,10 @@ def test_report_hashes_extra_configs(capsys):
     tool = _hash_tool()
     assert tool.main(["--scenario", "clifford", "--extra"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # the default reports, then the perturbed gammas, which fail (exit 1)
+    # the default reports, then the perturbed gammas, which fail (exit 1),
+    # and a run without random momenta
     assert [line.split()[1:] for line in lines[6:]] == [
-        ["1", "clifford", "gamma-scale-1.001", fmt] for fmt in ("json", "csv")]
+        [code, "clifford", name, fmt]
+        for code, name in (("1", "gamma-scale-1.001"), ("0", "no-random-p"))
+        for fmt in ("json", "csv")]
     assert lines[6].split()[0] != lines[0].split()[0]

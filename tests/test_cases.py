@@ -1,4 +1,5 @@
-"""Cases of the cloud scenarios, rerun on part of their points.
+"""Cases of the scenarios: their shape, and the cloud scenarios' cases
+rerun on part of their points.
 
 A stencil at one point never reads another base point, and a family member
 reads only its own block of points, so a case's make run on a subset of its
@@ -11,6 +12,7 @@ import pytest
 from fourvel import EventArray, config_from_dict
 from fourvel import runner
 from fourvel.core4 import _member_blocks
+from fourvel.velocityfield import _Chain
 
 # each kind of case: the single waves of four scenarios, and the families
 # of random spinors and of gauges, whose members' labels start with these
@@ -27,7 +29,7 @@ def _scored(spec, mode, labels, points, make) -> dict:
     col = runner._Collector(spec.checks, mode, {})
     col.add_case(labels, points, make)
     return {(label, check): (values, keep)
-            for label, _, _, columns in col.rows.blocks
+            for label, _, columns in col.rows.blocks
             for check, values, keep in columns}
 
 
@@ -39,9 +41,8 @@ def test_a_case_rerun_on_a_subset_gives_its_rows(kind, mode):
     spec = runner._SCENARIOS[scenario]
     rng = np.random.default_rng(cfg.seed)
     events = runner._build_cloud(cfg.cloud, rng, spec.min_r)
-    cases = [case for case in spec.build(
-        cfg, rng, runner._Collector(spec.checks, mode, {}), events)
-        if case[0][0].startswith(FAMILIES) == kind.endswith("family")]
+    cases = [case for case in spec.build(cfg, rng, events)
+             if case[0][0].startswith(FAMILIES) == kind.endswith("family")]
     assert cases
     pick = np.random.default_rng(3)
     for labels, points, make in cases:
@@ -60,3 +61,24 @@ def test_a_case_rerun_on_a_subset_gives_its_rows(kind, mode):
             assert (keep is None) == (want_keep is None)
             if keep is not None:
                 assert np.array_equal(keep, want_keep[rows])
+
+
+@pytest.mark.parametrize("mode", ["analytic", "central"])
+@pytest.mark.parametrize("scenario", runner.list_scenarios())
+def test_every_case_is_labels_points_and_a_make(scenario, mode):
+    # each member takes an equal block of points, and make gives a chain,
+    # which the readers read, or check values by the names of the table
+    cfg = config_from_dict({"method": {"mode": mode}}, scenario)
+    spec = runner._SCENARIOS[scenario]
+    rng = np.random.default_rng(cfg.seed)
+    events = (None if spec.cloud is None
+              else runner._build_cloud(cfg.cloud, rng, spec.min_r))
+    cases = list(spec.build(cfg, rng, events))
+    assert cases
+    for case in cases:
+        assert type(case) is tuple and len(case) == 3
+        labels, points, make = case
+        assert labels and len(points) % len(labels) == 0
+        made = make(points)
+        assert (made.keys() <= spec.checks.keys() if type(made) is dict
+                else isinstance(made, _Chain))

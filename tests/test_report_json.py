@@ -102,20 +102,22 @@ EDGE_ROWS = (
     _row(case="ψ-κ ünïcode", check="quote \" and backslash \\"),
     _row(case="new\nline\ttab\rreturn", check="ctl \x00\x01\x1f\x7f"),
     _row(case="astral \U0001f600", check="rows\": []"),
-    _row(case="", check="", index=12345678901234567890),
+    _row(case="", check=""),
     _row(case="comma, here", check="a \"quoted\" label"),
     _row(case="", check="comma,"),
 )
 
 
 def _collected(rows):
-    """rows as the collector holds them: one single-row block each (an
-    Event refuses the non-finite coordinates, an array does not)."""
-    col = _Collector({}, "analytic", {})
+    """rows as the collector holds them: one single-row block each, whose
+    magnitude keeps its sign (the collector's is an absolute value)."""
+    collected = runner._Rows()
     for r in rows:
-        col.add_cloud(r["case"], [[r["x1"], r["x2"], r["x3"], r["t"]]],
-                      [(r["check"], [r["magnitude"]])], r["index"])
-    return col.rows
+        collected.blocks.append((
+            r["case"], np.array([[r["x1"], r["x2"], r["x3"], r["t"]]]),
+            [(r["check"], np.array([r["magnitude"]]), None)]))
+        collected.count += 1
+    return collected
 
 
 def _synthetic(rows, *, timestamp=None, config=None) -> ResidualReport:
@@ -175,6 +177,7 @@ def test_config_text_that_looks_like_the_rows_key(rows):
 # ---------------------------------------------------------------------------
 
 NAMES = ("alpha", "beta", "gamma", "δ, \"quoted\"")
+CHECKS = NAMES + ("late", "early")   # the collector's table order
 MAGNITUDES = (0.0, -0.0, math.nan, math.inf, -math.inf, 2.220446049250313e-16,
               0.1 + 0.2, 5e-324, 1e300, 123456789.0)
 COORDINATES = (0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, -1.25, 1e-300)
@@ -189,20 +192,20 @@ def _points(rng, k):
 
 
 def _random_blocks(rng, n=12):
-    """(case, start, points, [(check, magnitudes, present or None)]) blocks
-    with missing samples, signed zeros, NaN and infinities in magnitudes and
-    coordinates, one points array in several blocks, equal points in
-    different arrays and repeated magnitudes. The fixed first blocks: a
-    check whose first sample comes after another's, an empty cloud, and a
-    column with no sample at all."""
+    """(case, points, [(check, magnitudes, present or None)]) blocks, the
+    checks in CHECKS order, with missing samples, signed zeros, NaN and
+    infinities in magnitudes and coordinates, one points array in several
+    blocks, equal points in different arrays and repeated magnitudes. The
+    fixed first blocks: a check whose first sample comes after another's,
+    an empty cloud, and a column with no sample at all."""
     shared = _points(rng, 5)
     blocks = [
-        ("order", 0, shared[:2], [("late", np.array([1.0, 2.0]),
-                                   np.array([False, True])),
-                                  ("early", np.array([-0.0, 0.0]), None)]),
-        ("empty", 0, np.empty((0, 4)), [("alpha", np.empty(0), None)]),
-        ("absent", 3, shared, [("beta", np.ones(5), np.zeros(5, bool)),
-                               ("gamma", np.full(5, -0.0), None)]),
+        ("order", shared[:2], [("late", np.array([1.0, 2.0]),
+                                np.array([False, True])),
+                               ("early", np.array([-0.0, 0.0]), None)]),
+        ("empty", np.empty((0, 4)), [("alpha", np.empty(0), None)]),
+        ("absent", shared, [("beta", np.ones(5), np.zeros(5, bool)),
+                            ("gamma", np.full(5, -0.0), None)]),
     ]
     for b in range(n):
         pick = rng.integers(3)
@@ -210,42 +213,41 @@ def _random_blocks(rng, n=12):
                   else _points(rng, int(rng.integers(0, 6))))
         k = len(points)
         columns = []
-        for check in rng.choice(NAMES, size=rng.integers(1, 4),
-                                replace=False):
+        for check in sorted(rng.choice(NAMES, size=rng.integers(1, 4),
+                                       replace=False), key=CHECKS.index):
             mags = rng.choice(MAGNITUDES, size=k)
             fresh = rng.random(k) < 0.3
             mags[fresh] = rng.normal(size=np.count_nonzero(fresh))
             present = rng.random(k) < 0.7 if rng.random() < 0.5 else None
             columns.append((str(check), mags, present))
-        blocks.append((f"case-{b % 4}", int(rng.integers(0, 3)) * 10,
-                       points, columns))
+        blocks.append((f"case-{b % 4}", points, columns))
     return blocks
 
 
 def _oracle_rows(blocks) -> list:
-    """Each block's rows, event-major and check-minor, one dict at a time."""
+    """Each block's rows, event-major and check-minor, one dict at a time,
+    a magnitude the absolute value of the one given."""
     rows = []
-    for case, start, points, columns in blocks:
+    for case, points, columns in blocks:
         for i in range(len(points)):
             x1, x2, x3, t = (float(v) for v in points[i])
             for check, mags, present in columns:
                 if present is None or present[i]:
                     rows.append({"case": case, "check": check,
-                                 "index": start + i, "x1": x1, "x2": x2,
+                                 "index": i, "x1": x1, "x2": x2,
                                  "x3": x3, "t": t,
-                                 "magnitude": float(mags[i])})
+                                 "magnitude": abs(float(mags[i]))})
     return rows
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_random_blocks_match_the_oracles(seed):
     blocks = _random_blocks(np.random.default_rng(seed))
-    col = _Collector({name: (1.0, 1.0) for name in
-                      NAMES + ("late", "early")}, "analytic", {})
-    for case, start, points, columns in blocks:
-        col.add_cloud(case, points, [
-            (check, mags) if present is None else (check, mags, present)
-            for check, mags, present in columns], start)
+    col = _Collector(dict.fromkeys(CHECKS, (1.0, 1.0, None)), "analytic", {})
+    for case, points, columns in blocks:
+        col.add_case([case], points, lambda _, columns=columns: {
+            check: mags if present is None else (mags, present)
+            for check, mags, present in columns})
     checks = col.finalize()
     report = ResidualReport(
         scenario="random blocks", config={"seed": seed}, checks=checks,
@@ -290,14 +292,14 @@ def test_l2_sums_the_squares_in_row_order():
     # summation (Python 3.12 on) would give it; one row per magnitude
     mags = np.random.default_rng(0).lognormal(0.0, 3.0, 4000)
     assert math.fsum(mags * mags) != _squares_in_order(mags.tolist())
-    col = _Collector({"chk": (None, None)}, "analytic", {})
-    col.add_cloud("case", np.zeros((len(mags), 4)), [("chk", mags)])
+    col = _Collector({"chk": (None, None, None)}, "analytic", {})
+    col.add_case(["case"], np.zeros((len(mags), 4)), lambda _: {"chk": mags})
     (chk,) = col.finalize()
     assert (chk.count, chk.linf, chk.l2) == (4000, max(mags),
                                              _l2_oracle(mags.tolist()))
     # a magnitude whose square overflows gives an infinite l2, silently
-    col = _Collector({"chk": (None, None)}, "analytic", {})
-    col.add_cloud("case", np.zeros((2, 4)), [("chk", [1e200, 1.0])])
+    col = _Collector({"chk": (None, None, None)}, "analytic", {})
+    col.add_case(["case"], np.zeros((2, 4)), lambda _: {"chk": [1e200, 1.0]})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         (chk,) = col.finalize()

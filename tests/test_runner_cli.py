@@ -160,18 +160,17 @@ def test_a_nan_magnitude_fails_its_check_wherever_it_lies():
     e = runner._ORIGIN
     for mags in ([0.0, float("nan"), 1e-20], [float("nan"), 0.0],
                  [1e-20, 0.0, float("nan")]):
-        col = runner._Collector({"chk": (1e-12, 1e-12),
-                                 "info": (None, None)}, "analytic", {})
-        for i, m in enumerate(mags):
-            col.add("chk", "case", i, e, m)
-            col.add("info", "case", i, e, m)
+        col = runner._Collector({"chk": (1e-12, 1e-12, None),
+                                 "info": (None, None, None)}, "analytic", {})
+        for m in mags:
+            col.add_case(*runner._one("case", e, chk=m, info=m))
         chk, info = col.finalize()
         assert math.isnan(chk.linf) and not chk.passed
         # a check without a tolerance stays informational
         assert math.isnan(info.linf) and info.passed
-    col = runner._Collector({"chk": (1e-12, 1e-12)}, "analytic", {})
-    col.add("chk", "case", 0, e, 0.0)
-    col.add("chk", "case", 1, e, float("inf"))
+    col = runner._Collector({"chk": (1e-12, 1e-12, None)}, "analytic", {})
+    col.add_case(*runner._one("case", e, chk=0.0))
+    col.add_case(*runner._one("case", e, chk=float("inf")))
     assert col.finalize()[0].linf == float("inf")
 
 
@@ -613,7 +612,7 @@ def test_si_constants_are_still_accepted():
                                    SingularPointError])
 def test_toolkit_errors_raised_by_a_scenario_exit_two(monkeypatch, capsys,
                                                       error):
-    def broken(cfg, rng, col, events):
+    def broken(cfg, rng, events):
         raise error("raised while building the scenario")
 
     spec = dataclasses.replace(runner._SCENARIOS["clifford"], build=broken)

@@ -1,13 +1,15 @@
-"""Symbolic oracles for the Coulomb fixtures.
+"""Symbolic oracles for the fixtures and fields.
 
-sympy differentiates each fixture's defining formula (the docstrings of
-kg_coulomb_1s and dirac_coulomb_1s) with the coordinates and the fixture
-constants as symbols, and mpmath evaluates the result at 40 digits, with the
-constants re-derived from z_alpha, hbar, c and m at that precision. Slot 3
-is d/dx4 with x4 = i c t, so d_4 = d_t / (i c). The oracles share no code
-with the library: every evaluator must agree with its oracle to 1e-13 of
-its largest |entry| at the point, in natural units and in other units
-(where the c in the folded x4 shows), on and off the bound state.
+sympy differentiates each fixture's or field's defining formula (the
+docstrings of plane_wave, kg_coulomb_1s, dirac_plane_wave, dirac_coulomb_1s,
+polynomial_gauge, coulomb_potential and gauge_transform) with the
+coordinates and the constants as symbols, and mpmath evaluates the result at
+40 digits, with the constants re-derived from the momentum, z_alpha, hbar, c,
+m and q at that precision. Slot 3 is d/dx4 with x4 = i c t, so d_4 = d_t /
+(i c). The oracles share no code with the library: every evaluator must
+agree with its oracle to 1e-13 of its largest |entry| at the point, in
+natural units and in other units (where the c in the folded x4 shows), and
+the Coulomb states on and off the bound state.
 
 See code verification by manufactured solutions: Salari & Knupp, Sandia
 report SAND2000-1444 (2000); for SymPy, Meurer et al., PeerJ Comput. Sci.
@@ -19,7 +21,9 @@ import pytest
 import sympy as sp
 
 from fourvel import (Event, EventArray, NATURAL_UNITS, PhysicalConstants,
-                     dirac_coulomb_1s, kg_coulomb_1s)
+                     coulomb_potential, dirac_coulomb_1s, dirac_plane_wave,
+                     gauge_transform, kg_coulomb_1s, plane_wave,
+                     polynomial_gauge, zero_potential)
 
 UNITS = PhysicalConstants(hbar=1.3, c=1.7, m=0.8, q=-0.6)
 DIGITS = 40
@@ -36,6 +40,13 @@ T = sp.exp(-sp.I * E * X[3] / HBAR)   # the time factor
 def _d(f, mu: int):
     """d/dx_mu of f, slot 3 folded: d_4 = d_t / (i c)."""
     return sp.diff(f, X[mu]) / (sp.I * C) if mu == 3 else sp.diff(f, X[mu])
+
+
+def _second_order(psi) -> list:
+    """psi, its grad4, laplace4 and hess4, flat."""
+    grad = [_d(psi, mu) for mu in range(4)]
+    hess = [_d(g, nu) for g in grad for nu in range(4)]
+    return [psi, *grad, sum(hess[5 * mu] for mu in range(4)), *hess]
 
 
 def _lambdify(exprs, extra):
@@ -73,18 +84,21 @@ def _assert_close(got, want, what: str) -> None:
     assert np.all(scale > 0) and np.max(err) < REL_TOL, (what, err)
 
 
-def _check(wave, oracle, shapes) -> None:
+SCALAR = [("psi", ()), ("grad4", (4,)), ("laplace4", ()), ("hess4", (4, 4))]
+
+
+def _check(wave, oracle, shapes, label=None) -> None:
     """Each evaluator of wave on the POINTS batch and on one Event against
     its columns of the oracle table."""
-    start = 0
+    label, start = label or wave.label, 0
     for name, shape in shapes:
         size = int(np.prod(shape))
         want = oracle[:, start:start + size]
         start += size
         f = getattr(wave, name)
-        _assert_close(f(EventArray(POINTS)), want, (wave.label, name))
+        _assert_close(f(EventArray(POINTS)), want, (label, name))
         _assert_close(f(Event(*map(float, POINTS[0]))), want[:1],
-                      (wave.label, name, "Event"))
+                      (label, name, "Event"))
     assert start == oracle.shape[1]
 
 
@@ -95,12 +109,8 @@ def _check(wave, oracle, shapes) -> None:
 @pytest.fixture(scope="module")
 def kg_oracle():
     """psi, grad4, laplace4 and hess4, flat, as one function."""
-    gamma = P
-    psi = R ** (gamma - 1) * sp.exp(-LAM * R) * T
-    grad = [_d(psi, mu) for mu in range(4)]
-    hess = [_d(g, nu) for g in grad for nu in range(4)]
-    lap = sum(hess[5 * mu] for mu in range(4))
-    return _lambdify([psi, *grad, lap, *hess], (P, LAM, E))
+    return _lambdify(_second_order(R ** (P - 1) * sp.exp(-LAM * R) * T),
+                     (P, LAM, E))
 
 
 def _kg_params(energy_scale: float):
@@ -121,8 +131,7 @@ def _kg_params(energy_scale: float):
 def test_kg_coulomb_1s_matches_sympy(kg_oracle, consts, energy_scale):
     wave = kg_coulomb_1s(ZA, consts, energy_scale)
     oracle = _evaluate(kg_oracle, consts, _kg_params(energy_scale))
-    _check(wave, oracle, [("psi", ()), ("grad4", (4,)), ("laplace4", ()),
-                          ("hess4", (4, 4))])
+    _check(wave, oracle, SCALAR)
 
 
 # ---------------------------------------------------------------------------
@@ -169,3 +178,127 @@ def test_dirac_coulomb_1s_matches_sympy(dirac_oracle, consts, trial,
     assert wave.hess4 is None
     _check(wave, oracle, [("psi", (4,)), ("grad4", (4, 4)),
                           ("laplace4", (4,))])
+
+
+# ---------------------------------------------------------------------------
+# plane_wave: exp(i(p.x - E t)/hbar), E = sqrt(p.p c^2 + m^2 c^4);
+# dirac_plane_wave: upper chi, lower c (sigma.p) chi / (E + m c^2), times the
+# same phase
+# ---------------------------------------------------------------------------
+
+MOMENTUM = (0.7, -0.4, 0.25)
+PV = sp.symbols("p1 p2 p3", real=True)
+M = sp.Symbol("m", positive=True)
+Q = sp.Symbol("q", real=True)
+PLANE = (*PV, E, M, Q)   # the constants of every plane-wave form
+PHASE = sp.exp(sp.I * (sum(p * x for p, x in zip(PV, X)) - E * X[3]) / HBAR)
+
+
+def _plane_params(consts):
+    """p, E, m and q at DIGITS digits."""
+    p = [mpmath.mpf(v) for v in MOMENTUM]
+    c, m = mpmath.mpf(consts.c), mpmath.mpf(consts.m)
+    energy = mpmath.sqrt(sum(v * v for v in p) * c ** 2 + (m * c ** 2) ** 2)
+    return (*p, energy, m, mpmath.mpf(consts.q))
+
+
+def _spinor(comps) -> list:
+    """_second_order of each component in the spinor layout: psi [k],
+    grad4 [k, mu], laplace4 [k], hess4 [k, mu, nu]."""
+    forms = [_second_order(comp) for comp in comps]
+    return [x for a, b in ((0, 1), (1, 5), (5, 6), (6, 22))
+            for form in forms for x in form[a:b]]
+
+
+@pytest.fixture(scope="module")
+def plane_oracles():
+    """The plane wave's and each spin's Dirac plane wave's forms."""
+    sigma_p = sp.Matrix([[PV[2], PV[0] - sp.I * PV[1]],
+                         [PV[0] + sp.I * PV[1], -PV[2]]])
+    oracles = {"scalar": _lambdify(_second_order(PHASE), PLANE)}
+    for spin, chi in (("up", [1, 0]), ("down", [0, 1])):
+        lower = C * sigma_p * sp.Matrix(chi) / (E + M * C ** 2)
+        oracles[spin] = _lambdify(
+            _spinor([w * PHASE for w in [*chi, *lower]]), PLANE)
+    return oracles
+
+
+@pytest.mark.parametrize("consts", [NATURAL_UNITS, UNITS],
+                         ids=["natural", "units"])
+def test_plane_wave_matches_sympy(plane_oracles, consts):
+    oracle = _evaluate(plane_oracles["scalar"], consts, _plane_params)
+    _check(plane_wave(MOMENTUM, consts), oracle, SCALAR)
+
+
+@pytest.mark.parametrize("consts", [NATURAL_UNITS, UNITS],
+                         ids=["natural", "units"])
+@pytest.mark.parametrize("spin", ["up", "down"])
+def test_dirac_plane_wave_matches_sympy(plane_oracles, consts, spin):
+    oracle = _evaluate(plane_oracles[spin], consts, _plane_params)
+    _check(dirac_plane_wave(MOMENTUM, spin, consts), oracle,
+           [("psi", (4,)), ("grad4", (4, 4)), ("laplace4", (4,)),
+            ("hess4", (4, 4, 4))])
+
+
+# ---------------------------------------------------------------------------
+# polynomial_gauge: chi = sum of coeff x1^n1 x2^n2 x3^n3 t^nt, real; its
+# gauge_transform of the plane wave: psi exp(i q chi / hbar)
+# ---------------------------------------------------------------------------
+
+# degree 2, with t^2 and x1 t terms, so that the 1/(i c) fold shows in
+# grad4 and in both the mixed and the pure t slots of hess4
+GAUGE = {(0, 0, 0, 0): 0.3, (1, 0, 0, 0): -0.7, (0, 1, 0, 0): 0.2,
+         (0, 0, 1, 0): 0.45, (0, 0, 0, 1): 1.1, (2, 0, 0, 0): 0.25,
+         (0, 1, 1, 0): -0.35, (1, 0, 0, 1): 0.9, (0, 0, 0, 2): -0.6}
+# each coefficient as the exact rational its float64 holds
+CHI = sum(sp.Rational(co) * sp.Mul(*(x ** n for x, n in zip(X, ex)))
+          for ex, co in GAUGE.items())
+
+
+@pytest.fixture(scope="module")
+def gauge_oracles():
+    """chi's forms, and those of the plane wave it transforms."""
+    return (_lambdify(_second_order(CHI), ()),
+            _lambdify(_second_order(PHASE * sp.exp(sp.I * Q * CHI / HBAR)),
+                      PLANE))
+
+
+@pytest.mark.parametrize("consts", [NATURAL_UNITS, UNITS],
+                         ids=["natural", "units"])
+def test_polynomial_gauge_matches_sympy(gauge_oracles, consts):
+    oracle = _evaluate(gauge_oracles[0], consts, lambda consts: ())
+    _check(polynomial_gauge(GAUGE, consts.c), oracle,
+           [("chi", ())] + SCALAR[1:], "polynomial gauge")
+
+
+@pytest.mark.parametrize("consts", [NATURAL_UNITS, UNITS],
+                         ids=["natural", "units"])
+def test_gauge_transform_of_a_plane_wave_matches_sympy(gauge_oracles,
+                                                       consts):
+    _, wave = gauge_transform(zero_potential(), plane_wave(MOMENTUM, consts),
+                              polynomial_gauge(GAUGE, consts.c), consts)
+    oracle = _evaluate(gauge_oracles[1], consts, _plane_params)
+    _check(wave, oracle, SCALAR)
+
+
+# ---------------------------------------------------------------------------
+# coulomb_potential: A = (0, 0, 0, i k / r), k = -z_alpha hbar / q; grad
+# [mu, nu] = d_mu A_nu
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def coulomb_oracle():
+    """a and grad, flat, as one function."""
+    k = sp.Symbol("k", real=True)
+    a = [sp.Integer(0)] * 3 + [sp.I * k / R]
+    return _lambdify([*a, *(_d(a[nu], mu) for mu in range(4)
+                            for nu in range(4))], (k,))
+
+
+@pytest.mark.parametrize("consts", [NATURAL_UNITS, UNITS],
+                         ids=["natural", "units"])
+def test_coulomb_potential_matches_sympy(coulomb_oracle, consts):
+    oracle = _evaluate(coulomb_oracle, consts, lambda consts: (
+        -mpmath.mpf(ZA) * mpmath.mpf(consts.hbar) / mpmath.mpf(consts.q),))
+    _check(coulomb_potential(ZA, consts), oracle,
+           [("a", (4,)), ("grad", (4, 4))], "coulomb potential")

@@ -118,6 +118,23 @@ def test_monotone_line_has_single_pierce_under_any_boost():
         assert pts[0].classification == "timelike"
 
 
+# line velocities in units of c, up to |v| = c: at rest, the worldline
+# scenario's default, others along and across x1, and lightlike ones
+LINE_VS = [(0.0, 0.0, 0.0), (0.3, 0.1, -0.2), (0.9, 0.0, 0.0),
+           (-0.6, 0.5, 0.3), (0.0, 0.7, -0.7), (1.0, 0.0, 0.0),
+           (-1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.6, 0.0, 0.8)]
+
+
+@pytest.mark.parametrize("c", [1.0, 1.7, 2.0])
+@pytest.mark.parametrize("v", LINE_VS)
+def test_a_boosted_straight_line_pierces_a_time_slice_at_most_once(v, c):
+    # t is linear in lambda on a boosted straight line, so the worldline
+    # scenario reads one event per line
+    line = make_worldline("line", v=[c * x for x in v], c=c)
+    for s in np.linspace(-0.99, 0.99, 9) * c:
+        assert len(pierce_points(boost_worldline(line, float(s)), 0.0)) <= 1
+
+
 def test_boost_rejects_lightspeed():
     line = make_worldline("line", v=(0.0, 0.0, 0.0))
     with pytest.raises(InvalidBoostError):

@@ -19,10 +19,13 @@ analytic mode), gauge counts, degrees and clouds that give several gauge
 blocks, one gauge in central mode or one gauge per block, boosted-line
 counts and speeds that fill one, part of or no whole family (one line, the
 speeds -0.0 and 0.0, nine lines, seven lines in other units, a line at
-rest), families of no spinors or no gauges, clouds of no events, and
-integer or empty values whose echo in the report's config must not change
-(integer constants, step and tolerance, which the echo shows as floats,
-and integer cloud and fixture values, which it shows as given).
+rest), families of no spinors or no gauges, clouds of no events, one-event
+checks with few or no samples (no random momenta, no boosted lines,
+spacelike circle crossings, a one-point energy scan), and integer or empty
+values whose echo in the report's config must not change (integer
+constants, step and tolerance, which the echo shows as floats, and integer
+cloud and fixture values, which it shows as given). With the 48 default
+reports, that is 152.
 
     python tools/report_hashes.py --extra > hashes.txt
     python tools/report_hashes.py --extra --check hashes.txt
@@ -145,6 +148,13 @@ EXTRA_CONFIGS = [
                                                     "events": []}}),
     ("gauge-orbit", "empty-events", {"cloud": {"kind": "events",
                                                "events": []}}),
+    # one-event checks with few or no samples: no random momenta, no
+    # boosted lines, spacelike circle crossings that have no 4-velocity,
+    # and an energy scan over a single point
+    ("clifford", "no-random-p", {"fixture": {"n_random_p": 0}}),
+    ("worldline-pierce", "no-boosts", {"fixture": {"n_boosts": 0}}),
+    ("worldline-pierce", "spacelike-crossings", {"fixture": {"ct0": 0.9}}),
+    ("dirac-coulomb-1s", "one-scan-point", {"fixture": {"scan_points": 1}}),
 ]
 
 
