@@ -22,6 +22,7 @@ import time
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
 from functools import partial
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
@@ -291,10 +292,11 @@ class _Rows:
 
     def __getitem__(self, i):
         if len(self._dicts) != self.count:
+            pieces = _row_pieces(self, str, np.ndarray.tolist,
+                                 *[lambda *parts: parts] * 3)
             self._dicts = tuple(
-                dict(zip(_CSV_HEADER, (case, check, index, *point, mag)))
-                for case, check, index, mag, point in _row_parts(
-                    self, str, np.ndarray.tolist, lambda *point: point))
+                dict(zip(_CSV_HEADER, (*labels, *point, mag)))
+                for labels, point, mag, _ in zip(*[iter(pieces)] * 4))
         return self._dicts[i]
 
 
@@ -918,16 +920,17 @@ def run_scenario(cfg: ScenarioConfig) -> ResidualReport:
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# one row at the rows array's depth in json.dumps(sort_keys=True, indent=2):
-# case, check, index, magnitude, then the coordinate block t, x1, x2, x3
-_JSON_ROW = ('    {\n      "case": %s,\n      "check": %s,\n'
-             '      "index": %d,\n      "magnitude": %s,\n%s\n    }')
-_JSON_COORDS = ('      "t": {3},\n      "x1": {0},\n      "x2": {1},\n'
-                '      "x3": {2}')
+# templates of a row's head, of (case, check), and of the text before and
+# after its magnitude, of (index, x1, x2, x3, t): json.dumps(sort_keys=True,
+# indent=2) at the rows array's depth, with ",\n" after each row
+_JSON_PIECES = (
+    '    {{\n      "case": {},\n      "check": {},\n      "index": ',
+    '{},\n      "magnitude": ',
+    ',\n      "t": {4},\n      "x1": {1},\n      "x2": {2},\n      "x3": {3}'
+    '\n    }},\n')
 _JSON_ROWS_SLOT = '\n  "rows": [],\n'
 # one row as csv.writer writes it: case, check, index, x1, x2, x3, t, magnitude
-_CSV_ROW = "%s,%s,%d,%s,%s\r\n"
-_CSV_COORDS = "{0},{1},{2},{3}"
+_CSV_PIECES = ("{},{},", "{},{},{},{},{},", "\r\n")
 
 
 def _floats(values: np.ndarray, nonfinite: Optional[dict] = None) -> list:
@@ -946,38 +949,47 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[1:-2]
 
 
-def _row_parts(rows: _Rows, label, spell, point):
-    """Yield (case, check, index, magnitude, coordinates) of each row of
-    rows, block by block: labels as label(name), a column of magnitudes as
-    spell(values), a list, and a block's coordinates as point(x1, x2, x3,
-    t) of the spelled values, once per distinct points array. Its float64
-    bytes are the key, so -0.0 stays apart from 0.0."""
-    coords = {}
+def _row_pieces(rows: _Rows, label, spell, head, before, after) -> list:
+    """Every row of rows as four pieces, event-major and check-minor within
+    a block: head(case, check) of the labels as label(name) gives them,
+    before(index, x1, x2, x3, t), the magnitude and after(index, x1, x2,
+    x3, t). spell(values) gives a list: the coordinates' once per distinct
+    points array, and the magnitudes of all rows in one call, which spells
+    each distinct float64 bit pattern once. Bits are the keys, so -0.0
+    stays apart from 0.0; a NaN of any payload is spelled as a NaN."""
+    if not rows.blocks:
+        return []
+    values = np.concatenate([v for _, _, columns in rows.blocks
+                             for _, v, _ in columns], dtype=np.float64)
+    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    mags = np.array(spell(distinct.view(np.float64)), object)[inverse].tolist()
+    pieces, around, start = [], {}, 0
     for case, points, columns in rows.blocks:
-        key = points.tobytes()
-        xyz = coords.get(key)
-        if xyz is None:
-            texts = spell(points.ravel())
-            xyz = coords[key] = list(map(point, texts[0::4], texts[1::4],
-                                         texts[2::4], texts[3::4]))
-        names = [label(check) for check, _, _ in columns]
-        # None marks an event without a sample
-        cols = [spell(values) if keep is None
-                else np.where(keep, spell(values), None).tolist()
-                for _, values, keep in columns]
-        case = label(case)
-        for index, (block, *mags) in enumerate(zip(xyz, *cols)):
-            for check, magnitude in zip(names, mags):
-                if magnitude is not None:
-                    yield case, check, index, magnitude, block
+        key, k, c = points.tobytes(), len(points), len(columns)
+        if key not in around:
+            xyz = spell(points.ravel())
+            args = range(k), xyz[0::4], xyz[1::4], xyz[2::4], xyz[3::4]
+            around[key] = [*map(before, *args)], [*map(after, *args)]
+        keep = np.ones((k, c), bool)
+        block = [None] * (4 * k * c)   # row i * c + j from 4 (i * c + j) on
+        for j, (check, _, present) in enumerate(columns):
+            block[4 * j::4 * c] = [head(label(case), label(check))] * k
+            block[4 * j + 1::4 * c], block[4 * j + 3::4 * c] = around[key]
+            block[4 * j + 2::4 * c] = mags[start:start + k]
+            start += k
+            if present is not None:
+                keep[:, j] = present
+        pieces += (block if keep.all()
+                   else compress(block, np.repeat(keep.ravel(), 4).tolist()))
+    return pieces
 
 
 def report_to_json(report: ResidualReport) -> str:
     """The report as json.dumps(doc, sort_keys=True, indent=2) + "\\n"
     would write it, byte for byte. Only the header goes through json.dumps,
     with an empty rows array: with an indent, json encodes in pure Python,
-    and the rows are almost all of the text. They are written by
-    _row_parts and spliced in."""
+    and the rows are almost all of the text. Their pieces come from
+    _row_pieces and are joined into the header at once."""
     doc = {
         "schema": "fourvel-report/1",
         "scenario": report.scenario,
@@ -997,15 +1009,14 @@ def report_to_json(report: ResidualReport) -> str:
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if not report.rows:
         return text
+    pieces = _row_pieces(report.rows, encode_basestring_ascii,
+                         partial(_floats, nonfinite=_JSON_NONFINITE),
+                         *(template.format for template in _JSON_PIECES))
+    pieces[-1] = pieces[-1][:-2]   # no separator after the last row
     # the only line at the top level's indent that opens a "rows" key;
     # a string in the header cannot hold a raw newline
     head, _, tail = text.partition(_JSON_ROWS_SLOT)
-    return "".join((head, '\n  "rows": [\n',
-                    ",\n".join([_JSON_ROW % row for row in _row_parts(
-                        report.rows, encode_basestring_ascii,
-                        lambda v: _floats(v, _JSON_NONFINITE),
-                        _JSON_COORDS.format)]),
-                    "\n  ],\n", tail))
+    return "".join((head, '\n  "rows": [\n', *pieces, "\n  ],\n", tail))
 
 
 _CSV_HEADER = ("case", "check", "index", "x1", "x2", "x3", "t", "magnitude")
@@ -1015,10 +1026,9 @@ def report_to_csv(report: ResidualReport) -> str:
     """The report's rows as csv.writer writes them, byte for byte."""
     buf = io.StringIO()
     csv.writer(buf).writerow(_CSV_HEADER)
-    return buf.getvalue() + "".join([
-        _CSV_ROW % (case, check, index, coords, magnitude)
-        for case, check, index, magnitude, coords in _row_parts(
-            report.rows, _csv_field, _floats, _CSV_COORDS.format)])
+    return "".join((buf.getvalue(), *_row_pieces(
+        report.rows, _csv_field, _floats,
+        *(template.format for template in _CSV_PIECES))))
 
 
 def export_report(report: ResidualReport, fmt: str = "json") -> str:

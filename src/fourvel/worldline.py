@@ -255,8 +255,8 @@ def _pierce_members(members: list, t0: float, times: Callable, *,
     peaks, steps = (np.abs(x).max(axis=1).tolist()
                     for x in (t, np.diff(t, axis=1)))
     f = t - t0
-    sign = np.sign(f)   # a product of two f values may overflow or underflow
-    cross = sign[:, :-1] * sign[:, 1:] < 0.0
+    cross = np.sign(f)   # a product of two f values may overflow or underflow
+    cross = cross[:, :-1] * cross[:, 1:] < 0.0
     df = np.diff(f, axis=1)
     row, col = np.divmod(np.flatnonzero(   # a flat index is cheap to find
         (df[:, :-1] != 0.0) & ((df[:, :-1] < 0) != (df[:, 1:] < 0))), grid - 1)

@@ -77,6 +77,11 @@ def _row(case="c", check="k", index=0, x1=0.5, x2=-1.25, x3=3.0, t=0.125,
             "x2": x2, "x3": x3, "t": t, "magnitude": magnitude}
 
 
+# quiet NaNs with other payloads and sign bits: one text, "NaN" or "nan",
+# however many bit patterns the writers spell
+NANS = tuple(np.array([0xfff8000000000000, 0x7ff8000000000001,
+                       0xfffc0000deadbeef, 0x7ffa000000000abc],
+                      np.uint64).view(np.float64).tolist())
 EDGE_ROWS = (
     # -0.0 and 0.0 compare equal but print differently, in each slot
     _row(x1=0.0, x2=0.0, x3=0.0, t=0.0),
@@ -85,6 +90,7 @@ EDGE_ROWS = (
     _row(x1=0.0, x2=0.0, x3=-0.0, t=0.0),
     _row(x1=0.0, x2=0.0, x3=0.0, t=-0.0),
     _row(x1=0.0, x2=0.0, x3=0.0, t=0.0, magnitude=-0.0),
+    _row(x1=0.0, x2=0.0, x3=0.0, t=0.0, magnitude=0.0),
     _row(x1=-0.0, x2=-0.0, x3=-0.0, t=-0.0),
     _row(x1=0.0, x2=0.0, x3=0.0, t=0.0),
     # non-finite magnitudes and coordinates
@@ -94,6 +100,7 @@ EDGE_ROWS = (
     _row(x1=math.nan, x2=math.inf, x3=-math.inf, t=math.nan),
     _row(x1=math.nan, x2=math.inf, x3=-math.inf, t=math.nan),
     _row(x1=-math.nan, x2=0.0, x3=-0.0, t=math.inf),
+    *(_row(magnitude=nan, x1=nan) for nan in NANS),
     # the smallest subnormal and large, small and integral magnitudes
     _row(x1=5e-324, x2=-5e-324, x3=1e300, t=-1e300, magnitude=5e-324),
     _row(magnitude=1e300), _row(magnitude=1e16), _row(magnitude=1e-7),
@@ -141,6 +148,7 @@ def test_edge_rows_match_the_indent_encoder():
     assert text == oracle(report)
     assert '"x1": -0.0' in text and '"t": -0.0' in text
     assert '"magnitude": NaN' in text and '"x3": -Infinity' in text
+    assert text.count('"magnitude": NaN') == 1 + len(NANS)
 
 
 def test_edge_rows_match_the_csv_writer():
@@ -179,7 +187,7 @@ def test_config_text_that_looks_like_the_rows_key(rows):
 NAMES = ("alpha", "beta", "gamma", "δ, \"quoted\"")
 CHECKS = NAMES + ("late", "early")   # the collector's table order
 MAGNITUDES = (0.0, -0.0, math.nan, math.inf, -math.inf, 2.220446049250313e-16,
-              0.1 + 0.2, 5e-324, 1e300, 123456789.0)
+              0.1 + 0.2, 5e-324, 1e300, 123456789.0) + NANS
 COORDINATES = (0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, -1.25, 1e-300)
 
 
@@ -195,7 +203,8 @@ def _random_blocks(rng, n=12):
     """(case, points, [(check, magnitudes, present or None)]) blocks, the
     checks in CHECKS order, with missing samples, signed zeros, NaN and
     infinities in magnitudes and coordinates, one points array in several
-    blocks, equal points in different arrays and repeated magnitudes. The
+    blocks, equal points in different arrays, and magnitudes repeated
+    within a column and across columns and blocks. The
     fixed first blocks: a check whose first sample comes after another's,
     an empty cloud, and a column with no sample at all."""
     shared = _points(rng, 5)
@@ -207,6 +216,7 @@ def _random_blocks(rng, n=12):
         ("absent", shared, [("beta", np.ones(5), np.zeros(5, bool)),
                             ("gamma", np.full(5, -0.0), None)]),
     ]
+    drawn = [1.0, -0.0]   # every magnitude so far, to repeat
     for b in range(n):
         pick = rng.integers(3)
         points = (shared if pick == 0 else shared.copy() if pick == 1
@@ -218,6 +228,9 @@ def _random_blocks(rng, n=12):
             mags = rng.choice(MAGNITUDES, size=k)
             fresh = rng.random(k) < 0.3
             mags[fresh] = rng.normal(size=np.count_nonzero(fresh))
+            again = rng.random(k) < 0.3
+            mags[again] = rng.choice(drawn, size=np.count_nonzero(again))
+            drawn += mags.tolist()
             present = rng.random(k) < 0.7 if rng.random() < 0.5 else None
             columns.append((str(check), mags, present))
         blocks.append((f"case-{b % 4}", points, columns))
@@ -312,5 +325,5 @@ def test_row_count_does_not_walk_the_rows(monkeypatch):
     def walked(*args):
         raise AssertionError("len(report.rows) walked the rows")
 
-    monkeypatch.setattr(runner, "_row_parts", walked)
+    monkeypatch.setattr(runner, "_row_pieces", walked)
     assert len(report.rows) == 4000 and report.rows

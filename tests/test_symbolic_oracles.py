@@ -2,7 +2,8 @@
 
 sympy differentiates each fixture's or field's defining formula (the
 docstrings of plane_wave, kg_coulomb_1s, dirac_plane_wave, dirac_coulomb_1s,
-polynomial_gauge, coulomb_potential and gauge_transform) with the
+gaussian_polynomial_wave, random_spinor_family, polynomial_gauge,
+pure_gauge_potential, coulomb_potential and gauge_transform) with the
 coordinates and the constants as symbols, and mpmath evaluates the result at
 40 digits, with the constants re-derived from the momentum, z_alpha, hbar, c,
 m and q at that precision. Slot 3 is d/dx4 with x4 = i c t, so d_4 = d_t /
@@ -22,8 +23,9 @@ import sympy as sp
 
 from fourvel import (Event, EventArray, NATURAL_UNITS, PhysicalConstants,
                      coulomb_potential, dirac_coulomb_1s, dirac_plane_wave,
-                     gauge_transform, kg_coulomb_1s, plane_wave,
-                     polynomial_gauge, zero_potential)
+                     gaussian_polynomial_wave, gauge_transform, kg_coulomb_1s,
+                     plane_wave, polynomial_gauge, pure_gauge_potential,
+                     random_spinor_family, zero_potential)
 
 UNITS = PhysicalConstants(hbar=1.3, c=1.7, m=0.8, q=-0.6)
 DIGITS = 40
@@ -67,11 +69,11 @@ def _points(count: int = 6, seed: int = 11) -> np.ndarray:
 POINTS = _points()
 
 
-def _evaluate(fn, consts, params) -> np.ndarray:
-    """fn at every point of POINTS at DIGITS digits, rounded to complex."""
+def _evaluate(fn, consts, params, points=POINTS) -> np.ndarray:
+    """fn at every one of points at DIGITS digits, rounded to complex."""
     with mpmath.workdps(DIGITS):
         k = [mpmath.mpf(consts.hbar), mpmath.mpf(consts.c)]
-        rows = [fn(*map(mpmath.mpf, p), *k, *params(consts)) for p in POINTS]
+        rows = [fn(*map(mpmath.mpf, p), *k, *params(consts)) for p in points]
         return np.array([[complex(v) for v in row] for row in rows])
 
 
@@ -279,6 +281,85 @@ def test_gauge_transform_of_a_plane_wave_matches_sympy(gauge_oracles,
                               polynomial_gauge(GAUGE, consts.c), consts)
     oracle = _evaluate(gauge_oracles[1], consts, _plane_params)
     _check(wave, oracle, SCALAR)
+
+
+@pytest.fixture(scope="module")
+def pure_gauge_oracle():
+    """A_mu = d_mu chi and grad [mu, nu] = d_mu A_nu, flat."""
+    a = [_d(CHI, mu) for mu in range(4)]
+    return _lambdify([*a, *(_d(a[nu], mu) for mu in range(4)
+                            for nu in range(4))], ())
+
+
+@pytest.mark.parametrize("consts", [NATURAL_UNITS, UNITS],
+                         ids=["natural", "units"])
+def test_pure_gauge_potential_matches_sympy(pure_gauge_oracle, consts):
+    oracle = _evaluate(pure_gauge_oracle, consts, lambda consts: ())
+    _check(pure_gauge_potential(polynomial_gauge(GAUGE, consts.c)), oracle,
+           [("a", (4,)), ("grad", (4, 4))], "pure gauge potential")
+
+
+# ---------------------------------------------------------------------------
+# gaussian_polynomial_wave: (c0 + c.x) exp(-sum a_i (x_i - b_i)^2) over x1,
+# x2, x3 and t; random_spinor_family: four of them per member, each from 18
+# uniform draws scaled to magnitude, phase, 4 real and 4 imaginary linear
+# coefficients, 4 centers and 4 widths, c0 = magnitude exp(i phase)
+# ---------------------------------------------------------------------------
+
+LIN = sp.symbols("c0:5")   # complex
+CENTER = sp.symbols("b1:5", real=True)
+WIDTHS = sp.symbols("a1:5", positive=True)
+
+
+@pytest.fixture(scope="module")
+def gaussian_oracle():
+    """psi, grad4, laplace4 and hess4 of any parameter set, flat."""
+    poly = LIN[0] + sum(v * x for v, x in zip(LIN[1:], X))
+    gauss = sp.exp(-sum(a * (x - b) ** 2 for x, b, a in zip(X, CENTER, WIDTHS)))
+    return _lambdify(_second_order(poly * gauss), (*LIN, *CENTER, *WIDTHS))
+
+
+GAUSSIAN = ((0.8 - 0.3j, 0.25 + 0.1j, -0.4, 0.15j, 0.35 - 0.2j),
+            (0.2, -0.1, 0.3, 0.5), (0.3, 0.2, 0.25, 0.15))
+
+
+@pytest.mark.parametrize("consts", [NATURAL_UNITS, UNITS],
+                         ids=["natural", "units"])
+def test_gaussian_polynomial_wave_matches_sympy(gaussian_oracle, consts):
+    params = [mpmath.mpmathify(v) for part in GAUSSIAN for v in part]
+    oracle = _evaluate(gaussian_oracle, consts, lambda consts: params)
+    _check(gaussian_polynomial_wave(*GAUSSIAN, consts), oracle, SCALAR)
+
+
+def _component(draw) -> list:
+    """The parameters of one spinor component of its 18 uniform [0, 1)
+    draws, at DIGITS digits: c0 = magnitude exp(i phase), c1..c4 = real + i
+    imaginary, then the centers and the widths."""
+    with mpmath.workdps(DIGITS):
+        low = [0.5, 0] + [-0.3] * 8 + [-0.5] * 4 + [0.1] * 4
+        high = [1.5, 2 * mpmath.pi] + [0.3] * 8 + [0.5] * 4 + [0.4] * 4
+        u = [mpmath.mpf(lo) + (hi - mpmath.mpf(lo)) * mpmath.mpf(d)
+             for lo, hi, d in zip(low, high, draw)]
+        return ([u[0] * mpmath.expj(u[1])]
+                + [re + 1j * im for re, im in zip(u[2:6], u[6:10])] + u[10:])
+
+
+@pytest.mark.parametrize("consts", [NATURAL_UNITS, UNITS],
+                         ids=["natural", "units"])
+def test_random_spinor_family_member_matches_sympy(gaussian_oracle, consts):
+    # two members share the six points, three each: the second member's
+    # rows are the last three, and its components are the gaussian forms
+    # of its draws, in the spinor layout psi [k], grad4 [k, mu], laplace4
+    # [k], hess4 [k, mu, nu]
+    draws = np.random.default_rng(5).random((2, 4, 18))
+    family = random_spinor_family(draws, consts)
+    forms = [_evaluate(gaussian_oracle, consts, lambda consts, d=d:
+                       _component(d), POINTS[3:]) for d in draws[1]]
+    for name, (a, b) in zip(["psi", "grad4", "laplace4", "hess4"],
+                            [(0, 1), (1, 5), (5, 6), (6, 22)]):
+        want = np.concatenate([form[:, a:b] for form in forms], axis=1)
+        _assert_close(getattr(family, name)(EventArray(POINTS))[3:], want,
+                      ("spinor member", name))
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,12 @@ counts and speeds that fill one, part of or no whole family (one line, the
 speeds -0.0 and 0.0, nine lines, seven lines in other units, a line at
 rest), families of no spinors or no gauges, clouds of no events, one-event
 checks with few or no samples (no random momenta, no boosted lines,
-spacelike circle crossings, a one-point energy scan), and integer or empty
+spacelike circle crossings, a one-point energy scan), integer or empty
 values whose echo in the report's config must not change (integer
 constants, step and tolerance, which the echo shows as floats, and integer
-cloud and fixture values, which it shows as given). With the 48 default
-reports, that is 152.
+cloud and fixture values, which it shows as given), and events with -0.0
+and 0.0 in every coordinate slot. With the 48 default reports, that is
+156.
 
     python tools/report_hashes.py --extra > hashes.txt
     python tools/report_hashes.py --extra --check hashes.txt
@@ -54,6 +55,12 @@ from fourvel.runner import list_scenarios  # noqa: E402
 MODES = {"default": [], "analytic": ["--analytic"], "numeric": ["--numeric"]}
 FORMATS = ("json", "csv")
 UNITS = {"hbar": 1.3, "c": 1.7, "m": 0.8, "q": -0.6}
+# -0.0 and 0.0 in every slot; the second event is the first with each
+# zero's sign flipped, equal to it as numbers but not as bits
+SIGNED_ZEROS = [{"x1": 1.0, "x2": -0.0, "x3": 0.0, "t": -0.0},
+                {"x1": 1.0, "x2": 0.0, "x3": -0.0, "t": 0.0},
+                {"x1": -0.0, "x2": 1.5, "x3": -0.0, "t": 0.0},
+                {"x1": 0.0, "x2": 1.5, "x3": 0.0, "t": -0.0}]
 # (scenario, name, config document)
 EXTRA_CONFIGS = [
     ("plane-wave", "seed-7", {"seed": 7}),
@@ -155,6 +162,10 @@ EXTRA_CONFIGS = [
     ("worldline-pierce", "no-boosts", {"fixture": {"n_boosts": 0}}),
     ("worldline-pierce", "spacelike-crossings", {"fixture": {"ct0": 0.9}}),
     ("dirac-coulomb-1s", "one-scan-point", {"fixture": {"scan_points": 1}}),
+    # signed zeros in every coordinate slot, outside the exclusion radius
+    *((scenario, "signed-zero-events", {"cloud": {"kind": "events",
+                                                  "events": SIGNED_ZEROS}})
+      for scenario in ("plane-wave", "kg-coulomb-1s")),
 ]
 
 
