@@ -11,14 +11,18 @@ Derivatives are evaluated either from a field's analytic evaluators or by
 4th-order central differences.
 
 A field is evaluated at one Event or at a (K, 4) EventArray of points. The
-central-difference engine (grad4_numeric, laplace4_numeric) gathers every
-stencil point into one EventArray and calls the field once per derivative,
-so central-mode fields must evaluate a point array row by row.
+central-difference engine builds the stencil points (_stencil_points),
+calls the field once on all of them (_evaluate) and combines the values
+(_grad4, _laplace4), so central-mode fields must evaluate a point array row
+by row. grad4_numeric and laplace4_numeric are one call each; the residual
+chain shares one call between its gradient, its Laplacian and the values
+of a nested stencil.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -250,6 +254,11 @@ class DerivativeMethod:
         if not (math.isfinite(self.h) and self.h > 0):
             raise ParameterError("step h must be positive and finite")
 
+    @property
+    def steps(self) -> tuple:
+        """Stencil steps: h, and h / 2 for Richardson."""
+        return (self.h, self.h / 2) if self.richardson else (self.h,)
+
 
 ANALYTIC = DerivativeMethod("analytic")
 
@@ -271,43 +280,72 @@ def _rdiv(z: np.ndarray, x: float) -> np.ndarray:
     return (z.view(np.float64) / x).view(complex)
 
 
-def _stencil_values(f, e, steps, center: bool = False):
-    """Evaluate f once at every stencil point around e.
-
-    e is one Event or a (K, 4) batch of base points. The field is called a
-    single time on an EventArray of K * 4 axes * len(steps) * 4 nodes rows
-    per base point, then the point itself when center is set, base-major,
-    and must return one value, of any shape, per row. Returns (values of
-    shape (K, 4, len(steps), 4, *S), centre values (K, *S) or None, single).
-    """
-    single = isinstance(e, Event)
-    base = (np.array([[e.x1, e.x2, e.x3, e.t]]) if single
-            else EventArray(e).as_array())
-    k = len(base)
-    n = 4 * len(steps) * 4   # stencil rows per base point
-    # shifts[axis, level, node] moves one coordinate by node * step; the
-    # other coordinates get + 0.0, so every point is the Event.shifted one
+def _shifts(steps) -> np.ndarray:
+    """(16 len(steps), 4) stencil shifts, row (axis, level, node) moving one
+    coordinate by node * step and adding a zero to the others."""
     offsets = np.multiply.outer(np.asarray(steps, dtype=float), _NODES)
-    shifts = np.eye(4)[:, None, None, :] * offsets[None, :, :, None]
-    points = (base[:, None, None, None, :] + shifts).reshape(k, n, 4)
-    if center:
-        points = np.concatenate([points, base[:, None]], axis=1)
-    points = points.reshape(-1, 4)
-    values = np.asarray(f(points.view(EventArray)), dtype=complex)
-    if values.ndim == 0 or values.shape[0] != len(points):
+    return (np.eye(4)[:, None, None, :]
+            * offsets[None, :, :, None]).reshape(-1, 4)
+
+
+def _stencil_points(e, steps) -> np.ndarray:
+    """The stencil around each of the K base points of e (one Event or a
+    (K, 4) batch), then the point itself: (K, 16 len(steps) + 1, 4)."""
+    base = (np.array([[e.x1, e.x2, e.x3, e.t]]) if isinstance(e, Event)
+            else EventArray(e).as_array())[:, None]
+    return np.concatenate([base + _shifts(steps), base], axis=1)
+
+
+def _evaluate(f, points) -> np.ndarray:
+    """f called once on every row of (K, n, 4) points, which it must
+    evaluate row by row; one value of any shape S per row, (K, n, *S)."""
+    rows = points.reshape(-1, 4)
+    values = np.asarray(f(rows.view(EventArray)), dtype=complex)
+    if values.ndim == 0 or values.shape[0] != len(rows):
         raise ParameterError(
-            f"field returned shape {values.shape} for {len(points)} points; "
+            f"field returned shape {values.shape} for {len(rows)} points; "
             "central differences need a field that evaluates a (K, 4) "
             "point array row by row")
-    values = values.reshape((k, n + center) + values.shape[1:])
-    stencil = values[:, :n].reshape((k, 4, len(steps), 4) + values.shape[2:])
-    mid = values[:, n] if center else None
-    return stencil, mid, single
+    return values.reshape(points.shape[:2] + values.shape[1:])
 
 
-def _richardson(coarse, fine):
-    # both stencils are O(h^4); 16/15 combination cancels the leading term
-    return _rdiv(16 * fine - coarse, 15)
+def _grad4(v, steps, c: float) -> np.ndarray:
+    """The gradient (K, 4, *S) from f at _stencil_points, v (K, n, *S);
+    slot 3 is (1/(i*c)) d_t."""
+    v = v[:, :16 * len(steps)].reshape((len(v), 4, len(steps), 4)
+                                       + v.shape[2:])
+    d = [_rdiv(-v[:, :, i, 0] + 8 * v[:, :, i, 1] - 8 * v[:, :, i, 2]
+               + v[:, :, i, 3], 12 * step) for i, step in enumerate(steps)]
+    # Richardson: both stencils are O(h^4), and 16/15 cancels the h^4 term
+    out = _rdiv(16 * d[1] - d[0], 15) if len(d) > 1 else d[0]
+    out[:, 3] = _rdiv(-1j * out[:, 3], c)  # d_t / (i c)
+    return out
+
+
+def _laplace4(v, steps, c: float) -> np.ndarray:
+    """The 4-Laplacian (K, *S) from f at _stencil_points, v (K, n, *S)."""
+    mid = v[:, -1, None]
+    v = v[:, :-1].reshape((len(v), 4, len(steps), 4) + v.shape[2:])
+    d = [_rdiv(-v[:, :, i, 0] + 16 * v[:, :, i, 1] - 30 * mid
+               + 16 * v[:, :, i, 2] - v[:, :, i, 3], 12 * step * step)
+         for i, step in enumerate(steps)]
+    d2 = _rdiv(16 * d[1] - d[0], 15) if len(d) > 1 else d[0]
+    return d2[:, 0] + d2[:, 1] + d2[:, 2] - _rdiv(d2[:, 3], c ** 2)
+
+
+@cache
+def _nested_pairs(levels: int) -> tuple:
+    """(outer, inner, at) of a stencil of stencils with `levels` steps: the
+    pairs of stencil rows whose inner axis is not below the outer one, and
+    where each pair of the full table, flattened, is among them. For axes
+    a != b, (x + s e_a) + t e_b is (x + t e_b) + s e_a bit for bit."""
+    axis = np.arange(16 * levels) // (4 * levels)
+    kept = axis[:, None] <= axis
+    at = np.cumsum(kept).reshape(kept.shape) - 1   # row-major, among kept
+    pairs = (*np.nonzero(kept), np.where(kept, at, at.T).ravel())
+    for table in pairs:   # the cache hands the same arrays to every caller
+        table.setflags(write=False)
+    return pairs
 
 
 def grad4_numeric(f, e, h: float, c: float = 1.0,
@@ -319,12 +357,8 @@ def grad4_numeric(f, e, h: float, c: float = 1.0,
     (-f(+2h) + 8 f(+h) - 8 f(-h) + f(-2h)) / (12 h), error O(h^4).
     """
     steps = (h, h / 2) if richardson else (h,)
-    v, _, single = _stencil_values(f, e, steps)
-    d = [_rdiv(-v[:, :, i, 0] + 8 * v[:, :, i, 1] - 8 * v[:, :, i, 2]
-               + v[:, :, i, 3], 12 * step) for i, step in enumerate(steps)]
-    out = _richardson(*d) if richardson else d[0]
-    out[:, 3] = _rdiv(-1j * out[:, 3], c)  # d_t / (i c)
-    return out[0] if single else out
+    out = _grad4(_evaluate(f, _stencil_points(e, steps)[:, :-1]), steps, c)
+    return out[0] if isinstance(e, Event) else out
 
 
 def laplace4_numeric(f, e, h: float, c: float = 1.0,
@@ -336,14 +370,8 @@ def laplace4_numeric(f, e, h: float, c: float = 1.0,
     Shapes follow grad4_numeric without the derivative axis.
     """
     steps = (h, h / 2) if richardson else (h,)
-    v, mid, single = _stencil_values(f, e, steps, center=True)
-    mid = mid[:, None]
-    d = [_rdiv(-v[:, :, i, 0] + 16 * v[:, :, i, 1] - 30 * mid
-               + 16 * v[:, :, i, 2] - v[:, :, i, 3], 12 * step * step)
-         for i, step in enumerate(steps)]
-    d2 = _richardson(*d) if richardson else d[0]
-    out = d2[:, 0] + d2[:, 1] + d2[:, 2] - _rdiv(d2[:, 3], c ** 2)
-    return out[0] if single else out
+    out = _laplace4(_evaluate(f, _stencil_points(e, steps)), steps, c)
+    return out[0] if isinstance(e, Event) else out
 
 
 def differentiate(f, e, order: str, method: DerivativeMethod = ANALYTIC,

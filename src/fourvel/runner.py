@@ -797,7 +797,7 @@ _BALL = {"kind": "random-ball", "center": [0, 0, 0, 0], "radius": 2.0,
 _RAY = {"kind": "ray", "r_min": 0.5, "r_max": 5.0, "count": 50, "t": 0.0}
 _MOMENTA = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, -0.2, 0.1]]
 _SPINOR_BLOCK = 4   # random spinors per family; bounds nested-stencil memory
-_GAUGE_ROWS = 1000  # evaluated rows per gauge family (at least one gauge)
+_GAUGE_ROWS = 600   # evaluated rows per gauge family (at least one gauge)
 _BOOST_BLOCK = 4    # boosted lines per scan; bounds its grid memory
 
 # the Coulomb clouds keep min_r = 0.25 away from the singularity, and the

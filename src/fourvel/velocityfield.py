@@ -26,8 +26,10 @@ import numpy as np
 
 from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
                     EventArray, NATURAL_UNITS, PhysicalConstants, _col,
-                    _first, _potential_gradient, _require_nonzero, contract,
-                    differentiate, four_displacement, grad4_numeric)
+                    _evaluate, _first, _grad4, _laplace4, _nested_pairs,
+                    _potential_gradient, _require_nonzero, _shifts,
+                    _stencil_points, contract, differentiate,
+                    four_displacement)
 from .errors import (InsufficientComponentsError, NearZeroWavefunctionError,
                      ParameterError, QuadratureError)
 from .wavefunctions import SpinorWave, _outer
@@ -75,7 +77,10 @@ class _Chain:
     """One wave and one potential on one point set e (an Event or a (K, 4)
     batch). Every quantity of the residual chain is read off the same psi,
     d psi and laplace4 psi, and each is evaluated at most once, on first
-    read. A chain lives for one kernel call or one wave of a scenario.
+    read. A chain lives for one kernel call or one wave of a scenario. In
+    central mode it evaluates psi once per distinct point: at e (value), at
+    e's stencil points and e (ring) and, for a nested stencil, at the
+    canonical second-ring points of a chain on the stencil points (outer).
 
     The wave is a ScalarWave or a SpinorWave, whose component axis follows
     the point axis in both modes (grad [..., k, mu], gp [..., k, mu, nu]);
@@ -87,28 +92,51 @@ class _Chain:
     """
 
     def __init__(self, psi, a_field, e, method: DerivativeMethod,
-                 constants: PhysicalConstants, eps_psi: float):
+                 constants: PhysicalConstants, eps_psi: float, outer=None):
         self.psi, self.a_field, self.e = psi, a_field, e
         self.method, self.constants, self.eps_psi = method, constants, eps_psi
+        self.outer = outer   # the chain on whose stencil points e lies
 
     @cached_property
     def value(self):
         return self.psi(self.e)
 
+    @cached_property
+    def ring(self):
+        """e's stencil points, then e, (K, 16 L + 1, 4) for L steps, and psi
+        there, for the gradient, the Laplacian and a nested chain's values."""
+        points = _stencil_points(self.e, self.method.steps)
+        return points, _evaluate(self.psi, points)
+
     def stencil(self, read: str | None = None):
         """Central first-derivative stencil over e of psi or, given read, of
-        that property of a chain on the stencil points; a spinor's component
+        that property of a chain on the stencil points, whose own stencil
+        takes psi at the pairs of _nested_pairs only; a spinor's component
         axis goes before mu, as in analytic mode: [..., k, mu, ...]."""
-        psi, method, constants = self.psi, self.method, self.constants
-
-        def chain_read(points) -> np.ndarray:
-            return getattr(_Chain(psi, self.a_field, points, method, constants,
-                                  self.eps_psi), read)
-
-        d = grad4_numeric(chain_read if read else psi, self.e, method.h,
-                          constants.c, method.richardson)
-        mu = 0 if isinstance(self.e, Event) else 1  # the stencil's mu axis
-        return np.swapaxes(d, mu, mu + 1) if isinstance(psi, SpinorWave) else d
+        steps, mu = self.method.steps, 0 if isinstance(self.e, Event) else 1
+        n = 16 * len(steps)
+        if read:
+            points, values = self.ring
+            inner = _Chain(self.psi, self.a_field,
+                           points[:, :n].reshape(-1, 4).view(EventArray),
+                           self.method, self.constants, self.eps_psi, self)
+            inner.value = values[:, :n].reshape((-1,) + values.shape[2:])
+            v = getattr(inner, read)
+            v = v.reshape((-1, n) + v.shape[1:])
+        elif self.outer:
+            first, second, at = _nested_pairs(len(steps))
+            # take, unlike [:, first], gives a contiguous copy; the points
+            # are built as (x + s e_a) + t e_b and freed once psi has run
+            v = self.outer.ring[0].take(first, axis=1)
+            v += _shifts(steps)[second]
+            v = _evaluate(self.psi, v)
+            v = v.take(at, axis=1).reshape((-1, n) + v.shape[2:])
+        else:
+            v = self.ring[1]
+        d = _grad4(v, steps, self.constants.c)
+        d = d if mu else d[0]   # one Event: no batch axis before mu
+        return (np.swapaxes(d, mu, mu + 1) if isinstance(self.psi, SpinorWave)
+                else d)
 
     @cached_property
     def grad(self):
@@ -118,8 +146,12 @@ class _Chain:
 
     @cached_property
     def lap(self):
-        return differentiate(self.psi, self.e, "laplace4", self.method,
-                             c=self.constants.c)
+        if self.method.mode == "analytic":
+            return differentiate(self.psi, self.e, "laplace4", self.method)
+        out = _laplace4(self.ring[1], self.method.steps, self.constants.c)
+        if isinstance(self.e, Event):   # as differentiate gives it
+            out = out[0] if out.ndim > 1 else complex(out[0])
+        return out
 
     @cached_property
     def dlog(self):

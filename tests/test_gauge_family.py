@@ -86,8 +86,8 @@ def _cloud(count):
 @pytest.mark.parametrize("n", [0, 1, 10, 25])
 def test_runner_equals_one_gauge_at_a_time(method, n):
     cloud = _cloud(100)
-    if n == 25:   # blocks of 10, 10 and 5 gauges
-        assert -(-n // (_GAUGE_ROWS // len(cloud))) == 3
+    if n == 25:   # blocks of 6, 6, 6, 6 and 1 gauges
+        assert -(-n // (_GAUGE_ROWS // len(cloud))) == 5
     m = METHODS[method]
     cfg = config_from_dict({
         "fixture": {"n_gauges": n},

@@ -1,5 +1,4 @@
 """Scenario runner configs, report shape, and the command line contract."""
-import collections
 import csv
 import hashlib
 import dataclasses
@@ -16,9 +15,10 @@ from fourvel import (ConfigError, DerivativeMethod, InvalidBoostError,
                      ParameterError, PhysicalConstants, QuadratureError,
                      SingularPointError, config_from_dict, default_config,
                      export_report, list_scenarios, run_scenario)
-from fourvel import core4, runner, velocityfield
+from fourvel import core4, runner
 from fourvel.cli import main
 from fourvel.runner import report_to_csv, report_to_json
+from fourvel.wavefunctions import SpinorWave
 
 
 def test_scenario_catalog_is_stable():
@@ -174,61 +174,68 @@ def test_a_nan_magnitude_fails_its_check_wherever_it_lies():
     assert col.finalize()[0].linf == float("inf")
 
 
-def _counted(monkeypatch, module, name, calls):
-    """Append the number of base points of every call of module's own
-    binding of name to calls[name] and to calls[(module, name)]."""
-    stencil = getattr(module, name)
-
-    def counted(f, e, *args, **kwargs):
-        n = 1 if isinstance(e, core4.Event) else len(e)
-        calls[name].append(n)
-        calls[module, name].append(n)
-        return stencil(f, e, *args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-
-
-# each wave is read off one residual chain. In central mode a scalar wave
-# takes four gradient stencils (psi, the momentum and, nested in it, psi at
-# the stencil points, and the potential) and one Laplacian stencil, and a
-# spinor one gradient stencil for all of its checks; analytic mode takes
-# none. Counted are the stencils over the scenario's cloud or over the
-# stencil points around it, not those over dirac-plane-wave's random points
-_STENCILS_PER_WAVE = {"plane-wave": (4, 1), "kg-coulomb-1s": (4, 1),
-                      "dirac-plane-wave": (1, 0), "dirac-coulomb-1s": (1, 0)}
+# each wave is read off one residual chain, which evaluates psi once per
+# distinct point. A scalar chain in central mode takes psi at each sample
+# (value), at its 16 stencil points and the sample again (the ring: the
+# gradient, the Laplacian and the values of the chain nested in the
+# momentum gradient) and at the 160 distinct points of the nested stencil
+# (of its 256 stencil-of-stencil points, a pair across two axes and its
+# swap are one point): 178 rows per sample, and with Richardson's second
+# step 1 + 33 + 640 = 674. A spinor's chain reads no Laplacian and no
+# nested stencil. dirac-plane-wave's random spinors are read only through
+# dirac_to_kg_check, whose outer stencil is central in both modes, and
+# kg_operator_on_spinor's values. Analytic mode takes psi at the samples.
+_PSI_TABLES = {   # psi rows per sample of each psi call, per mode
+    "scalar": {"analytic": (1,), "central": (1, 17, 160),
+               "central-richardson": (1, 33, 640)},
+    "spinor": {"analytic": (1,), "central": (1, 17),
+               "central-richardson": (1, 33)},
+    "random-spinors": {"analytic": (17, 1, 1), "central": (17, 160, 1, 1),
+                       "central-richardson": (33, 640, 1, 1)},
+}
 
 
-@pytest.mark.parametrize("mode", ["analytic", "central"])
+@pytest.mark.parametrize("mode", ["analytic", "central",
+                                  "central-richardson"])
 @pytest.mark.parametrize("scenario, waves", [("plane-wave", 3),
                                              ("kg-coulomb-1s", 1),
                                              ("dirac-plane-wave", 3),
                                              ("dirac-coulomb-1s", 1)])
 def test_one_momentum_gradient_and_kg_residual_per_wave(monkeypatch, scenario,
                                                         waves, mode):
-    calls = collections.defaultdict(list)
-    for module, name in ((core4, "grad4_numeric"),
-                         (velocityfield, "grad4_numeric"),
-                         (core4, "laplace4_numeric")):
-        _counted(monkeypatch, module, name, calls)
-    cfg = config_from_dict({"method": {"mode": mode}}, scenario)
-    assert run_scenario(cfg).passed
-    cloud = cfg.cloud["count"]
-    counts = tuple(sum(n in (cloud, 16 * cloud) for n in calls[name])
-                   for name in ("grad4_numeric", "laplace4_numeric"))
-    per_wave = _STENCILS_PER_WAVE[scenario] if mode == "central" else (0, 0)
-    assert counts == (per_wave[0] * waves, per_wave[1] * waves)
-    if scenario == "dirac-plane-wave" and mode == "central":
-        # the random spinors are certified a block of B at a time, and each
-        # block's dirac_to_kg_check takes three, all through the chain: the
-        # outer pass over its 3 B points, the gradient nested in it over
-        # their 48 B stencil points, and the gradient at the 3 B points
-        # themselves
+    cases = []   # (kind, samples, psi rows of each call) per chain case
+    chains = runner._chains
+
+    def counted_chains(cfg, wave, *args, **kwargs):
+        kind = ("spinor" if wave.energy else "random-spinors") \
+            if isinstance(wave, SpinorWave) else "scalar"
+        calls, psi = [], wave.psi
+
+        def counted(e):
+            calls.append(1 if isinstance(e, core4.Event) else len(e))
+            return psi(e)
+
+        make = chains(cfg, dataclasses.replace(wave, psi=counted), *args,
+                      **kwargs)
+
+        def made(points):
+            cases.append((kind, len(points), calls))
+            return make(points)
+        return made
+
+    monkeypatch.setattr(runner, "_chains", counted_chains)
+    method = {"mode": mode.split("-")[0],
+              "richardson": mode.endswith("richardson")}
+    assert run_scenario(config_from_dict({"method": method}, scenario)).passed
+    assert sum(kind != "random-spinors" for kind, _, _ in cases) == waves
+    for kind, samples, calls in cases:
+        assert sorted(calls) == sorted(samples * rows
+                                       for rows in _PSI_TABLES[kind][mode])
+    if scenario == "dirac-plane-wave":
+        # the random spinors are certified a block of B at a time
         block = runner._SPINOR_BLOCK
-        spinor_stencils = [sum(n in (3 * block, 48 * block)
-                               for n in calls[module, "grad4_numeric"])
-                           for module in (core4, velocityfield)]
-        blocks = -(-cfg.fixture["n_random_spinors"] // block)
-        assert 20 % block == 0 and spinor_stencils == [0, 3 * blocks]
+        assert [samples for kind, samples, _ in cases[waves:]] == \
+            [3 * block] * (20 // block)
 
 
 @pytest.mark.parametrize("momenta", [[[0, 0, 0], [1e200, 0, 0]],

@@ -5,18 +5,24 @@ combines the stencil rows in plain Python, the way the engine's arithmetic
 is specified. The engine evaluates the same points as one batch per field
 call, so the two agree to rounding: 1e-12 relative for single stencils and
 1e-9 relative for nested ones, fixed before the comparison was first run.
+
+The residual chain evaluates psi once per distinct point of a nested
+stencil. Its results must equal, bit for bit, those of the full nested
+stencil: the public grad4_numeric over a fresh chain on the stencil points.
 """
 import dataclasses
 
 import numpy as np
 import pytest
 
-from fourvel import (Event, NATURAL_UNITS, ParameterError, central,
-                     coulomb_potential, dirac_to_kg_check,
+from fourvel import (DerivativeMethod, Event, NATURAL_UNITS, ParameterError,
+                     central, coulomb_potential, curl_k, dirac_to_kg_check,
                      gaussian_polynomial_wave, momentum_gradient,
-                     random_smooth_spinor, zero_potential)
+                     newton_residual, random_smooth_spinor, zero_potential)
 from fourvel.core4 import EventArray, grad4_numeric, laplace4_numeric
 from fourvel.dirac import dirac_residual
+from fourvel.velocityfield import _Chain
+from fourvel.wavefunctions import SpinorWave
 
 C = NATURAL_UNITS
 H = 2e-2
@@ -176,3 +182,59 @@ def test_nested_central_paths_call_psi_at_most_twice(richardson):
 def test_non_elementwise_field_is_rejected():
     with pytest.raises(ParameterError):
         grad4_numeric(lambda e: 1.0, E1, H)
+
+
+def _full_nested_stencil(self, read=None):
+    """_Chain.stencil by the public grad4_numeric, over psi or over a fresh
+    chain on the stencil points: a nested stencil evaluates psi at all 256
+    (1024 with Richardson) stencil-of-stencil points of each sample."""
+    def chain_read(points):
+        return getattr(_Chain(self.psi, self.a_field, points, self.method,
+                              self.constants, self.eps_psi), read)
+
+    d = grad4_numeric(chain_read if read else self.psi, self.e, self.method.h,
+                      self.constants.c, self.method.richardson)
+    mu = 0 if isinstance(self.e, Event) else 1
+    return np.swapaxes(d, mu, mu + 1) if isinstance(self.psi, SpinorWave) \
+        else d
+
+
+# -0.0 and 0.0 in every slot, away from the Coulomb singularity
+SIGNED_ZEROS = EventArray([[1.0, -0.0, 0.0, -0.0], [1.0, 0.0, -0.0, 0.0],
+                           [-0.0, 1.5, -0.0, 0.0], [0.0, 1.5, 0.0, -0.0],
+                           [-0.0, -0.0, 0.8, 0.3], [0.0, 0.0, -0.8, -0.3]])
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+@pytest.mark.parametrize("e", [E1, SIGNED_ZEROS], ids=["event", "zeros"])
+def test_nested_stencils_equal_the_full_nested_stencil(monkeypatch, e,
+                                                       richardson):
+    wave = gaussian_polynomial_wave((1.0, 0.2, -0.1, 0.3, 0.1j),
+                                    (0.1, 0.0, -0.2, 0.3),
+                                    (0.2, 0.3, 0.25, 0.15), C)
+    spinor = random_smooth_spinor(np.random.default_rng(101), C)
+    coulomb, a0 = coulomb_potential(0.4, C), zero_potential()
+    method = central(H, richardson)
+    kernels = {
+        "momentum_gradient": lambda: momentum_gradient(
+            wave, coulomb, e, method, constants=C),
+        "curl_k": lambda: curl_k(wave, coulomb, e, method, constants=C),
+        "newton_residual": lambda: newton_residual(
+            wave, coulomb, e, method, constants=C),
+        "spinor momentum_gradient": lambda: momentum_gradient(
+            spinor, a0, e, method, constants=C),
+        "dirac_to_kg_check": lambda: dirac_to_kg_check(
+            spinor, a0, e, method, constants=C),
+        "analytic dirac_to_kg_check": lambda: dirac_to_kg_check(
+            spinor, a0, e, DerivativeMethod("analytic", H, richardson),
+            constants=C),
+    }
+
+    def bits():
+        return {name: (np.shape(out), np.asarray(out).dtype,
+                       np.asarray(out).tobytes())
+                for name, out in ((n, k()) for n, k in kernels.items())}
+
+    got = bits()
+    monkeypatch.setattr(_Chain, "stencil", _full_nested_stencil)
+    assert got == bits()

@@ -25,8 +25,8 @@ spacelike circle crossings, a one-point energy scan), integer or empty
 values whose echo in the report's config must not change (integer
 constants, step and tolerance, which the echo shows as floats, and integer
 cloud and fixture values, which it shows as given), and events with -0.0
-and 0.0 in every coordinate slot. With the 48 default reports, that is
-156.
+and 0.0 in every coordinate slot, in each scenario's default mode and in
+central mode. With the 48 default reports, that is 160.
 
     python tools/report_hashes.py --extra > hashes.txt
     python tools/report_hashes.py --extra --check hashes.txt
@@ -165,6 +165,12 @@ EXTRA_CONFIGS = [
     # signed zeros in every coordinate slot, outside the exclusion radius
     *((scenario, "signed-zero-events", {"cloud": {"kind": "events",
                                                   "events": SIGNED_ZEROS}})
+      for scenario in ("plane-wave", "kg-coulomb-1s")),
+    # the same events in central mode, where the nested stencil shifts the
+    # +-0.0 slots along two different axes
+    *((scenario, "signed-zero-events-central",
+       {"cloud": {"kind": "events", "events": SIGNED_ZEROS},
+        "method": {"mode": "central"}})
       for scenario in ("plane-wave", "kg-coulomb-1s")),
 ]
 
