@@ -26,9 +26,10 @@ from .wavefunctions import ScalarWave, _outer, _radius
 class PotentialField:
     """4-potential with value and analytic-gradient evaluators.
 
-    a(e) returns the 4-vector A_mu(e); grad(e) the matrix d_mu A_nu.
-    Build instances through the factory functions below; sums of potentials
-    compose with +.
+    a(e) returns the 4-vector A_mu(e); grad(e) the matrix d_mu A_nu, each
+    a fresh array the caller owns. Build instances through the factory
+    functions below; sums of potentials compose with +, and a sum is taken
+    into its left term's array.
     """
 
     def __init__(self, kind: str, a: Callable, grad: Callable, params=None):
@@ -48,8 +49,8 @@ class PotentialField:
             return NotImplemented
         return PotentialField(
             "sum",
-            lambda e: self.a(e) + other.a(e),
-            lambda e: self.grad(e) + other.grad(e),
+            lambda e: operator.iadd(self.a(e), other.a(e)),
+            lambda e: operator.iadd(self.grad(e), other.grad(e)),
             {"terms": (self.kind, other.kind)},
         )
 
@@ -288,8 +289,9 @@ def gauge_transform(a_field: PotentialField, psi: ScalarWave,
 
     def grad_p(e):
         value, g, lifted = gauged(e)
-        return _col(g) * (psi.grad4(e)
-                          + _col(value * iq_h) * lifted(chi.grad4))
+        out = _col(value * iq_h) * lifted(chi.grad4)
+        np.add(psi.grad4(e), out, out=out)
+        return np.multiply(_col(g), out, out=out)
 
     def lap_p(e):
         value, g, lifted = gauged(e)

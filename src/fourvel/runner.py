@@ -588,31 +588,36 @@ def _scn_gauge_orbit(cfg: ScenarioConfig, rng, events):
     monos = [m for m in _DEG2_MONOMIALS if sum(m) <= cfg.fixture["degree"]]
     untransformed = {}   # by the bytes of the cloud: the same for every gauge
 
-    def sides(a, wave, spinor, points) -> list:
-        return [extract_u(wave, a, points, meth, constants=consts),
-                _worst(dirac_residual(spinor, a, points, meth,
-                                      constants=consts)),
-                field_strength(a, points, meth, c=consts.c)]
+    def sides(a, wave, spinor, points):
+        # one at a time, so that each is reduced before the next exists
+        yield extract_u(wave, a, points, meth, constants=consts)
+        yield _worst(dirac_residual(spinor, a, points, meth,
+                                    constants=consts))
+        yield field_strength(a, points, meth, c=consts.c)
 
     def make(terms: np.ndarray, points: EventArray) -> dict:
         # gauge j of a (B, terms) coefficient table on the j-th of B equal
         # blocks of points; its quantities as (B, rows of a block, ...)
         cloud = points[:len(points) // len(terms)]
         if (key := cloud.tobytes()) not in untransformed:
-            untransformed[key] = sides(a0, wave, spinor, cloud)
+            untransformed[key] = list(sides(a0, wave, spinor, cloud))
         chi = _polynomial_gauge_members(monos, terms, consts.c)
-        neg = _polynomial_gauge_members(monos, -terms, consts.c)
         a1, wave1 = gauge_transform(a0, wave, chi, consts)
         _, spinor1 = gauge_transform(a0, spinor, chi, consts)
-        a2, wave2 = gauge_transform(a1, wave1, neg, consts)
-        u1, r1, f1, u2 = [_member_blocks(v, len(terms)) for v in sides(
-            a1, wave1, spinor1, points) + [extract_u(wave2, a2, points, meth,
-                                                     constants=consts)]]
+
+        def versus(side, base):
+            return _worst(_member_blocks(side, len(terms)) - base, 2)
         u0, r0, f0 = untransformed[key]
-        return {"u_invariance": _worst(u1 - u0, 2),
-                "dirac_invariance": _worst(r1 - r0, 2),
-                "field_strength_invariance": _worst(f1 - f0, 2),
-                "roundtrip": _worst(u2 - u0, 2)}
+        gauged = sides(a1, wave1, spinor1, points)
+        out = {"u_invariance": versus(next(gauged), u0),
+               "dirac_invariance": versus(next(gauged), r0),
+               "field_strength_invariance": versus(next(gauged), f0)}
+        # inverse gauges last: their memos never meet field strength's arrays
+        neg = _polynomial_gauge_members(monos, -terms, consts.c)
+        a2, wave2 = gauge_transform(a1, wave1, neg, consts)
+        out["roundtrip"] = versus(
+            extract_u(wave2, a2, points, meth, constants=consts), u0)
+        return out
 
     n = int(cfg.fixture["n_gauges"])
     # evaluated rows per point: 4 axes x 4 nodes per stencil step
@@ -797,7 +802,7 @@ _BALL = {"kind": "random-ball", "center": [0, 0, 0, 0], "radius": 2.0,
 _RAY = {"kind": "ray", "r_min": 0.5, "r_max": 5.0, "count": 50, "t": 0.0}
 _MOMENTA = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, -0.2, 0.1]]
 _SPINOR_BLOCK = 4   # random spinors per family; bounds nested-stencil memory
-_GAUGE_ROWS = 600   # evaluated rows per gauge family (at least one gauge)
+_GAUGE_ROWS = 1000  # evaluated rows per gauge family (at least one gauge)
 _BOOST_BLOCK = 4    # boosted lines per scan; bounds its grid memory
 
 # the Coulomb clouds keep min_r = 0.25 away from the singularity, and the

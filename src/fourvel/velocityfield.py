@@ -261,10 +261,10 @@ class _Chain:
     @cached_property
     def pop(self):
         """pop[..., mu, k] = (-i hbar d_mu - q A_mu) psi_k."""
-        a, value = self.a, self.value
-        return np.swapaxes(-1j * self.constants.hbar * self.grad
-                           - self.constants.q * (value[..., :, None] * a),
-                           -1, -2)
+        grad, qa = self.grad, self.value[..., :, None] * self.a
+        out = -1j * self.constants.hbar * grad
+        out -= np.multiply(self.constants.q, qa, out=qa)
+        return np.swapaxes(out, -1, -2)
 
     @cached_property
     def raw_gamma(self):

@@ -12,13 +12,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fourvel import (ANALYTIC, Event, EventArray, ParameterError, central,
-                     config_from_dict, dirac_plane_wave, dirac_residual,
+from fourvel import (ANALYTIC, Event, EventArray, ParameterError,
+                     PhysicalConstants, central, config_from_dict,
+                     coulomb_potential, dirac_plane_wave, dirac_residual,
                      extract_u, field_strength, gauge_transform, plane_wave,
-                     polynomial_gauge, run_scenario, zero_potential)
-from fourvel import fields
+                     polynomial_gauge, pure_gauge_potential, run_scenario,
+                     zero_potential)
+from fourvel import fields, runner
+from fourvel.core4 import _col
 from fourvel.fields import _polynomial_gauge_members
 from fourvel.runner import _GAUGE_ROWS
+from fourvel.velocityfield import _Chain
 
 METHODS = {"analytic": ANALYTIC, "central": central(),
            "central-richardson": central(richardson=True)}
@@ -86,8 +90,8 @@ def _cloud(count):
 @pytest.mark.parametrize("n", [0, 1, 10, 25])
 def test_runner_equals_one_gauge_at_a_time(method, n):
     cloud = _cloud(100)
-    if n == 25:   # blocks of 6, 6, 6, 6 and 1 gauges
-        assert -(-n // (_GAUGE_ROWS // len(cloud))) == 5
+    if n == 25:   # blocks of 10, 10 and 5 gauges
+        assert -(-n // (_GAUGE_ROWS // len(cloud))) == 3
     m = METHODS[method]
     cfg = config_from_dict({
         "fixture": {"n_gauges": n},
@@ -214,3 +218,77 @@ def test_memory_does_not_grow_with_the_gauge_count():
 def test_a_default_run_stays_under_a_central_plane_wave_run():
     assert _traced_peak({}, "gauge-orbit") < _traced_peak(
         {"method": {"mode": "central"}}, "plane-wave")
+
+
+def test_a_default_run_certifies_its_gauges_in_one_block(monkeypatch):
+    # each block builds one family of gauges and one of their inverses
+    sizes = []
+    members = runner._polynomial_gauge_members
+    monkeypatch.setattr(runner, "_polynomial_gauge_members", lambda *a: (
+        sizes.append(len(a[1])) or members(*a)))
+    report = run_scenario(config_from_dict({}, "gauge-orbit"))
+    assert sizes == [10, 10]
+    assert len({r["case"] for r in report.rows}) == 10
+
+
+# The block-sized evaluators compute in place. Each in-place result must
+# equal, bit for bit, the out-of-place expression it replaced, with every
+# binary operation's operands in their original order: numpy's complex
+# loops do not round a * b and b * a alike. A spinor's (K, 4, 4) arrays on
+# a gauge block's 1000 rows have 16000 elements, more than one of numpy's
+# broadcasting buffers (8192) holds, as in a real block.
+UNITS = PhysicalConstants(hbar=1.3, c=1.7, m=0.8, q=-0.6)
+P = [0.3, -0.2, 0.1]
+
+
+def _block_and_event():
+    rng = np.random.default_rng(29)
+    coeffs = rng.uniform(-0.5, 0.5, (10, len(MONOMIALS)))
+    points = EventArray(rng.uniform(-1.5, 1.5, (_GAUGE_ROWS, 4)))
+    return [(_polynomial_gauge_members(MONOMIALS, coeffs, UNITS.c), points),
+            (_polynomial_gauge_members(MONOMIALS, coeffs[:1], UNITS.c),
+             Event(0.4, -0.0, 1.1, -0.7))]
+
+
+@pytest.mark.parametrize("spinor", [False, True], ids=["scalar", "spinor"])
+def test_a_gauged_gradient_is_the_out_of_place_expression(spinor):
+    psi = (dirac_plane_wave(P, "up", UNITS) if spinor
+           else plane_wave(P, UNITS))
+    iq_h = 1j * UNITS.q / UNITS.hbar
+    for chi, e in _block_and_event():
+        _, gauged = gauge_transform(zero_potential(), psi, chi, UNITS)
+        value, x = psi.psi(e), chi.chi(e)
+        lift = ((slice(None),) * np.ndim(x)
+                + (None,) * (np.ndim(value) - np.ndim(x)))
+        g = np.exp(iq_h * x[lift])
+        _same_bits(gauged.grad4(e), _col(g) * (
+            psi.grad4(e) + _col(value * iq_h) * chi.grad4(e)[lift]))
+
+
+def test_a_spinor_chain_pop_is_the_out_of_place_expression():
+    spinor = dirac_plane_wave(P, "up", UNITS)
+    for chi, e in _block_and_event():
+        a, gauged = gauge_transform(coulomb_potential(0.3, UNITS), spinor,
+                                    chi, UNITS)
+        chain, ref = (_Chain(gauged, a, e, ANALYTIC, UNITS, 0.0)
+                      for _ in range(2))
+        pop = chain.pop
+        _same_bits(pop, np.swapaxes(
+            -1j * UNITS.hbar * ref.grad
+            - UNITS.q * (ref.value[..., :, None] * ref.a), -1, -2))
+        # and the chain's own gradient is left as it was
+        _same_bits(chain.grad, ref.grad)
+
+
+def test_a_sum_of_potentials_is_the_out_of_place_sum():
+    for chi, e in _block_and_event():
+        gauge, coulomb = pure_gauge_potential(chi), coulomb_potential(0.3,
+                                                                      UNITS)
+        for left, right in [(zero_potential(), gauge), (gauge, coulomb),
+                            (coulomb, gauge)]:
+            total = left + right
+            for name in ("a", "grad"):
+                want = getattr(left, name)(e) + getattr(right, name)(e)
+                # twice: the left operand's evaluator keeps nothing it gave
+                for _ in range(2):
+                    _same_bits(getattr(total, name)(e), want)
