@@ -192,6 +192,7 @@ def _polynomial_gauge_members(expos: list, coeffs, c: float) -> GaugeFunction:
     first = [diff(table, ax) for ax in range(4)]
     second = {(a1, a2): diff(first[a1], a2)
               for a1 in range(4) for a2 in range(a1, 4)}
+    shared = None   # the last points' key: one bytes copy for all memos
 
     def split(arr: np.ndarray, one: bool) -> tuple:
         # the coordinates per member block, Python floats for one Event, and
@@ -208,10 +209,11 @@ def _polynomial_gauge_members(expos: list, coeffs, c: float) -> GaugeFunction:
         last = (None, None)
 
         def evaluator(e):
-            nonlocal last
+            nonlocal last, shared
             arr = e.as_array()
             one = isinstance(e, Event)
             key = (one, arr.shape, arr.tobytes())
+            key = shared = shared if key == shared else key
             seen, out = last
             if key != seen:
                 out = body(e, *split(arr, one))

@@ -367,21 +367,22 @@ def _random_ball(center, radius: float, count: int, rng: np.random.Generator,
                  min_r: float) -> EventArray:
     """count points uniform in the 4-ball, drawn one at a time and rejected
     while their spatial radius is below min_r."""
-    points = []
-    for _ in range(_DRAWS_PER_POINT * count):
-        if len(points) == count:
-            break
-        d = rng.normal(size=4)
-        d /= np.linalg.norm(d)
-        p = center + radius * rng.uniform() ** 0.25 * d
-        if min_r and math.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2) < min_r:
-            continue
-        points.append(p)
+    points, left = np.empty((0, 4)), _DRAWS_PER_POINT * count
+    while len(points) < count and left:   # rounds of only the missing
+        k = min(count - len(points), left)   # points: no extra draw
+        left -= k
+        d, s = np.empty((k, 4)), np.empty((k, 1))
+        for i in range(k):
+            d[i] = rng.normal(size=4)
+            s[i] = radius * rng.random() ** 0.25
+        d /= np.sqrt(d[:, None] @ d[:, :, None])[:, 0]   # norm's d.dot(d)
+        p = EventArray(center + s * d)
+        points = np.concatenate([points, p[~(p.r < min_r)] if min_r else p])
     _require(len(points) == count,
              f"random-ball cloud: only {len(points)} of {count} points lie "
              f"outside the exclusion radius {min_r} after "
              f"{_DRAWS_PER_POINT * count} draws")
-    return EventArray(np.reshape(points, (count, 4)))
+    return EventArray(points)
 
 
 def _build_cloud(spec: dict, rng: np.random.Generator,

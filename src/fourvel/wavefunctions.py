@@ -356,22 +356,31 @@ def _gaussian_polynomial_members(lin, b, a, c: float,
                                  label: str) -> ScalarWave:
     """gaussian_polynomial_wave of parameters whose first axis pairs with the
     points: member j of M takes the j-th of M equal, contiguous blocks of
-    rows (so of every base-major stencil), and K % M != 0 is refused."""
-    fold = np.array([1, 1, 1, 1 / (1j * c)], dtype=complex)
-    # [member, row of its block, parameter axes]
-    lin, b, a = (v[:, None] for v in (lin, b, a))
-    param_axes = tuple(range(2 - lin.ndim, -1))
-    lin0, lin1 = lin[..., 0], lin[..., 1:]
+    rows (so of every base-major stencil), and K % M != 0 is refused. Sums
+    over the coordinates are written out in np.sum's order (README)."""
+    params = {"center": tuple(b.tolist()), "widths": tuple(a.tolist())}
+    # [coordinate, member, parameter axes, row]: rows contiguous, innermost
+    fold = np.reshape([1, 1, 1, 1 / (1j * c)], (4,) + (1,) * lin.ndim)
+    lin0 = lin[..., :1] + 0.0   # np.sum's 0.0 start: (lin0 + 0.0) + s
+    lin1, b, a = (np.moveaxis(v, -1, 0)[..., None]
+                  for v in (lin[..., 1:], b, a))
+    param_axes = (slice(None),) * 2 + (None,) * (lin.ndim - 2)
 
     def parts(e: Event):   # also the map from member blocks to the points
         x = e.as_array()   # one Event is one row
-        g = np.expand_dims(_member_blocks(x.reshape(-1, 4), len(lin)),
-                           param_axes)
+        g = _member_blocks(x.reshape(-1, 4), len(lin)).transpose(
+            2, 0, 1).copy()[param_axes]
+        poly = lin0 + ((lin1[0] * g[0] + lin1[1] * g[1])
+                       + (lin1[2] * g[2] + lin1[3] * g[3]))
         d = g - b
-        poly = lin0 + np.sum(lin1 * g, axis=-1)
-        gauss = np.exp(-np.sum(a * d * d, axis=-1))
-        return d, poly, gauss, lambda v: v.reshape(
-            x.shape[:-1] + v.shape[2:])[()]
+        q = a * d
+        q *= d   # (a * d) * d in one array
+        gauss = np.exp(-(((q[0] + q[1]) + q[2]) + q[3]))
+
+        def shaped(v, n=0):   # v is [n derivative axes, member, params, row]
+            return v.transpose(n, -1, *range(n + 1, v.ndim - 1), *range(
+                n)).reshape(x.shape[:-1] + v.shape[n + 1:-1] + v.shape[:n])[()]
+        return d, poly, gauss, shaped
 
     def psi(e: Event) -> complex:
         _, poly, gauss, shaped = parts(e)
@@ -379,28 +388,26 @@ def _gaussian_polynomial_members(lin, b, a, c: float,
 
     def grad4(e: Event) -> np.ndarray:
         d, poly, gauss, shaped = parts(e)
-        raw = (lin1 - 2.0 * a * d * _col(poly)) * _col(gauss)  # d/dx_i
-        return shaped(raw * fold)
+        raw = (lin1 - 2.0 * a * d * poly) * gauss  # d/dx_i
+        return shaped(raw * fold, 1)
 
     def laplace4(e: Event) -> complex:
         d, poly, gauss, shaped = parts(e)
         raw = (-2.0 * a * d * lin1 * 2.0
-               + _col(poly) * (4.0 * a ** 2 * d * d - 2.0 * a)) * _col(gauss)
+               + poly * (4.0 * a ** 2 * d * d - 2.0 * a)) * gauss
         # slot 3 is a plain t-derivative; fold^2 = -1/c^2 for that slot
-        return shaped(np.sum(raw[..., :3], axis=-1) - raw[..., 3] / c ** 2)
+        return shaped(((0.0 + raw[0]) + raw[1]) + raw[2] - raw[3] / c ** 2)
 
     def hess4(e: Event) -> np.ndarray:
         d, poly, gauss, shaped = parts(e)
         ad = a * d
-        raw = (-2.0 * (a[..., None] * np.eye(4)) * _col(poly, 2)
-               - 2.0 * _outer(ad, lin1) - 2.0 * _outer(lin1, ad)
-               + 4.0 * _outer(ad, ad) * _col(poly, 2)) * _col(gauss, 2)
-        return shaped(raw * np.outer(fold, fold))
+        raw = (-2.0 * (a[:, None] * np.eye(4).reshape((4,) + fold.shape))
+               * poly - 2.0 * (ad[:, None] * lin1) - 2.0 * (lin1[:, None] * ad)
+               + 4.0 * (ad[:, None] * ad) * poly) * gauss
+        return shaped(raw * (fold[:, None] * fold), 2)
 
     return ScalarWave(label=label, psi=psi, grad4=grad4, laplace4=laplace4,
-                      hess4=hess4,
-                      params={"center": tuple(b[:, 0].tolist()),
-                              "widths": tuple(a[:, 0].tolist())})
+                      hess4=hess4, params=params)
 
 
 def _one_member(wave: ScalarWave) -> ScalarWave:

@@ -1,19 +1,23 @@
 """Batched paths against per-item oracles written here, bit for bit.
 
 The action quadrature, the random spinor, the (N, 4) gamma
-contraction and the pierce-point refinement each replaced a loop over one
-node, component, momentum or turning point. Each oracle below is that loop,
+contraction, the pierce-point refinement and the random-ball cloud each
+replaced a loop over one node, component, momentum, turning point or sample
+point. Each oracle below is that loop,
 and every comparison is exact (== or np.array_equal), never a tolerance.
 """
 import dataclasses
 import importlib.util
 import math
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fourvel import (ANALYTIC, Event, EventArray, NATURAL_UNITS,
+from fourvel import (ANALYTIC, ConfigError, Event, EventArray, NATURAL_UNITS,
                      ParameterError, PhysicalConstants, ScalarWave,
                      SpinorWave, Worldline, action_integral, boost_worldline,
                      central, config_from_dict, coulomb_potential,
@@ -24,7 +28,7 @@ from fourvel import (ANALYTIC, Event, EventArray, NATURAL_UNITS,
                      plane_wave, polynomial_gauge, random_smooth_spinor,
                      run_scenario, zero_potential)
 from fourvel.core4 import four_displacement
-from fourvel.runner import _scaled_gammas
+from fourvel.runner import _DRAWS_PER_POINT, _random_ball, _scaled_gammas
 
 C = NATURAL_UNITS
 K = PhysicalConstants(hbar=1.3, c=1.7, m=0.8, q=-0.6)
@@ -414,6 +418,58 @@ def test_near_grazing_turning_point_is_still_refined():
 
 
 # ---------------------------------------------------------------------------
+# random ball: the points still missing scaled and tested in one round
+# ---------------------------------------------------------------------------
+
+def _oracle_ball(center, radius, count, rng, min_r):
+    """The random-ball points as drawn, scaled and tested one at a time; a
+    list shorter than count when the draws ran out."""
+    points = []
+    for _ in range(_DRAWS_PER_POINT * count):
+        if len(points) == count:
+            break
+        d = rng.normal(size=4)
+        d /= np.linalg.norm(d)
+        p = center + radius * rng.uniform() ** 0.25 * d
+        if min_r and math.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2) < min_r:
+            continue
+        points.append(p)
+    return points
+
+
+@pytest.mark.parametrize("count", [1, 7, 100, 1000])
+@pytest.mark.parametrize("min_r", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_ball_matches_the_one_point_loop(seed, min_r, count):
+    # an integer radius and an off-origin centre, as a config may give them
+    center = np.array([0.1, -0.2, 0.0, 0.3]) * seed
+    radius = 2 if seed == 2 else 1.5
+    want_rng, got_rng = (np.random.default_rng(seed) for _ in range(2))
+    want = _oracle_ball(center, radius, count, want_rng, min_r)
+    got = _random_ball(center, radius, count, got_rng, min_r)
+    assert type(got) is EventArray and got.shape == (count, 4)
+    assert got.tobytes() == np.reshape(want, (count, 4)).tobytes()
+    if min_r:   # the test rejected some draws, and spent them
+        assert np.all(got.r >= min_r)
+    # later users of the rng see the same stream
+    assert got_rng.random() == want_rng.random()
+
+
+# radius 1 and min_r 0.998 accept 1, 0 and 2 of 3 points within the draw
+# limit at these seeds; at seed 1 the 3000th draw ends a shortened round
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_random_ball_draw_limit_counts_the_points_it_kept(seed):
+    want = _oracle_ball(np.zeros(4), 1.0, 3, np.random.default_rng(seed),
+                        0.998)
+    assert len(want) < 3
+    with pytest.raises(ConfigError) as info:
+        _random_ball(np.zeros(4), 1.0, 3, np.random.default_rng(seed), 0.998)
+    assert str(info.value) == (
+        f"random-ball cloud: only {len(want)} of 3 points lie outside the "
+        "exclusion radius 0.998 after 3000 draws")
+
+
+# ---------------------------------------------------------------------------
 # energy scan: the x tolerance in units of m c^2
 # ---------------------------------------------------------------------------
 
@@ -466,3 +522,27 @@ def test_report_hashes_extra_configs(capsys):
         for code, name in (("1", "gamma-scale-1.001"), ("0", "no-random-p"))
         for fmt in ("json", "csv")]
     assert lines[6].split()[0] != lines[0].split()[0]
+
+
+# ---------------------------------------------------------------------------
+# tools/ab_pairs.py
+# ---------------------------------------------------------------------------
+
+def test_ab_pairs_smoke(tmp_path):
+    # one tree against itself, copied so its compiled files stay out of ROOT
+    tree = tmp_path / "tree"
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, tree / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    r = subprocess.run([sys.executable, str(ROOT / "tools" / "ab_pairs.py"),
+                        str(tree), str(tree), "--workload", "default-sweep",
+                        "--pairs", "1"], capture_output=True, text=True,
+                       timeout=60)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0].startswith("# default-sweep, 1 pairs")
+    assert [line.split(":")[0] for line in lines[1:3]] == ["A", "B"]
+    assert "median faults per pass" in lines[1]
+    assert lines[3].startswith("ratio B/A ") and "of 1 pairs" in lines[3]
+    assert lines[4].startswith("ratio B/A per block of 20 pairs: ")
+    assert list((tree / "src" / "fourvel" / "__pycache__").glob("*.pyc"))

@@ -198,6 +198,30 @@ def test_a_family_evaluates_each_point_set_once(monkeypatch):
             assert len(calls) == before + 1
 
 
+def _memo_key(evaluator):
+    """The key an evaluator's one-entry memo holds."""
+    cells = dict(zip(evaluator.__code__.co_freevars, evaluator.__closure__))
+    return cells["last"].cell_contents[0]
+
+
+def test_a_family_keeps_one_key_per_point_set():
+    # chi, grad4 and hess4 of one block hold one copy of its point bytes,
+    # not one each; other points get a key of their own
+    family = _polynomial_gauge_members(
+        MONOMIALS, np.random.default_rng(9).uniform(-1, 1, (10, 15)), 1.3)
+    points = EventArray(np.random.default_rng(5).uniform(
+        -1.5, 1.5, (_GAUGE_ROWS, 4)))
+    evaluators = (family.chi, family.grad4, family.hess4)
+    for evaluator in evaluators:
+        evaluator(points)
+    key = _memo_key(family.chi)
+    assert key == (False, points.shape, points.tobytes())
+    assert all(_memo_key(evaluator) is key for evaluator in evaluators)
+    family.grad4(points[::-1])
+    assert _memo_key(family.grad4)[2] == points[::-1].tobytes()
+    assert _memo_key(family.chi) is key and _memo_key(family.hess4) is key
+
+
 def _traced_peak(doc, scenario):
     cfg = config_from_dict(doc, scenario)
     run_scenario(cfg)   # first-call caches are not the gauges' memory

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from fourvel import (ANALYTIC, Event, EventArray, NATURAL_UNITS,
-                     ParameterError, central, config_from_dict,
-                     dirac_to_kg_check,
+                     ParameterError, PhysicalConstants, central,
+                     config_from_dict, dirac_to_kg_check,
                      gaussian_polynomial_wave, kg_operator_on_spinor,
                      kg_residual, mass_shell_residual,
                      random_smooth_spinor, random_spinor_family, run_scenario,
@@ -173,3 +173,103 @@ def _traced_peak(n):
 def test_memory_does_not_grow_with_the_spinor_count():
     small, large = _traced_peak(5), _traced_peak(40)
     assert abs(large - small) <= 0.25 * small
+
+
+# The closed form works coordinate-major, with each sum over the coordinates
+# written out in np.sum's order. It must equal, bit for bit, the row-major
+# expressions it replaced, written out here: points (member, row, parameter
+# axes, coordinate), and each sum over the coordinates one np.sum.
+def _row_major(lin, b, a, c):
+    """psi, grad4, laplace4 and hess4 of _gaussian_polynomial_members as
+    they were computed row-major."""
+    fold = np.array([1, 1, 1, 1 / (1j * c)], dtype=complex)
+    lin, b, a = (v[:, None] for v in (lin, b, a))
+    lin0, lin1 = lin[..., 0], lin[..., 1:]
+
+    def col(v, depth=1):
+        return v[(...,) + (None,) * depth]
+
+    def outer(u, v):
+        return u[..., :, None] * v[..., None, :]
+
+    def parts(e):
+        x = e.as_array()
+        g = np.expand_dims(x.reshape(len(lin), -1, 4),
+                           tuple(range(2 - lin.ndim, -1)))
+        d = g - b
+        poly = lin0 + np.sum(lin1 * g, axis=-1)
+        gauss = np.exp(-np.sum(a * d * d, axis=-1))
+        return d, poly, gauss, lambda v: v.reshape(
+            x.shape[:-1] + v.shape[2:])[()]
+
+    def psi(e):
+        _, poly, gauss, shaped = parts(e)
+        return shaped(poly * gauss)
+
+    def grad4(e):
+        d, poly, gauss, shaped = parts(e)
+        return shaped((lin1 - 2.0 * a * d * col(poly)) * col(gauss) * fold)
+
+    def laplace4(e):
+        d, poly, gauss, shaped = parts(e)
+        raw = (-2.0 * a * d * lin1 * 2.0
+               + col(poly) * (4.0 * a ** 2 * d * d - 2.0 * a)) * col(gauss)
+        return shaped(np.sum(raw[..., :3], axis=-1) - raw[..., 3] / c ** 2)
+
+    def hess4(e):
+        d, poly, gauss, shaped = parts(e)
+        ad = a * d
+        raw = (-2.0 * (a[..., None] * np.eye(4)) * col(poly, 2)
+               - 2.0 * outer(ad, lin1) - 2.0 * outer(lin1, ad)
+               + 4.0 * outer(ad, ad) * col(poly, 2)) * col(gauss, 2)
+        return shaped(raw * np.outer(fold, fold))
+
+    return {"psi": psi, "grad4": grad4, "laplace4": laplace4, "hess4": hess4}
+
+
+def _same_as_row_major(wave, lin, b, a, c, e):
+    old = _row_major(lin, b, a, c)
+    for name, evaluate in old.items():
+        new, want = getattr(wave, name)(e), evaluate(e)
+        assert type(new) is type(want) and new.shape == want.shape, name
+        assert new.tobytes() == want.tobytes(), name
+
+
+# -0.0 and 0.0 in every slot, as points and as parameters; at the all -0.0
+# point every term of the signed-zero wave's c.x is -0.0, and np.sum's
+# 0.0 + ... makes the sum 0.0
+SIGNED = np.array([[1.0, -0.0, 0.0, -0.0], [-1.0, 0.0, -0.0, 0.0],
+                   [0.0, 0.5, -0.0, -0.25], [-0.0, -0.5, 0.0, 0.25],
+                   [-0.0, -0.0, -0.0, -0.0]])
+
+
+@pytest.mark.parametrize("points", [
+    Event(0.3, -0.2, 0.1, 0.7), Event(-0.0, -0.0, -0.0, -0.0),
+    EventArray(np.linspace(-0.6, 0.6, 28).reshape(7, 4)), EventArray(SIGNED)],
+    ids=["event", "signed-zero-event", "batch", "signed-zero-batch"])
+@pytest.mark.parametrize("linear, center", [
+    ([0.7, 0.2 - 0.1j, -0.3, 0.4j, 0.25], [0.1, -0.2, 0.05, 0.3]),
+    ([-0.0, 0.0, 0.0, 0.5, 0.0], [0.0, -0.0, 0.0, -0.0])],
+    ids=["generic", "signed-zero-parameters"])
+def test_a_gaussian_polynomial_wave_is_the_row_major_expression(
+        points, linear, center):
+    lin = np.asarray(linear, dtype=complex)
+    b, a = np.asarray(center), np.array([0.3, 0.2, 0.4, 0.1])
+    c = 1.7
+    wave = gaussian_polynomial_wave(lin, b, a, PhysicalConstants(c=c))
+    _same_as_row_major(wave, lin[None], b[None], a[None], c, points)
+
+
+@pytest.mark.parametrize("rows", [12, 204, 1920])
+def test_a_random_spinor_family_is_the_row_major_expression(rows):
+    rng = np.random.default_rng(rows)
+    draws = rng.random((_SPINOR_BLOCK,) + _SPINOR_DRAW)
+    # the family's scaling of its draws, and its linear coefficients
+    u = _SPINOR_LOW + (_SPINOR_HIGH - _SPINOR_LOW) * draws
+    lin = np.concatenate([u[..., :1] * np.exp(1j * u[..., 1:2]),
+                          u[..., 2:6] + 1j * u[..., 6:10]], axis=-1)
+    points = rng.uniform(-0.6, 0.6, (rows, 4))
+    points[:len(SIGNED)] = SIGNED
+    family = random_spinor_family(draws, C)
+    _same_as_row_major(family, lin, u[..., 10:14], u[..., 14:], C.c,
+                       EventArray(points))
