@@ -21,9 +21,9 @@ from .errors import (ConfigError, DegenerateParameterError, FourvelError,
                      NearZeroWavefunctionError, ParameterError,
                      QuadratureError, SingularPointError,
                      UnsupportedConfigurationError)
-from .fields import (GaugeFunction, PotentialField, constant_potential,
-                     coulomb_potential, gauge_transform, lorenz_gauge_residual,
-                     polynomial_gauge, pure_gauge_potential, zero_potential)
+from .fields import (GaugeFunction, PotentialField, coulomb_potential,
+                     gauge_transform, lorenz_gauge_residual, polynomial_gauge,
+                     pure_gauge_potential, zero_potential)
 from .runner import (CheckResult, ResidualReport, ScenarioConfig,
                      config_from_dict, default_config, export_report,
                      list_scenarios, run_scenario)
@@ -35,9 +35,9 @@ from .velocityfield import (ActionResult, DivergenceResult, action_integral,
 from .wavefunctions import (ScalarWave, SpinorWave, dirac_coulomb_1s,
                             dirac_plane_wave, gaussian_polynomial_wave,
                             kg_coulomb_1s, plane_wave, random_smooth_spinor,
-                            random_spinor_family, spinor_from_components)
+                            random_spinor_family)
 from .worldline import (PiercePoint, Worldline, boost_worldline,
-                        classify_speed, four_velocity, make_worldline,
-                        pierce_points, write_pierce_csv)
+                        classify_speed, make_worldline, pierce_points,
+                        write_pierce_csv)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

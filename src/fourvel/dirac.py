@@ -44,15 +44,13 @@ class GammaSet:
     gammas: tuple       # four 4x4 matrices, gammas[3] = beta
 
 
-def gamma_matrices(representation: str = "dirac-standard") -> GammaSet:
-    if representation != "dirac-standard":
-        raise ParameterError(f"unknown representation {representation!r}")
+def gamma_matrices() -> GammaSet:
     alphas = tuple(
         np.block([[_Z2, s], [s, _Z2]]) for s in _SIGMA
     )
     beta = np.diag([1, 1, -1, -1]).astype(complex)
     gammas = tuple(-1j * beta @ a for a in alphas) + (beta,)
-    return GammaSet(representation, alphas, beta, gammas)
+    return GammaSet("dirac-standard", alphas, beta, gammas)
 
 
 def _read_only(g: GammaSet) -> GammaSet:
@@ -99,11 +97,10 @@ def factorization_residual(g: GammaSet, p,
     return float(out) if out.ndim == 0 else out
 
 
-def form_relation_matrix(constants: PhysicalConstants = NATURAL_UNITS,
-                         g: GammaSet | None = None) -> np.ndarray:
+def form_relation_matrix(
+        constants: PhysicalConstants = NATURAL_UNITS) -> np.ndarray:
     """M with residual_gamma = M @ residual_alphabeta; M = -(i/c) beta."""
-    g = g or _STANDARD
-    return -(1j / constants.c) * g.beta
+    return -(1j / constants.c) * _STANDARD.beta
 
 
 def dirac_residual(spinor: SpinorWave, a_field, e: Event,

@@ -63,15 +63,6 @@ def zero_potential() -> PotentialField:
                           lambda e: _zeros(e, 4, 4))
 
 
-def constant_potential(components) -> PotentialField:
-    a = np.asarray(components, dtype=complex)
-    if a.shape != (4,):
-        raise ParameterError("constant potential needs 4 components")
-    return PotentialField("constant", lambda e: _zeros(e, 4) + a,
-                          lambda e: _zeros(e, 4, 4),
-                          {"components": tuple(a)})
-
-
 def coulomb_potential(z_alpha: float,
                       constants: PhysicalConstants = NATURAL_UNITS) -> PotentialField:
     """Attractive point-charge potential with coupling strength z_alpha.

@@ -621,8 +621,9 @@ def _scn_gauge_orbit(cfg: ScenarioConfig, rng, events):
         return out
 
     n = int(cfg.fixture["n_gauges"])
-    # evaluated rows per point: 4 axes x 4 nodes per stencil step
-    stencil = 1 if meth.mode == "analytic" else 16 * (1 + meth.richardson)
+    # evaluated rows per point: 4 axes x 4 nodes per stencil step, and the
+    # point itself
+    stencil = 1 if meth.mode == "analytic" else 16 * len(meth.steps) + 1
     block = max(1, _GAUGE_ROWS // max(len(events) * stencil, 1))
     for first in range(0, n, block):
         # one (B, terms) draw takes the same numbers as B gauges' draws of

@@ -57,16 +57,15 @@ def _normalized(out, values, e, eps_psi: float):
 
 @dataclass(frozen=True)
 class DivergenceResult:
-    """Two independent evaluations of d_mu (m u_mu) plus the gauge check.
+    """Two independent evaluations of d_mu (m u_mu), and d_mu A_mu.
 
     For a (K, 4) batch each field holds one entry per point; for a spinor,
-    one per component, and the Lorenz fields one on a unit component axis.
+    one per component, and lorenz_residual one on a unit component axis.
     """
 
     value: complex              # trace of the momentum gradient, A removed
     independent: complex        # -i hbar (laplace4 psi/psi - dlog.dlog)
     lorenz_residual: complex    # d_mu A_mu at the same event
-    lorenz_ok: bool             # independent form assumes this is ~0
 
     @property
     def mismatch(self):
@@ -231,7 +230,7 @@ class _Chain:
         lorenz = _trace(self.ga)
         return DivergenceResult(_trace(gp) - self.constants.q * lorenz,
                                 -1j * self.constants.hbar * self.ddlog,
-                                lorenz, abs(lorenz) < 1e-10)
+                                lorenz)
 
     @cached_property
     def raw_kg(self):
@@ -387,11 +386,8 @@ def divergence_mu(psi, a_field, e: Event,
                   method: DerivativeMethod = ANALYTIC, *,
                   constants: PhysicalConstants = NATURAL_UNITS,
                   eps_psi: float = DEFAULT_EPS_PSI) -> DivergenceResult:
-    """Source term d_mu (m u_mu), evaluated two independent ways.
-
-    The identity behind the cross-check requires the Lorenz condition;
-    lorenz_ok records whether the supplied potential satisfies it here.
-    """
+    """Source term d_mu (m u_mu), evaluated two independent ways; they
+    agree where lorenz_residual, d_mu A_mu, is zero (mismatch |q d.A|)."""
     return _Chain(psi, a_field, e, method, constants, eps_psi).divergence
 
 

@@ -74,27 +74,6 @@ class SpinorWave(ScalarWave):
         return self.psi(e)
 
 
-def spinor_from_components(label: str, comps, energy: Optional[float] = None,
-                           params: Optional[dict] = None) -> SpinorWave:
-    """The spinor whose component k is the ScalarWave comps[k]: each
-    evaluator stacks the components' results on the component axis, and
-    hess4 is given when every component has one."""
-    comps = tuple(comps)
-    if len(comps) != 4:
-        raise ParameterError("spinor needs exactly 4 components")
-
-    def stacked(name: str, axis: int):
-        evaluators = [getattr(c, name) for c in comps]
-        if any(f is None for f in evaluators):
-            return None
-        return lambda e: np.stack([np.asarray(f(e), dtype=complex)
-                                   for f in evaluators], axis=axis)
-
-    return SpinorWave(label, stacked("psi", -1), stacked("grad4", -2),
-                      stacked("laplace4", -1), stacked("hess4", -3),
-                      energy, dict(params or {}))
-
-
 # ---------------------------------------------------------------------------
 # free plane wave
 # ---------------------------------------------------------------------------

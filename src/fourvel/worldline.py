@@ -41,10 +41,6 @@ class Worldline:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ParameterError(f"bad parameter interval {self.lam_range}")
 
-    def tangent4(self, lam: float) -> np.ndarray:
-        """Tangent as a 4-vector, fourth slot i*c*dt/dlambda."""
-        return _tangent4(np.asarray(self.velocity(lam), dtype=float), self.c)
-
 
 def _tangent4(v: np.ndarray, c: float) -> np.ndarray:
     """The tangent 4-vector of the velocity v = (dx1, dx2, dx3, dt)/dlambda."""
@@ -77,7 +73,6 @@ def make_worldline(kind: str, *, c: float = 1.0, **params) -> Worldline:
 
     line:        x0 (Event, default origin), v (3-velocity), lam_range;
                  X = x0 + lam * (v, 1)
-    helix:       radius, omega, lam_range; X = (R cos w lam, R sin w lam, 0, lam)
     circle-x1x4: radius, lam_range; X = (R cos lam, 0, 0, t = R sin lam / c),
                  a closed curve in the x1 - x4 plane that alternates between
                  timelike and spacelike arcs
@@ -101,26 +96,6 @@ def make_worldline(kind: str, *, c: float = 1.0, **params) -> Worldline:
 
         return Worldline("line", position, velocity, lam_range, c,
                          {"v": tuple(v), "x0": x0})
-
-    if kind == "helix":
-        radius = float(params.get("radius", 1.0))
-        omega = float(params.get("omega", 2 * math.pi))
-        if radius <= 0 or not math.isfinite(omega):
-            raise ParameterError("helix needs radius > 0 and finite omega")
-        lam_range = tuple(params.get("lam_range", (0.0, 1.0)))
-
-        def position(lam):
-            m = _lib(lam)
-            return _at(lam, radius * m.cos(omega * lam),
-                       radius * m.sin(omega * lam), 0.0, lam)
-
-        def velocity(lam: float) -> np.ndarray:
-            _lib(lam)
-            return np.array([-radius * omega * math.sin(omega * lam),
-                             radius * omega * math.cos(omega * lam), 0.0, 1.0])
-
-        return Worldline("helix", position, velocity, lam_range, c,
-                         {"radius": radius, "omega": omega})
 
     if kind == "circle-x1x4":
         radius = float(params.get("radius", 1.0))
@@ -180,32 +155,20 @@ def _boost_family(w: Worldline, speeds: list) -> tuple:
     return [member(v, gamma) for v, gamma in zip(speeds, gammas)], times
 
 
-def classify_speed(w: Worldline, lam: float, *,
-                   null_tol: float = _NULL_TOL) -> str:
+def classify_speed(w: Worldline, lam: float) -> str:
     """'timelike' | 'null' | 'spacelike' from the tangent self-contraction."""
-    return _speed_class(w.tangent4(lam), lam, null_tol)[0]
+    return _speed_class(
+        _tangent4(np.asarray(w.velocity(lam), dtype=float), w.c), lam)[0]
 
 
-def _speed_class(t4: np.ndarray, lam: float, null_tol: float = _NULL_TOL):
+def _speed_class(t4: np.ndarray, lam: float):
     """classify_speed of the tangent t4 at lam, and t4's self-contraction."""
     if float(np.max(np.abs(t4))) < _CUSP_TOL:
         raise DegenerateParameterError(f"vanishing tangent at lambda = {lam}")
     s2 = contract(t4, t4).real
-    if abs(s2) < null_tol:
+    if abs(s2) < _NULL_TOL:
         return "null", s2
     return ("timelike" if s2 < 0 else "spacelike"), s2
-
-
-def four_velocity(w: Worldline, lam: float) -> np.ndarray:
-    """Proper-time normalized tangent; timelike points only.
-    Satisfies contract(u, u) = -c^2 by construction."""
-    t4 = w.tangent4(lam)
-    s2 = contract(t4, t4).real
-    if s2 >= 0:
-        raise ParameterError(
-            f"four_velocity needs a timelike point, contraction = {s2}")
-    dtau_dlam = math.sqrt(-s2) / w.c
-    return t4 / dtau_dlam
 
 
 @dataclass(frozen=True)
@@ -308,7 +271,7 @@ def _pierce_members(members: list, t0: float, times: Callable, *,
         for lam in sorted(roots):   # one tangent read per root
             v = np.asarray(w.velocity(lam), dtype=float)
             t4 = _tangent4(v, w.c)
-            cls, s2 = _speed_class(t4, lam)   # then four_velocity's u
+            cls, s2 = _speed_class(t4, lam)   # then the proper-time u
             u = t4 / (math.sqrt(-s2) / w.c) if cls == "timelike" else None
             points.append(PiercePoint(lam=lam, event=w.position(lam),
                                       classification=cls, u=u,

@@ -12,7 +12,7 @@ import pytest
 from fourvel import (ANALYTIC, Event, NATURAL_UNITS,
                      NearZeroWavefunctionError, ParameterError,
                      SingularPointError, canonical_momentum, central,
-                     constant_potential, contract, coulomb_potential,
+                     contract, coulomb_potential,
                      differentiate, dirac_coulomb_1s, dirac_plane_wave,
                      extract_u, gauge_transform,
                      gaussian_polynomial_wave, kg_coulomb_1s, plane_wave,
@@ -74,7 +74,10 @@ def _spinors():
 
 def _potentials():
     coulomb = coulomb_potential(0.4, C)
-    constant = constant_potential((0.1, -0.2, 0.3, 0.05j))
+    # A = (0.1, -0.2, 0.3, 0.05j) from a degree-1 gauge: A_4 = -i k_t / c
+    constant = pure_gauge_potential(polynomial_gauge(
+        {(1, 0, 0, 0): 0.1, (0, 1, 0, 0): -0.2, (0, 0, 1, 0): 0.3,
+         (0, 0, 0, 1): -0.05 * C.c}, C.c))
     return {"zero": A0, "constant": constant, "coulomb": coulomb,
             "sum": constant + coulomb,
             "pure-gauge": pure_gauge_potential(_chi())}

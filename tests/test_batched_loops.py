@@ -373,7 +373,9 @@ PIERCE_CURVES = {
     "circle-offset": (make_worldline("circle-x1x4", radius=1.0,
                                      lam_range=(0.1, 0.1 + 2 * math.pi)),
                       1.0),
-    "helix": (make_worldline("helix", radius=0.8, omega=3.0, c=1.5), 1.0),
+    # t = lambda on a line faster than c = 1.5
+    "spacelike-line-c1.5": (make_worldline("line", v=(2.0, 0.5, -0.3),
+                                           lam_range=(0.0, 1.0), c=1.5), 1.0),
     "boosted-circle": (boost_worldline(
         make_worldline("circle-x1x4", radius=1.3), 0.5), 1.0),
 }

@@ -7,8 +7,8 @@ import pytest
 from fourvel import (DerivativeMethod, Event, InvalidBoostError,
                      ParameterError, PhysicalConstants, boost_x1, central,
                      contract, differentiate, field_strength,
-                     four_displacement, four_vector, zero_potential,
-                     constant_potential)
+                     four_displacement, four_vector, polynomial_gauge,
+                     pure_gauge_potential, zero_potential)
 
 
 def test_event_accessors():
@@ -172,7 +172,10 @@ def test_field_strength_antisymmetric_for_any_potential():
 
 
 def test_field_strength_zero_for_constant_potential():
-    field = constant_potential((0.1, 0.2, -0.3, 0.4j))
+    # the degree-1 gauge's A = (0.1, 0.2, -0.3, 0.4j): A_4 = -i k_t / c
+    field = pure_gauge_potential(polynomial_gauge(
+        {(1, 0, 0, 0): 0.1, (0, 1, 0, 0): 0.2, (0, 0, 1, 0): -0.3,
+         (0, 0, 0, 1): -0.4}))
     f = field_strength(field, Event(1, 2, 3, 4), central(1e-3), c=1.0)
     np.testing.assert_allclose(f, 0.0, atol=1e-12)
     f0 = field_strength(zero_potential(), Event(0, 0, 0, 0),

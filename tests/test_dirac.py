@@ -5,9 +5,9 @@ import pytest
 
 from fourvel import (ANALYTIC, DEFAULT_EPS_PSI, Event, EventArray,
                      InsufficientComponentsError, NATURAL_UNITS,
-                     NearZeroWavefunctionError, ParameterError,
-                     PhysicalConstants, UnsupportedConfigurationError, central,
-                     clifford_residual, constant_potential, coulomb_potential,
+                     NearZeroWavefunctionError, PhysicalConstants,
+                     UnsupportedConfigurationError, central,
+                     clifford_residual, coulomb_potential,
                      dirac_coulomb_1s, dirac_plane_wave, dirac_residual,
                      dirac_to_kg_check, factorization_residual,
                      form_relation_matrix, gamma_dot, gamma_matrices,
@@ -23,6 +23,11 @@ from fourvel.velocityfield import _Chain
 A0 = zero_potential()
 C = NATURAL_UNITS
 E0 = Event(0.0, 0.0, 0.0, 0.0)
+# the constant A = (0.2, -0.1, 0.3, 0.15j) of a degree-1 gauge, whose
+# A_4 = -i k_t / c takes k_t = -0.15 c
+A_CONST = pure_gauge_potential(polynomial_gauge(
+    {(1, 0, 0, 0): 0.2, (0, 1, 0, 0): -0.1, (0, 0, 1, 0): 0.3,
+     (0, 0, 0, 1): -0.15 * C.c}, C.c))
 
 
 def test_clifford_closure_is_exact():
@@ -67,11 +72,6 @@ def test_factorization_residual_seeded():
         assert factorization_residual(g, p, consts) < 1e-12
 
 
-def test_unknown_representation_rejected():
-    with pytest.raises(ParameterError):
-        gamma_matrices("weyl")
-
-
 def test_residual_zero_on_plane_wave_solutions():
     for p in ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, -0.2, 0.1]):
         spinor = dirac_plane_wave(p, "up", C)
@@ -86,7 +86,7 @@ def test_form_relation_between_residual_conventions():
     # their residual vectors are related by a constant matrix even for
     # waves that solve nothing, with any constant potential switched on
     m_rel = form_relation_matrix(C)
-    field = constant_potential((0.2, -0.1, 0.3, 0.15j))
+    field = A_CONST
     rng = np.random.default_rng(71)
     for _ in range(10):
         spinor = random_smooth_spinor(rng, C)
@@ -156,7 +156,7 @@ def test_dirac_to_kg_zero_on_solutions():
 
 def test_dirac_to_kg_requires_zero_potential():
     spinor = dirac_plane_wave((0.1, 0.0, 0.0), "up", C)
-    field = constant_potential((0.1, 0.0, 0.0, 0.0))
+    field = pure_gauge_potential(polynomial_gauge({(1, 0, 0, 0): 0.1}))
     with pytest.raises(UnsupportedConfigurationError):
         dirac_to_kg_check(spinor, field, E0, ANALYTIC, constants=C)
 
@@ -204,8 +204,7 @@ def test_residuals_reuse_one_read_only_gamma_set(monkeypatch):
                          ids=lambda m: m.mode)
 def test_spinor_kernels_are_reads_of_one_chain(method, points):
     spinor = dirac_plane_wave((0.3, -0.2, 0.1), "up", C)
-    field = constant_potential((0.2, -0.1, 0.3, 0.15j))
-    args = (spinor, field, points, method)
+    args = (spinor, A_CONST, points, method)
     chain = _Chain(*args, C, DEFAULT_EPS_PSI)
     assert np.array_equal(dirac_residual(*args, constants=C),
                           chain.residual_gamma)

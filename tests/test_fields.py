@@ -3,7 +3,7 @@ import pytest
 
 from fourvel import (ANALYTIC, Event, NATURAL_UNITS, ParameterError,
                      PhysicalConstants, SingularPointError, central,
-                     constant_potential, coulomb_potential, extract_u,
+                     coulomb_potential, extract_u,
                      field_strength, gauge_transform, lorenz_gauge_residual,
                      plane_wave, polynomial_gauge, pure_gauge_potential,
                      zero_potential)
@@ -64,7 +64,9 @@ def test_coulomb_satisfies_lorenz_gauge():
 
 
 def test_potential_sum_adds_values_and_gradients():
-    f1 = constant_potential((1.0, 0.0, 0.0, 0.5j))
+    # a constant A = (1, 0, 0, 0.5j) as a degree-1 gauge: A_4 = -i k_t / c
+    f1 = pure_gauge_potential(polynomial_gauge({(1, 0, 0, 0): 1.0,
+                                                (0, 0, 0, 1): -0.5}))
     f2 = coulomb_potential(0.2, NATURAL_UNITS)
     s = f1 + f2
     np.testing.assert_allclose(s.a(E0), f1.a(E0) + f2.a(E0))

@@ -86,10 +86,18 @@ def _cloud(count):
     return [dict(zip(("x1", "x2", "x3", "t"), p)) for p in points.tolist()]
 
 
-@pytest.mark.parametrize("method", METHODS, ids=list(METHODS))
-@pytest.mark.parametrize("n", [0, 1, 10, 25])
-def test_runner_equals_one_gauge_at_a_time(method, n):
-    cloud = _cloud(100)
+# (gauges, method, events); 20 events in central mode evaluate 20 x 17 rows
+# per gauge (16 stencil rows and the point), so 5 gauges take blocks of 2,
+# 2 and 1
+RUNNER_INPUTS = ([(n, method, 100) for n in (0, 1, 10, 25)
+                  for method in METHODS] + [(5, "central", 20)])
+
+
+@pytest.mark.parametrize("n, method, count", RUNNER_INPUTS, ids=[
+    f"{n}-{method}" + (f"-{count}-events" if count != 100 else "")
+    for n, method, count in RUNNER_INPUTS])
+def test_runner_equals_one_gauge_at_a_time(n, method, count, monkeypatch):
+    cloud = _cloud(count)
     if n == 25:   # blocks of 10, 10 and 5 gauges
         assert -(-n // (_GAUGE_ROWS // len(cloud))) == 3
     m = METHODS[method]
@@ -98,7 +106,13 @@ def test_runner_equals_one_gauge_at_a_time(method, n):
         "cloud": {"kind": "events", "events": cloud},
         "method": {"mode": m.mode, "richardson": m.richardson}},
         "gauge-orbit")
+    sizes = []   # each block builds one family and one of their inverses
+    members = runner._polynomial_gauge_members
+    monkeypatch.setattr(runner, "_polynomial_gauge_members", lambda *a: (
+        sizes.append(len(a[1])) or members(*a)))
     report = run_scenario(cfg)
+    if count == 20:
+        assert sizes[::2] == [2, 2, 1]
     rows, summaries = _one_gauge_at_a_time(
         cfg, EventArray(np.array([list(p.values()) for p in cloud])))
     assert [(r["case"], r["check"], r["index"], r["x1"], r["x2"], r["x3"],

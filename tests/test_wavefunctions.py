@@ -13,8 +13,7 @@ import pytest
 from fourvel import (Event, NATURAL_UNITS, ParameterError, PhysicalConstants,
                      central, differentiate, dirac_coulomb_1s,
                      dirac_plane_wave, gaussian_polynomial_wave, kg_coulomb_1s,
-                     plane_wave, random_smooth_spinor,
-                     spinor_from_components)
+                     plane_wave, random_smooth_spinor)
 
 def _stencil_d(fn, e, axis, h=1e-3):
     # 4th order first derivative of a scalar closure along one coordinate
@@ -218,17 +217,6 @@ def test_spinor_laplacians_are_the_trace_of_their_hessians():
         assert hess.shape == (4, 4, 4)   # [k, mu, nu]
         np.testing.assert_allclose(np.trace(hess, axis1=-2, axis2=-1),
                                    spinor.laplace4(e), atol=1e-12)
-
-
-def test_spinor_from_components_needs_four():
-    wave = plane_wave((0.1, 0.0, 0.0), NATURAL_UNITS)
-    for count in (0, 3, 5):
-        with pytest.raises(ParameterError):
-            spinor_from_components("short", [wave] * count)
-    spinor = spinor_from_components("same", [wave] * 4, wave.energy)
-    e = Event(0.1, -0.2, 0.3, 0.05)
-    assert np.array_equal(spinor.values(e), np.full(4, wave.psi(e)))
-    assert np.array_equal(spinor.hess4(e), np.stack([wave.hess4(e)] * 4))
 
 
 def test_dirac_plane_wave_rejects_unknown_spin():

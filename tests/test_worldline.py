@@ -8,8 +8,7 @@ import pytest
 
 from fourvel import (DegenerateParameterError, Event, InvalidBoostError,
                      ParameterError, Worldline, boost_worldline,
-                     classify_speed, contract, four_velocity, make_worldline,
-                     pierce_points)
+                     classify_speed, contract, make_worldline, pierce_points)
 from fourvel.worldline import write_pierce_csv
 
 
@@ -41,26 +40,15 @@ def test_classify_rejects_vanishing_tangent():
         classify_speed(w, 0.0)
 
 
-def test_four_velocity_normalization():
+@pytest.mark.parametrize("c", [1.0, 2.5])
+def test_pierce_four_velocity_is_normalized_at_any_c(c):
+    # a timelike crossing's u is the proper-time tangent, u.u = -c^2
     for v in ((0.3, 0.1, -0.2), (0.0, 0.0, 0.0), (0.7, 0.0, 0.5)):
-        w = make_worldline("line", v=v)
-        u = four_velocity(w, 0.3)
-        assert contract(u, u).real == pytest.approx(-1.0, abs=1e-12)
-    with pytest.raises(ParameterError):
-        four_velocity(make_worldline("line", v=(2, 0, 0)), 0.0)
-
-
-def test_four_velocity_scales_with_c():
-    c = 2.5
-    w = make_worldline("line", v=(0.5, 0, 0), c=c)
-    u = four_velocity(w, 0.0)
-    assert contract(u, u).real == pytest.approx(-c * c, abs=1e-12)
-
-
-def test_helix_tangent_slot_three_is_ic():
-    w = make_worldline("helix", radius=0.2, omega=2.0, c=1.5)
-    t4 = w.tangent4(0.4)
-    assert t4[3] == pytest.approx(1j * 1.5)
+        w = make_worldline("line", v=[c * x for x in v], c=c)
+        (p,) = pierce_points(w, 0.3)
+        assert contract(p.u, p.u).real == pytest.approx(-c * c, abs=1e-12)
+    (p,) = pierce_points(make_worldline("line", v=(2 * c, 0, 0), c=c), 0.0)
+    assert p.classification == "spacelike" and p.u is None
 
 
 def test_circle_pierce_two_points_positions():

@@ -33,8 +33,8 @@ FAMILIES = {
     "one-member": (LINE, [0.5], 0.0),
     "signed-zeros": (make_worldline("line", v=(0.3, 0.1, -0.2)),
                      [-0.0, 0.0], 0.0),
-    "helix-c-1.5": (make_worldline("helix", radius=0.8, omega=3.0, c=1.5),
-                    [-0.9, 0.6], 0.4),
+    "circle-c-1.5": (make_worldline("circle-x1x4", radius=0.8, c=1.5),
+                     [-0.9, 0.6], 0.4),
 }
 
 

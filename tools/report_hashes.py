@@ -16,17 +16,17 @@ config sets one, each named in the mode column: other seeds, failing
 near-grazing worldline, a ray whose far events have no velocity sample,
 random-spinor counts that fill no whole block (7 in central mode, 1 in
 analytic mode), gauge counts, degrees and clouds that give several gauge
-blocks, one gauge in central mode or one gauge per block, boosted-line
-counts and speeds that fill one, part of or no whole family (one line, the
-speeds -0.0 and 0.0, nine lines, seven lines in other units, a line at
-rest), families of no spinors or no gauges, clouds of no events, one-event
+blocks, one gauge in central mode, several gauges per central block or
+one gauge per block, boosted-line counts and speeds that fill one, part of
+or no whole family (one line, the speeds -0.0 and 0.0, nine lines, seven
+lines in other units, a line at rest), families of no spinors or no gauges, clouds of no events, one-event
 checks with few or no samples (no random momenta, no boosted lines,
 spacelike circle crossings, a one-point energy scan), integer or empty
 values whose echo in the report's config must not change (integer
 constants, step and tolerance, which the echo shows as floats, and integer
 cloud and fixture values, which it shows as given), and events with -0.0
 and 0.0 in every coordinate slot, in each scenario's default mode and in
-central mode. With the 48 default reports, that is 160.
+central mode. With the 48 default reports, that is 162.
 
     python tools/report_hashes.py --extra > hashes.txt
     python tools/report_hashes.py --extra --check hashes.txt
@@ -137,6 +137,11 @@ EXTRA_CONFIGS = [
     ("gauge-orbit", "degree-1", {"fixture": {"degree": 1}}),
     ("gauge-orbit", "ball-1000", {"cloud": {"kind": "random-ball",
                                             "radius": 1.5, "count": 1000}}),
+    # several gauges per central block: 17 evaluated rows per event give
+    # blocks of 2, 2 and 1 gauges
+    ("gauge-orbit", "five-gauges-central-ball-20",
+     {"fixture": {"n_gauges": 5}, "method": {"mode": "central"},
+      "cloud": {"kind": "random-ball", "radius": 1.5, "count": 20}}),
     # boosted-line families: one line, the speeds +-0.0, a count that fills
     # no whole block, other units, and a line at rest
     ("worldline-pierce", "one-boost", {"fixture": {"n_boosts": 1}}),
