@@ -356,7 +356,7 @@ def grad4_numeric(f, e, h: float, c: float = 1.0,
     (4, *S); for a (K, 4) batch, (K, 4, *S). Each derivative is
     (-f(+2h) + 8 f(+h) - 8 f(-h) + f(-2h)) / (12 h), error O(h^4).
     """
-    steps = (h, h / 2) if richardson else (h,)
+    steps = central(h, richardson).steps
     out = _grad4(_evaluate(f, _stencil_points(e, steps)[:, :-1]), steps, c)
     return out[0] if isinstance(e, Event) else out
 
@@ -369,7 +369,7 @@ def laplace4_numeric(f, e, h: float, c: float = 1.0,
     (-f(+2h) + 16 f(+h) - 30 f(0) + 16 f(-h) - f(-2h)) / (12 h^2), O(h^4).
     Shapes follow grad4_numeric without the derivative axis.
     """
-    steps = (h, h / 2) if richardson else (h,)
+    steps = central(h, richardson).steps
     out = _laplace4(_evaluate(f, _stencil_points(e, steps)), steps, c)
     return out[0] if isinstance(e, Event) else out
 

@@ -105,21 +105,19 @@ def form_relation_matrix(
 
 def dirac_residual(spinor: SpinorWave, a_field, e: Event,
                    method: DerivativeMethod = ANALYTIC, form: str = "gamma", *,
-                   constants: PhysicalConstants = NATURAL_UNITS,
-                   eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
+                   constants: PhysicalConstants = NATURAL_UNITS) -> np.ndarray:
     """First-order equation residual at e, normalized at each point by
     that point's largest component magnitude. form selects the matrix
     layout; see module notes for the fixed linear map between the two."""
     if form not in ("gamma", "alphabeta"):
         raise ParameterError(f"unknown form {form!r}")
-    chain = _Chain(spinor, a_field, e, method, constants, eps_psi)
+    chain = _Chain(spinor, a_field, e, method, constants)
     return chain.residual_gamma if form == "gamma" else chain.residual_alphabeta
 
 
 def spinor_velocity_consistency(spinor: SpinorWave, a_field, e: Event,
                                 method: DerivativeMethod = ANALYTIC, *,
-                                constants: PhysicalConstants = NATURAL_UNITS,
-                                eps_psi: float = DEFAULT_EPS_PSI):
+                                constants: PhysicalConstants = NATURAL_UNITS):
     """Extract u independently from every component with |psi_k| above
     threshold, all four at once, and report the worst pairwise
     componentwise deviation.
@@ -135,25 +133,24 @@ def spinor_velocity_consistency(spinor: SpinorWave, a_field, e: Event,
     one row per point (NaN where component k is below threshold) and the
     deviation is one value per point.
     """
-    return _Chain(spinor, a_field, e, method, constants,
-                  eps_psi).velocity_consistency
+    return _Chain(spinor, a_field, e, method, constants).velocity_consistency
 
 
-def kg_operator_on_spinor(spinor: SpinorWave, e: Event, *,
-                          constants: PhysicalConstants = NATURAL_UNITS,
-                          eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
+def kg_operator_on_spinor(
+        spinor: SpinorWave, e: Event, *,
+        constants: PhysicalConstants = NATURAL_UNITS) -> np.ndarray:
     """Free second-order operator (-hbar^2 d.d + m^2 c^2) applied
     componentwise from analytic laplacians, normalized like dirac_residual."""
     hbar, m, c = constants.hbar, constants.m, constants.c
     values = spinor.values(e)
     return _normalized(-hbar ** 2 * spinor.laplace4(e)
-                       + (m * c) ** 2 * values, values, e, eps_psi)
+                       + (m * c) ** 2 * values, values, e, DEFAULT_EPS_PSI)
 
 
-def dirac_to_kg_check(spinor: SpinorWave, a_field, e: Event,
-                      method: DerivativeMethod = ANALYTIC, *,
-                      constants: PhysicalConstants = NATURAL_UNITS,
-                      eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
+def dirac_to_kg_check(
+        spinor: SpinorWave, a_field, e: Event,
+        method: DerivativeMethod = ANALYTIC, *,
+        constants: PhysicalConstants = NATURAL_UNITS) -> np.ndarray:
     """Apply (gamma.(-i hbar d) + i m c) to (gamma.(-i hbar d) - i m c) Psi.
 
     Free fields only (the squared operator with a potential picks up field
@@ -168,9 +165,9 @@ def dirac_to_kg_check(spinor: SpinorWave, a_field, e: Event,
         raise UnsupportedConfigurationError(
             "squared-operator check supports only A = 0")
     hbar, m, c = constants.hbar, constants.m, constants.c
-    chain = _Chain(spinor, zero_potential(), e, method, constants, eps_psi)
+    chain = _Chain(spinor, zero_potential(), e, method, constants)
     # outer pass: gamma.(-i hbar d) + i m c on the intermediate field
     d = chain.stencil("raw_gamma")  # [..., k, mu]
     out = sum((-1j * hbar * d[..., mu] @ _STANDARD.gammas[mu].T
                for mu in range(4)), 1j * m * c * chain.raw_gamma)
-    return _normalized(out, chain.value, e, eps_psi)
+    return _normalized(out, chain.value, e, DEFAULT_EPS_PSI)

@@ -17,8 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core4 import (ANALYTIC, Event, NATURAL_UNITS, PhysicalConstants, _col,
-                    _member_blocks, _potential_gradient, _zeros)
+from .core4 import (ANALYTIC, DerivativeMethod, Event, NATURAL_UNITS,
+                    PhysicalConstants, _col, _member_blocks,
+                    _potential_gradient, _zeros)
 from .errors import ParameterError
 from .wavefunctions import ScalarWave, _outer, _radius
 
@@ -244,10 +245,11 @@ def pure_gauge_potential(chi: GaugeFunction) -> PotentialField:
                           {"degree": chi.degree})
 
 
-def lorenz_gauge_residual(a_field: PotentialField, e: Event, method=None,
-                          *, c: float = 1.0) -> complex:
+def lorenz_gauge_residual(a_field: PotentialField, e: Event,
+                          method: DerivativeMethod = ANALYTIC, *,
+                          c: float = 1.0) -> complex:
     """d_mu A_mu at e, per point; zero for a Lorenz-gauge potential."""
-    grad = _potential_gradient(a_field, e, method or ANALYTIC, c)
+    grad = _potential_gradient(a_field, e, method, c)
     return np.trace(grad, axis1=-2, axis2=-1)
 
 

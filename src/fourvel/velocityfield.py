@@ -30,11 +30,13 @@ from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
                     _potential_gradient, _require_nonzero, _shifts,
                     _stencil_points, contract, differentiate,
                     four_displacement)
-from .errors import (InsufficientComponentsError, NearZeroWavefunctionError,
-                     ParameterError, QuadratureError)
+from .errors import (InsufficientComponentsError, ParameterError,
+                     QuadratureError)
 from .wavefunctions import SpinorWave, _outer
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_SEG_TOL = 1e-10   # action_integral's convergence test per segment
+_MAX_DEPTH = 20    # and its bisection budget, past which it raises
 
 
 def _trace(m) -> np.ndarray:
@@ -91,7 +93,8 @@ class _Chain:
     """
 
     def __init__(self, psi, a_field, e, method: DerivativeMethod,
-                 constants: PhysicalConstants, eps_psi: float, outer=None):
+                 constants: PhysicalConstants,
+                 eps_psi: float = DEFAULT_EPS_PSI, outer=None):
         self.psi, self.a_field, self.e = psi, a_field, e
         self.method, self.constants, self.eps_psi = method, constants, eps_psi
         self.outer = outer   # the chain on whose stencil points e lies
@@ -323,97 +326,78 @@ class _Chain:
                  if keep[k]], self.velocity_deviation)
 
 
-def canonical_momentum(psi, a_field, e: Event,
-                       method: DerivativeMethod = ANALYTIC, *,
-                       constants: PhysicalConstants = NATURAL_UNITS,
-                       eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
+def canonical_momentum(
+        psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
+        constants: PhysicalConstants = NATURAL_UNITS) -> np.ndarray:
     """P_mu = m u_mu + q A_mu = -i hbar dlog(psi)_mu at one Event or at
     each row of a (K, 4) batch; dlog = (d_mu psi)/psi raises
-    NearZeroWavefunctionError where |psi| <= eps_psi."""
-    return _Chain(psi, a_field, e, method, constants, eps_psi).momentum
+    NearZeroWavefunctionError where |psi| <= DEFAULT_EPS_PSI."""
+    return _Chain(psi, a_field, e, method, constants).momentum
 
 
 def extract_u(psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
-              constants: PhysicalConstants = NATURAL_UNITS,
-              eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
+              constants: PhysicalConstants = NATURAL_UNITS) -> np.ndarray:
     """4-velocity u_mu = (-i hbar dlog(psi)_mu - q A_mu) / m at one Event
     or at each row of a (K, 4) batch."""
-    return _Chain(psi, a_field, e, method, constants, eps_psi).u
+    return _Chain(psi, a_field, e, method, constants).u
 
 
-def mass_shell_residual(psi, a_field, e: Event,
-                        method: DerivativeMethod = ANALYTIC, *,
-                        constants: PhysicalConstants = NATURAL_UNITS,
-                        eps_psi: float = DEFAULT_EPS_PSI) -> complex:
+def mass_shell_residual(
+        psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
+        constants: PhysicalConstants = NATURAL_UNITS) -> complex:
     """contract(u, u) + c^2, per point; zero exactly on shell."""
-    return _Chain(psi, a_field, e, method, constants, eps_psi).mass_shell
+    return _Chain(psi, a_field, e, method, constants).mass_shell
 
 
-def momentum_gradient(psi, a_field, e: Event,
-                      method: DerivativeMethod = ANALYTIC, *,
-                      constants: PhysicalConstants = NATURAL_UNITS,
-                      eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
+def momentum_gradient(
+        psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
+        constants: PhysicalConstants = NATURAL_UNITS) -> np.ndarray:
     """G[mu, nu] = d_mu P_nu for the canonical momentum P = m u + q A,
     per point, from the fixture's hess4 (analytic mode) or by nesting
     stencils over the momentum (central mode, two calls of psi)."""
-    return _Chain(psi, a_field, e, method, constants, eps_psi).gp
+    return _Chain(psi, a_field, e, method, constants).gp
 
 
 def curl_k(psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
-           constants: PhysicalConstants = NATURAL_UNITS,
-           eps_psi: float = DEFAULT_EPS_PSI) -> np.ndarray:
+           constants: PhysicalConstants = NATURAL_UNITS) -> np.ndarray:
     """K[mu, nu] = d_mu P_nu - d_nu P_mu; vanishes for any single-valued
     phase, which is what makes the action integral path independent."""
-    return _Chain(psi, a_field, e, method, constants, eps_psi).curl_k
+    return _Chain(psi, a_field, e, method, constants).curl_k
 
 
-def newton_residual(psi, a_field, e: Event,
-                    method: DerivativeMethod = ANALYTIC, *,
-                    constants: PhysicalConstants = NATURAL_UNITS,
-                    eps_psi: float = DEFAULT_EPS_PSI,
-                    normalize: bool = True) -> np.ndarray:
-    """Force-law residual u_nu d_nu u_mu - (q/m) F_mu_nu u_nu.
-
-    Each point's residual is normalized by that point's |u| unless
-    normalize=False (useful when comparing against an independently computed
-    right-hand side).
-    """
-    chain = _Chain(psi, a_field, e, method, constants, eps_psi)
-    return chain.newton if normalize else chain.raw_newton
+def newton_residual(
+        psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
+        constants: PhysicalConstants = NATURAL_UNITS) -> np.ndarray:
+    """Force-law residual u_nu d_nu u_mu - (q/m) F_mu_nu u_nu, normalized
+    at each point by that point's |u|."""
+    return _Chain(psi, a_field, e, method, constants).newton
 
 
-def divergence_mu(psi, a_field, e: Event,
-                  method: DerivativeMethod = ANALYTIC, *,
-                  constants: PhysicalConstants = NATURAL_UNITS,
-                  eps_psi: float = DEFAULT_EPS_PSI) -> DivergenceResult:
+def divergence_mu(
+        psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
+        constants: PhysicalConstants = NATURAL_UNITS) -> DivergenceResult:
     """Source term d_mu (m u_mu), evaluated two independent ways; they
     agree where lorenz_residual, d_mu A_mu, is zero (mismatch |q d.A|)."""
-    return _Chain(psi, a_field, e, method, constants, eps_psi).divergence
+    return _Chain(psi, a_field, e, method, constants).divergence
 
 
 def kg_residual(psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
-                constants: PhysicalConstants = NATURAL_UNITS,
-                eps_psi: float = DEFAULT_EPS_PSI,
-                normalized: bool = True) -> complex:
+                constants: PhysicalConstants = NATURAL_UNITS) -> complex:
     """Linear wave-equation residual [(-i hbar d - q A)^2 + m^2 c^2] psi / psi.
 
     The squared operator is expanded once (product rule) so only laplace4,
-    grad4, the potential values, and its divergence are needed. With
-    normalized=False the bare numerator is returned; callers that sit on a
-    node of psi can still report something finite that way.
+    grad4, the potential values, and its divergence are needed.
     """
-    chain = _Chain(psi, a_field, e, method, constants, eps_psi)
-    return chain.kg if normalized else chain.raw_kg
+    return _Chain(psi, a_field, e, method, constants).kg
 
 
-def nonlinear_wave_residual(psi, a_field, e: Event,
-                            method: DerivativeMethod = ANALYTIC, *,
-                            constants: PhysicalConstants = NATURAL_UNITS,
-                            eps_psi: float = DEFAULT_EPS_PSI) -> complex:
+def nonlinear_wave_residual(
+        psi, a_field, e: Event, method: DerivativeMethod = ANALYTIC, *,
+        constants: PhysicalConstants = NATURAL_UNITS) -> complex:
     """Residual of the wave equation with the hbar^2 d_mu d_mu ln psi
     correction restored; equals m^2 * mass_shell_residual identically in
     Lorenz gauge, on shell or off."""
-    return _Chain(psi, a_field, e, method, constants, eps_psi).nonlinear
+    return _Chain(psi, a_field, e, method, constants).nonlinear
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +437,14 @@ def _adaptive(f, a: float, b: float, whole: complex, tol: float,
             + _adaptive(f, mid, b, right, tol / 2, depth - 1, panels))
 
 
-def action_integral(psi, a_field, path, method: DerivativeMethod = ANALYTIC, *,
-                    constants: PhysicalConstants = NATURAL_UNITS,
-                    eps_psi: float = DEFAULT_EPS_PSI,
-                    seg_tol: float = 1e-10, max_depth: int = 20) -> ActionResult:
+def action_integral(
+        psi, a_field, path, method: DerivativeMethod = ANALYTIC, *,
+        constants: PhysicalConstants = NATURAL_UNITS) -> ActionResult:
     """Line integral of (m u_mu + q A_mu) dx_mu along a polyline of events.
 
     dx_4 = i c dt, consistent with the folded-i convention. Each straight
     segment is integrated by 10-point Gauss-Legendre panels, bisected
-    adaptively until the segment estimate moves by less than seg_tol.
+    adaptively until the segment estimate moves by less than _SEG_TOL.
     The returned theta makes exp(i (phi + theta)/hbar) a prediction of
     psi at the path end; the relative error of that prediction is reported.
     psi is a scalar wave: a SpinorWave raises ParameterError.
@@ -484,21 +467,18 @@ def action_integral(psi, a_field, path, method: DerivativeMethod = ANALYTIC, *,
         def integrand(s: np.ndarray) -> np.ndarray:
             """(m u + q A) . delta at base + s * step, for each s."""
             points = EventArray(base + s[:, None] * step)
-            u = extract_u(psi, a_field, points, method, constants=constants,
-                          eps_psi=eps_psi)
+            u = extract_u(psi, a_field, points, method, constants=constants)
             return np.sum((m * u + q * a_field.a(points)) * delta, axis=-1)
 
         whole, = _gl(integrand, [0.0, 1.0])
-        phi += _adaptive(integrand, 0.0, 1.0, whole, seg_tol, max_depth,
+        phi += _adaptive(integrand, 0.0, 1.0, whole, _SEG_TOL, _MAX_DEPTH,
                          panels)
 
     start_val = complex(psi(path[0]))
-    if abs(start_val) <= eps_psi:
-        raise NearZeroWavefunctionError(path[0], abs(start_val), eps_psi)
+    _require_nonzero(start_val, path[0], DEFAULT_EPS_PSI)
     theta = -1j * hbar * np.log(start_val)
     end_val = complex(psi(path[-1]))
-    if abs(end_val) <= eps_psi:
-        raise NearZeroWavefunctionError(path[-1], abs(end_val), eps_psi)
+    _require_nonzero(end_val, path[-1], DEFAULT_EPS_PSI)
     predicted = np.exp(1j * (phi + theta) / hbar)
     err = abs(predicted - end_val) / abs(end_val)
     return ActionResult(phi, complex(theta), float(err), panels[0])

@@ -8,7 +8,7 @@ Intersections with a hyperplane t = t0 are found by evaluating
 t(lambda) - t0 on a uniform grid in one call, bracketing sign changes and
 bisecting; an extremum that touches zero without a sign change is reported
 as a tangency. Roots separated by less than one grid cell can be missed;
-the default grid has 4096 cells.
+the grid has _GRID = 4096 cells.
 """
 from __future__ import annotations
 
@@ -24,6 +24,11 @@ from .errors import DegenerateParameterError, InvalidBoostError, ParameterError
 
 _CUSP_TOL = 1e-14
 _NULL_TOL = 1e-12
+# pierce_points: grid cells, bisection width, and the tangency tolerances
+_GRID = 4096
+_LAM_TOL = 1e-12
+_TANGENT_TOL = 1e-10
+_TANGENT_SLOPE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -180,40 +185,31 @@ class PiercePoint:
     tangent: bool = False        # double root: curve touches the plane
 
 
-def pierce_points(w: Worldline, t0: float, *, grid: int = 4096,
-                  lam_tol: float = 1e-12, tangent_tol: float = 1e-10,
-                  tangent_slope_tol: float = 1e-6) -> list:
+def pierce_points(w: Worldline, t0: float) -> list:
     """All intersections of the worldline with the hyperplane t = t0.
 
-    Sign changes of f = t(lambda) - t0 over the grid are bisected to width
-    lam_tol; local extrema of f with |f| < tangent_tol catch double roots
-    that never change sign. Any root where |dt/dlambda| < tangent_slope_tol
-    is flagged as a tangential (grazing) contact. tangent_tol is relative
-    to the slice's t-scale, the largest of |t0| and |t| over the grid,
-    since t carries rounding error in proportion to it; tangent_slope_tol
-    is relative to the grid's largest |dt/dlambda|, which a shift in t
-    leaves unchanged. Results sorted by lambda.
+    Sign changes of f = t(lambda) - t0 over a grid of _GRID cells are
+    bisected to width _LAM_TOL; local extrema of f with |f| < _TANGENT_TOL
+    catch double roots that never change sign. Any root where |dt/dlambda|
+    < _TANGENT_SLOPE_TOL is flagged as a tangential (grazing) contact.
+    _TANGENT_TOL is relative to the slice's t-scale, the largest of |t0|
+    and |t| over the grid, since t carries rounding error in proportion to
+    it; _TANGENT_SLOPE_TOL is relative to the grid's largest |dt/dlambda|,
+    which a shift in t leaves unchanged. Results sorted by lambda.
     """
-    return _pierce_members([w], t0, lambda lams: w.position(lams).t[None],
-                           grid=grid, lam_tol=lam_tol, tangent_tol=tangent_tol,
-                           tangent_slope_tol=tangent_slope_tol)[0]
+    return _pierce_members([w], t0, lambda lams: w.position(lams).t[None])[0]
 
 
-def _pierce_members(members: list, t0: float, times: Callable, *,
-                    grid: int = 4096, lam_tol: float = 1e-12,
-                    tangent_tol: float = 1e-10,
-                    tangent_slope_tol: float = 1e-6) -> list:
+def _pierce_members(members: list, t0: float, times: Callable) -> list:
     """pierce_points of M worldlines on members[0]'s lam_range from one grid
     scan of times(lams), their t as an (M, len(lams)) array. Member j's
     tolerances come from row j, and its roots are refined and assembled on
     members[j] alone, so its list has the bits of its pierce_points."""
-    if not (isinstance(grid, (int, np.integer)) and grid is not True
-            and grid >= 1 and math.isfinite(t0)):
-        raise ParameterError(f"pierce_points needs a positive integer grid "
-                             f"and a finite t0, not {grid!r} and {t0!r}")
+    if not math.isfinite(t0):
+        raise ParameterError(f"pierce_points needs a finite t0, not {t0!r}")
     lo, hi = members[0].lam_range
-    lams = np.linspace(lo, hi, grid + 1)
-    cell = (hi - lo) / grid
+    lams = np.linspace(lo, hi, _GRID + 1)
+    cell = (hi - lo) / _GRID
     t = times(lams)   # [member, grid point]
     peaks, steps = (np.abs(x).max(axis=1).tolist()
                     for x in (t, np.diff(t, axis=1)))
@@ -222,11 +218,12 @@ def _pierce_members(members: list, t0: float, times: Callable, *,
     cross = cross[:, :-1] * cross[:, 1:] < 0.0
     df = np.diff(f, axis=1)
     row, col = np.divmod(np.flatnonzero(   # a flat index is cheap to find
-        (df[:, :-1] != 0.0) & ((df[:, :-1] < 0) != (df[:, 1:] < 0))), grid - 1)
+        (df[:, :-1] != 0.0) & ((df[:, :-1] < 0) != (df[:, 1:] < 0))),
+        _GRID - 1)
 
     def bisect(w: Worldline, a: float, b: float) -> float:
         fa = w.position(a).t - t0
-        while b - a > lam_tol:
+        while b - a > _LAM_TOL:
             mid = 0.5 * (a + b)
             fm = w.position(mid).t - t0
             if fm == 0.0:
@@ -239,7 +236,7 @@ def _pierce_members(members: list, t0: float, times: Callable, *,
 
     found = []
     for j, (w, peak, step) in enumerate(zip(members, peaks, steps)):
-        tol = tangent_tol * (max(abs(t0), peak) or 1.0)
+        tol = _TANGENT_TOL * (max(abs(t0), peak) or 1.0)
         roots = [float(lams[i]) for i in np.flatnonzero(f[j] == 0.0)]
         roots += [bisect(w, float(lams[i]), float(lams[i + 1]))
                   for i in np.flatnonzero(cross[j])]
@@ -258,7 +255,7 @@ def _pierce_members(members: list, t0: float, times: Callable, *,
                     b = m2
                 else:
                     a = m1
-                if b - a < lam_tol:
+                if b - a < _LAM_TOL:
                     break
             lam_star = 0.5 * (a + b)
             f_star = w.position(lam_star).t - t0
@@ -266,7 +263,7 @@ def _pierce_members(members: list, t0: float, times: Callable, *,
                 if not any(abs(lam_star - l) < 2 * cell for l in roots):
                     roots.append(lam_star)
 
-        slope_tol = tangent_slope_tol * (step / cell or 1.0)
+        slope_tol = _TANGENT_SLOPE_TOL * (step / cell or 1.0)
         points = []
         for lam in sorted(roots):   # one tangent read per root
             v = np.asarray(w.velocity(lam), dtype=float)
@@ -283,19 +280,9 @@ def _pierce_members(members: list, t0: float, times: Callable, *,
 PIERCE_CSV_HEADER = ("lambda", "x1", "x2", "x3", "t", "class")
 
 
-def write_pierce_csv(points, path) -> None:
-    """Pierce-point list as CSV with the fixed column set.
-
-    path may be a filename or an open text stream.
-    """
-    if hasattr(path, "write"):
-        _write_pierce_rows(points, path)
-        return
-    with open(path, "w", newline="") as fh:
-        _write_pierce_rows(points, fh)
-
-
-def _write_pierce_rows(points, fh) -> None:
+def write_pierce_csv(points, fh) -> None:
+    """Pierce-point list as CSV with the fixed column set, written to the
+    open text stream fh."""
     writer = csv.writer(fh)
     writer.writerow(PIERCE_CSV_HEADER)
     for p in points:

@@ -7,23 +7,27 @@ entry, in analytic and in central mode. The fields fall by about six decades
 in |psi| from the first row to the last, so a kernel that normalized by one
 scale for the whole batch, instead of each row's own, would be off by up to
 1e6 on the small rows. A batch holding failing rows must fail the way its
-first failing row's Event fails.
+first failing row's Event fails. Every public kernel's parameters are
+pinned by name and default.
 """
+import inspect
+
 import numpy as np
 import pytest
 
 from fourvel import (ANALYTIC, DEFAULT_EPS_PSI, EventArray,
                      InsufficientComponentsError, NATURAL_UNITS,
                      NearZeroWavefunctionError, ScalarWave, SpinorWave,
-                     central, coulomb_potential, curl_k,
+                     action_integral, canonical_momentum, central,
+                     coulomb_potential, curl_k,
                      dirac_coulomb_1s, dirac_plane_wave, dirac_residual,
                      dirac_to_kg_check, divergence_mu, extract_u,
                      gaussian_polynomial_wave, kg_operator_on_spinor,
                      kg_residual, lorenz_gauge_residual, mass_shell_residual,
                      momentum_gradient, newton_residual,
-                     nonlinear_wave_residual, polynomial_gauge,
-                     pure_gauge_potential, spinor_velocity_consistency,
-                     zero_potential)
+                     nonlinear_wave_residual, pierce_points,
+                     polynomial_gauge, pure_gauge_potential,
+                     spinor_velocity_consistency, zero_potential)
 
 C = NATURAL_UNITS
 RTOL = 1e-12
@@ -241,3 +245,33 @@ def test_near_zero_rows_raise_at_the_first_offending_row():
             assert exc.value.event == NODE_ROWS.event(1), name
         else:
             assert str(NODE_ROWS.event(1)) in str(exc.value)
+
+
+# the near-zero threshold, the normalizations and the quadrature and pierce
+# tolerances are module constants; no kernel takes them as keywords
+_SCALAR = ["psi", "a_field", "e", ("method", ANALYTIC), ("constants", C)]
+_SPINOR = ["spinor"] + _SCALAR[1:]
+SIGNATURES = {f.__name__: (f, params) for f, params in [
+    (canonical_momentum, _SCALAR), (extract_u, _SCALAR),
+    (mass_shell_residual, _SCALAR), (momentum_gradient, _SCALAR),
+    (curl_k, _SCALAR), (newton_residual, _SCALAR), (divergence_mu, _SCALAR),
+    (kg_residual, _SCALAR), (nonlinear_wave_residual, _SCALAR),
+    (action_integral, ["psi", "a_field", "path", ("method", ANALYTIC),
+                       ("constants", C)]),
+    (dirac_residual, ["spinor", "a_field", "e", ("method", ANALYTIC),
+                      ("form", "gamma"), ("constants", C)]),
+    (spinor_velocity_consistency, _SPINOR),
+    (kg_operator_on_spinor, ["spinor", "e", ("constants", C)]),
+    (dirac_to_kg_check, _SPINOR),
+    (lorenz_gauge_residual, ["a_field", "e", ("method", ANALYTIC),
+                             ("c", 1.0)]),
+    (pierce_points, ["w", "t0"])]}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_kernel_parameters_are_pinned(name):
+    kernel, params = SIGNATURES[name]
+    want = [p if isinstance(p, tuple) else (p, inspect.Parameter.empty)
+            for p in params]
+    assert [(p.name, p.default) for p in
+            inspect.signature(kernel).parameters.values()] == want

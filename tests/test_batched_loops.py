@@ -508,9 +508,19 @@ def test_report_hashes_smoke(tmp_path, capsys):
     saved = tmp_path / "hashes.txt"
     saved.write_text("\n".join(lines) + "\n")
     assert tool.main(["--scenario", "clifford", "--check", str(saved)]) == 0
+    capsys.readouterr()
+    # a line the saved list lacks is new, and passes
+    saved.write_text("\n".join(lines[1:]))
+    assert tool.main(["--scenario", "clifford", "--check", str(saved)]) == 0
+    out, err = capsys.readouterr()
+    assert err == f"new: {lines[0]}\n"
+    assert out == "6 reports, 0 differ, 1 new\n"
+    # an altered hash is a change, and fails
     saved.write_text("\n".join(["0" * 64 + lines[0][64:]] + lines[1:]))
     assert tool.main(["--scenario", "clifford", "--check", str(saved)]) == 1
-    assert "changed: " in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert err == f"changed: {lines[0]}\n"
+    assert out == "6 reports, 1 differ\n"
 
 
 def test_report_hashes_extra_configs(capsys):

@@ -15,6 +15,7 @@ from fourvel import (ANALYTIC, EventArray, NATURAL_UNITS, PhysicalConstants,
                      extract_u, gauge_transform, kg_coulomb_1s, kg_residual,
                      newton_residual, plane_wave, polynomial_gauge,
                      zero_potential)
+from fourvel.velocityfield import _Chain
 
 # NATURAL_UNITS and tools/report_hashes.py's UNITS, where c, hbar and q
 # show in every term
@@ -81,8 +82,7 @@ def test_newton_is_half_the_gradient_of_u_squared(units, mode):
     points = np.column_stack([
         radius * direction / np.linalg.norm(direction, axis=1, keepdims=True),
         rng.uniform(-1, 1, 12)])
-    raw = newton_residual(wave, a, EventArray(points), METHODS[mode],
-                          constants=consts, normalize=False)
+    raw = _Chain(wave, a, EventArray(points), METHODS[mode], consts).raw_newton
     want = _half_gradient_of_u_squared(wave, a, points, consts)
     assert np.min(np.max(np.abs(raw), axis=1)) > 0.05   # not 0 = 0 here
     assert np.max(np.abs(raw - want)) <= 1e-8

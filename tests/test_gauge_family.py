@@ -86,11 +86,18 @@ def _cloud(count):
     return [dict(zip(("x1", "x2", "x3", "t"), p)) for p in points.tolist()]
 
 
-# (gauges, method, events); 20 events in central mode evaluate 20 x 17 rows
-# per gauge (16 stencil rows and the point), so 5 gauges take blocks of 2,
-# 2 and 1
+# (gauges, method, events); and the gauges per block the runner takes for
+# the inputs with several blocks: 100 events evaluate 100 rows per gauge in
+# analytic mode, so 25 gauges take blocks of 10, 10 and 5, but 17 or 33 rows
+# per event in central mode (the stencil rows and the point), so one gauge
+# per block; 20 events in central mode evaluate 20 x 17 rows per gauge, so 5
+# gauges take blocks of 2, 2 and 1
 RUNNER_INPUTS = ([(n, method, 100) for n in (0, 1, 10, 25)
                   for method in METHODS] + [(5, "central", 20)])
+BLOCKS = {(25, "analytic", 100): [10, 10, 5],
+          (25, "central", 100): [1] * 25,
+          (25, "central-richardson", 100): [1] * 25,
+          (5, "central", 20): [2, 2, 1]}
 
 
 @pytest.mark.parametrize("n, method, count", RUNNER_INPUTS, ids=[
@@ -98,8 +105,6 @@ RUNNER_INPUTS = ([(n, method, 100) for n in (0, 1, 10, 25)
     for n, method, count in RUNNER_INPUTS])
 def test_runner_equals_one_gauge_at_a_time(n, method, count, monkeypatch):
     cloud = _cloud(count)
-    if n == 25:   # blocks of 10, 10 and 5 gauges
-        assert -(-n // (_GAUGE_ROWS // len(cloud))) == 3
     m = METHODS[method]
     cfg = config_from_dict({
         "fixture": {"n_gauges": n},
@@ -111,8 +116,8 @@ def test_runner_equals_one_gauge_at_a_time(n, method, count, monkeypatch):
     monkeypatch.setattr(runner, "_polynomial_gauge_members", lambda *a: (
         sizes.append(len(a[1])) or members(*a)))
     report = run_scenario(cfg)
-    if count == 20:
-        assert sizes[::2] == [2, 2, 1]
+    if (n, method, count) in BLOCKS:
+        assert sizes[::2] == BLOCKS[n, method, count]
     rows, summaries = _one_gauge_at_a_time(
         cfg, EventArray(np.array([list(p.values()) for p in cloud])))
     assert [(r["case"], r["check"], r["index"], r["x1"], r["x2"], r["x3"],

@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from fourvel import (ANALYTIC, DEFAULT_EPS_PSI, Event, EventArray,
-                     NATURAL_UNITS, NearZeroWavefunctionError, ParameterError,
+from fourvel import (ANALYTIC, Event, EventArray, NATURAL_UNITS,
+                     NearZeroWavefunctionError, ParameterError,
                      PhysicalConstants, QuadratureError, action_integral,
                      canonical_momentum, central, contract, coulomb_potential,
                      curl_k, differentiate, divergence_mu, extract_u,
@@ -21,6 +21,7 @@ from fourvel import (ANALYTIC, DEFAULT_EPS_PSI, Event, EventArray,
                      momentum_gradient, newton_residual,
                      nonlinear_wave_residual, plane_wave,
                      random_smooth_spinor, zero_potential)
+from fourvel import velocityfield
 from fourvel.velocityfield import _Chain
 
 A0 = zero_potential()
@@ -89,8 +90,7 @@ def test_newton_residual_equals_half_gradient_of_u_squared():
         return contract(u, u)
 
     grad_usq = differentiate(u_sq, e, "grad4", central(1e-3), c=C.c)
-    res = newton_residual(wave, A0, e, ANALYTIC, constants=C,
-                          normalize=False)
+    res = _Chain(wave, A0, e, ANALYTIC, C).raw_newton
     np.testing.assert_allclose(res, 0.5 * grad_usq, atol=1e-8)
 
 
@@ -98,8 +98,7 @@ def test_newton_normalization_divides_by_speed_scale():
     wave = kg_coulomb_1s(0.4, C)
     field = coulomb_potential(0.4, C)
     e = Event(1.5, 0.0, 0.0, 0.0)
-    raw = newton_residual(wave, field, e, ANALYTIC, constants=C,
-                          normalize=False)
+    raw = _Chain(wave, field, e, ANALYTIC, C).raw_newton
     u = extract_u(wave, field, e, ANALYTIC, constants=C)
     scaled = newton_residual(wave, field, e, ANALYTIC, constants=C)
     np.testing.assert_allclose(scaled, raw / np.linalg.norm(u), atol=1e-14)
@@ -168,7 +167,7 @@ def test_kg_residual_normalization_modes():
     wave = kg_coulomb_1s(0.3, C)
     field = coulomb_potential(0.3, C)
     e = Event(2.0, 0.0, 0.0, 0.0)
-    raw = kg_residual(wave, field, e, ANALYTIC, constants=C, normalized=False)
+    raw = _Chain(wave, field, e, ANALYTIC, C).raw_kg
     per_psi = kg_residual(wave, field, e, ANALYTIC, constants=C)
     assert per_psi == pytest.approx(raw / complex(wave(e)), abs=1e-13)
 
@@ -229,8 +228,8 @@ def test_shared_gradient_and_kg_are_bit_identical(name, fixture, method,
                                                   points):
     wave, field = fixture()
     args = (wave, field, points, method)
-    kw = {"constants": C, "eps_psi": DEFAULT_EPS_PSI}
-    chain = _Chain(*args, C, DEFAULT_EPS_PSI)
+    kw = {"constants": C}
+    chain = _Chain(*args, C)
     reads = [
         (canonical_momentum(*args, **kw), chain.momentum),
         (extract_u(*args, **kw), chain.u),
@@ -238,9 +237,7 @@ def test_shared_gradient_and_kg_are_bit_identical(name, fixture, method,
         (momentum_gradient(*args, **kw), chain.gp),
         (curl_k(*args, **kw), chain.curl_k),
         (newton_residual(*args, **kw), chain.newton),
-        (newton_residual(*args, normalize=False, **kw), chain.raw_newton),
         (kg_residual(*args, **kw), chain.kg),
-        (kg_residual(*args, normalized=False, **kw), chain.raw_kg),
         (nonlinear_wave_residual(*args, **kw), chain.nonlinear),
         (lorenz_gauge_residual(field, points, method, c=C.c),
          chain.divergence.lorenz_residual),
@@ -301,7 +298,7 @@ def test_action_path_independence_for_bound_state():
     assert detour.reconstruction_error < 1e-10
 
 
-def test_action_subdivision_responds_to_tolerance():
+def test_action_subdivision_responds_to_tolerance(monkeypatch):
     # rational-over-gaussian field: the pole of the polynomial factor at
     # x1 = -10/3 limits one-panel accuracy on a [-2, 2] chord to about
     # 1e-10, so the default tolerance forces bisection; the exact answer
@@ -310,8 +307,8 @@ def test_action_subdivision_responds_to_tolerance():
                                     (0.5, 0.3, 0.3, 0.3), C)
     path = [Event(-2, 0, 0, 0), Event(2, 0, 0, 0)]
     strict = action_integral(wave, A0, path, ANALYTIC, constants=C)
-    loose = action_integral(wave, A0, path, ANALYTIC, constants=C,
-                            seg_tol=1e-4)
+    monkeypatch.setattr(velocityfield, "_SEG_TOL", 1e-4)
+    loose = action_integral(wave, A0, path, ANALYTIC, constants=C)
     assert loose.n_segments == 1
     assert strict.n_segments > 1
     assert strict.phi == pytest.approx(-1j * math.log(4.0), abs=1e-10)
@@ -333,12 +330,14 @@ def test_action_refuses_a_spinor():
                         ANALYTIC, constants=C)
 
 
-def test_action_quadrature_failure_is_reported():
+def test_action_quadrature_failure_is_reported(monkeypatch):
     wave = kg_coulomb_1s(0.4, C)
     field = coulomb_potential(0.4, C)
+    monkeypatch.setattr(velocityfield, "_SEG_TOL", 1e-30)
+    monkeypatch.setattr(velocityfield, "_MAX_DEPTH", 6)
     with pytest.raises(QuadratureError):
         # unreachable tolerance with a shallow depth budget must surface
         # as an error, not a silent bad answer
         action_integral(wave, field,
                         [Event(0.4, 0, 0, 0), Event(4, 0, 0, 0)],
-                        ANALYTIC, constants=C, seg_tol=1e-30, max_depth=6)
+                        ANALYTIC, constants=C)

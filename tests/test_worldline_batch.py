@@ -15,6 +15,7 @@ from scipy.optimize import brentq, minimize_scalar
 from fourvel import (Event, EventArray, ParameterError, Worldline, boost_x1,
                      boost_worldline, classify_speed, make_worldline,
                      pierce_points)
+from fourvel import worldline
 
 X0 = Event(0.7, -1.2, 0.4, 2.5)
 LINE_V = (0.3, 0.1, -0.2)
@@ -228,7 +229,8 @@ def test_oracle_cases_cover_every_root_kind():
     ("boosted-line", boost_worldline(make_worldline("line", v=LINE_V), 0.5),
      0.0),
 ])
-def test_pierce_points_scans_the_grid_in_one_array_call(name, w, t0):
+def test_pierce_points_scans_the_grid_in_one_array_call(name, w, t0,
+                                                        monkeypatch):
     shapes = []
 
     def position(lam):
@@ -240,7 +242,8 @@ def test_pierce_points_scans_the_grid_in_one_array_call(name, w, t0):
                         w.params)
     assert len(pierce_points(counted, t0)) == 1
     assert shapes == [(4097,)]
-    pierce_points(counted, t0, grid=64)
+    monkeypatch.setattr(worldline, "_GRID", 64)
+    pierce_points(counted, t0)
     assert shapes == [(4097,), (65,)]
 
 

@@ -104,17 +104,6 @@ def test_pierce_points_refuses_a_non_finite_plane(t0):
             pierce_points(CIRCLE, t0)
 
 
-@pytest.mark.parametrize("grid", [0, -3, 2.5, True, "64", None])
-def test_pierce_points_refuses_a_grid_that_is_not_a_positive_integer(grid):
-    with pytest.raises(ParameterError, match="positive integer grid"):
-        pierce_points(CIRCLE, 0.5, grid=grid)
-
-
-@pytest.mark.parametrize("grid", [1, 2, np.int64(64)])
-def test_pierce_points_takes_any_positive_integer_grid(grid):
-    assert len(pierce_points(boost_worldline(LINE, 0.5), 0.0, grid=grid)) == 1
-
-
 def _boosted_rows(doc) -> list:
     report = run_scenario(config_from_dict(doc, "worldline-pierce"))
     return [r for r in report.rows if r["case"] == "boosted-line"]

@@ -32,9 +32,11 @@ central mode. With the 48 default reports, that is 162.
     python tools/report_hashes.py --extra --check hashes.txt
 
 With ``--check FILE`` the lines are compared with a saved list; every line
-that differs, and every saved line that is missing, is printed to stderr,
-and the exit code is 1. The hashes depend on the numpy build, so a saved
-list is only meaningful on the machine that wrote it.
+that changed, and every saved line that is missing, is printed to stderr,
+and the exit code is 1. A line the saved list lacks, such as that of a
+config added since, is printed as new and fails nothing. The hashes
+depend on the numpy build, so a saved list is only meaningful on the
+machine that wrote it.
 """
 from __future__ import annotations
 
@@ -228,17 +230,21 @@ def main(argv=None) -> int:
 
     saved = {" ".join(line.split()[2:]): line
              for line in Path(args.check).read_text().splitlines() if line}
-    changed = 0
+    changed = new = 0
     for line in lines:
-        key = " ".join(line.split()[2:])
-        if saved.pop(key, None) != line:
+        old = saved.pop(" ".join(line.split()[2:]), None)
+        if old is None:
+            print(f"new: {line}", file=sys.stderr)
+            new += 1
+        elif old != line:
             print(f"changed: {line}", file=sys.stderr)
             changed += 1
     if args.scenario is None:
         for line in saved.values():
             print(f"missing: {line}", file=sys.stderr)
             changed += 1
-    print(f"{len(lines)} reports, {changed} differ")
+    print(f"{len(lines)} reports, {changed} differ"
+          + (f", {new} new" if new else ""))
     return 1 if changed else 0
 
 
