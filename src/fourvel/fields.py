@@ -115,6 +115,52 @@ class GaugeFunction:
         return np.trace(self.hess4(e), axis1=-2, axis2=-1)
 
 
+def _read_only(v):
+    if isinstance(v, np.ndarray):   # a view: the body's own array stays as is
+        (v := v.view()).flags.writeable = False
+    return v
+
+
+def _last_points_memo(body: Callable, shared: list) -> Callable:
+    """body(e), kept for the last point set while the key stays the same:
+    whether e is one Event or a batch, its shape and the float64 bytes of
+    its points, all a body may read. So -0.0 and 0.0 get distinct keys and
+    points changed in place a new one. shared[0] is the last key any memo
+    given that list built, so memos of one point set hold one bytes copy.
+    Cached arrays are read-only: an array result is returned as a fresh
+    copy, which the caller owns, and a tuple's arrays as they are."""
+    last = (None, None)
+
+    def evaluator(e):
+        nonlocal last
+        arr = e.as_array()
+        key = (isinstance(e, Event), arr.shape, arr.tobytes())
+        key = shared[0] = shared[0] if key == shared[0] else key
+        seen, out = last
+        if key != seen:
+            out = body(e)
+            out = (tuple(map(_read_only, out)) if isinstance(out, tuple)
+                   else _read_only(out))
+            last = key, out
+        return out.copy() if isinstance(out, np.ndarray) else out
+    return evaluator
+
+
+def _monomial_sum(poly: dict, x: tuple):
+    """Sum of co * x1**n1 * x2**n2 * x3**n3 * t**nt over poly's
+    {(n1, n2, n3, nt): co}, terms added left to right from 0.0, powers
+    multiplied left to right, with no exact unit factor (x**0, x**1, 1.0*)."""
+    acc = 0.0
+    for ex, co in poly.items():
+        v = None
+        for base, n in zip(x, ex):
+            if n:
+                p = base if n == 1 else base ** n
+                v = p if v is None else v * p
+        acc = acc + (co if v is None else co * v)
+    return acc
+
+
 def polynomial_gauge(terms: dict, c: float = 1.0) -> GaugeFunction:
     """Gauge generator from monomial terms {(n1, n2, n3, nt): coeff}.
 
@@ -166,17 +212,8 @@ def _polynomial_gauge_members(expos: list, coeffs, c: float) -> GaugeFunction:
                 for ex, co in poly.items() if ex[axis]}
 
     def evaluate(poly: dict, n_t: int, x: tuple, shaped: Callable):
-        # the terms summed left to right, zero powers skipped (exact, as
-        # x**0 == 1.0 and 1.0 * v == v), then divided by (i c)^n_t with
-        # each division rounded as for a Python complex
-        acc = 0.0
-        for ex, co in poly.items():
-            v = 1.0
-            for base, n in zip(x, ex):
-                if n:
-                    v = v * base ** n
-            acc = acc + co * v
-        acc = shaped(acc)
+        # divided by (i c)^n_t, each division rounded as for a Python complex
+        acc = shaped(_monomial_sum(poly, x))
         if n_t == 1:
             return -1j * (acc / c)
         return -(acc / c) / c if n_t == 2 else acc
@@ -184,35 +221,19 @@ def _polynomial_gauge_members(expos: list, coeffs, c: float) -> GaugeFunction:
     first = [diff(table, ax) for ax in range(4)]
     second = {(a1, a2): diff(first[a1], a2)
               for a1 in range(4) for a2 in range(a1, 4)}
-    shared = None   # the last points' key: one bytes copy for all memos
-
-    def split(arr: np.ndarray, one: bool) -> tuple:
-        # the coordinates per member block, Python floats for one Event, and
-        # the map from per-member values back to one value per point
-        blocks = _member_blocks(arr.reshape(-1, 4), members)
-        x = tuple(arr.tolist()) if one else tuple(np.moveaxis(blocks, -1, 0))
-        return x, lambda v: np.broadcast_to(v, blocks.shape[:2]).reshape(
-            arr.shape[:-1])
+    shared = [None]   # the last points' key: one bytes copy for all memos
 
     def memo(body: Callable) -> Callable:
-        # one-entry memo keyed on the float64 bytes of the points, which are
-        # all a body reads: equal keys give equal results, -0.0 and 0.0 get
-        # distinct keys, and an array changed in place gets a new key
-        last = (None, None)
-
-        def evaluator(e):
-            nonlocal last, shared
+        def split(e):
+            # the coordinates per member block, Python floats for one Event,
+            # and the map from per-member values back to one value per point
             arr = e.as_array()
-            one = isinstance(e, Event)
-            key = (one, arr.shape, arr.tobytes())
-            key = shared = shared if key == shared else key
-            seen, out = last
-            if key != seen:
-                out = body(e, *split(arr, one))
-                last = key, out
-            # the caller owns what it receives; a numpy scalar is immutable
-            return out.copy() if isinstance(out, np.ndarray) else out
-        return evaluator
+            blocks = _member_blocks(arr.reshape(-1, 4), members)
+            x = (tuple(arr.tolist()) if isinstance(e, Event)
+                 else tuple(np.moveaxis(blocks, -1, 0)))
+            return body(e, x, lambda v: np.broadcast_to(
+                v, blocks.shape[:2]).reshape(arr.shape[:-1]))
+        return _last_points_memo(split, shared)
 
     @memo
     def chi(e: Event, x: tuple, shaped: Callable) -> float:
@@ -263,52 +284,54 @@ def gauge_transform(a_field: PotentialField, psi: ScalarWave,
     ScalarWave, a SpinorWave included: chi and its derivatives get one unit
     axis after the point axis for each value axis of the wave, so a spinor's
     components are transformed in one expression. Each evaluator asks chi
-    only for what it reads, and psi' has psi's class.
+    only for what it reads, and psi' has psi's class. psi, chi and the
+    factor are evaluated once per point set for psi' and its derivatives.
     """
     if not isinstance(psi, ScalarWave):
         raise ParameterError(f"cannot gauge-transform {type(psi).__name__}")
     a_prime = a_field + pure_gauge_potential(chi)
     iq_h = 1j * constants.q / constants.hbar
 
-    def gauged(e):
-        # psi at e, the factor exp(i q chi / hbar) and a reader of chi's
-        # derivative evaluators at e, both lifted over psi's value axes
+    def at(e):
+        # psi at e, the factor exp(i q chi / hbar), and the index that lifts
+        # chi and its derivatives at e over psi's value axes
         value, x = psi.psi(e), chi.chi(e)
         lift = ((slice(None),) * np.ndim(x)
                 + (None,) * (np.ndim(value) - np.ndim(x)))
-        return value, np.exp(iq_h * x[lift]), lambda d: d(e)[lift]
+        return value, np.exp(iq_h * x[lift]), lift
+    gauged = _last_points_memo(at, [None])
 
     def psi_p(e):
         value, g, _ = gauged(e)
         return value * g
 
     def grad_p(e):
-        value, g, lifted = gauged(e)
-        out = _col(value * iq_h) * lifted(chi.grad4)
+        value, g, lift = gauged(e)
+        out = _col(value * iq_h) * chi.grad4(e)[lift]
         np.add(psi.grad4(e), out, out=out)
         return np.multiply(_col(g), out, out=out)
 
     def lap_p(e):
-        value, g, lifted = gauged(e)
-        dchi = lifted(chi.grad4)
+        value, g, lift = gauged(e)
+        dchi = chi.grad4(e)[lift]
         dpsi = psi.grad4(e)
         return g * (
             psi.laplace4(e)
             + 2 * iq_h * np.sum(dpsi * dchi, axis=-1)
-            + value * (iq_h * lifted(chi.laplace4)
+            + value * (iq_h * chi.laplace4(e)[lift]
                        + iq_h ** 2 * np.sum(dchi * dchi, axis=-1))
         )
 
     hess_p = None
     if psi.hess4 is not None:
         def hess_p(e):
-            value, g, lifted = gauged(e)
-            dchi = lifted(chi.grad4)
+            value, g, lift = gauged(e)
+            dchi = chi.grad4(e)[lift]
             dpsi = psi.grad4(e)
             return _col(g, 2) * (
                 psi.hess4(e)
                 + iq_h * (_outer(dpsi, dchi) + _outer(dchi, dpsi))
-                + _col(value, 2) * (iq_h * lifted(chi.hess4)
+                + _col(value, 2) * (iq_h * chi.hess4(e)[lift]
                                     + iq_h ** 2 * _outer(dchi, dchi))
             )
 

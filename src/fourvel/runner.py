@@ -589,35 +589,41 @@ def _scn_gauge_orbit(cfg: ScenarioConfig, rng, events):
     monos = [m for m in _DEG2_MONOMIALS if sum(m) <= cfg.fixture["degree"]]
     untransformed = {}   # by the bytes of the cloud: the same for every gauge
 
-    def sides(a, wave, spinor, points):
+    def sides(points):
         # one at a time, so that each is reduced before the next exists
-        yield extract_u(wave, a, points, meth, constants=consts)
-        yield _worst(dirac_residual(spinor, a, points, meth,
+        yield extract_u(wave, a0, points, meth, constants=consts)
+        yield _worst(dirac_residual(spinor, a0, points, meth,
                                     constants=consts))
-        yield field_strength(a, points, meth, c=consts.c)
+        yield field_strength(a0, points, meth, c=consts.c)
 
     def make(terms: np.ndarray, points: EventArray) -> dict:
         # gauge j of a (B, terms) coefficient table on the j-th of B equal
         # blocks of points; its quantities as (B, rows of a block, ...)
         cloud = points[:len(points) // len(terms)]
         if (key := cloud.tobytes()) not in untransformed:
-            untransformed[key] = list(sides(a0, wave, spinor, cloud))
-        chi = _polynomial_gauge_members(monos, terms, consts.c)
-        a1, wave1 = gauge_transform(a0, wave, chi, consts)
-        _, spinor1 = gauge_transform(a0, spinor, chi, consts)
+            untransformed[key] = list(sides(cloud))
+        u0, r0, f0 = untransformed[key]
 
         def versus(side, base):
             return _worst(_member_blocks(side, len(terms)) - base, 2)
-        u0, r0, f0 = untransformed[key]
-        gauged = sides(a1, wave1, spinor1, points)
-        out = {"u_invariance": versus(next(gauged), u0),
-               "dirac_invariance": versus(next(gauged), r0),
-               "field_strength_invariance": versus(next(gauged), f0)}
-        # inverse gauges last: their memos never meet field strength's arrays
-        neg = _polynomial_gauge_members(monos, -terms, consts.c)
-        a2, wave2 = gauge_transform(a1, wave1, neg, consts)
+        # each memo is let go after its last reader: the round trip reads
+        # the gauged wave's, and field strength, whose arrays set the peak,
+        # meets only chi's
+        chi = _polynomial_gauge_members(monos, terms, consts.c)
+        a1, wave1 = gauge_transform(a0, wave, chi, consts)
+        a2, wave2 = gauge_transform(a1, wave1, _polynomial_gauge_members(
+            monos, -terms, consts.c), consts)
+        out = {"u_invariance": versus(
+            extract_u(wave1, a1, points, meth, constants=consts), u0)}
         out["roundtrip"] = versus(
             extract_u(wave2, a2, points, meth, constants=consts), u0)
+        del wave1, a2, wave2
+        _, spinor1 = gauge_transform(a0, spinor, chi, consts)
+        out["dirac_invariance"] = versus(_worst(dirac_residual(
+            spinor1, a1, points, meth, constants=consts)), r0)
+        del spinor1
+        out["field_strength_invariance"] = versus(
+            field_strength(a1, points, meth, c=consts.c), f0)
         return out
 
     n = int(cfg.fixture["n_gauges"])

@@ -558,3 +558,27 @@ def test_ab_pairs_smoke(tmp_path):
     assert lines[3].startswith("ratio B/A ") and "of 1 pairs" in lines[3]
     assert lines[4].startswith("ratio B/A per block of 20 pairs: ")
     assert list((tree / "src" / "fourvel" / "__pycache__").glob("*.pyc"))
+
+
+def test_ab_pairs_times_one_config(tmp_path):
+    # a scenario config that no workload runs: central gauge-orbit
+    tree = tmp_path / "tree"
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, tree / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    config = ('{"scenario": "gauge-orbit", "method": {"mode": "central"}, '
+              '"fixture": {"n_gauges": 2}}')
+    tool = [sys.executable, str(ROOT / "tools" / "ab_pairs.py"), str(tree),
+            str(tree), "--pairs", "2"]
+    r = subprocess.run(tool + ["--config", config], capture_output=True,
+                       text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0].startswith(f"# config {config}, 2 pairs")
+    assert [line.split(":")[0] for line in lines[1:3]] == ["A", "B"]
+    assert "of 2 pairs" in lines[3]
+    for wrong in (["--config", "[1]"],
+                  ["--config", config, "--workload", "gauge-orbit"]):
+        r = subprocess.run(tool + wrong, capture_output=True, text=True,
+                           timeout=60)
+        assert r.returncode == 2 and "usage:" in r.stderr

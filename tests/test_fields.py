@@ -292,6 +292,69 @@ def test_polynomial_gauge_evaluates_each_point_set_once(monkeypatch):
             assert len(calls) == before + 1
 
 
+def _term_loop(poly: dict, x: tuple):
+    """The monomial sum as it was written before its exact unit factors
+    (x**1 and the leading 1.0 *) were dropped."""
+    acc = 0.0
+    for ex, co in poly.items():
+        v = 1.0
+        for base, n in zip(x, ex):
+            if n:
+                v = v * base ** n
+        acc = acc + co * v
+    return acc
+
+
+def test_the_monomial_sum_is_the_term_loop_bit_for_bit():
+    # as the gauge calls it: coefficients as (members, 1) columns, and x as
+    # four Python floats (one Event) or four (members, rows) arrays
+    rng = np.random.default_rng(12)
+    points = rng.normal(size=(4, 3, 5))
+    points[rng.uniform(size=points.shape) < 0.25] = 0.0
+    points[rng.uniform(size=points.shape) < 0.25] = -0.0
+    xs = [tuple(points), (0.0, -0.0, 1.5, -2.25), (-0.0, -0.0, -0.0, -0.0),
+          tuple(points[:, :, 0].T[0].tolist())]
+    for terms in _random_tables(rng):
+        coeffs = rng.normal(size=(3, len(terms)))
+        coeffs[rng.uniform(size=coeffs.shape) < 0.2] = -0.0
+        for poly in ({ex: co for ex, co in zip(terms, coeffs.T[:, :, None])},
+                     {ex: float(co) for ex, co in terms.items()}):
+            for x in xs:
+                _assert_same_bits(fields._monomial_sum(poly, x),
+                                  _term_loop(poly, x))
+
+
+def test_the_last_points_memo_keys_on_the_points_and_shares_read_only():
+    calls, owned = [], np.arange(3.0)
+    memo = fields._last_points_memo(
+        lambda e: calls.append(e) or (owned, e.as_array() * 2.0), [None])
+    points = _memo_points()
+    held, twice = memo(points)
+    assert memo(points)[1] is twice and len(calls) == 1
+    # the cached arrays are read-only views; the body's own array is not
+    # made read-only
+    assert not held.flags.writeable and not twice.flags.writeable
+    assert owned.flags.writeable
+    # an equal copy hits; a change in place, or a zero's sign, misses
+    assert memo(EventArray(points.copy()))[1] is twice
+    points[3, 1] = -points[3, 1]
+    _assert_same_bits(memo(points)[1], points * 2.0)
+    points[0, 0] = 0.0
+    memo(points)
+    points[0, 0] = -0.0
+    memo(points)
+    assert len(calls) == 4
+    # one Event and the batch of its one point have keys of their own
+    e = Event(0.0, -0.0, 1.0, 2.0)
+    memo(e), memo(EventArray([e.as_array()])), memo(e)
+    assert len(calls) == 7
+    # an array result is returned as a fresh copy each time
+    fresh = fields._last_points_memo(lambda e: e.as_array() * 2.0, [None])
+    first = fresh(points)
+    first[...] = 99.0
+    _assert_same_bits(fresh(points), points * 2.0)
+
+
 def test_pure_gauge_potential_has_zero_field_strength():
     chi = polynomial_gauge({(1, 0, 0, 1): 0.8, (0, 2, 0, 0): -0.4}, 1.0)
     field = pure_gauge_potential(chi)

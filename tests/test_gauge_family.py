@@ -6,6 +6,7 @@ polynomial_gauge of its own coefficients on its own block, and gauge-orbit
 must report every gauge's rows and checks as it did when it certified one
 gauge at a time.
 """
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,6 +24,7 @@ from fourvel.core4 import _col
 from fourvel.fields import _polynomial_gauge_members
 from fourvel.runner import _GAUGE_ROWS
 from fourvel.velocityfield import _Chain
+from fourvel.wavefunctions import _outer
 
 METHODS = {"analytic": ANALYTIC, "central": central(),
            "central-richardson": central(richardson=True)}
@@ -335,3 +337,128 @@ def test_a_sum_of_potentials_is_the_out_of_place_sum():
                 # twice: the left operand's evaluator keeps nothing it gave
                 for _ in range(2):
                     _same_bits(getattr(total, name)(e), want)
+
+
+# gauge_transform evaluates psi, chi and exp(i q chi / hbar) once per point
+# set and shares them between psi' and its derivatives. Each memoized
+# evaluator must equal, bit for bit, the expression it evaluated afresh on
+# every call before.
+def _unmemoized(psi, chi, e):
+    """psi', d psi', box psi' and hess psi' of the gauged psi at e, each
+    from its own evaluation of psi, chi and the factor."""
+    iq_h = 1j * UNITS.q / UNITS.hbar
+
+    def gauged():
+        value, x = psi.psi(e), chi.chi(e)
+        lift = ((slice(None),) * np.ndim(x)
+                + (None,) * (np.ndim(value) - np.ndim(x)))
+        return value, np.exp(iq_h * x[lift]), lambda d: d(e)[lift]
+
+    value, g, lifted = gauged()
+    psi_p = value * g
+    value, g, lifted = gauged()
+    grad_p = _col(g) * (psi.grad4(e) + _col(value * iq_h) * lifted(chi.grad4))
+    value, g, lifted = gauged()
+    dchi, dpsi = lifted(chi.grad4), psi.grad4(e)
+    lap_p = g * (psi.laplace4(e) + 2 * iq_h * np.sum(dpsi * dchi, axis=-1)
+                 + value * (iq_h * lifted(chi.laplace4)
+                            + iq_h ** 2 * np.sum(dchi * dchi, axis=-1)))
+    value, g, lifted = gauged()
+    dchi, dpsi = lifted(chi.grad4), psi.grad4(e)
+    hess_p = _col(g, 2) * (
+        psi.hess4(e) + iq_h * (_outer(dpsi, dchi) + _outer(dchi, dpsi))
+        + _col(value, 2) * (iq_h * lifted(chi.hess4)
+                            + iq_h ** 2 * _outer(dchi, dchi)))
+    return psi_p, grad_p, lap_p, hess_p
+
+
+def _gauged_evaluators(wave):
+    return wave.psi, wave.grad4, wave.laplace4, wave.hess4
+
+
+@pytest.mark.parametrize("spinor", [False, True], ids=["scalar", "spinor"])
+def test_a_memoized_gauged_wave_is_the_unmemoized_expression(spinor):
+    psi = (dirac_plane_wave(P, "up", UNITS) if spinor
+           else plane_wave(P, UNITS))
+    (chi, block), (one, e) = _block_and_event()
+    _, wave = gauge_transform(zero_potential(), psi, chi, UNITS)
+    _, on_one = gauge_transform(zero_potential(), psi, one, UNITS)
+    want, flipped = (_unmemoized(psi, chi, points)
+                     for points in (block, block[::-1]))
+    # twice in a row, then alternating with another point set: every reuse
+    # of the memo must be exact
+    for i, evaluate in enumerate(_gauged_evaluators(wave)):
+        for points, w in ((block, want), (block, want), (block[::-1], flipped),
+                          (block, want)):
+            _same_bits(evaluate(points), w[i])
+    for evaluate, w in zip(_gauged_evaluators(on_one),
+                           _unmemoized(psi, one, e)):
+        for _ in range(2):
+            _same_bits(evaluate(e), w)
+
+
+def _counting(f, counts):
+    def counted(e):
+        key = e.as_array().tobytes()
+        counts[key] = counts.get(key, 0) + 1
+        return f(e)
+    return counted
+
+
+def test_a_default_block_evaluates_psi_and_chi_once_per_point_set(
+        monkeypatch):
+    # every gauge_transform of the block gets psi and chi that count their
+    # calls by the bytes of the points
+    counts = []
+    transform = runner.gauge_transform
+
+    def counted_transform(a, psi, chi, constants):
+        counts.append(({}, {}))
+        return transform(
+            a, dataclasses.replace(psi, psi=_counting(psi.psi, counts[-1][0])),
+            dataclasses.replace(chi, chi=_counting(chi.chi, counts[-1][1])),
+            constants)
+    monkeypatch.setattr(runner, "gauge_transform", counted_transform)
+    run_scenario(config_from_dict({}, "gauge-orbit"))
+    # the gauged wave, its round trip and the gauged spinor of one block
+    assert len(counts) == 3
+    for psi_calls, chi_calls in counts:
+        assert list(psi_calls.values()) == [1]
+        assert list(chi_calls.values()) == [1]
+
+
+def test_a_gauged_wave_recomputes_after_the_points_change_in_place():
+    for spinor in (False, True):
+        psi = (dirac_plane_wave(P, "up", UNITS) if spinor
+               else plane_wave(P, UNITS))
+        (chi, block), _ = _block_and_event()
+        _, wave = gauge_transform(zero_potential(), psi, chi, UNITS)
+        for i, evaluate in enumerate(_gauged_evaluators(wave)):
+            points = block.copy()
+            evaluate(points)
+            points[2, 0] += 1.0
+            points[4, 3] = -points[4, 3]
+            _same_bits(evaluate(points), _unmemoized(psi, chi, points)[i])
+            points[7, 1] = 0.0
+            evaluate(points)
+            points[7, 1] = -0.0
+            _same_bits(evaluate(points), _unmemoized(psi, chi, points)[i])
+
+
+def test_analytic_field_strength_invariance_is_zero_by_construction():
+    # hess4 writes both triangles of d_mu d_nu chi from one value, so the
+    # analytic F = dA - (dA)^T of a pure gauge is 0.0 in every bit: the
+    # check cannot fail in analytic mode, and only central mode, whose
+    # stencils are not symmetric in rounding, exercises it
+    (chi, block), (one, e) = _block_and_event()
+    for gauge, points in ((chi, block), (one, e)):
+        f = field_strength(pure_gauge_potential(gauge), points, ANALYTIC,
+                           c=UNITS.c)
+        _same_bits(f, np.zeros_like(f))
+    for mode, zero in (("analytic", True), ("central", False)):
+        report = run_scenario(config_from_dict({"method": {"mode": mode}},
+                                               "gauge-orbit"))
+        check = next(c for c in report.checks
+                     if c.name == "field_strength_invariance")
+        assert (check.linf == 0.0) is zero
+        assert check.linf < 1e-10

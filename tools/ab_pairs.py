@@ -2,22 +2,29 @@
 
     python tools/ab_pairs.py TREE_A TREE_B --workload central-stencil \\
         --pairs 100
+    python tools/ab_pairs.py TREE_A TREE_B --pairs 20 \\
+        --config '{"scenario": "gauge-orbit", "method": {"mode": "central"}}'
 
 Each tree is the root of a fourvel checkout. Its ``src/`` is compiled with
 ``compileall`` first, so neither side compiles at import. Then one worker
 process per tree puts that tree's ``src/`` and ``perfbench/`` on its path,
 builds the workload's configs at seed 1 with that tree's
 ``perfbench/run.py`` and runs one untimed pass, which fills first-call
-caches. Each pair then runs one pass in each worker, the tree that goes
-first alternating from pair to pair. A pass is ``run.run_pass``: every
-scenario of the workload certified and exported once. Its time is the sum
-of the certifications' wall times, and its minor page faults are
-``ru_minflt`` read before and after it.
+caches. ``--config`` times one scenario config instead of a workload, such
+as central gauge-orbit, which no workload runs: a ``config_from_dict``
+document, at seed 1 unless it names a seed, whose first report sets the
+checks that every timed pass must certify. Each pair then runs one pass in
+each worker, the tree that goes first alternating from pair to pair. A pass
+is ``run.run_pass``: every scenario of the workload (or the one config)
+certified and exported once. Its time is the sum of the certifications'
+wall times, and its minor page faults are ``ru_minflt`` read before and
+after it.
 
 The summary gives the median pass time per tree, the ratio B / A of the
 medians, the pairs in which B was faster, the ratio per block of 20 pairs,
 and the median minor faults per pass per tree. A pass whose scenarios do
-not all certify as the seed code did ends the run with exit code 1.
+not all certify as the seed code did (for ``--config``, as its first
+report did) ends the run with exit code 1.
 """
 from __future__ import annotations
 
@@ -39,9 +46,14 @@ sys.path[:0] = ["perfbench", "src"]
 import run
 from fourvel import runner
 signal.signal(signal.SIGALRM, run._on_alarm)
-workload = sys.argv[1]
-cfgs = [runner.config_from_dict(doc) for doc in run.config_docs(workload, 1)]
-expected = run.EXPECTED[workload]
+workload, doc = sys.argv[1], json.loads(sys.argv[2])
+if doc is None:
+    cfgs = [runner.config_from_dict(d) for d in run.config_docs(workload, 1)]
+    expected = run.EXPECTED[workload]
+else:
+    cfgs = [runner.config_from_dict({"seed": 1, **doc, "no_timestamp": True})]
+    checks = runner.run_scenario(cfgs[0]).checks
+    expected = {cfgs[0].scenario: {c.name: c.count for c in checks}}
 run.run_pass(runner, cfgs, expected)
 print("ready", flush=True)
 for _ in sys.stdin:
@@ -55,13 +67,14 @@ for _ in sys.stdin:
 
 
 class Worker:
-    """One interpreter running passes of one tree's workload on request."""
+    """One interpreter running passes of one tree's workload, or of one
+    config when config is not None, on request."""
 
-    def __init__(self, tree: Path, workload: str):
+    def __init__(self, tree: Path, workload, config):
         self.tree = tree
         self.proc = subprocess.Popen(
-            [sys.executable, "-c", WORKER, workload], cwd=tree,
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+            [sys.executable, "-c", WORKER, str(workload), json.dumps(config)],
+            cwd=tree, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
     def ready(self):
         line = self.proc.stdout.readline()
@@ -108,12 +121,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree_a", type=Path, metavar="TREE_A")
     parser.add_argument("tree_b", type=Path, metavar="TREE_B")
-    parser.add_argument("--workload", required=True,
+    target = parser.add_mutually_exclusive_group(required=True)
+    target.add_argument("--workload",
                         choices=[w["name"] for w in SPEC["workloads"]])
+    target.add_argument("--config", type=json.loads, metavar="JSON",
+                        help="one config_from_dict document to time")
     parser.add_argument("--pairs", type=int, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.config is not None and not isinstance(args.config, dict):
+        parser.error("--config must be a JSON object")
     trees = [t.resolve() for t in (args.tree_a, args.tree_b)]
     for tree in trees:
         if not (tree / "perfbench" / "run.py").is_file():
@@ -121,7 +139,7 @@ def main(argv=None) -> int:
         if not compileall.compile_dir(tree / "src", quiet=1):
             parser.error(f"{tree}/src does not compile")
 
-    workers = [Worker(tree, args.workload) for tree in trees]
+    workers = [Worker(tree, args.workload, args.config) for tree in trees]
     passes = [[], []]
     try:
         for w in workers:
@@ -135,7 +153,8 @@ def main(argv=None) -> int:
     finally:
         for w in workers:
             w.close()
-    print(f"# {args.workload}, {args.pairs} pairs; A = {trees[0]}, "
+    what = args.workload or f"config {json.dumps(args.config)}"
+    print(f"# {what}, {args.pairs} pairs; A = {trees[0]}, "
           f"B = {trees[1]}")
     print("\n".join(summary(passes)))
     return 0
