@@ -259,6 +259,11 @@ class DerivativeMethod:
         """Stencil steps: h, and h / 2 for Richardson."""
         return (self.h, self.h / 2) if self.richardson else (self.h,)
 
+    @property
+    def rows_per_point(self) -> int:
+        """Points a derivative evaluates per point, the point included."""
+        return 1 if self.mode == "analytic" else 16 * len(self.steps) + 1
+
 
 ANALYTIC = DerivativeMethod("analytic")
 

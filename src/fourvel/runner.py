@@ -280,39 +280,29 @@ class ResidualReport:
 class _Rows:
     """The report rows as blocks (case, (K, 4) points, columns), one column
     (check, K float64 magnitudes, a K-bool mask of the events with a
-    sample, or None for all) per check. It reads as a sequence of row
-    dicts, event-major and check-minor within a block and indexed from 0,
-    built on the first read; its length is counted as blocks are added."""
+    sample, or None for all) per check; the number of rows is counted as
+    blocks are added."""
 
     def __init__(self):
-        self.blocks, self.count, self._dicts = [], 0, ()
+        self.blocks, self.count = [], 0
 
     def __len__(self) -> int:
         return self.count
 
-    def __getitem__(self, i):
-        if len(self._dicts) != self.count:
-            pieces = _row_pieces(self, str, np.ndarray.tolist,
-                                 *[lambda *parts: parts] * 3)
-            self._dicts = tuple(
-                dict(zip(_CSV_HEADER, (*labels, *point, mag)))
-                for labels, point, mag, _ in zip(*[iter(pieces)] * 4))
-        return self._dicts[i]
-
 
 class _Collector:
-    def __init__(self, checks: dict, mode: str, overrides: dict):
+    def __init__(self, checks: dict, method: DerivativeMethod,
+                 overrides: dict):
         self.checks = checks   # name: (analytic tolerance, central, ...)
-        self.mode_index = 1 if mode == "central" else 0
-        self.overrides = overrides
+        self.method, self.overrides = method, overrides
         self.rows = _Rows()
 
     def add_case(self, labels: list, points, make: Callable):
         """One block per member of a case: each check its reader reads off
-        make(points), or its value by name if make gives a dict, a residual
-        or (residual, mask of the points with a sample); a point's magnitude
-        is the largest |entry| of its residual."""
-        made, columns = make(points), []
+        make(points, the run's method), or its value by name if make gives a
+        dict, a residual or (residual, mask of the points with a sample); a
+        point's magnitude is the largest |entry| of its residual."""
+        made, columns = make(points, self.method), []
         for name, (_, _, read) in self.checks.items():
             out = made.get(name) if type(made) is dict else read and read(made)
             if out is not None:
@@ -340,7 +330,8 @@ class _Collector:
                     values if keep is None else values[keep])
         checks = []
         for name, blocks in samples.items():   # every check has a row
-            tol = self.overrides.get(name, self.checks[name][self.mode_index])
+            tol = self.overrides.get(
+                name, self.checks[name][self.method.mode == "central"])
             mags = np.concatenate(blocks)
             linf = float(mags[np.argmax(mags)])   # max()'s, or the first NaN
             with np.errstate(over="ignore"):   # in row order on any Python
@@ -427,13 +418,14 @@ def _eps_for(waves, events) -> float:
 
 def _one(label: str, event: Event, **values) -> tuple:
     """The case of one event: the values of the named checks there."""
-    return [label], EventArray([event.as_array()]), lambda _: values
+    return ([label], EventArray([event.as_array()]),
+            lambda points, method: values)
 
 
 def _chains(cfg: ScenarioConfig, wave, a_field, eps=DEFAULT_EPS_PSI):
     """make of a case: the _Chain of wave, or of a family, on its points."""
-    return partial(_Chain, wave, a_field, method=cfg.method,
-                   constants=cfg.constants, eps_psi=eps)
+    return partial(_Chain, wave, a_field, constants=cfg.constants,
+                   eps_psi=eps)
 
 
 def _scn_plane_wave(cfg: ScenarioConfig, rng, events):
@@ -582,26 +574,26 @@ _DEG2_MONOMIALS = [
 
 
 def _scn_gauge_orbit(cfg: ScenarioConfig, rng, events):
-    consts, meth = cfg.constants, cfg.method
+    consts = cfg.constants
     a0 = zero_potential()
     wave = plane_wave(cfg.fixture["p"], consts)
     spinor = dirac_plane_wave(cfg.fixture["p"], "up", consts)
     monos = [m for m in _DEG2_MONOMIALS if sum(m) <= cfg.fixture["degree"]]
-    untransformed = {}   # by the bytes of the cloud: the same for every gauge
+    untransformed = {}   # by method and cloud bytes: the same for every gauge
 
-    def sides(points):
+    def sides(points, method):
         # one at a time, so that each is reduced before the next exists
-        yield extract_u(wave, a0, points, meth, constants=consts)
-        yield _worst(dirac_residual(spinor, a0, points, meth,
+        yield extract_u(wave, a0, points, method, constants=consts)
+        yield _worst(dirac_residual(spinor, a0, points, method,
                                     constants=consts))
-        yield field_strength(a0, points, meth, c=consts.c)
+        yield field_strength(a0, points, method, c=consts.c)
 
-    def make(terms: np.ndarray, points: EventArray) -> dict:
+    def make(terms: np.ndarray, points: EventArray, method) -> dict:
         # gauge j of a (B, terms) coefficient table on the j-th of B equal
         # blocks of points; its quantities as (B, rows of a block, ...)
         cloud = points[:len(points) // len(terms)]
-        if (key := cloud.tobytes()) not in untransformed:
-            untransformed[key] = list(sides(cloud))
+        if (key := (method, cloud.tobytes())) not in untransformed:
+            untransformed[key] = list(sides(cloud, method))
         u0, r0, f0 = untransformed[key]
 
         def versus(side, base):
@@ -614,23 +606,21 @@ def _scn_gauge_orbit(cfg: ScenarioConfig, rng, events):
         a2, wave2 = gauge_transform(a1, wave1, _polynomial_gauge_members(
             monos, -terms, consts.c), consts)
         out = {"u_invariance": versus(
-            extract_u(wave1, a1, points, meth, constants=consts), u0)}
+            extract_u(wave1, a1, points, method, constants=consts), u0)}
         out["roundtrip"] = versus(
-            extract_u(wave2, a2, points, meth, constants=consts), u0)
+            extract_u(wave2, a2, points, method, constants=consts), u0)
         del wave1, a2, wave2
         _, spinor1 = gauge_transform(a0, spinor, chi, consts)
         out["dirac_invariance"] = versus(_worst(dirac_residual(
-            spinor1, a1, points, meth, constants=consts)), r0)
+            spinor1, a1, points, method, constants=consts)), r0)
         del spinor1
         out["field_strength_invariance"] = versus(
-            field_strength(a1, points, meth, c=consts.c), f0)
+            field_strength(a1, points, method, c=consts.c), f0)
         return out
 
     n = int(cfg.fixture["n_gauges"])
-    # evaluated rows per point: 4 axes x 4 nodes per stencil step, and the
-    # point itself
-    stencil = 1 if meth.mode == "analytic" else 16 * len(meth.steps) + 1
-    block = max(1, _GAUGE_ROWS // max(len(events) * stencil, 1))
+    rows = len(events) * cfg.method.rows_per_point   # evaluated per gauge
+    block = max(1, _GAUGE_ROWS // max(rows, 1))
     for first in range(0, n, block):
         # one (B, terms) draw takes the same numbers as B gauges' draws of
         # one number per term
@@ -665,7 +655,7 @@ def _scn_clifford(cfg: ScenarioConfig, rng, events):
     gp = gamma_dot(g, p)
     square = np.max(np.abs(gp @ gp - np.sum(p * p, axis=-1)[:, None, None]
                            * np.eye(4, dtype=complex)), axis=(-2, -1))
-    yield ["random-p"], np.zeros((len(p), 4)), lambda _: {
+    yield ["random-p"], np.zeros((len(p), 4)), lambda points, method: {
         "gamma_square": square,
         "factorization": factorization_residual(g, p, consts)}
 
@@ -718,7 +708,7 @@ def _scn_worldline(cfg: ScenarioConfig, rng, events):
                circle_count=float(abs(len(pts) - 2)))
     expected_x1 = math.sqrt(max(radius ** 2 - ct0 ** 2, 0.0))
     at = np.reshape([pt.event.as_array() for pt in pts], (-1, 4))
-    yield ["circle"], at, lambda _: {
+    yield ["circle"], at, lambda points, method: {
         "circle_position": [abs(abs(pt.event.x1) - expected_x1) for pt in pts],
         "timelike_onshell": onshell(pts)}
 
@@ -746,7 +736,7 @@ def _scn_worldline(cfg: ScenarioConfig, rng, events):
     firsts = [bpts[0] if bpts else None for bpts in pierced]
     at = np.reshape([(pt.event if pt else w.position(0.0)).as_array()
                      for w, pt in zip(lines, firsts)], (-1, 4))
-    yield ["boosted-line"], at, lambda _: {
+    yield ["boosted-line"], at, lambda points, method: {
         "line_boost_count": [float(abs(len(bpts) - 1)) for bpts in pierced],
         "timelike_onshell": onshell(firsts)}
 
@@ -786,7 +776,8 @@ def _worldline_limits(fixture: dict, c: float):
 class Scenario:
     """One scenario. build(cfg, rng, events) yields cases (labels, points,
     make): member j of len(labels) on the j-th equal block of points, and
-    make(points) a residual chain or a dict of check values by name. events
+    make(points, method) a residual chain by that derivative method or a
+    dict of check values by name, which may ignore the method. events
     is the cloud, drawn first from rng, or None. checks maps each check, in
     row order, to (analytic, central tolerance, reader): a tolerance None
     never fails, and a check only a dict gives has no reader. The fixture
@@ -904,7 +895,7 @@ def run_scenario(cfg: ScenarioConfig) -> ResidualReport:
     spec = _validate(cfg)
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    col = _Collector(spec.checks, cfg.method.mode, cfg.tolerances)
+    col = _Collector(spec.checks, cfg.method, cfg.tolerances)
     # numpy warns, and goes on with inf or NaN, where an input's arithmetic
     # overflows; such an input is refused instead of certified
     with warnings.catch_warnings():

@@ -116,7 +116,7 @@ class _Chain:
         takes psi at the pairs of _nested_pairs only; a spinor's component
         axis goes before mu, as in analytic mode: [..., k, mu, ...]."""
         steps, mu = self.method.steps, 0 if isinstance(self.e, Event) else 1
-        n = 16 * len(steps)
+        n = (self.outer or self).ring[0].shape[1] - 1   # points before e
         if read:
             points, values = self.ring
             inner = _Chain(self.psi, self.a_field,

@@ -134,7 +134,7 @@ def test_criterion_08_negative_controls_fail_loudly():
 def test_criterion_09_worldline_pierce_geometry():
     report = _run("worldline-pierce")
     ch = _checks(report)
-    circle_rows = [r for r in report.rows
+    circle_rows = [r for r in json.loads(report_to_json(report))["rows"]
                    if r["check"] == "circle_position"]
     expect = math.sqrt(0.75)
     positions_ok = (len(circle_rows) == 2 and all(

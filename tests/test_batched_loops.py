@@ -8,6 +8,7 @@ and every comparison is exact (== or np.array_equal), never a tolerance.
 """
 import dataclasses
 import importlib.util
+import json
 import math
 import shutil
 import subprocess
@@ -21,12 +22,12 @@ from fourvel import (ANALYTIC, ConfigError, Event, EventArray, NATURAL_UNITS,
                      ParameterError, PhysicalConstants, ScalarWave,
                      SpinorWave, Worldline, action_integral, boost_worldline,
                      central, config_from_dict, coulomb_potential,
-                     dirac_coulomb_1s, dirac_plane_wave, extract_u,
-                     factorization_residual, gamma_dot, gamma_matrices,
-                     gaussian_polynomial_wave, gauge_transform,
-                     kg_coulomb_1s, make_worldline, pierce_points,
-                     plane_wave, polynomial_gauge, random_smooth_spinor,
-                     run_scenario, zero_potential)
+                     dirac_coulomb_1s, dirac_plane_wave, export_report,
+                     extract_u, factorization_residual, gamma_dot,
+                     gamma_matrices, gaussian_polynomial_wave,
+                     gauge_transform, kg_coulomb_1s, make_worldline,
+                     pierce_points, plane_wave, polynomial_gauge,
+                     random_smooth_spinor, run_scenario, zero_potential)
 from fourvel.core4 import four_displacement
 from fourvel.runner import _DRAWS_PER_POINT, _random_ball, _scaled_gammas
 
@@ -291,7 +292,8 @@ def test_gamma_contraction_refuses_a_bad_shape(bad):
 def test_clifford_rows_match_one_draw_per_momentum(scale):
     cfg = config_from_dict({"fixture": {"gamma_scale": scale,
                                         "n_random_p": 30}}, "clifford")
-    rows = [r for r in run_scenario(cfg).rows if r["case"] == "random-p"]
+    rows = [r for r in json.loads(export_report(run_scenario(cfg)))["rows"]
+            if r["case"] == "random-p"]
     rng = np.random.default_rng(cfg.seed)
     g = _scaled_gammas(scale)
     want = []
@@ -521,6 +523,18 @@ def test_report_hashes_smoke(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == f"changed: {lines[0]}\n"
     assert out == "6 reports, 1 differ\n"
+
+
+def test_report_hashes_refuses_an_unknown_scenario(tmp_path, capsys):
+    # a misspelled name must not hash the empty reports of a refused run
+    # and pass a check of them
+    saved = tmp_path / "hashes.txt"
+    saved.write_text("")
+    with pytest.raises(SystemExit) as exit_:
+        _hash_tool().main(["--scenario", "plane-wav", "--check", str(saved)])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'plane-wav'" in err
 
 
 def test_report_hashes_extra_configs(capsys):

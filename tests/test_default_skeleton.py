@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from fourvel import default_config, list_scenarios, run_scenario
+from fourvel import (default_config, export_report, list_scenarios,
+                     run_scenario)
 
 GOLDEN = Path(__file__).parent / "data" / "default_skeleton.json"
 
@@ -30,7 +31,7 @@ def skeleton(report) -> dict:
 
     rows = [[ident("cases", r["case"]), ident("names", r["check"]),
              r["index"], ident("points", (r["x1"], r["x2"], r["x3"], r["t"]))]
-            for r in report.rows]
+            for r in json.loads(export_report(report))["rows"]]
     return {
         "checks": [[c.name, c.count, c.passed] for c in report.checks],
         "cases": list(tables["cases"]),

@@ -11,10 +11,11 @@ import warnings
 
 import pytest
 
-from fourvel import (ConfigError, DerivativeMethod, InvalidBoostError,
-                     ParameterError, PhysicalConstants, QuadratureError,
-                     SingularPointError, config_from_dict, default_config,
-                     export_report, list_scenarios, run_scenario)
+from fourvel import (ANALYTIC, ConfigError, DerivativeMethod,
+                     InvalidBoostError, ParameterError, PhysicalConstants,
+                     QuadratureError, SingularPointError, config_from_dict,
+                     default_config, export_report, list_scenarios,
+                     run_scenario)
 from fourvel import core4, runner
 from fourvel.cli import main
 from fourvel.runner import report_to_csv, report_to_json
@@ -115,7 +116,7 @@ def test_report_includes_timestamp_by_default():
 
 def test_report_rows_schema():
     report = run_scenario(default_config("worldline-pierce"))
-    row = report.rows[0]
+    row = json.loads(export_report(report))["rows"][0]
     assert set(row) == {"case", "check", "index", "x1", "x2", "x3", "t",
                         "magnitude"}
 
@@ -144,7 +145,8 @@ def test_seed_changes_sample_cloud_but_not_verdict():
     r_base = run_scenario(
         type(base)(**{**vars(base), "no_timestamp": True}))
     assert r_alt.passed and r_base.passed
-    assert r_alt.rows[0]["x1"] != r_base.rows[0]["x1"]
+    assert (json.loads(export_report(r_alt))["rows"][0]["x1"]
+            != json.loads(export_report(r_base))["rows"][0]["x1"])
 
 
 def test_tolerance_override_can_fail_a_passing_run():
@@ -161,14 +163,14 @@ def test_a_nan_magnitude_fails_its_check_wherever_it_lies():
     for mags in ([0.0, float("nan"), 1e-20], [float("nan"), 0.0],
                  [1e-20, 0.0, float("nan")]):
         col = runner._Collector({"chk": (1e-12, 1e-12, None),
-                                 "info": (None, None, None)}, "analytic", {})
+                                 "info": (None, None, None)}, ANALYTIC, {})
         for m in mags:
             col.add_case(*runner._one("case", e, chk=m, info=m))
         chk, info = col.finalize()
         assert math.isnan(chk.linf) and not chk.passed
         # a check without a tolerance stays informational
         assert math.isnan(info.linf) and info.passed
-    col = runner._Collector({"chk": (1e-12, 1e-12, None)}, "analytic", {})
+    col = runner._Collector({"chk": (1e-12, 1e-12, None)}, ANALYTIC, {})
     col.add_case(*runner._one("case", e, chk=0.0))
     col.add_case(*runner._one("case", e, chk=float("inf")))
     assert col.finalize()[0].linf == float("inf")
@@ -218,9 +220,9 @@ def test_one_momentum_gradient_and_kg_residual_per_wave(monkeypatch, scenario,
         make = chains(cfg, dataclasses.replace(wave, psi=counted), *args,
                       **kwargs)
 
-        def made(points):
+        def made(points, method):
             cases.append((kind, len(points), calls))
-            return make(points)
+            return make(points, method)
         return made
 
     monkeypatch.setattr(runner, "_chains", counted_chains)

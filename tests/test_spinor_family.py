@@ -6,6 +6,7 @@ equal, bit for bit, the per-member checks of random_smooth_spinor built
 from the same draws, and the runner must report each member's rows as it
 did when it certified one spinor at a time.
 """
+import json
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from fourvel import (ANALYTIC, Event, EventArray, NATURAL_UNITS,
                      ParameterError, PhysicalConstants, central,
-                     config_from_dict, dirac_to_kg_check,
+                     config_from_dict, dirac_to_kg_check, export_report,
                      gaussian_polynomial_wave, kg_operator_on_spinor,
                      kg_residual, mass_shell_residual,
                      random_smooth_spinor, random_spinor_family, run_scenario,
@@ -79,7 +80,8 @@ def test_runner_reports_each_member_under_its_own_label(mode, n):
                        axis=1)
         want += [(f"random-spinor-{j}", i, *points[i], worst[i])
                  for i in range(3)]
-    rows = [r for r in report.rows if r["check"] == "dirac_to_kg"]
+    rows = [r for r in json.loads(export_report(report))["rows"]
+            if r["check"] == "dirac_to_kg"]
     assert [(r["case"], r["index"], r["x1"], r["x2"], r["x3"], r["t"],
              r["magnitude"]) for r in rows] == want
 

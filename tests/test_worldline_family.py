@@ -8,6 +8,7 @@ and tangent flag. The runner scans worldline-pierce's boosted lines in
 blocks of runner._BOOST_BLOCK and must give the report of one line at a
 time, whatever the block.
 """
+import json
 import math
 import tracemalloc
 import warnings
@@ -106,7 +107,8 @@ def test_pierce_points_refuses_a_non_finite_plane(t0):
 
 def _boosted_rows(doc) -> list:
     report = run_scenario(config_from_dict(doc, "worldline-pierce"))
-    return [r for r in report.rows if r["case"] == "boosted-line"]
+    return [r for r in json.loads(export_report(report))["rows"]
+            if r["case"] == "boosted-line"]
 
 
 # 20 lines in blocks of 4, 9 lines with a remainder of one, speeds +-0.0,

@@ -210,6 +210,7 @@ def extra_hashes() -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scenario", action="append",
+                        choices=list_scenarios(),
                         help="hash only this scenario (repeatable)")
     parser.add_argument("--check", metavar="FILE",
                         help="compare with a saved list; exit 1 on change")
