@@ -121,21 +121,19 @@ def _read_only(v):
     return v
 
 
-def _last_points_memo(body: Callable, shared: list) -> Callable:
+def _last_points_memo(body: Callable) -> Callable:
     """body(e), kept for the last point set while the key stays the same:
     whether e is one Event or a batch, its shape and the float64 bytes of
     its points, all a body may read. So -0.0 and 0.0 get distinct keys and
-    points changed in place a new one. shared[0] is the last key any memo
-    given that list built, so memos of one point set hold one bytes copy.
-    Cached arrays are read-only: an array result is returned as a fresh
-    copy, which the caller owns, and a tuple's arrays as they are."""
+    points changed in place a new one. Cached arrays are read-only: an
+    array result is returned as a fresh copy, which the caller owns, and a
+    tuple's arrays as they are."""
     last = (None, None)
 
     def evaluator(e):
         nonlocal last
         arr = e.as_array()
         key = (isinstance(e, Event), arr.shape, arr.tobytes())
-        key = shared[0] = shared[0] if key == shared[0] else key
         seen, out = last
         if key != seen:
             out = body(e)
@@ -169,9 +167,9 @@ def polynomial_gauge(terms: dict, c: float = 1.0) -> GaugeFunction:
     zero imaginary part included. Anything else raises ParameterError. All
     derivatives are exact, with each t-derivative picking up 1/(i*c); the
     terms are differentiated here, once per axis and once per axis pair.
-    chi, grad4 and hess4 each keep the result for the last points they
-    evaluated and reuse it while the points' float64 bytes stay the same;
-    every array they return is a fresh copy.
+    Only grad4, read for each derivative of a gauged wave, keeps a memo: its
+    result for the last points, while their float64 bytes stay the same.
+    Every array chi, grad4 and hess4 return is a fresh copy.
     """
     table = {}
     for key, coeff in terms.items():
@@ -221,10 +219,9 @@ def _polynomial_gauge_members(expos: list, coeffs, c: float) -> GaugeFunction:
     first = [diff(table, ax) for ax in range(4)]
     second = {(a1, a2): diff(first[a1], a2)
               for a1 in range(4) for a2 in range(a1, 4)}
-    shared = [None]   # the last points' key: one bytes copy for all memos
 
-    def memo(body: Callable) -> Callable:
-        def split(e):
+    def split(body: Callable) -> Callable:
+        def evaluator(e):
             # the coordinates per member block, Python floats for one Event,
             # and the map from per-member values back to one value per point
             arr = e.as_array()
@@ -233,21 +230,22 @@ def _polynomial_gauge_members(expos: list, coeffs, c: float) -> GaugeFunction:
                  else tuple(np.moveaxis(blocks, -1, 0)))
             return body(e, x, lambda v: np.broadcast_to(
                 v, blocks.shape[:2]).reshape(arr.shape[:-1]))
-        return _last_points_memo(split, shared)
+        return evaluator
 
-    @memo
+    @split
     def chi(e: Event, x: tuple, shaped: Callable) -> float:
         # + zeros turns -0.0 into 0.0, and one Event's value into a scalar
         return evaluate(table, 0, x, shaped) + _zeros(e, dtype=float)
 
-    @memo
+    @_last_points_memo
+    @split
     def grad4(e: Event, x: tuple, shaped: Callable) -> np.ndarray:
         out = _zeros(e, 4)
         for ax, poly in enumerate(first):
             out[..., ax] = evaluate(poly, ax == 3, x, shaped)
         return out
 
-    @memo
+    @split
     def hess4(e: Event, x: tuple, shaped: Callable) -> np.ndarray:
         out = _zeros(e, 4, 4)
         for (a1, a2), poly in second.items():
@@ -299,7 +297,7 @@ def gauge_transform(a_field: PotentialField, psi: ScalarWave,
         lift = ((slice(None),) * np.ndim(x)
                 + (None,) * (np.ndim(value) - np.ndim(x)))
         return value, np.exp(iq_h * x[lift]), lift
-    gauged = _last_points_memo(at, [None])
+    gauged = _last_points_memo(at)
 
     def psi_p(e):
         value, g, _ = gauged(e)

@@ -295,7 +295,7 @@ class _Collector:
                  overrides: dict):
         self.checks = checks   # name: (analytic tolerance, central, ...)
         self.method, self.overrides = method, overrides
-        self.rows = _Rows()
+        self.rows, self.points = _Rows(), {}   # one copy per points' bytes
 
     def add_case(self, labels: list, points, make: Callable):
         """One block per member of a case: each check its reader reads off
@@ -319,7 +319,9 @@ class _Collector:
                     kept.append((name, mags[j], keep))
                     self.rows.count += int(n)
             if kept:
-                self.rows.blocks.append((labels[j], rows, kept))
+                if (key := rows.tobytes()) not in self.points:
+                    self.points[key] = rows.copy()
+                self.rows.blocks.append((labels[j], self.points[key], kept))
 
     def finalize(self) -> tuple:
         samples = {}   # in the order of the checks' first rows
@@ -600,7 +602,7 @@ def _scn_gauge_orbit(cfg: ScenarioConfig, rng, events):
             return _worst(_member_blocks(side, len(terms)) - base, 2)
         # each memo is let go after its last reader: the round trip reads
         # the gauged wave's, and field strength, whose arrays set the peak,
-        # meets only chi's
+        # meets only the gauges' grad4 memo
         chi = _polynomial_gauge_members(monos, terms, consts.c)
         a1, wave1 = gauge_transform(a0, wave, chi, consts)
         a2, wave2 = gauge_transform(a1, wave1, _polynomial_gauge_members(

@@ -79,9 +79,9 @@ class _Chain:
     batch). Every quantity of the residual chain is read off the same psi,
     d psi and laplace4 psi, and each is evaluated at most once, on first
     read. A chain lives for one kernel call or one wave of a scenario. In
-    central mode it evaluates psi once per distinct point: at e (value), at
-    e's stencil points and e (ring) and, for a nested stencil, at the
-    canonical second-ring points of a chain on the stencil points (outer).
+    central mode psi is evaluated once per distinct point: at e's stencil
+    points and e (ring, whose last column is value) and, for a chain on
+    the stencil points (outer), at the canonical second-ring points.
 
     The wave is a ScalarWave or a SpinorWave, whose component axis follows
     the point axis in both modes (grad [..., k, mu], gp [..., k, mu, nu]);
@@ -101,12 +101,14 @@ class _Chain:
 
     @cached_property
     def value(self):
-        return self.psi(self.e)
+        if self.method.mode == "analytic":
+            return self.psi(self.e)
+        return self.ring[1][0 if isinstance(self.e, Event) else slice(None), -1]
 
     @cached_property
     def ring(self):
         """e's stencil points, then e, (K, 16 L + 1, 4) for L steps, and psi
-        there, for the gradient, the Laplacian and a nested chain's values."""
+        there: value, the gradient, the Laplacian and nested chains' values."""
         points = _stencil_points(self.e, self.method.steps)
         return points, _evaluate(self.psi, points)
 

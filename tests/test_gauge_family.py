@@ -205,7 +205,8 @@ def test_a_coefficient_table_must_be_finite_real_and_fit(coeffs):
 
 def test_a_family_evaluates_each_point_set_once(monkeypatch):
     # every evaluator body builds its output with exactly one _zeros
-    # call, and laplace4 is the trace of hess4
+    # call, and laplace4 is the trace of hess4. Only grad4 keeps a memo:
+    # chi, hess4 and laplace4 run their body on every call
     calls = []
     zeros = fields._zeros
     monkeypatch.setattr(fields, "_zeros",
@@ -222,31 +223,8 @@ def test_a_family_evaluates_each_point_set_once(monkeypatch):
             before = len(calls)
             for _ in range(5):
                 evaluator(sample)
-            assert len(calls) == before + 1
-
-
-def _memo_key(evaluator):
-    """The key an evaluator's one-entry memo holds."""
-    cells = dict(zip(evaluator.__code__.co_freevars, evaluator.__closure__))
-    return cells["last"].cell_contents[0]
-
-
-def test_a_family_keeps_one_key_per_point_set():
-    # chi, grad4 and hess4 of one block hold one copy of its point bytes,
-    # not one each; other points get a key of their own
-    family = _polynomial_gauge_members(
-        MONOMIALS, np.random.default_rng(9).uniform(-1, 1, (10, 15)), 1.3)
-    points = EventArray(np.random.default_rng(5).uniform(
-        -1.5, 1.5, (_GAUGE_ROWS, 4)))
-    evaluators = (family.chi, family.grad4, family.hess4)
-    for evaluator in evaluators:
-        evaluator(points)
-    key = _memo_key(family.chi)
-    assert key == (False, points.shape, points.tobytes())
-    assert all(_memo_key(evaluator) is key for evaluator in evaluators)
-    family.grad4(points[::-1])
-    assert _memo_key(family.grad4)[2] == points[::-1].tobytes()
-    assert _memo_key(family.chi) is key and _memo_key(family.hess4) is key
+            assert len(calls) == before + (1 if evaluator is family.grad4
+                                           else 5)
 
 
 def _traced_peak(doc, scenario):
@@ -280,6 +258,49 @@ def test_a_default_run_certifies_its_gauges_in_one_block(monkeypatch):
     report = run_scenario(config_from_dict({}, "gauge-orbit"))
     assert sizes == [10, 10]
     assert len({r["case"] for r in _rows(report)}) == 10
+
+
+def test_a_report_keeps_one_copy_of_the_cloud():
+    # a 40-gauge report's blocks are four tiles of the 100-event cloud; each
+    # of its 40 blocks holds the one copy, not a view of its tile
+    blocks = run_scenario(config_from_dict(
+        {"fixture": {"n_gauges": 40}}, "gauge-orbit")).rows.blocks
+    cloud = blocks[0][1]
+    assert len(blocks) == 40 and cloud.base is None
+    assert all(points is cloud for _, points, _ in blocks)
+
+
+# (calls, body runs) of each memo in a default run, by the function that
+# made it: the gauged waves' (gauge_transform) and the gauges' grad4
+# (_polynomial_gauge_members). A memo whose body runs on every call keeps
+# a key and a copy and saves nothing. Central mode takes one gauge per
+# block: its gauged wave is read on the ring, once itself and once by the
+# round trip's wave, and the round trip and the gauged spinor on the ring:
+# 4 calls and 3 bodies per gauge.
+@pytest.mark.parametrize("mode, traffic", [
+    ("analytic", {"gauge_transform": [8, 3],
+                  "_polynomial_gauge_members": [8, 2]}),
+    ("central", {"gauge_transform": [40, 30],
+                 "_polynomial_gauge_members": [50, 30]})])
+def test_every_memo_of_a_default_run_hits(monkeypatch, mode, traffic):
+    counts = {}
+    memo = fields._last_points_memo
+
+    def counted_memo(body):
+        count = counts.setdefault(body.__qualname__.split(".")[0], [0, 0])
+
+        def counted_body(e):
+            count[1] += 1
+            return body(e)
+        evaluator = memo(counted_body)
+
+        def counted(e):
+            count[0] += 1
+            return evaluator(e)
+        return counted
+    monkeypatch.setattr(fields, "_last_points_memo", counted_memo)
+    run_scenario(config_from_dict({"method": {"mode": mode}}, "gauge-orbit"))
+    assert counts == traffic
 
 
 # The block-sized evaluators compute in place. Each in-place result must

@@ -177,23 +177,24 @@ def test_a_nan_magnitude_fails_its_check_wherever_it_lies():
 
 
 # each wave is read off one residual chain, which evaluates psi once per
-# distinct point. A scalar chain in central mode takes psi at each sample
-# (value), at its 16 stencil points and the sample again (the ring: the
-# gradient, the Laplacian and the values of the chain nested in the
-# momentum gradient) and at the 160 distinct points of the nested stencil
-# (of its 256 stencil-of-stencil points, a pair across two axes and its
-# swap are one point): 178 rows per sample, and with Richardson's second
-# step 1 + 33 + 640 = 674. A spinor's chain reads no Laplacian and no
-# nested stencil. dirac-plane-wave's random spinors are read only through
-# dirac_to_kg_check, whose outer stencil is central in both modes, and
-# kg_operator_on_spinor's values. Analytic mode takes psi at the samples.
+# distinct point. A scalar chain in central mode takes psi at each
+# sample's 16 stencil points and the sample itself (the ring: the values,
+# read off its last column, the gradient, the Laplacian and the values of
+# the chain nested in the momentum gradient) and at the 160 distinct points
+# of the nested stencil (of its 256 stencil-of-stencil points, a pair
+# across two axes and its swap are one point): 177 rows per sample, and
+# with Richardson's second step 33 + 640 = 673. A spinor's chain reads no
+# Laplacian and no nested stencil. dirac-plane-wave's random spinors are
+# read only through dirac_to_kg_check, whose outer stencil is central in
+# both modes, and kg_operator_on_spinor's values. Analytic mode takes psi
+# at the samples.
 _PSI_TABLES = {   # psi rows per sample of each psi call, per mode
-    "scalar": {"analytic": (1,), "central": (1, 17, 160),
-               "central-richardson": (1, 33, 640)},
-    "spinor": {"analytic": (1,), "central": (1, 17),
-               "central-richardson": (1, 33)},
-    "random-spinors": {"analytic": (17, 1, 1), "central": (17, 160, 1, 1),
-                       "central-richardson": (33, 640, 1, 1)},
+    "scalar": {"analytic": (1,), "central": (17, 160),
+               "central-richardson": (33, 640)},
+    "spinor": {"analytic": (1,), "central": (17,),
+               "central-richardson": (33,)},
+    "random-spinors": {"analytic": (17, 1, 1), "central": (17, 160, 1),
+                       "central-richardson": (33, 640, 1)},
 }
 
 

@@ -16,9 +16,12 @@ import numpy as np
 import pytest
 
 from fourvel import (DerivativeMethod, Event, NATURAL_UNITS, ParameterError,
-                     central, coulomb_potential, curl_k, dirac_to_kg_check,
-                     gaussian_polynomial_wave, momentum_gradient,
-                     newton_residual, random_smooth_spinor, zero_potential)
+                     central, coulomb_potential, curl_k, dirac_coulomb_1s,
+                     dirac_plane_wave, dirac_to_kg_check, gauge_transform,
+                     gaussian_polynomial_wave, kg_coulomb_1s,
+                     momentum_gradient, newton_residual, plane_wave,
+                     polynomial_gauge, random_smooth_spinor,
+                     random_spinor_family, zero_potential)
 from fourvel.core4 import EventArray, grad4_numeric, laplace4_numeric
 from fourvel.dirac import dirac_residual
 from fourvel.velocityfield import _Chain
@@ -238,3 +241,38 @@ def test_nested_stencils_equal_the_full_nested_stencil(monkeypatch, e,
     got = bits()
     monkeypatch.setattr(_Chain, "stencil", _full_nested_stencil)
     assert got == bits()
+
+
+def _waves(e):
+    """Every fixture, a gauged wave and a gauged spinor, and a random-spinor
+    family of one member per point of e."""
+    p = (0.6, -0.3, 0.2)
+    chi = polynomial_gauge({(1, 0, 0, 1): 0.8, (0, 2, 0, 0): -0.4,
+                            (0, 0, 1, 0): 0.3}, C.c)
+    draws = np.random.default_rng(7).random(
+        (1 if isinstance(e, Event) else len(e), 4, 18))
+    return [plane_wave(p, C), kg_coulomb_1s(0.4, C),
+            dirac_plane_wave(p, "up", C), dirac_coulomb_1s(0.4, C),
+            gaussian_polynomial_wave((1.0, 0.2, -0.1, 0.3, 0.1j),
+                                     (0.1, 0.0, -0.2, 0.3),
+                                     (0.2, 0.3, 0.25, 0.15), C),
+            random_smooth_spinor(np.random.default_rng(101), C),
+            gauge_transform(zero_potential(), plane_wave(p, C), chi, C)[1],
+            gauge_transform(zero_potential(), dirac_plane_wave(p, "down", C),
+                            chi, C)[1],
+            random_spinor_family(draws, C)]
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+@pytest.mark.parametrize("e", [E1, BATCH, SIGNED_ZEROS],
+                         ids=["event", "batch", "zeros"])
+def test_a_central_chain_reads_its_values_off_the_ring(e, richardson):
+    # a central chain evaluates psi once, on the stencil points and then e,
+    # and takes its values from that call's last column: they must be psi
+    # at e alone, bit for bit
+    for wave in _waves(e):
+        value = _Chain(wave, zero_potential(), e, central(H, richardson),
+                       C).value
+        want = np.asarray(wave.psi(e), dtype=complex)
+        assert np.shape(value) == want.shape
+        assert np.asarray(value).tobytes() == want.tobytes()
