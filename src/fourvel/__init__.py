@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
                     EventArray, NATURAL_UNITS, PhysicalConstants, boost_x1,
-                    central, contract, differentiate, field_strength,
-                    four_displacement, four_vector)
+                    central, contract, field_strength, four_displacement,
+                    four_vector)
 from .dirac import (GammaSet, clifford_residual, dirac_residual,
                     dirac_to_kg_check, factorization_residual,
                     form_relation_matrix, gamma_dot, gamma_matrices,

@@ -379,33 +379,6 @@ def laplace4_numeric(f, e, h: float, c: float = 1.0,
     return out[0] if isinstance(e, Event) else out
 
 
-def differentiate(f, e, order: str, method: DerivativeMethod = ANALYTIC,
-                  *, c: float = 1.0):
-    """Evaluate grad4 or laplace4 of a scalar field f at event e.
-
-    e is one Event or a (K, 4) batch of points; batch results carry a
-    leading K axis. f is a callable Event -> complex that, for central
-    mode, also evaluates a point array elementwise; for analytic mode it
-    must carry grad4/laplace4 evaluator attributes (fixtures do).
-    """
-    if order not in ("grad4", "laplace4"):
-        raise ParameterError(f"unknown derivative order {order!r}")
-
-    if method.mode == "analytic":
-        evaluator = getattr(f, order, None)
-        if evaluator is None:
-            raise ParameterError(
-                f"field {f!r} has no analytic {order} evaluator; "
-                "use a central-difference method"
-            )
-        out = np.asarray(evaluator(e), dtype=complex)
-    elif order == "grad4":
-        out = grad4_numeric(f, e, method.h, c, method.richardson)
-    else:
-        out = laplace4_numeric(f, e, method.h, c, method.richardson)
-    return complex(out) if out.ndim == 0 else out
-
-
 def _potential_gradient(a_field, e, method: DerivativeMethod = ANALYTIC,
                         c: float = 1.0) -> np.ndarray:
     """G[mu, nu] = d_mu A_nu at e, from the potential's analytic gradient

@@ -72,11 +72,8 @@ def coulomb_potential(z_alpha: float,
     i.e. the interaction energy is -z_alpha*hbar*c/r. Spatial components
     vanish; the field is static, so the Lorenz condition holds exactly.
     """
-    if not (0.0 < z_alpha <= 0.5):
-        raise ParameterError(
-            f"z_alpha = {z_alpha} outside (0, 0.5]; the scalar bound-state "
-            "fixture exponent is real only in that range"
-        )
+    if not (0.0 < z_alpha < math.inf):
+        raise ParameterError(f"z_alpha = {z_alpha} outside (0, inf)")
     if constants.q == 0:
         raise ParameterError("Coulomb potential needs a nonzero charge q")
     k = -z_alpha * constants.hbar / constants.q  # A_4 = i k / r

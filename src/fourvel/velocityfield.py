@@ -28,8 +28,7 @@ from .core4 import (ANALYTIC, DEFAULT_EPS_PSI, DerivativeMethod, Event,
                     EventArray, NATURAL_UNITS, PhysicalConstants, _col,
                     _evaluate, _first, _grad4, _laplace4, _nested_pairs,
                     _potential_gradient, _require_nonzero, _shifts,
-                    _stencil_points, contract, differentiate,
-                    four_displacement)
+                    _stencil_points, contract, four_displacement)
 from .errors import (InsufficientComponentsError, ParameterError,
                      QuadratureError)
 from .wavefunctions import SpinorWave, _outer
@@ -101,7 +100,7 @@ class _Chain:
 
     @cached_property
     def value(self):
-        if self.method.mode == "analytic":
+        if self.method.mode == "analytic" and "ring" not in vars(self):
             return self.psi(self.e)
         return self.ring[1][0 if isinstance(self.e, Event) else slice(None), -1]
 
@@ -146,16 +145,14 @@ class _Chain:
     def grad(self):
         if self.method.mode == "central":
             return self.stencil()
-        return differentiate(self.psi, self.e, "grad4", self.method)
+        return self.psi.grad4(self.e)
 
     @cached_property
     def lap(self):
         if self.method.mode == "analytic":
-            return differentiate(self.psi, self.e, "laplace4", self.method)
+            return self.psi.laplace4(self.e)
         out = _laplace4(self.ring[1], self.method.steps, self.constants.c)
-        if isinstance(self.e, Event):   # as differentiate gives it
-            out = out[0] if out.ndim > 1 else complex(out[0])
-        return out
+        return out[0] if isinstance(self.e, Event) else out
 
     @cached_property
     def dlog(self):

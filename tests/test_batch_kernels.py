@@ -8,13 +8,14 @@ in |psi| from the first row to the last, so a kernel that normalized by one
 scale for the whole batch, instead of each row's own, would be off by up to
 1e6 on the small rows. A batch holding failing rows must fail the way its
 first failing row's Event fails. Every public kernel's parameters are
-pinned by name and default.
+pinned by name and default, and the package's public names are pinned.
 """
 import inspect
 
 import numpy as np
 import pytest
 
+import fourvel
 from fourvel import (ANALYTIC, DEFAULT_EPS_PSI, EventArray,
                      InsufficientComponentsError, NATURAL_UNITS,
                      NearZeroWavefunctionError, ScalarWave, SpinorWave,
@@ -275,3 +276,35 @@ def test_kernel_parameters_are_pinned(name):
             for p in params]
     assert [(p.name, p.default) for p in
             inspect.signature(kernel).parameters.values()] == want
+
+
+# a name leaves or joins the package's API only by editing this list
+PUBLIC_NAMES = [
+    "ANALYTIC", "ActionResult", "CheckResult", "ConfigError",
+    "DEFAULT_EPS_PSI", "DegenerateParameterError", "DerivativeMethod",
+    "DivergenceResult", "Event", "EventArray", "FourvelError", "GammaSet",
+    "GaugeFunction", "InsufficientComponentsError", "InvalidBoostError",
+    "NATURAL_UNITS", "NearZeroWavefunctionError", "ParameterError",
+    "PhysicalConstants", "PiercePoint", "PotentialField", "QuadratureError",
+    "ResidualReport", "ScalarWave", "ScenarioConfig", "SingularPointError",
+    "SpinorWave", "UnsupportedConfigurationError", "Worldline",
+    "action_integral", "boost_worldline", "boost_x1", "canonical_momentum",
+    "central", "classify_speed", "clifford_residual", "config_from_dict",
+    "contract", "core4", "coulomb_potential", "curl_k", "default_config",
+    "dirac", "dirac_coulomb_1s", "dirac_plane_wave", "dirac_residual",
+    "dirac_to_kg_check", "divergence_mu", "errors", "export_report",
+    "extract_u", "factorization_residual", "field_strength", "fields",
+    "form_relation_matrix", "four_displacement", "four_vector", "gamma_dot",
+    "gamma_matrices", "gauge_transform", "gaussian_polynomial_wave",
+    "kg_coulomb_1s", "kg_operator_on_spinor", "kg_residual",
+    "list_scenarios", "lorenz_gauge_residual", "make_worldline",
+    "mass_shell_residual", "momentum_gradient", "newton_residual",
+    "nonlinear_wave_residual", "pierce_points", "plane_wave",
+    "polynomial_gauge", "pure_gauge_potential", "random_smooth_spinor",
+    "random_spinor_family", "run_scenario", "runner",
+    "spinor_velocity_consistency", "velocityfield", "wavefunctions",
+    "worldline", "write_pierce_csv", "zero_potential"]
+
+
+def test_public_names_are_pinned():
+    assert sorted(fourvel.__all__) == PUBLIC_NAMES

@@ -6,9 +6,10 @@ import pytest
 
 from fourvel import (DerivativeMethod, Event, InvalidBoostError,
                      ParameterError, PhysicalConstants, boost_x1, central,
-                     contract, differentiate, field_strength,
-                     four_displacement, four_vector, polynomial_gauge,
-                     pure_gauge_potential, zero_potential)
+                     contract, field_strength, four_displacement,
+                     four_vector, polynomial_gauge, pure_gauge_potential,
+                     zero_potential)
+from fourvel.core4 import grad4_numeric, laplace4_numeric
 
 
 def test_event_accessors():
@@ -92,7 +93,7 @@ def test_central_gradient_matches_polynomial_exactly():
     c = 1.3
     psi, grad, _ = _poly_field(c)
     e = Event(0.7, -0.4, 1.1, 0.6)
-    num = differentiate(psi, e, "grad4", central(1e-2), c=c)
+    num = grad4_numeric(psi, e, 1e-2, c)
     np.testing.assert_allclose(num, grad(e), atol=1e-11)
 
 
@@ -100,7 +101,7 @@ def test_central_laplacian_matches_polynomial():
     c = 1.3
     psi, _, lap = _poly_field(c)
     e = Event(0.7, -0.4, 1.1, 0.6)
-    num = differentiate(psi, e, "laplace4", central(1e-2), c=c)
+    num = laplace4_numeric(psi, e, 1e-2, c)
     assert num == pytest.approx(lap(e), abs=1e-9)
 
 
@@ -115,7 +116,7 @@ def test_central_on_oscillatory_field_converges_at_fourth_order():
     exact = 1j * np.array([k[0], k[1], k[2], -0.9 / (1j * c)]) * psi(e)
     err = []
     for h in (2e-2, 1e-2):
-        num = differentiate(psi, e, "grad4", central(h), c=c)
+        num = grad4_numeric(psi, e, h, c)
         err.append(np.max(np.abs(num - exact)))
     order = math.log(err[0] / err[1]) / math.log(2.0)
     assert order > 3.7
@@ -128,16 +129,10 @@ def test_richardson_extrapolation_tightens_the_estimate():
         return np.exp(0.9 * e.x1 - 0.3 * e.t)
 
     e = Event(0.3, 0.0, 0.0, 0.1)
-    plain = differentiate(psi, e, "grad4", central(2e-2), c=c)
-    extra = differentiate(psi, e, "grad4", central(2e-2, richardson=True), c=c)
+    plain = grad4_numeric(psi, e, 2e-2, c)
+    extra = grad4_numeric(psi, e, 2e-2, c, richardson=True)
     exact = np.array([0.9, 0.0, 0.0, -0.3 / (1j * c)]) * psi(e)
     assert np.max(np.abs(extra - exact)) < 0.02 * np.max(np.abs(plain - exact))
-
-
-def test_analytic_mode_requires_field_evaluators():
-    with pytest.raises(ParameterError):
-        differentiate(lambda e: 1.0, Event(0, 0, 0, 0), "grad4",
-                      DerivativeMethod("analytic"), c=1.0)
 
 
 def test_method_validation():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,10 +40,9 @@ def test_coulomb_field_strength_value():
 
 
 def test_coulomb_rejects_bad_coupling_and_singular_points():
-    with pytest.raises(ParameterError):
-        coulomb_potential(0.0, NATURAL_UNITS)
-    with pytest.raises(ParameterError):
-        coulomb_potential(0.6, NATURAL_UNITS)
+    for z_alpha in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            coulomb_potential(z_alpha, NATURAL_UNITS)
     field = coulomb_potential(0.3, NATURAL_UNITS)
     with pytest.raises(SingularPointError):
         field.a(Event(0.0, 0.0, 0.0, 1.0))
@@ -387,11 +388,11 @@ def test_gauge_transform_grad_and_laplacian_are_consistent():
     wave = plane_wave((0.5, 0.2, -0.3), consts)
     chi = polynomial_gauge({(2, 0, 0, 0): 0.25, (0, 1, 0, 1): 0.5}, consts.c)
     _, wave1 = gauge_transform(zero_potential(), wave, chi, consts)
-    from fourvel import differentiate
+    from fourvel.core4 import grad4_numeric, laplace4_numeric
     e = Event(0.3, -0.8, 0.2, 0.6)
     g_closed = wave1.grad4(e)
-    g_num = differentiate(wave1, e, "grad4", central(1e-3), c=consts.c)
+    g_num = grad4_numeric(wave1, e, 1e-3, consts.c)
     np.testing.assert_allclose(g_num, g_closed, atol=1e-9)
     lap_closed = wave1.laplace4(e)
-    lap_num = differentiate(wave1, e, "laplace4", central(1e-3), c=consts.c)
+    lap_num = laplace4_numeric(wave1, e, 1e-3, consts.c)
     assert abs(lap_num - lap_closed) < 1e-7

@@ -187,13 +187,14 @@ def test_a_nan_magnitude_fails_its_check_wherever_it_lies():
 # Laplacian and no nested stencil. dirac-plane-wave's random spinors are
 # read only through dirac_to_kg_check, whose outer stencil is central in
 # both modes, and kg_operator_on_spinor's values. Analytic mode takes psi
-# at the samples.
+# at the samples, except that a chain which has built a ring (as
+# dirac_to_kg_check's outer stencil does) reads its values off the ring.
 _PSI_TABLES = {   # psi rows per sample of each psi call, per mode
     "scalar": {"analytic": (1,), "central": (17, 160),
                "central-richardson": (33, 640)},
     "spinor": {"analytic": (1,), "central": (17,),
                "central-richardson": (33,)},
-    "random-spinors": {"analytic": (17, 1, 1), "central": (17, 160, 1),
+    "random-spinors": {"analytic": (17, 1), "central": (17, 160, 1),
                        "central-richardson": (33, 640, 1)},
 }
 
@@ -770,6 +771,27 @@ def test_scan_window_without_the_energy_exits_two(tmp_path, capsys, z_alpha):
 def test_scan_window_that_holds_the_energy_passes(tmp_path):
     doc = {"fixture": {"z_alpha": 0.2, "scan_hi": 0.99}}
     assert _run_config(tmp_path, "dirac-coulomb-1s", doc) == 0
+
+
+# the Dirac ground state is bound for z_alpha < 1, the scalar one only
+# below 0.5, and the Coulomb potential takes any positive coupling
+@pytest.mark.parametrize("mode", ["analytic", "central"])
+@pytest.mark.parametrize("z_alpha", [0.7, 0.9])
+def test_dirac_coulomb_certifies_couplings_past_one_half(tmp_path, z_alpha,
+                                                         mode):
+    energy = math.sqrt(1.0 - z_alpha ** 2)
+    doc = {"method": {"mode": mode},
+           "fixture": {"z_alpha": z_alpha, "scan_lo": energy - 0.05,
+                       "scan_hi": energy + 0.05}}
+    assert _run_config(tmp_path, "dirac-coulomb-1s", doc) == 0
+
+
+@pytest.mark.parametrize("scenario", ["kg-coulomb-1s", "action-path"])
+def test_scalar_coulomb_coupling_past_one_half_exits_two(tmp_path, capsys,
+                                                         scenario):
+    doc = {"fixture": {"z_alpha": 0.7}}
+    assert _run_config(tmp_path, scenario, doc) == 2
+    assert "outside (0, 0.5)" in capsys.readouterr().err
 
 
 def test_default_dirac_coulomb_report_is_unchanged(capsys):

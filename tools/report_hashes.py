@@ -26,7 +26,7 @@ values whose echo in the report's config must not change (integer
 constants, step and tolerance, which the echo shows as floats, and integer
 cloud and fixture values, which it shows as given), and events with -0.0
 and 0.0 in every coordinate slot, in each scenario's default mode and in
-central mode. With the 48 default reports, that is 162.
+central mode. With the 48 default reports, that is 164.
 
     python tools/report_hashes.py --extra > hashes.txt
     python tools/report_hashes.py --extra --check hashes.txt
@@ -72,6 +72,8 @@ EXTRA_CONFIGS = [
     ("dirac-coulomb-1s", "z-alpha-0.5", {"fixture": {"z_alpha": 0.5}}),
     ("dirac-coulomb-1s", "z-alpha-0.2-wide-scan",
      {"fixture": {"z_alpha": 0.2, "scan_hi": 0.99}}),
+    ("dirac-coulomb-1s", "z-alpha-0.7",
+     {"fixture": {"z_alpha": 0.7, "scan_lo": 0.65, "scan_hi": 0.75}}),
     ("dirac-coulomb-1s", "far-ray",
      {"cloud": {"kind": "ray", "r_min": 0.5, "r_max": 68.0, "count": 40}}),
     ("gauge-orbit", "units", {"constants": UNITS}),
